@@ -226,8 +226,7 @@ PartitionCellResult RunPartitionedCell(uint32_t partitions, int clients) {
   // Commit as soon as every committer pinned to the lane has joined.
   server_options.batch.max_batch_entries = static_cast<size_t>(
       std::max(1, clients / static_cast<int>(partitions)));
-  auto server =
-      NetLogServer::StartPartitioned(service.value().get(), server_options);
+  auto server = NetLogServer::Start(service.value().get(), server_options);
   BENCH_CHECK_OK(server.status());
 
   {

@@ -1,17 +1,16 @@
-// Concurrent read-path scaling: reader count x locking mode, plus the
-// batched-RPC and readahead ablations.
+// Concurrent read-path scaling: reader count, plus the batched-RPC and
+// readahead ablations.
 //
 // Models the paper's §3.3 thesis (log read cost is determined primarily by
 // cache misses) at production reader counts: N tailing clients over real
 // loopback TCP against one NetLogServer whose WORM device charges a fixed
 // real latency per read PASS (one seek, however many blocks it returns —
 // which is what makes sequential readahead pay off). Each reader scans its
-// own log file, so their cache misses are disjoint: under the old global
-// lock the device time serializes, under the shared lock it overlaps.
+// own log file, so their cache misses are disjoint and, under the shared
+// lock, their device time overlaps.
 //
-// Output: aggregate entries/sec per configuration, then the headline
-// numbers for ISSUE 4 acceptance — shared-lock speedup at 8 readers
-// (>= 3x) and kReadBatch K=32 RPC reduction on a 10k-entry tail scan
+// Output: aggregate entries/sec at 1 and 8 readers, the readahead cold-scan
+// speedup, and the kReadBatch K=32 RPC reduction on a 10k-entry tail scan
 // (>= 5x fewer round trips than per-entry ReadNext).
 #include <cstdio>
 #include <memory>
@@ -93,9 +92,8 @@ struct Harness {
 };
 
 // One server per cell: every reader scans cold, so the cells are
-// comparable. `readahead` and `global_lock` are the two knobs under test.
-Harness StartServer(uint32_t readahead, bool global_lock,
-                    int entries_per_file, int files) {
+// comparable. `readahead` is the knob under test.
+Harness StartServer(uint32_t readahead, int entries_per_file, int files) {
   Harness h;
   h.clock = std::make_unique<SimulatedClock>(1'000'000, /*auto_tick=*/11);
   MemoryWormOptions dev;
@@ -112,9 +110,7 @@ Harness StartServer(uint32_t readahead, bool global_lock,
   BENCH_CHECK_OK(service.status());
   h.service = std::move(service).value();
 
-  NetLogServerOptions server_options;
-  server_options.serialize_reads = global_lock;
-  auto server = NetLogServer::Start(h.service.get(), server_options);
+  auto server = NetLogServer::Start(h.service.get());
   BENCH_CHECK_OK(server.status());
   h.server = std::move(server).value();
 
@@ -139,8 +135,8 @@ Harness StartServer(uint32_t readahead, bool global_lock,
 // Aggregate entries/sec for `readers` concurrent clients, each draining
 // its own file through the batched iterator. The populate pass left every
 // burned block cached (the write path keeps the buffer pool warm), so the
-// cache is dropped first: these cells measure COLD scans, where the
-// locking mode decides whether device passes overlap.
+// cache is dropped first: these cells measure COLD scans, where shared
+// locking lets the readers' device passes overlap.
 double RunScanCell(const Harness& h, int readers, int entries_per_file) {
   h.service->cache().Clear();
   std::vector<std::thread> threads;
@@ -234,30 +230,18 @@ int main() {
 
   BenchReport report("read_scaling");
 
-  // -- Reader scaling: shared lock vs the --global-lock compatibility
-  //    path, readahead off so every block miss is a separate device pass.
-  std::printf("%8s  %12s  %12s\n", "readers", "lock", "entries/s");
-  double global_8 = 0, shared_8 = 0;
-  for (bool global_lock : {true, false}) {
-    for (int readers : {1, kMaxReaders}) {
-      Harness h = StartServer(/*readahead=*/0, global_lock, entries_per_file,
-                              kMaxReaders);
-      double eps = RunScanCell(h, readers, entries_per_file);
-      h.server->Stop();
-      const char* lock_name = global_lock ? "global" : "shared";
-      std::printf("%8d  %12s  %12.0f\n", readers, lock_name, eps);
-      std::string op =
-          "r" + std::to_string(readers) + "_" + lock_name;
-      report.AddCounter(op, "entries_per_sec", eps);
-      if (readers == kMaxReaders) {
-        (global_lock ? global_8 : shared_8) = eps;
-      }
-    }
+  // -- Reader scaling, readahead off so every block miss is a separate
+  //    device pass.
+  std::printf("%8s  %12s\n", "readers", "entries/s");
+  for (int readers : {1, kMaxReaders}) {
+    Harness h = StartServer(/*readahead=*/0, entries_per_file, kMaxReaders);
+    double eps = RunScanCell(h, readers, entries_per_file);
+    h.server->Stop();
+    std::printf("%8d  %12.0f\n", readers, eps);
+    report.AddCounter("r" + std::to_string(readers) + "_shared",
+                      "entries_per_sec", eps);
   }
-  double scaling = global_8 > 0 ? shared_8 / global_8 : 0;
-  std::printf("\n8-reader shared-lock speedup over global lock: %.1fx %s\n",
-              scaling, scaling >= 3.0 ? "(>= 3x: PASS)" : "(< 3x)");
-  report.AddCounter("summary", "read_scaling_speedup", scaling);
+  std::printf("\n");
 
   // -- Readahead ablation: one cold scan, with and without prefetch. The
   //    server runs in-process, so the speculative-fetch obs counter is
@@ -266,8 +250,7 @@ int main() {
       clio::ObsRegistry().counter("clio.cache.readahead_blocks");
   double ra_off = 0, ra_on = 0;
   for (uint32_t readahead : {0u, 8u}) {
-    Harness h = StartServer(readahead, /*global_lock=*/false,
-                            entries_per_file, /*files=*/1);
+    Harness h = StartServer(readahead, entries_per_file, /*files=*/1);
     uint64_t before = prefetched->value();
     double eps = RunScanCell(h, 1, entries_per_file);
     h.server->Stop();
@@ -285,8 +268,7 @@ int main() {
   // -- RPC amortization: per-entry ReadNext vs kReadBatch for a tail scan.
   {
     const int entries = TailScanEntries();
-    Harness h = StartServer(/*readahead=*/8, /*global_lock=*/false,
-                            entries, /*files=*/1);
+    Harness h = StartServer(/*readahead=*/8, entries, /*files=*/1);
     RpcCounts counts = RunRpcCell(h, entries);
     h.server->Stop();
     double reduction =

@@ -3,21 +3,17 @@
 // The event-loop refactor's (DESIGN.md §16) claim is that connection
 // COUNT is no longer a cost: a thousand idle sessions occupy epoll
 // entries, not threads, and the hot sessions' latency does not care. This
-// bench measures exactly that, three ways:
+// bench measures exactly that, two ways:
 //
-//   event_hot        64 hot unforced committers, event-loop server
+//   event_hot        64 hot unforced committers
 //   event_idle_hot   the same 64, plus 1000 idle connections parked on
 //                    the same loop (none of them idle-closed: the server
 //                    runs with the idle timeout off)
-//   tpc_hot          the same 64 against the thread-per-connection
-//                    compat server — the pre-refactor A/B anchor
 //
 // Reported per cell: per-append p50/p90/p99 latency and aggregate
-// appends/sec. Two summary counters gate CI (bench-soak job, with
-// --floor / --ceiling vs bench/baseline.json):
+// appends/sec. One summary counter gates CI (bench-soak job, with
+// --ceiling vs bench/baseline.json):
 //
-//   throughput_ratio        event_hot / tpc_hot      (>= 1.0: the loop
-//                           must not be slower than a thread per socket)
 //   idle_latency_ratio_p99  event_idle_hot / event_hot p99 (idle
 //                           connections must not tax the hot path)
 //
@@ -81,14 +77,13 @@ struct CellResult {
 
 // One soak cell: `idle` parked connections plus `clients` hot committers
 // issuing unforced appends as fast as the server answers.
-CellResult RunCell(bool thread_per_conn, size_t idle) {
+CellResult RunCell(size_t idle) {
   const int kClients = HotClients();
   const int kAppends = AppendsPerClient();
   BenchService b = BenchService::Make(/*block_size=*/1024,
                                       /*capacity_blocks=*/1 << 16,
                                       /*degree=*/16, /*cache_blocks=*/4096);
   NetLogServerOptions options;
-  options.thread_per_conn = thread_per_conn;
   options.idle_timeout_ms = 0;  // parked connections must survive the soak
   auto server = NetLogServer::Start(b.service.get(), options);
   BENCH_CHECK_OK(server.status());
@@ -176,7 +171,7 @@ int main() {
   using namespace clio::bench;
 
   const size_t idle = IdleSessions();
-  PrintHeader("Connection-scaling soak: event loop vs thread-per-conn",
+  PrintHeader("Connection-scaling soak: idle connections vs hot-path latency",
               "DESIGN.md §16 / ISSUE 8 acceptance");
   std::printf("(%d hot clients x %d unforced %zu-byte appends; idle cell "
               "parks %zu extra connections)\n\n",
@@ -186,20 +181,17 @@ int main() {
 
   struct Cell {
     const char* slug;
-    bool thread_per_conn;
     size_t idle;
   };
   const Cell cells[] = {
-      {"event_hot", false, 0},
-      {"event_idle_hot", false, idle},
-      {"tpc_hot", true, 0},
+      {"event_hot", 0},
+      {"event_idle_hot", idle},
   };
 
   BenchReport report("soak_latency");
-  double event_thr = 0, tpc_thr = 0;
   double event_p99 = 0, idle_p99 = 0;
   for (const Cell& cell : cells) {
-    CellResult r = RunCell(cell.thread_per_conn, cell.idle);
+    CellResult r = RunCell(cell.idle);
     std::printf("%16s  %10.0f  %10.1f  %10.1f  %10.1f\n", cell.slug,
                 r.appends_per_sec, r.p50_us, r.p90_us, r.p99_us);
     report.AddSamples(cell.slug, r.samples);
@@ -212,21 +204,14 @@ int main() {
       idle_p99 = r.p99_us;
       std::printf("%16s  idle connections still answering: %zu sampled\n",
                   "", r.idle_alive);
-    } else if (cell.thread_per_conn) {
-      tpc_thr = r.appends_per_sec;
     } else {
-      event_thr = r.appends_per_sec;
       event_p99 = r.p99_us;
     }
   }
 
-  double ratio = tpc_thr > 0 ? event_thr / tpc_thr : 0;
   double idle_tax = event_p99 > 0 ? idle_p99 / event_p99 : 0;
-  std::printf("\nevent-loop throughput vs thread-per-conn: %.2fx %s\n", ratio,
-              ratio >= 1.0 ? "(>= 1.0x: PASS)" : "(< 1.0x)");
-  std::printf("p99 with %zu idle connections vs without: %.2fx %s\n", idle,
+  std::printf("\np99 with %zu idle connections vs without: %.2fx %s\n", idle,
               idle_tax, idle_tax <= 1.5 ? "(<= 1.5x: PASS)" : "(> 1.5x)");
-  report.AddCounter("summary", "throughput_ratio", ratio);
   report.AddCounter("summary", "idle_latency_ratio_p99", idle_tax);
 
   if (!report.Write()) {

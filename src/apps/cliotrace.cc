@@ -101,10 +101,9 @@ void Usage(const char* argv0) {
       argv0);
 }
 
-// Per-partition breakdown of the ".p<i>"-suffixed metric mirrors a
-// partitioned deployment records next to the legacy aggregate names (see
-// src/net/batcher.h and LogServiceOptions::metric_suffix). An unsuffixed
-// (single write head) server just prints the aggregates.
+// Per-partition breakdown of the ".p<i>"-suffixed metric mirrors every
+// server's append lanes record next to the aggregate names (see
+// src/net/batcher.h and LogServiceOptions::metric_suffix).
 void PrintStats(const clio::StatsSnapshot& stats) {
   std::printf("server metrics snapshot: %zu counters, %zu histograms\n",
               stats.counters.size(), stats.histograms.size());

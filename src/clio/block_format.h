@@ -22,6 +22,7 @@
 #ifndef SRC_CLIO_BLOCK_FORMAT_H_
 #define SRC_CLIO_BLOCK_FORMAT_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -155,6 +156,17 @@ class ParsedBlock {
     return (flags_ & kFlagEntrymapContinues) != 0;
   }
   bool volume_sealed() const { return (flags_ & kFlagVolumeSealed) != 0; }
+  // Entrymap entries alone, flagged last-entry-continues: entrymap nodes
+  // filled this block while a fragment chain was open, and the chain
+  // resumes in the next block.
+  bool passes_chain_through() const {
+    return last_entry_continues() &&
+           std::all_of(entries_.begin(), entries_.end(),
+                       [](const ParsedEntry& e) {
+                         return e.logfile_id == kEntrymapLogId &&
+                                !e.is_fragment();
+                       });
+  }
 
   // The v2 footer's accumulated chain tag over all valid predecessor
   // blocks; nullopt for v1 (unchained) blocks.

@@ -100,7 +100,7 @@ Result<VerifyReport> VerifyVolume(LogVolume* volume) {
           break;
         }
       }
-      if (!satisfied) {
+      if (!satisfied && !block.passes_chain_through()) {
         report.broken_chains.push_back(
             "block " + std::to_string(continue_from) +
             " continues but block " + std::to_string(b) +

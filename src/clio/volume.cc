@@ -761,7 +761,7 @@ Result<Bytes> LogVolume::AssembleEntryPayload(
         break;
       }
     }
-    if (!found) {
+    if (!found && !next.value().passes_chain_through()) {
       *truncated = true;
       return out;
     }

@@ -106,7 +106,7 @@ Status LogVolumeWriter::SealStrandedChain() {
       break;
     }
     auto parsed = ParsedBlock::Parse(*image);
-    if (!parsed.ok()) {
+    if (!parsed.ok() || parsed->passes_chain_through()) {
       continue;
     }
     if (!parsed->last_entry_continues() || parsed->entries().empty()) {
@@ -115,7 +115,7 @@ Status LogVolumeWriter::SealStrandedChain() {
     const ParsedEntry& last = parsed->entries().back();
     int stalls = 0;
     for (;;) {
-      CLIO_RETURN_IF_ERROR(OpenBuilder());
+      CLIO_RETURN_IF_ERROR(OpenBuilderInChain());
       if (builder_->free_bytes() >=
           HeaderInlineSize(HeaderVersion::kFragment, 0) + kSizeSlotBytes) {
         break;
@@ -167,6 +167,13 @@ Status LogVolumeWriter::OpenBuilder() {
   return Status::Ok();
 }
 
+Status LogVolumeWriter::OpenBuilderInChain() {
+  chain_open_ = true;
+  Status opened = OpenBuilder();
+  chain_open_ = false;
+  return opened;
+}
+
 Status LogVolumeWriter::EmitEntrymapNode(int level, uint64_t home) {
   static Counter* nodes = ObsRegistry().counter("clio.entrymap.nodes_emitted");
   nodes->Increment();
@@ -196,7 +203,9 @@ Status LogVolumeWriter::EmitEntrymapNode(int level, uint64_t home) {
       HeaderVersion v = builder_->empty() ? HeaderVersion::kTimestamped
                                           : HeaderVersion::kCompact;
       if (builder_->PayloadCapacity(v) < encoded.size()) {
-        builder_->SetFlags(kFlagEntrymapContinues);
+        builder_->SetFlags(chain_open_
+                               ? kFlagEntrymapContinues | kFlagLastEntryContinues
+                               : kFlagEntrymapContinues);
         CLIO_RETURN_IF_ERROR(BurnBuilder());
         builder_ = NewBuilder();
         v = HeaderVersion::kTimestamped;
@@ -435,7 +444,7 @@ Result<AppendResult> LogVolumeWriter::Append(LogFileId id,
   while (!remaining.empty()) {
     builder_->SetFlags(kFlagLastEntryContinues);
     CLIO_RETURN_IF_ERROR(BurnBuilder());
-    CLIO_RETURN_IF_ERROR(OpenBuilder());
+    CLIO_RETURN_IF_ERROR(OpenBuilderInChain());
     size_t fcap = builder_->PayloadCapacity(HeaderVersion::kFragment);
     if (fcap == 0) {
       // Entrymap entries packed this block solid; move on. This can only

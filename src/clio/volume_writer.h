@@ -151,6 +151,10 @@ class LogVolumeWriter {
   // volume is chained, a plain v1 builder otherwise.
   std::unique_ptr<BlockBuilder> NewBuilder() const;
   Status OpenBuilder();  // starts a block; emits due entrymap entries
+  // OpenBuilder for the block after one flagged last-entry-continues: an
+  // entrymap node that overflows this block burns it entrymap-only with
+  // the chain kept open, as the fragment loop's fcap == 0 path does.
+  Status OpenBuilderInChain();
   Status BurnBuilder();
   // Emits the level-`level` entrymap node homed at `home` into the current
   // builder (possibly spilling across blocks).
@@ -182,6 +186,7 @@ class LogVolumeWriter {
   std::deque<uint64_t> pending_bad_blocks_;
   bool draining_bad_blocks_ = false;
   bool sealed_ = false;
+  bool chain_open_ = false;  // inside OpenBuilderInChain
 
   SpaceAccounting space_;
   uint64_t entrymap_upkeep_calls_ = 0;

@@ -1,6 +1,7 @@
 #include "src/ipc/codec.h"
 
 #include <algorithm>
+#include <mutex>
 #include <utility>
 
 namespace clio {
@@ -35,39 +36,6 @@ Result<LogFileInfo> DecodeLogFileInfo(std::span<const std::byte> payload) {
   }
   return info;
 }
-
-// RAII lock over the service's reader/writer mutex, in the mode the op
-// calls for; a no-op when `mu` is null (single-threaded transports).
-class MaybeServiceLock {
- public:
-  MaybeServiceLock(std::shared_mutex* mu, bool exclusive)
-      : mu_(mu), exclusive_(exclusive) {
-    if (mu_ == nullptr) {
-      return;
-    }
-    if (exclusive_) {
-      mu_->lock();
-    } else {
-      mu_->lock_shared();
-    }
-  }
-  ~MaybeServiceLock() {
-    if (mu_ == nullptr) {
-      return;
-    }
-    if (exclusive_) {
-      mu_->unlock();
-    } else {
-      mu_->unlock_shared();
-    }
-  }
-  MaybeServiceLock(const MaybeServiceLock&) = delete;
-  MaybeServiceLock& operator=(const MaybeServiceLock&) = delete;
-
- private:
-  std::shared_mutex* mu_;
-  bool exclusive_;
-};
 
 // Soft cap on one kReadBatch reply's payload bytes, comfortably under the
 // net transport's 16 MiB frame-body limit.
@@ -403,109 +371,6 @@ Result<AppendRequest> DecodeAppendRequest(std::span<const std::byte> body) {
 }
 
 // ---------------------------------------------------------------------------
-// SingleServiceBackend
-
-// LogReader wrapper taking the service lock around each call, in the mode
-// the LogService contract assigns to reader operations.
-class SingleServiceBackend::ReaderImpl : public DispatchBackend::Reader {
- public:
-  ReaderImpl(std::unique_ptr<LogReader> reader, std::shared_mutex* mu,
-             bool exclusive)
-      : reader_(std::move(reader)), mu_(mu), exclusive_(exclusive) {}
-
-  Result<std::optional<LogEntryRecord>> Next() override {
-    MaybeServiceLock lock(mu_, exclusive_);
-    return reader_->Next();
-  }
-  Result<std::optional<LogEntryRecord>> Prev() override {
-    MaybeServiceLock lock(mu_, exclusive_);
-    return reader_->Prev();
-  }
-  Status SeekToTime(Timestamp t) override {
-    MaybeServiceLock lock(mu_, exclusive_);
-    return reader_->SeekToTime(t);
-  }
-  Status SeekToStart() override {
-    MaybeServiceLock lock(mu_, exclusive_);
-    reader_->SeekToStart();
-    return Status::Ok();
-  }
-  Status SeekToEnd() override {
-    MaybeServiceLock lock(mu_, exclusive_);
-    reader_->SeekToEnd();
-    return Status::Ok();
-  }
-  void SetZeroCopy(bool on) override {
-    MaybeServiceLock lock(mu_, exclusive_);
-    reader_->set_zero_copy(on);
-  }
-
- private:
-  std::unique_ptr<LogReader> reader_;
-  std::shared_mutex* mu_;
-  bool exclusive_;
-};
-
-Result<LogFileId> SingleServiceBackend::CreateLogFile(
-    const std::string& path, uint32_t permissions,
-    std::optional<uint32_t> placement) {
-  if (placement.has_value() && *placement != 0) {
-    return InvalidArgument("server has no partition " +
-                           std::to_string(*placement));
-  }
-  MaybeServiceLock lock(service_mu_, /*exclusive=*/true);
-  return service_->CreateLogFile(path, permissions);
-}
-
-Result<AppendResult> SingleServiceBackend::ExecuteAppend(
-    const AppendRequest& request) {
-  MaybeServiceLock lock(service_mu_, /*exclusive=*/true);
-  WriteOptions options;
-  options.timestamped = request.timestamped;
-  options.force = request.force;
-  return service_->Append(request.path, request.payload, options);
-}
-
-Result<std::unique_ptr<DispatchBackend::Reader>>
-SingleServiceBackend::OpenReader(const std::string& path) {
-  MaybeServiceLock lock(service_mu_, /*exclusive=*/serialize_reads_);
-  CLIO_ASSIGN_OR_RETURN(std::unique_ptr<LogReader> reader,
-                        service_->OpenReader(path));
-  return std::unique_ptr<DispatchBackend::Reader>(
-      new ReaderImpl(std::move(reader), service_mu_, serialize_reads_));
-}
-
-Result<LogFileInfo> SingleServiceBackend::Stat(const std::string& path) {
-  MaybeServiceLock lock(service_mu_, /*exclusive=*/serialize_reads_);
-  return service_->Stat(path);
-}
-
-Status SingleServiceBackend::Force() {
-  MaybeServiceLock lock(service_mu_, /*exclusive=*/true);
-  return service_->Force();
-}
-
-Result<ChainProof> SingleServiceBackend::VerifyChain(const std::string& path,
-                                                     Timestamp t) {
-  // A read-path op: proof building only walks burned (immutable) blocks
-  // and the published staged tail, so the SHARED lock suffices.
-  MaybeServiceLock lock(service_mu_, /*exclusive=*/serialize_reads_);
-  return service_->BuildChainProof(path, t);
-}
-
-Result<PartitionInfoResult> SingleServiceBackend::PartitionInfo(
-    const std::string& path) {
-  PartitionInfoResult info;
-  info.partition_count = 1;
-  if (!path.empty()) {
-    MaybeServiceLock lock(service_mu_, /*exclusive=*/serialize_reads_);
-    CLIO_RETURN_IF_ERROR(service_->Stat(path).status());
-    info.partition = 0;
-  }
-  return info;
-}
-
-// ---------------------------------------------------------------------------
 // ServiceDispatcher
 
 Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
@@ -561,7 +426,7 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
   }
 
   // kAppend first: when an append override is installed it must run without
-  // any backend lock (the group-commit batcher blocks the session until the
+  // any service lock (the group-commit batcher blocks the session until the
   // whole batch is forced, and takes the service mutex itself).
   if (op == LogOp::kAppend) {
     auto request = DecodeAppendRequest(body);
@@ -580,9 +445,12 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
     // The batcher's commit thread has no access to this thread's trace
     // context; the request carries it over the hop.
     request->trace_id = CurrentTraceId();
-    Result<AppendResult> result = append_fn_
-                                      ? append_fn_(*request)
-                                      : backend_->ExecuteAppend(*request);
+    WriteOptions options;
+    options.timestamped = request->timestamped;
+    options.force = request->force;
+    Result<AppendResult> result =
+        append_fn_ ? append_fn_(*request)
+                   : service_->Append(request->path, request->payload, options);
     if (!result.ok()) {
       return EncodeErrorReplyBody(result.status());
     }
@@ -592,7 +460,7 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
     return EncodeOkReplyBody(payload);
   }
 
-  // Every remaining op runs through the backend, which takes whatever lock
+  // Every remaining op runs through the service, which takes whatever lock
   // its target requires per call (kCloseReader touches only the
   // session-local reader table and needs none).
   ByteReader r(body);
@@ -611,7 +479,7 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
             "journal); pick a path outside it"));
       }
       // Trailing placement field (CreateLogFilePlaced); requests encoded
-      // before it read as "backend's choice".
+      // before it read as "the service's choice".
       std::optional<uint32_t> placement;
       if (r.remaining() >= 4) {
         uint32_t raw = r.GetU32();
@@ -619,13 +487,16 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
           placement = raw;
         }
       }
-      auto id = backend_->CreateLogFile(path, permissions, placement);
-      if (!id.ok()) {
-        return EncodeErrorReplyBody(id.status());
+      // Ids are partition-local, so the reply carries the leaf's id on its
+      // home partition (clients address by path; the id is informational).
+      LogFileId id = kNoLogFileId;
+      auto home = service_->CreateLogFile(path, permissions, placement, &id);
+      if (!home.ok()) {
+        return EncodeErrorReplyBody(home.status());
       }
       Bytes payload;
       ByteWriter w(&payload);
-      w.PutU16(id.value());
+      w.PutU16(id);
       return EncodeOkReplyBody(payload);
     }
     case LogOp::kAppend:
@@ -639,26 +510,26 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
         return EncodeErrorReplyBody(
             InvalidArgument("malformed partition info request"));
       }
-      auto info = backend_->PartitionInfo(path);
-      if (!info.ok()) {
-        return EncodeErrorReplyBody(info.status());
+      std::optional<uint32_t> home;
+      if (!path.empty() && path != "/") {
+        home = service_->RouteOf(path);
       }
       Bytes payload;
       ByteWriter w(&payload);
-      w.PutU32(info->partition_count);
-      w.PutU8(info->partition.has_value() ? 1 : 0);
-      w.PutU32(info->partition.value_or(0));
+      w.PutU32(service_->partition_count());
+      w.PutU8(home.has_value() ? 1 : 0);
+      w.PutU32(home.value_or(0));
       return EncodeOkReplyBody(payload);
     }
     case LogOp::kOpenReader: {
       std::string path = r.GetString();
-      auto reader = backend_->OpenReader(path);
+      auto reader = service_->OpenReader(path);
       if (!reader.ok()) {
         return EncodeErrorReplyBody(reader.status());
       }
       uint64_t handle = next_handle_++;
       if (zero_copy_) {
-        reader.value()->SetZeroCopy(true);
+        reader.value()->set_zero_copy(true);
       }
       readers_[handle] = std::move(reader).value();
       Bytes payload;
@@ -707,9 +578,12 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
       if (it == readers_.end()) {
         return EncodeErrorReplyBody(NotFound("no such reader handle"));
       }
-      Status status = op == LogOp::kSeekToStart ? it->second->SeekToStart()
-                                                : it->second->SeekToEnd();
-      return status.ok() ? EncodeOkReplyBody() : EncodeErrorReplyBody(status);
+      if (op == LogOp::kSeekToStart) {
+        it->second->SeekToStart();
+      } else {
+        it->second->SeekToEnd();
+      }
+      return EncodeOkReplyBody();
     }
     case LogOp::kVerifyChain: {
       std::string path = r.GetString();
@@ -718,7 +592,7 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
         return EncodeErrorReplyBody(
             InvalidArgument("malformed verify chain request"));
       }
-      auto proof = backend_->VerifyChain(path, t);
+      auto proof = service_->BuildChainProof(path, t);
       if (!proof.ok()) {
         return EncodeErrorReplyBody(proof.status());
       }
@@ -729,14 +603,14 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
     }
     case LogOp::kStat: {
       std::string path = r.GetString();
-      auto info = backend_->Stat(path);
+      auto info = service_->Stat(path);
       if (!info.ok()) {
         return EncodeErrorReplyBody(info.status());
       }
       return EncodeOkReplyBody(EncodeLogFileInfo(info.value()));
     }
     case LogOp::kForce: {
-      Status status = backend_->Force();
+      Status status = service_->Force();
       return status.ok() ? EncodeOkReplyBody() : EncodeErrorReplyBody(status);
     }
   }

@@ -6,7 +6,8 @@
 // halves built on it:
 //
 //  - ServiceDispatcher: the server side. Decodes one request body,
-//    executes it against a LogService, encodes the reply body. One
+//    executes it against a PartitionedLogService (a plain LogService is
+//    served as its one-partition view), encodes the reply body. One
 //    instance per client session (it owns that session's reader table).
 //  - LogClientBase: the client side. All typed stub methods, over an
 //    abstract Call(op, body) the transport implements.
@@ -20,9 +21,7 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -32,6 +31,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/telemetry.h"
 #include "src/obs/trace.h"
+#include "src/partition/partitioned_service.h"
 #include "src/util/bytes.h"
 #include "src/util/status.h"
 
@@ -69,7 +69,7 @@ enum class LogOp : uint32_t {
   // Partition topology of the server (src/partition/). Request: string
   // path ("" = topology only). Reply payload: u32 partition_count, u8
   // has_route, u32 home partition of the path (valid when has_route = 1).
-  // An unpartitioned server answers partition_count = 1.
+  // "/" and paths no partition knows have no route.
   kPartitionInfo = 15,
   // Single-entry inclusion proof (DESIGN.md §15): the server proves that
   // the entry of `path` with exact timestamp `t` is committed to by the
@@ -214,117 +214,28 @@ struct PartitionInfoResult {
 // placement field (see LogClientBase::CreateLogFilePlaced).
 constexpr uint32_t kNoPartitionPlacement = 0xFFFFFFFFu;
 
-// What a dispatcher executes requests against. The single-service form
-// (below) wraps one LogService; the partitioned form
-// (src/partition/partition_backend.h) routes across many. Locking is the
-// backend's job: each call acquires whatever lock its target requires and
-// releases it before returning, so the dispatcher is lock-agnostic.
-class DispatchBackend {
- public:
-  // One open log-file reader. Like the backend, every call locks
-  // internally; instances are confined to one session thread.
-  class Reader {
-   public:
-    virtual ~Reader() = default;
-    virtual Result<std::optional<LogEntryRecord>> Next() = 0;
-    virtual Result<std::optional<LogEntryRecord>> Prev() = 0;
-    virtual Status SeekToTime(Timestamp t) = 0;
-    virtual Status SeekToStart() = 0;
-    virtual Status SeekToEnd() = 0;
-    // Zero-copy mode: records come back carrying PayloadSegments instead
-    // of flat payloads (see LogReader::set_zero_copy). Default no-op so
-    // backends without segment support keep returning flat records, which
-    // every consumer still accepts.
-    virtual void SetZeroCopy(bool on) { (void)on; }
-  };
-
-  virtual ~DispatchBackend() = default;
-
-  // `placement`: explicit home partition from the client, nullopt when the
-  // backend picks (hash routing on a partitioned backend; moot on a single
-  // service, which accepts only nullopt or 0).
-  virtual Result<LogFileId> CreateLogFile(
-      const std::string& path, uint32_t permissions,
-      std::optional<uint32_t> placement) = 0;
-  // Plain append honouring request.force; servers that batch or dedup
-  // install an AppendFn on the dispatcher instead of coming through here.
-  virtual Result<AppendResult> ExecuteAppend(const AppendRequest& request) = 0;
-  virtual Result<std::unique_ptr<Reader>> OpenReader(
-      const std::string& path) = 0;
-  virtual Result<LogFileInfo> Stat(const std::string& path) = 0;
-  virtual Status Force() = 0;
-  virtual Result<PartitionInfoResult> PartitionInfo(
-      const std::string& path) = 0;
-  // Inclusion proof for the entry of `path` at exact timestamp `t`
-  // (kVerifyChain). A partitioned backend routes to the owning partition.
-  virtual Result<ChainProof> VerifyChain(const std::string& path,
-                                         Timestamp t) = 0;
-};
-
-// Backend over one LogService. When `service_mu` is non-null, each call
-// takes it in the mode the LogService contract assigns (see
-// LogService::mutex()): read-path ops (OpenReader, reader calls, Stat)
-// take it SHARED so sessions read concurrently; mutating ops
-// (CreateLogFile, ExecuteAppend, Force) take it EXCLUSIVE.
-// `serialize_reads` restores the old all-exclusive behaviour (the bench's
-// --global-lock baseline).
-class SingleServiceBackend : public DispatchBackend {
- public:
-  explicit SingleServiceBackend(LogService* service,
-                                std::shared_mutex* service_mu = nullptr,
-                                bool serialize_reads = false)
-      : service_(service),
-        service_mu_(service_mu),
-        serialize_reads_(serialize_reads) {}
-
-  Result<LogFileId> CreateLogFile(const std::string& path,
-                                  uint32_t permissions,
-                                  std::optional<uint32_t> placement) override;
-  Result<AppendResult> ExecuteAppend(const AppendRequest& request) override;
-  Result<std::unique_ptr<Reader>> OpenReader(const std::string& path) override;
-  Result<LogFileInfo> Stat(const std::string& path) override;
-  Status Force() override;
-  Result<PartitionInfoResult> PartitionInfo(const std::string& path) override;
-  Result<ChainProof> VerifyChain(const std::string& path,
-                                 Timestamp t) override;
-
- private:
-  class ReaderImpl;
-
-  LogService* service_;
-  std::shared_mutex* service_mu_;
-  bool serialize_reads_;
-};
-
-// Executes decoded requests against a DispatchBackend and encodes replies.
-// Malformed bodies produce error replies, never crashes.
+// Executes decoded requests against a PartitionedLogService and encodes
+// replies. Malformed bodies produce error replies, never crashes.
 //
-// Thread safety: the dispatcher itself is confined to one session thread
-// (its reader table is unsynchronized); concurrency control lives in the
-// backend (see DispatchBackend). kCloseReader touches only the
-// session-local reader table; kStats reads only the internally
-// synchronized metrics registry; kTraceDump only the flight recorder.
-// kAppend can be redirected through `append_fn` — the net server's
-// dedup + group-commit hook. The override must arrange its own locking.
+// Thread safety: the dispatcher itself is confined to one session (its
+// reader table is unsynchronized). The service and its merged readers lock
+// internally, each call taking only the owning partition's
+// LogService::mutex() in the contract's mode: SHARED for reads, EXCLUSIVE
+// for mutations. kCloseReader touches only the session-local reader table;
+// kStats reads only the internally synchronized metrics registry;
+// kTraceDump only the flight recorder. kAppend can be redirected through
+// `append_fn` — the net server's dedup + group-commit hook. The override
+// must arrange its own locking.
 class ServiceDispatcher {
  public:
   using AppendFn =
       std::function<Result<AppendResult>(const AppendRequest& request)>;
   using HealthFn = std::function<HealthReport()>;
 
-  // Single-service form: wraps `service` in an owned SingleServiceBackend.
-  explicit ServiceDispatcher(LogService* service,
-                             std::shared_mutex* service_mu = nullptr,
-                             AppendFn append_fn = {},
-                             bool serialize_reads = false)
-      : owned_backend_(std::make_unique<SingleServiceBackend>(
-            service, service_mu, serialize_reads)),
-        backend_(owned_backend_.get()),
-        append_fn_(std::move(append_fn)) {}
-
-  // Backend form: `backend` must outlive the dispatcher.
-  explicit ServiceDispatcher(DispatchBackend* backend, AppendFn append_fn = {})
-      : backend_(backend), append_fn_(std::move(append_fn)) {}
+  // `service` must outlive the dispatcher.
+  explicit ServiceDispatcher(PartitionedLogService* service,
+                             AppendFn append_fn = {})
+      : service_(service), append_fn_(std::move(append_fn)) {}
 
   // Zero-copy reply mode (the event-loop server's default): readers opened
   // after this collect PayloadSegments, and DispatchScatter returns
@@ -353,11 +264,10 @@ class ServiceDispatcher {
   // the flat reply body.
   Bytes ReadBatch(std::span<const std::byte> body, WireMessage* scatter);
 
-  std::unique_ptr<DispatchBackend> owned_backend_;
-  DispatchBackend* backend_;
+  PartitionedLogService* service_;
   AppendFn append_fn_;
   HealthFn health_fn_;
-  std::map<uint64_t, std::unique_ptr<DispatchBackend::Reader>> readers_;
+  std::map<uint64_t, std::unique_ptr<PartitionedLogReader>> readers_;
   uint64_t next_handle_ = 1;
   bool zero_copy_ = false;
 };

@@ -4,6 +4,17 @@
 
 namespace clio {
 
+LogServer::LogServer(LogService* service, IpcChannel* channel)
+    : channel_(channel) {
+  auto view = PartitionedLogService::Wrap(service);
+  if (!view.ok()) {
+    wrap_status_ = view.status();
+    return;
+  }
+  owned_view_ = std::move(view).value();
+  dispatcher_ = std::make_unique<ServiceDispatcher>(owned_view_.get());
+}
+
 void LogServer::Start() {
   thread_ = std::thread([this] { Run(); });
 }
@@ -20,8 +31,10 @@ void LogServer::Run() {
   while (channel_->WaitForRequest(&request)) {
     IpcMessage reply;
     reply.op = request.op;
-    reply.body = dispatcher_.Dispatch(static_cast<LogOp>(request.op),
-                                      request.body);
+    reply.body = dispatcher_ != nullptr
+                     ? dispatcher_->Dispatch(static_cast<LogOp>(request.op),
+                                             request.body)
+                     : EncodeErrorReplyBody(wrap_status_);
     channel_->Reply(std::move(reply));
   }
 }

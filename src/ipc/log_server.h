@@ -3,12 +3,13 @@
 // The paper implements Clio as an extension of a file server process that
 // clients reach through kernel IPC; §3.2's measurements are of exactly this
 // client -> IPC -> server -> block-cache path. LogServer services a
-// LogService over an IpcChannel on its own thread; LogClient is the
-// marshalled client stub. The wire format and the request execution live
+// PartitionedLogService over an IpcChannel on its own thread; LogClient is
+// the marshalled client stub. The wire format and the request execution live
 // in src/ipc/codec.* and are shared with the TCP transport in src/net/.
 #ifndef SRC_IPC_LOG_SERVER_H_
 #define SRC_IPC_LOG_SERVER_H_
 
+#include <memory>
 #include <string_view>
 #include <thread>
 
@@ -20,8 +21,16 @@ namespace clio {
 
 class LogServer {
  public:
-  LogServer(LogService* service, IpcChannel* channel)
-      : dispatcher_(service, &service->mutex()), channel_(channel) {}
+  // `service` must outlive the server.
+  LogServer(PartitionedLogService* service, IpcChannel* channel)
+      : dispatcher_(std::make_unique<ServiceDispatcher>(service)),
+        channel_(channel) {}
+  // Serves a plain LogService as a one-partition deployment, through a
+  // PartitionedLogService::Wrap view the server owns. Once served, create
+  // log files through the server, not on `service` directly. A service the
+  // view rejects (its catalog names other partitions) answers every
+  // request with that error.
+  LogServer(LogService* service, IpcChannel* channel);
   ~LogServer() { Stop(); }
 
   LogServer(const LogServer&) = delete;
@@ -35,7 +44,9 @@ class LogServer {
   void Run();
 
  private:
-  ServiceDispatcher dispatcher_;
+  std::unique_ptr<PartitionedLogService> owned_view_;
+  std::unique_ptr<ServiceDispatcher> dispatcher_;  // null if Wrap failed
+  Status wrap_status_;
   IpcChannel* channel_;
   std::thread thread_;
 };

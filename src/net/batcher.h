@@ -44,7 +44,7 @@ struct GroupCommitOptions {
   size_t max_batch_bytes = 1 << 20;
   // ...or when the oldest queued entry has waited this long.
   uint64_t max_hold_us = 500;
-  // When nonempty (".p<i>" on a partitioned server's lane i), this batcher
+  // When nonempty (".p<i>" on the server's lane i), this batcher
   // additionally records into suffixed mirrors of the clio.net.batch.*
   // metrics, so per-lane commit economics are separable in kStats.
   std::string metric_suffix;
@@ -75,7 +75,7 @@ class GroupCommitBatcher {
   void set_dedup(AppendDedupIndex* dedup) { dedup_ = dedup; }
 
   // Blocking: returns once the append is applied AND the covering batch
-  // force has completed. Thread-safe; called from session threads.
+  // force has completed. Thread-safe; called from the server's workers.
   Result<AppendResult> Append(const AppendRequest& request);
 
   // Commit-economics counters (entries / batches ratio = mean batch size).

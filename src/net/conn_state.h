@@ -7,9 +7,7 @@
 // flushes one reply — a frame header plus a scatter WireMessage whose
 // borrowed slices point straight into pinned block images — with
 // sendmsg(), advancing a cursor across short writes. Strictly transport:
-// no dispatch, locking, or lane logic lives here, which is what keeps the
-// event-loop server and the thread-per-conn compat path semantically
-// identical above the socket.
+// no dispatch, locking, or lane logic lives here.
 //
 // Threading: the loop thread drives ReadStep/FlushStep; BeginReply is
 // called by a worker while the connection is parked (no epoll interest,

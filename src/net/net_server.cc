@@ -10,16 +10,14 @@
 #include "src/net/conn_state.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
-#include "src/partition/partition_backend.h"
-#include "src/partition/partitioned_service.h"
 
 namespace clio {
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Poll slice: how often a blocked session (or the event loop's deadline
-// sweep) rechecks stop + idle deadlines.
+// Poll slice: how often the event loop's deadline sweep rechecks stop and
+// idle deadlines.
 constexpr int kPollSliceMs = 50;
 
 struct ServerMetrics {
@@ -32,10 +30,10 @@ struct ServerMetrics {
   Counter* bytes_out = ObsRegistry().counter("clio.net.server.bytes_out");
   Gauge* active_sessions =
       ObsRegistry().gauge("clio.net.server.active_sessions");
-  // Event-loop mode: payload bytes handed to the socket straight from
-  // block images, never copied into a reply buffer (counted when the
-  // reply is queued), loop activity, and per-stage latency
-  // (parked-in-queue, worker execution, reply flush).
+  // Payload bytes handed to the socket straight from block images, never
+  // copied into a reply buffer (counted when the reply is queued), loop
+  // activity, and per-stage latency (parked-in-queue, worker execution,
+  // reply flush).
   Counter* zerocopy_bytes =
       ObsRegistry().counter("clio.net.reply.zerocopy_bytes");
   Counter* loop_wakeups = ObsRegistry().counter("clio.net.loop.wakeups");
@@ -66,7 +64,6 @@ struct NetLogServer::Conn {
       : state(std::move(socket), max_frame_body) {}
 
   ConnState state;
-  std::unique_ptr<PartitionedDispatchBackend> backend;
   std::optional<ServiceDispatcher> dispatcher;
 
   Clock::time_point idle_deadline;
@@ -80,60 +77,49 @@ struct NetLogServer::Conn {
   uint64_t trace_id = 0;  // of the request being answered
 };
 
-NetLogServer::NetLogServer(LogService* service,
+NetLogServer::NetLogServer(PartitionedLogService* service,
                            const NetLogServerOptions& options)
-    : service_(service), options_(options) {}
+    : partitioned_(service), options_(options) {}
 
 Result<std::unique_ptr<NetLogServer>> NetLogServer::Start(
     LogService* service, const NetLogServerOptions& options) {
-  std::unique_ptr<NetLogServer> server(new NetLogServer(service, options));
-  return Boot(std::move(server), {service});
+  CLIO_ASSIGN_OR_RETURN(std::unique_ptr<PartitionedLogService> view,
+                        PartitionedLogService::Wrap(service));
+  CLIO_ASSIGN_OR_RETURN(std::unique_ptr<NetLogServer> server,
+                        Start(view.get(), options));
+  server->owned_view_ = std::move(view);
+  return server;
 }
 
-Result<std::unique_ptr<NetLogServer>> NetLogServer::StartPartitioned(
+Result<std::unique_ptr<NetLogServer>> NetLogServer::Start(
     PartitionedLogService* service, const NetLogServerOptions& options) {
-  if (!options.partition_dedup.empty() &&
-      options.partition_dedup.size() != service->partition_count()) {
-    return InvalidArgument("partition_dedup holds " +
-                           std::to_string(options.partition_dedup.size()) +
-                           " indexes for " +
-                           std::to_string(service->partition_count()) +
+  const uint32_t partitions = service->partition_count();
+  if (!options.dedup.empty() && options.dedup.size() != partitions) {
+    return InvalidArgument("dedup holds " +
+                           std::to_string(options.dedup.size()) +
+                           " indexes for " + std::to_string(partitions) +
                            " partitions");
   }
-  std::unique_ptr<NetLogServer> server(new NetLogServer(nullptr, options));
-  server->partitioned_ = service;
-  std::vector<LogService*> services;
-  for (uint32_t p = 0; p < service->partition_count(); ++p) {
-    services.push_back(service->partition(p));
-  }
-  return Boot(std::move(server), services);
-}
-
-Result<std::unique_ptr<NetLogServer>> NetLogServer::Boot(
-    std::unique_ptr<NetLogServer> server,
-    const std::vector<LogService*>& services) {
-  const NetLogServerOptions& options = server->options_;
+  std::unique_ptr<NetLogServer> server(new NetLogServer(service, options));
   CLIO_ASSIGN_OR_RETURN(server->listener_,
                         TcpSocket::ListenLoopback(options.port));
   CLIO_ASSIGN_OR_RETURN(server->port_, server->listener_.local_port());
-  const bool partitioned = server->partitioned_ != nullptr;
-  server->lanes_.resize(services.size());
-  for (size_t i = 0; i < services.size(); ++i) {
+  server->lanes_.resize(partitions);
+  for (uint32_t i = 0; i < partitions; ++i) {
     AppendLane& lane = server->lanes_[i];
-    lane.service = services[i];
-    if (partitioned && !options.partition_dedup.empty()) {
-      lane.dedup = options.partition_dedup[i];
-    } else if (!partitioned && options.dedup != nullptr) {
-      lane.dedup = options.dedup;
-    } else {
+    lane.service = service->partition(i);
+    if (options.dedup.empty()) {
       lane.owned_dedup = std::make_unique<AppendDedupIndex>();
       lane.dedup = lane.owned_dedup.get();
+    } else {
+      lane.dedup = options.dedup[i];
     }
+    // Lane metrics mirror under ".p<i>" next to the aggregates at every
+    // partition count, one naming rule for all deployments.
+    const std::string suffix = ".p" + std::to_string(i);
     if (options.batching) {
       GroupCommitOptions batch = options.batch;
-      if (partitioned) {
-        batch.metric_suffix = ".p" + std::to_string(i);
-      }
+      batch.metric_suffix = suffix;
       lane.batcher = std::make_unique<GroupCommitBatcher>(
           lane.service, &lane.service->mutex(), batch);
       lane.batcher->set_dedup(lane.dedup);
@@ -141,9 +127,7 @@ Result<std::unique_ptr<NetLogServer>> NetLogServer::Boot(
     }
     if (options.scrub) {
       ScrubOptions scrub = options.scrub_options;
-      if (partitioned) {
-        scrub.metric_suffix = ".p" + std::to_string(i);
-      }
+      scrub.metric_suffix = suffix;
       lane.scrubber = std::make_unique<Scrubber>(lane.service, scrub);
       lane.scrubber->Start();
     }
@@ -160,19 +144,13 @@ Result<std::unique_ptr<NetLogServer>> NetLogServer::Boot(
         options.telemetry_options);
     server->sampler_->Start();
   }
-  if (options.thread_per_conn) {
-    server->accept_thread_ =
-        std::thread([s = server.get()] { s->AcceptLoop(); });
-    return server;
-  }
   CLIO_RETURN_IF_ERROR(server->loop_.Init());
   CLIO_RETURN_IF_ERROR(server->listener_.SetNonBlocking(true));
   CLIO_RETURN_IF_ERROR(server->loop_.Add(server->listener_.fd(), EPOLLIN,
                                          &server->listener_));
-  size_t workers = options.workers;
-  if (workers == 0) {
-    workers = std::max(8u, std::thread::hardware_concurrency());
-  }
+  // Workers block in the group-commit batcher until their covering force
+  // completes, so the pool size bounds the append batching degree.
+  const size_t workers = std::max(8u, std::thread::hardware_concurrency());
   for (size_t i = 0; i < workers; ++i) {
     server->worker_threads_.emplace_back(
         [s = server.get()] { s->WorkerMain(); });
@@ -201,46 +179,23 @@ void NetLogServer::Stop() {
       lane.scrubber->Stop();
     }
   }
-  if (options_.thread_per_conn) {
-    // Unblock the accept loop, then the sessions' reads. Sessions finish
-    // (and answer) whatever request they are mid-way through first.
-    listener_.ShutdownBoth();
-    if (accept_thread_.joinable()) {
-      accept_thread_.join();
-    }
-    {
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      for (auto& session : sessions_) {
-        session->socket.ShutdownBoth();
-      }
-    }
-    // No lock needed below: the accept loop (sole inserter) has exited.
-    for (auto& session : sessions_) {
-      if (session->thread.joinable()) {
-        session->thread.join();
-      }
-    }
-    sessions_.clear();
-  } else {
-    // The loop sees stopping_, stops accepting, closes idle connections
-    // at once, and keeps running until every in-flight request has been
-    // executed and its reply flushed — the same drain the per-session
-    // threads did.
-    loop_.Wake();
-    if (loop_thread_.joinable()) {
-      loop_thread_.join();
-    }
-    // Workers exit once the queue is dry (the drained loop guarantees it).
-    work_cv_.notify_all();
-    for (std::thread& worker : worker_threads_) {
-      if (worker.joinable()) {
-        worker.join();
-      }
-    }
-    worker_threads_.clear();
-    listener_.ShutdownBoth();
+  // The loop sees stopping_, stops accepting, closes idle connections at
+  // once, and keeps running until every in-flight request has been
+  // executed and its reply flushed.
+  loop_.Wake();
+  if (loop_thread_.joinable()) {
+    loop_thread_.join();
   }
-  // After the sessions: a session blocked in a batcher needs that commit
+  // Workers exit once the queue is dry (the drained loop guarantees it).
+  work_cv_.notify_all();
+  for (std::thread& worker : worker_threads_) {
+    if (worker.joinable()) {
+      worker.join();
+    }
+  }
+  worker_threads_.clear();
+  listener_.ShutdownBoth();
+  // After the workers: a worker blocked in a batcher needs that commit
   // thread alive to get its result.
   for (AppendLane& lane : lanes_) {
     if (lane.batcher != nullptr) {
@@ -248,57 +203,6 @@ void NetLogServer::Stop() {
     }
   }
   stopped_ = true;
-}
-
-void NetLogServer::AcceptLoop() {
-  while (!stopping_.load()) {
-    auto readable = listener_.WaitReadable(kPollSliceMs);
-    if (!readable.ok()) {
-      break;
-    }
-    if (!*readable) {
-      ReapFinishedSessions();
-      continue;
-    }
-    auto conn = listener_.Accept();
-    if (!conn.ok()) {
-      if (stopping_.load()) {
-        break;
-      }
-      continue;  // transient accept failure; the listener still stands
-    }
-    sessions_opened_.fetch_add(1);
-    Metrics().sessions->Increment();
-    auto session = std::make_unique<Session>();
-    session->socket = std::move(conn).value();
-    if (options_.accept_sndbuf > 0) {
-      (void)session->socket.SetSendBufferSize(options_.accept_sndbuf);
-    }
-    if (options_.session_io_timeout_ms > 0) {
-      // Best effort: a failure here just leaves the session un-deadlined.
-      (void)session->socket.SetIoTimeout(options_.session_io_timeout_ms);
-    }
-    Session* raw = session.get();
-    {
-      std::lock_guard<std::mutex> lock(sessions_mu_);
-      sessions_.push_back(std::move(session));
-    }
-    raw->thread = std::thread([this, raw] { SessionLoop(raw); });
-  }
-}
-
-void NetLogServer::ReapFinishedSessions() {
-  std::lock_guard<std::mutex> lock(sessions_mu_);
-  for (auto it = sessions_.begin(); it != sessions_.end();) {
-    if ((*it)->done.load()) {
-      if ((*it)->thread.joinable()) {
-        (*it)->thread.join();
-      }
-      it = sessions_.erase(it);
-    } else {
-      ++it;
-    }
-  }
 }
 
 Result<AppendResult> NetLogServer::ExecuteAppend(AppendLane& lane,
@@ -334,17 +238,11 @@ Status NetLogServer::EnsureTelemetryJournal() {
     return s.ok() || s.code() == StatusCode::kAlreadyExists ? Status::Ok()
                                                             : s;
   };
-  if (partitioned_ != nullptr) {
-    // Pin the journal (and its parent) to partition 0 so `--history` and
-    // the chain verifier always know where to look.
-    CLIO_RETURN_IF_ERROR(tolerate(
-        partitioned_->CreateLogFile(kReservedSystemRoot, 0644, 0).status()));
-    return tolerate(partitioned_->CreateLogFile(path, 0644, 0).status());
-  }
-  std::lock_guard<std::shared_mutex> lock(service_->mutex());
-  CLIO_RETURN_IF_ERROR(
-      tolerate(service_->CreateLogFile(kReservedSystemRoot, 0644).status()));
-  return tolerate(service_->CreateLogFile(path, 0644).status());
+  // Pin the journal (and its parent) to partition 0 so `--history` and
+  // the chain verifier always know where to look.
+  CLIO_RETURN_IF_ERROR(tolerate(
+      partitioned_->CreateLogFile(kReservedSystemRoot, 0644, 0).status()));
+  return tolerate(partitioned_->CreateLogFile(path, 0644, 0).status());
 }
 
 Status NetLogServer::AppendTelemetry(std::span<const std::byte> record) {
@@ -354,11 +252,7 @@ Status NetLogServer::AppendTelemetry(std::span<const std::byte> record) {
   // unforced — records ride to media with the surrounding traffic's
   // forces, costing the hot path nothing.
   options.timestamped = true;
-  if (partitioned_ != nullptr) {
-    return partitioned_->Append(path, record, options).status();
-  }
-  std::lock_guard<std::shared_mutex> lock(service_->mutex());
-  return service_->Append(path, record, options).status();
+  return partitioned_->Append(path, record, options).status();
 }
 
 HealthReport NetLogServer::EvaluateServerHealth() {
@@ -379,9 +273,8 @@ HealthReport NetLogServer::EvaluateServerHealth() {
 
 Result<NetLogServer::AppendLane*> NetLogServer::ResolveLane(
     const std::string& path) {
-  // Single-service mode has exactly one lane; "/" (routeless — it spans
-  // every partition) keeps its historical home on lane 0.
-  if (partitioned_ == nullptr || path == "/") {
+  // "/" (routeless — it spans every partition) has its home on lane 0.
+  if (path == "/") {
     return &lanes_[0];
   }
   auto route = partitioned_->RouteOf(path);
@@ -442,160 +335,14 @@ Result<AppendResult> NetLogServer::RouteAppend(const AppendRequest& request) {
   return staged;
 }
 
-void NetLogServer::SessionLoop(Session* session) {
-  using Clock = std::chrono::steady_clock;
-  Metrics().active_sessions->Add(1);
-  // Partitioned sessions dispatch through the partition-aware backend
-  // (reads fan out and merge; creates route); single-service sessions keep
-  // the classic one-service backend. Appends go to RouteAppend either way.
-  auto route_append = [this](const AppendRequest& request) {
-    return RouteAppend(request);
-  };
-  std::unique_ptr<PartitionedDispatchBackend> backend;
-  std::optional<ServiceDispatcher> dispatcher;
-  if (partitioned_ != nullptr) {
-    backend = std::make_unique<PartitionedDispatchBackend>(partitioned_);
-    dispatcher.emplace(backend.get(), route_append);
-  } else {
-    dispatcher.emplace(service_, &service_->mutex(), route_append,
-                       options_.serialize_reads);
-  }
-  dispatcher->set_health_fn([this] { return EvaluateServerHealth(); });
-  const bool idle_enabled = options_.idle_timeout_ms > 0;
-  auto idle_deadline =
-      Clock::now() + std::chrono::milliseconds(options_.idle_timeout_ms);
-  Bytes header_buf(kFrameHeaderSize);
-  while (!stopping_.load()) {
-    // Wait no longer than the idle deadline: a fixed slice would quantize
-    // idle-close (and stop-drain) latency to kPollSliceMs.
-    int wait_ms = kPollSliceMs;
-    if (idle_enabled) {
-      auto remaining = std::chrono::duration_cast<std::chrono::milliseconds>(
-                           idle_deadline - Clock::now())
-                           .count();
-      wait_ms = static_cast<int>(
-          std::clamp<long long>(remaining, 0, kPollSliceMs));
-    }
-    auto readable = session->socket.WaitReadable(wait_ms);
-    if (!readable.ok()) {
-      break;
-    }
-    if (!*readable) {
-      if (idle_enabled && Clock::now() >= idle_deadline) {
-        sessions_idle_closed_.fetch_add(1);
-        Metrics().idle_closed->Increment();
-        break;
-      }
-      continue;
-    }
-    auto n = session->socket.ReadFull(header_buf);
-    if (!n.ok() || *n == 0) {
-      break;  // peer closed cleanly, or socket error
-    }
-    auto header = *n == kFrameHeaderSize
-                      ? DecodeFramePrefix(header_buf, options_.max_frame_body)
-                      : Result<FrameHeader>(Corrupt("truncated frame header"));
-    if (!header.ok()) {
-      // Bad framing: nothing downstream of this point in the byte stream
-      // can be trusted, so the connection dies — alone.
-      frames_rejected_.fetch_add(1);
-      Metrics().rejected->Increment();
-      break;
-    }
-    // A v2 peer's header continues with the tracing extension; a v1
-    // peer's does not (trace_id stays 0 and the request is untraced).
-    const size_t ext_size = FrameExtensionSize(header->version);
-    if (ext_size > 0) {
-      Bytes ext_buf(ext_size);
-      n = session->socket.ReadFull(ext_buf);
-      if (!n.ok() || *n != ext_size ||
-          !DecodeFrameExtension(ext_buf, &header.value()).ok()) {
-        frames_rejected_.fetch_add(1);
-        Metrics().rejected->Increment();
-        break;
-      }
-    }
-    const uint64_t trace_id = header->trace_id;
-    uint64_t read_start_us = trace_id != 0 ? TraceNowUs() : 0;
-    Bytes body(header->body_size);
-    if (header->body_size > 0) {
-      n = session->socket.ReadFull(body);
-      if (!n.ok() || *n != header->body_size) {
-        frames_rejected_.fetch_add(1);
-        Metrics().rejected->Increment();
-        break;
-      }
-    }
-    if (trace_id != 0) {
-      FlightRecorder::Instance().Record(trace_id, TraceStage::kSessionRead,
-                                        read_start_us,
-                                        TraceNowUs() - read_start_us);
-    }
-    Metrics().bytes_in->Increment(kFrameHeaderSize + ext_size +
-                                  header->body_size);
-    Bytes reply_body;
-    {
-      // Every span recorded below this point — dispatch, batch wait,
-      // volume append, force, burn — attaches to this request's trace.
-      ScopedTraceContext trace_scope(trace_id);
-      reply_body = dispatcher->Dispatch(static_cast<LogOp>(header->op), body);
-    }
-    frames_dispatched_.fetch_add(1);
-    Metrics().frames->Increment();
-    FrameHeader reply_header;
-    reply_header.op = header->op;
-    reply_header.request_id = header->request_id;
-    reply_header.trace_id = trace_id;
-    // Echo the peer's version: a v1 client rejects any other version and
-    // reads exactly 24 header bytes, so it must get a v1 reply.
-    reply_header.version = header->version;
-    Bytes reply_frame = EncodeFrame(reply_header, reply_body);
-    Metrics().bytes_out->Increment(reply_frame.size());
-    uint64_t write_start_us = trace_id != 0 ? TraceNowUs() : 0;
-    if (!session->socket.WriteAll(reply_frame).ok()) {
-      break;
-    }
-    if (trace_id != 0) {
-      FlightRecorder::Instance().Record(trace_id, TraceStage::kReplyWrite,
-                                        write_start_us,
-                                        TraceNowUs() - write_start_us);
-    }
-    idle_deadline =
-        Clock::now() + std::chrono::milliseconds(options_.idle_timeout_ms);
-  }
-  // Shutdown, not Close: Stop() may be probing this socket concurrently,
-  // and close() would free the fd under it. The Session destructor closes
-  // the fd after this thread is joined.
-  session->socket.ShutdownBoth();
-  Metrics().active_sessions->Add(-1);
-  session->done.store(true);
-}
-
 // ---------------------------------------------------------------------------
-// Event-loop mode (DESIGN.md §16). One loop thread owns every socket:
+// The event loop (DESIGN.md §16). One loop thread owns every socket:
 // accepts, per-connection framed reads, and reply flushes. A complete
 // request parks its connection (epoll interest dropped — one request in
 // flight per connection, preserving the per-session serial contract) and
 // hands it to the worker pool; the worker executes the dispatch — including
 // blocking in the group-commit batcher — assembles the reply scatter list,
 // and hands the connection back via the completion queue + eventfd wake.
-
-void NetLogServer::SetUpDispatcher(Conn* conn) {
-  auto route_append = [this](const AppendRequest& request) {
-    return RouteAppend(request);
-  };
-  if (partitioned_ != nullptr) {
-    conn->backend = std::make_unique<PartitionedDispatchBackend>(partitioned_);
-    conn->dispatcher.emplace(conn->backend.get(), route_append);
-  } else {
-    conn->dispatcher.emplace(service_, &service_->mutex(), route_append,
-                             options_.serialize_reads);
-  }
-  conn->dispatcher->set_health_fn([this] { return EvaluateServerHealth(); });
-  if (options_.zero_copy) {
-    conn->dispatcher->set_zero_copy(true);
-  }
-}
 
 void NetLogServer::LoopMain() {
   std::array<epoll_event, 128> events;
@@ -690,7 +437,12 @@ void NetLogServer::LoopAccept() {
       Metrics().active_sessions->Add(-1);
       continue;  // conn destructor closes the socket
     }
-    SetUpDispatcher(conn.get());
+    conn->dispatcher.emplace(partitioned_,
+                             [this](const AppendRequest& request) {
+                               return RouteAppend(request);
+                             });
+    conn->dispatcher->set_health_fn([this] { return EvaluateServerHealth(); });
+    conn->dispatcher->set_zero_copy(true);
     conn->idle_deadline =
         Clock::now() + std::chrono::milliseconds(options_.idle_timeout_ms);
     Conn* raw = conn.get();
@@ -878,7 +630,8 @@ void NetLogServer::WorkerMain() {
     reply_header.op = request.op;
     reply_header.request_id = request.request_id;
     reply_header.trace_id = request.trace_id;
-    // Echo the peer's version, exactly as the blocking server does.
+    // Echo the peer's version: a v1 client rejects any other version and
+    // reads exactly 24 header bytes, so it must get a v1 reply.
     reply_header.version = request.version;
     reply_header.body_size = static_cast<uint32_t>(reply.total_bytes());
     // Zero-copy accounting happens here, before the first byte can reach
@@ -894,10 +647,9 @@ void NetLogServer::WorkerMain() {
     // Fast path: flush inline while the connection is still parked. A
     // reply the kernel accepts whole skips the done-queue handoff (lock,
     // eventfd wake, loop dispatch, two context switches) — the common
-    // case, and on few-core hosts the difference between the loop keeping
-    // up with thread-per-conn and trailing it. Would-block, errors, and
-    // shutdown fall back to the loop thread, which owns EPOLLOUT arming
-    // and connection close.
+    // case, and on few-core hosts a large share of a small request's cost.
+    // Would-block, errors, and shutdown fall back to the loop thread, which
+    // owns EPOLLOUT arming and connection close.
     if (!stopping_.load()) {
       if (conn->state.FlushStep() == ConnState::FlushOutcome::kDone &&
           loop_.Modify(conn->state.socket().fd(), EPOLLIN, conn).ok()) {

@@ -1,26 +1,24 @@
 // NetLogServer: the Clio log service as a multi-client TCP server.
 //
 // Where src/ipc/ models the paper's single-machine kernel-IPC path, this
-// is the ROADMAP's service evolution: many concurrent client connections
-// on a localhost TCP port, each with its own session (per-connection
-// reader table, idle timeout), all dispatching onto one shared
-// LogService. Since the event-loop refactor (DESIGN.md §16) one epoll
-// thread multiplexes every socket — accepts, framed partial reads, and
-// zero-copy reply flushes — while a worker pool executes decoded
-// requests; connection count no longer costs a thread. Batched-read
-// replies are scatter lists over cache-pinned block images flushed with
-// sendmsg() (no payload memcpy). The pre-refactor thread-per-connection
-// server survives behind options.thread_per_conn for A/B benching; the
-// wire contract is identical in both modes. Sessions take
-// LogService::mutex() SHARED for read ops — write-once data lets tail
-// scans run concurrently — and EXCLUSIVE for mutations (DESIGN.md §12).
-// Forced appends are routed through a GroupCommitBatcher so concurrent
-// committers share device forces (src/net/batcher.h).
+// is the multi-client deployment: many concurrent client connections on a
+// localhost TCP port, each with its own session (per-connection reader
+// table, idle timeout), all dispatching onto one shared
+// PartitionedLogService. One epoll thread multiplexes every socket —
+// accepts, framed partial reads, and zero-copy reply flushes — while a
+// worker pool executes decoded requests, so connection count costs no
+// thread (DESIGN.md §16). Batched-read replies are scatter lists over
+// cache-pinned block images flushed with sendmsg() (no payload memcpy).
+// Read ops take the owning partition's LogService::mutex() SHARED —
+// write-once data lets tail scans run concurrently — and mutations take it
+// EXCLUSIVE (DESIGN.md §12).
 //
-// StartPartitioned() serves a PartitionedLogService instead: one append
-// lane (batcher + dedup index + lock) per partition, so appends to
-// different partitions batch, force, and dedup fully in parallel
-// (DESIGN.md §14).
+// Appends run on one LANE per partition: the partition's LogService, its
+// own group-commit batcher (so batches never mix partitions and N covering
+// forces run concurrently), and its own dedup index. An append routes to
+// its lane via the service's router and contends only on that lane's lock
+// (DESIGN.md §14). A plain LogService is served as a one-partition
+// deployment.
 //
 // Robustness: a malformed or oversized frame closes only the offending
 // connection; a decodable frame with a garbage body gets an error reply
@@ -46,11 +44,10 @@
 #include "src/net/frame.h"
 #include "src/net/socket.h"
 #include "src/obs/telemetry.h"
+#include "src/partition/partitioned_service.h"
 #include "src/scrub/scrubber.h"
 
 namespace clio {
-
-class PartitionedLogService;
 
 struct NetLogServerOptions {
   uint16_t port = 0;  // 0: kernel-chosen; read it back with port()
@@ -62,82 +59,58 @@ struct NetLogServerOptions {
   GroupCommitOptions batch;
   // Per-frame body cap for this server (see src/net/frame.h).
   uint32_t max_frame_body = kMaxFrameBodySize;
-  // Deadline on each blocking send/recv of a session socket, so one hung
-  // or wedged client cannot pin a session thread forever (the stall
-  // surfaces as kUnavailable and the session closes). 0 disables.
+  // Stall limit on a connection's socket I/O: a frame left half-sent, or
+  // a reply the peer drains nothing of, for this long closes the
+  // connection, so one hung client cannot hold its buffers and cache pins
+  // forever. 0 disables.
   uint64_t session_io_timeout_ms = 10'000;
-  // Dedup window for stamped appends (see src/net/dedup.h). When null the
-  // server owns a private index; a supervisor that restarts servers
-  // should pass a long-lived index here so retried appends whose acks
-  // were lost to a crash still deduplicate after the restart.
-  AppendDedupIndex* dedup = nullptr;
-  // StartPartitioned only: one long-lived index per partition (size must
-  // equal the partition count). Dedup state is PER PARTITION — a log file
-  // never changes partitions, so a retried stamp always lands on the index
-  // that recorded it. Empty: the server owns private per-lane indexes.
-  std::vector<AppendDedupIndex*> partition_dedup;
+  // Dedup windows for stamped appends (see src/net/dedup.h), one per
+  // partition: dedup[i] serves lane i, so a non-empty vector must hold
+  // exactly one index per partition. A log file never changes partitions,
+  // so a retried stamp always lands on the index that recorded it. Empty:
+  // the server owns private indexes. A supervisor that restarts servers
+  // passes long-lived indexes here so retried appends whose acks were lost
+  // to a crash still deduplicate after the restart.
+  std::vector<AppendDedupIndex*> dedup;
   // Online scrubbing (DESIGN.md §15): one background Scrubber per append
-  // lane (per partition when partitioned), started with the server and
-  // stopped by Stop(). Lane i's scrub metrics mirror under ".p<i>" in
-  // partitioned mode, same as the batch metrics.
+  // lane, started with the server and stopped by Stop(). Lane i's scrub
+  // metrics mirror under ".p<i>", same as the batch metrics.
   bool scrub = false;
   ScrubOptions scrub_options;
   // Self-hosted telemetry (DESIGN.md §18): a background TelemetrySampler
   // journals windowed metric deltas to the reserved system log file
   // `/.sys/telemetry` (created through the normal write path on boot, on
-  // partition 0 when partitioned), started with the server and flushed by
-  // Stop(). The journal is an ordinary log file: durable across restarts,
+  // partition 0), started with the server and flushed by Stop(). The
+  // journal is an ordinary log file: durable across restarts,
   // timestamp-searchable, covered by the v2 hash chain.
   bool telemetry = false;
   TelemetrySamplerOptions telemetry_options;
   // SLO rules behind the kHealth op and the slow-request exemplar ring.
   SloRules slo = SloRules::Defaults();
-  // Compatibility switch: take the service lock EXCLUSIVE for read ops
-  // too, restoring the old one-request-at-a-time behaviour. Exists for
-  // bench_read_scaling's --global-lock baseline; leave off in production.
-  bool serialize_reads = false;
-  // Compatibility switch: one blocking thread per connection (the
-  // pre-event-loop server) instead of the epoll loop + worker pool. The
-  // wire behaviour is identical; exists for A/B benching and as a
-  // fallback. Leave off in production.
-  bool thread_per_conn = false;
-  // Event-loop mode: worker threads executing decoded requests. Appends
-  // routed through the group-commit batcher BLOCK their worker until the
-  // covering force completes, so this bounds the append batching degree
-  // the same way the session count did in thread-per-conn mode. 0: auto
-  // (max(8, hardware_concurrency)).
-  size_t workers = 0;
   // Test knob: SO_SNDBUF for accepted session sockets, in bytes. Shrinking
   // it makes the kernel's send queue fill deterministically so backpressure
   // tests can force the partial-flush (EPOLLOUT) path. 0: kernel default.
   int accept_sndbuf = 0;
-  // Event-loop mode: assemble kReadBatch replies as scatter lists over
-  // cache-pinned block images and flush them with sendmsg() instead of
-  // copying payload bytes into a contiguous reply (DESIGN.md §16). Wire
-  // bytes are identical either way.
-  bool zero_copy = true;
 };
 
 class NetLogServer {
  public:
-  // Binds, then starts the accept loop and (if enabled) the batcher.
+  // Binds, then starts the event loop, the workers, and one append lane
+  // per partition (batcher, dedup index, scrubber). `service` must outlive
+  // the server.
+  static Result<std::unique_ptr<NetLogServer>> Start(
+      PartitionedLogService* service, const NetLogServerOptions& options = {});
+  // Serves a plain LogService as a one-partition deployment, through a
+  // PartitionedLogService::Wrap view the server owns. Once served, create
+  // log files through the server, not on `service` directly.
   static Result<std::unique_ptr<NetLogServer>> Start(
       LogService* service, const NetLogServerOptions& options = {});
-
-  // Partitioned mode: one append LANE per partition — the partition's
-  // LogService, its own group-commit batcher (so batches never mix
-  // partitions and N covering forces run concurrently), and its own dedup
-  // index. Appends route to the owning lane via the service's router and
-  // contend only on that lane's lock; reads and searches fan out through
-  // the partitioned backend. `service` must outlive the server.
-  static Result<std::unique_ptr<NetLogServer>> StartPartitioned(
-      PartitionedLogService* service, const NetLogServerOptions& options = {});
   ~NetLogServer();
 
   NetLogServer(const NetLogServer&) = delete;
   NetLogServer& operator=(const NetLogServer&) = delete;
 
-  // Graceful drain: stops accepting, lets every session finish its
+  // Graceful drain: stops accepting, lets every connection finish its
   // in-flight request (including queued batch commits), joins all
   // threads. Idempotent.
   void Stop();
@@ -152,7 +125,7 @@ class NetLogServer {
   uint64_t frames_dispatched() const { return frames_dispatched_.load(); }
   uint64_t frames_rejected() const { return frames_rejected_.load(); }
   size_t lane_count() const { return lanes_.size(); }
-  // Lane 0's instances (the only lane in single-service mode).
+  // Lane 0's instances (the only lane of a one-partition deployment).
   const GroupCommitBatcher* batcher() const { return batcher(0); }
   const AppendDedupIndex* dedup() const { return dedup(0); }
   // Per-lane access, for tests asserting lane isolation.
@@ -170,14 +143,7 @@ class NetLogServer {
   const TelemetrySampler* sampler() const { return sampler_.get(); }
 
  private:
-  struct Session {
-    TcpSocket socket;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
   // One append path: a partition's service, batcher, and dedup window.
-  // Single-service mode is the one-lane special case.
   struct AppendLane {
     LogService* service = nullptr;
     std::unique_ptr<GroupCommitBatcher> batcher;
@@ -190,19 +156,10 @@ class NetLogServer {
   // dispatcher. Defined in net_server.cc.
   struct Conn;
 
-  NetLogServer(LogService* service, const NetLogServerOptions& options);
+  NetLogServer(PartitionedLogService* service,
+               const NetLogServerOptions& options);
 
-  // Shared by Start/StartPartitioned: binds the listener, builds one lane
-  // per entry of `services` (with per-lane ".p<i>" batch metric suffixes
-  // when partitioned), and starts the accept loop or event loop.
-  static Result<std::unique_ptr<NetLogServer>> Boot(
-      std::unique_ptr<NetLogServer> server,
-      const std::vector<LogService*>& services);
-
-  void AcceptLoop();
-  void SessionLoop(Session* session);
-
-  // -- Event-loop mode internals (all socket I/O on the loop thread). --
+  // -- Event loop (all socket I/O on the loop thread) and workers. --
   void LoopMain();
   void WorkerMain();
   void LoopAccept();
@@ -212,15 +169,12 @@ class NetLogServer {
   void DrainCompletions();
   void SweepDeadlines();
   void CloseConn(Conn* conn);
-  // Builds the per-session dispatcher exactly as SessionLoop does.
-  void SetUpDispatcher(Conn* conn);
   // The lane owning `path`'s appends; NotFound when no partition knows it.
   Result<AppendLane*> ResolveLane(const std::string& path);
   Result<AppendResult> RouteAppend(const AppendRequest& request);
   Result<AppendResult> ExecuteAppend(AppendLane& lane,
                                      const AppendRequest& request);
   Status ForceLane(AppendLane& lane);
-  void ReapFinishedSessions();
 
   // -- Telemetry / health plane (src/obs/telemetry.h). --
   // Creates /.sys and the journal through the normal write path (no-ops
@@ -232,22 +186,19 @@ class NetLogServer {
   // slow-request exemplars attached.
   HealthReport EvaluateServerHealth();
 
-  LogService* const service_;  // null in partitioned mode
-  PartitionedLogService* partitioned_ = nullptr;
+  // Set by Start(LogService*) only: the view partitioned_ points at.
+  std::unique_ptr<PartitionedLogService> owned_view_;
+  PartitionedLogService* const partitioned_;
   const NetLogServerOptions options_;
   TcpSocket listener_;
   uint16_t port_ = 0;
   std::vector<AppendLane> lanes_;
   std::unique_ptr<TelemetrySampler> sampler_;
-  std::thread accept_thread_;
   std::atomic<bool> stopping_{false};
   bool stopped_ = false;  // Stop() already ran to completion
 
-  std::mutex sessions_mu_;
-  std::vector<std::unique_ptr<Session>> sessions_;
-
-  // -- Event-loop mode state. conns_ is loop-thread-confined; the queues
-  // carry parked connections between the loop and the workers. --
+  // -- Event-loop state. conns_ is loop-thread-confined; the queues carry
+  // parked connections between the loop and the workers. --
   EventLoop loop_;
   std::thread loop_thread_;
   std::vector<std::thread> worker_threads_;

@@ -4,7 +4,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -154,19 +153,6 @@ Result<size_t> TcpSocket::ReadFull(std::span<std::byte> out) {
   return received;
 }
 
-Result<bool> TcpSocket::WaitReadable(int timeout_ms) {
-  pollfd pfd{fd_, POLLIN, 0};
-  int n = ::poll(&pfd, 1, timeout_ms);
-  if (n < 0) {
-    if (errno == EINTR) {
-      return false;  // caller loops; treat as a timeout slice
-    }
-    return ErrnoStatus("poll");
-  }
-  // HUP/ERR count as readable: the next read returns EOF or the error.
-  return n > 0 && (pfd.revents & (POLLIN | POLLHUP | POLLERR)) != 0;
-}
-
 Status TcpSocket::SetNonBlocking(bool on) {
   int flags = ::fcntl(fd_, F_GETFL, 0);
   if (flags < 0) {
@@ -225,13 +211,6 @@ Result<IoResult> TcpSocket::SendmsgSome(std::span<const iovec> iov) {
 Status TcpSocket::SetSendBufferSize(int bytes) {
   if (::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF, &bytes, sizeof(bytes)) != 0) {
     return ErrnoStatus("setsockopt(SO_SNDBUF)");
-  }
-  return Status::Ok();
-}
-
-Status TcpSocket::SetRecvBufferSize(int bytes) {
-  if (::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof(bytes)) != 0) {
-    return ErrnoStatus("setsockopt(SO_RCVBUF)");
   }
   return Status::Ok();
 }

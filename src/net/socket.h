@@ -2,9 +2,9 @@
 //
 // The service is deliberately localhost-only (127.0.0.1): it models the
 // paper's clients sharing one log server on a machine, not an
-// authenticated wide-area protocol. Blocking I/O with poll()-based
-// readiness; exact-length reads so the framing layer never sees a short
-// buffer without knowing it.
+// authenticated wide-area protocol. Blocking exact-length I/O for the
+// client (the framing layer never sees a short buffer without knowing it);
+// non-blocking single attempts for the server's event loop.
 #ifndef SRC_NET_SOCKET_H_
 #define SRC_NET_SOCKET_H_
 
@@ -44,7 +44,8 @@ class TcpSocket {
   // Connected socket to 127.0.0.1:port.
   static Result<TcpSocket> ConnectLoopback(uint16_t port);
 
-  // Accepts one connection (blocking; pair with WaitReadable).
+  // Accepts one connection (the event loop's listener is non-blocking, so
+  // an empty backlog fails at once).
   Result<TcpSocket> Accept();
 
   // Port this socket is bound to.
@@ -66,10 +67,6 @@ class TcpSocket {
   // expired I/O deadline) are a Status.
   Result<size_t> ReadFull(std::span<std::byte> out);
 
-  // Blocks until the socket is readable (data, EOF, or error — any state
-  // where a read won't block) or `timeout_ms` elapses. True = readable.
-  Result<bool> WaitReadable(int timeout_ms);
-
   // -- Non-blocking mode (the epoll event loop, src/net/event_loop.*). --
 
   // O_NONBLOCK on/off. The Some() calls below are meaningful only with it
@@ -86,10 +83,9 @@ class TcpSocket {
   // for EPOLLOUT.
   Result<IoResult> SendmsgSome(std::span<const iovec> iov);
 
-  // Kernel buffer sizes; the backpressure tests shrink SO_SNDBUF so a
+  // Kernel send buffer size; the backpressure tests shrink SO_SNDBUF so a
   // large reply overruns it deterministically.
   Status SetSendBufferSize(int bytes);
-  Status SetRecvBufferSize(int bytes);
 
   // Disallows further sends and receives; unblocks a peer (or our own
   // thread) blocked in a read. The fd stays owned until Close().

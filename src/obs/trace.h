@@ -4,7 +4,7 @@
 // average?"; this layer answers "why was THIS append slow?". Every wire
 // request carries a 64-bit trace ID (stamped by NetLogClient, propagated
 // in the v2 frame header — src/net/frame.h), and each stage the request
-// passes through records a span: session body read, dispatch, group-commit
+// passes through records a span: request frame read, dispatch, group-commit
 // batch wait, the commit thread's staging append, the covering force, the
 // volume-writer append, and the physical device burn. A dump of the
 // recorder reconstructs the timeline of any recent request — you can see
@@ -54,7 +54,7 @@ namespace clio {
 // kTraceDump payload carries them raw); add new stages at the end.
 enum class TraceStage : uint8_t {
   kUnknown = 0,
-  kSessionRead = 1,    // session thread reading the request body
+  kSessionRead = 1,    // event loop reading the request frame
   kDispatch = 2,       // decode + execute + encode of one request
   kBatchWait = 3,      // blocked in GroupCommitBatcher::Append
   kBatchAppend = 4,    // commit thread staging this entry into the log
@@ -62,7 +62,7 @@ enum class TraceStage : uint8_t {
   kVolumeAppend = 6,   // LogVolumeWriter::Append
   kBurn = 7,           // WormDevice::AppendBlock (physical block burn)
   kClientCall = 8,     // client-side round trip, retries included
-  kReplyWrite = 9,     // session thread writing the reply frame
+  kReplyWrite = 9,     // flushing the reply frame to the socket
 };
 
 // Stable lowercase label ("burn", "batch_wait", ...); "unknown" for
@@ -113,7 +113,7 @@ struct TraceDump {
 class FlightRecorder {
  public:
   // Spans retained per recording thread. 1024 spans ~= the last few
-  // hundred requests through a session thread; 48 KiB per ring.
+  // hundred requests through one worker thread; 48 KiB per ring.
   static constexpr size_t kRingSpans = 1024;
 
   static FlightRecorder& Instance();

@@ -47,10 +47,10 @@ Result<std::unique_ptr<PartitionedLogService>> PartitionedLogService::Create(
     }
     CLIO_ASSIGN_OR_RETURN(auto part, LogService::Create(std::move(devices[p]),
                                                         clock, o));
-    svc->partitions_.push_back(std::move(part));
+    svc->partitions_.push_back(part.get());
+    svc->owned_.push_back(std::move(part));
   }
-  svc->router_ = std::make_unique<PartitionRouter>(
-      static_cast<uint32_t>(svc->partitions_.size()));
+  CLIO_RETURN_IF_ERROR(svc->LearnRoutes());
   return svc;
 }
 
@@ -77,7 +77,8 @@ Result<std::unique_ptr<PartitionedLogService>> PartitionedLogService::Recover(
     if (reports != nullptr) {
       reports->push_back(report);
     }
-    svc->partitions_.push_back(std::move(part));
+    svc->partitions_.push_back(part.get());
+    svc->owned_.push_back(std::move(part));
   }
   // Each partition is its own volume sequence; two equal ids mean the same
   // chain (or a copy) was mounted twice.
@@ -91,23 +92,34 @@ Result<std::unique_ptr<PartitionedLogService>> PartitionedLogService::Recover(
       }
     }
   }
-  // The catalogs are the durable routing table; rebuild the cache. Mirrored
-  // ancestors carry their original home id, so every partition that knows a
-  // path agrees on its home (disagreement is corruption, caught by Learn).
-  svc->router_ = std::make_unique<PartitionRouter>(
-      static_cast<uint32_t>(svc->partitions_.size()));
-  for (const auto& part : svc->partitions_) {
+  CLIO_RETURN_IF_ERROR(svc->LearnRoutes());
+  return svc;
+}
+
+Result<std::unique_ptr<PartitionedLogService>> PartitionedLogService::Wrap(
+    LogService* service) {
+  auto svc = std::unique_ptr<PartitionedLogService>(
+      new PartitionedLogService(service->clock()));
+  svc->partitions_.push_back(service);
+  CLIO_RETURN_IF_ERROR(svc->LearnRoutes());
+  return svc;
+}
+
+Status PartitionedLogService::LearnRoutes() {
+  router_ = std::make_unique<PartitionRouter>(partition_count());
+  for (LogService* part : partitions_) {
+    std::shared_lock<std::shared_mutex> lock(part->mutex());
     for (const LogFileInfo& info : part->catalog().All()) {
       CLIO_ASSIGN_OR_RETURN(std::string path, part->catalog().PathOf(info.id));
-      CLIO_RETURN_IF_ERROR(svc->router_->Learn(path, info.home_partition));
+      CLIO_RETURN_IF_ERROR(router_->Learn(path, info.home_partition));
     }
   }
-  return svc;
+  return Status::Ok();
 }
 
 Result<uint32_t> PartitionedLogService::CreateLogFile(
     std::string_view path, uint32_t permissions,
-    std::optional<uint32_t> placement) {
+    std::optional<uint32_t> placement, LogFileId* id) {
   if (placement.has_value() && *placement >= partition_count()) {
     return InvalidArgument("placement " + std::to_string(*placement) +
                            " out of range: " +
@@ -134,6 +146,9 @@ Result<uint32_t> PartitionedLogService::CreateLogFile(
     auto created = partitions_[home]->CreateLogFile(path, permissions, home);
     if (!created.ok()) {
       return created.status();
+    }
+    if (id != nullptr) {
+      *id = *created;
     }
   }
   CLIO_RETURN_IF_ERROR(router_->Learn(path, home));
@@ -193,7 +208,7 @@ Result<AppendResult> PartitionedLogService::Append(
     }
     target = *route;
   }
-  LogService* service = partitions_[target].get();
+  LogService* service = partitions_[target];
   std::lock_guard<std::shared_mutex> lock(service->mutex());
   return service->Append(path, payload, options);
 }
@@ -219,7 +234,7 @@ Result<LogFileInfo> PartitionedLogService::Stat(std::string_view path) const {
     }
     target = *route;
   }
-  const LogService* service = partitions_[target].get();
+  const LogService* service = partitions_[target];
   std::shared_lock<std::shared_mutex> lock(service->mutex());
   return service->Stat(path);
 }
@@ -236,12 +251,30 @@ PartitionedLogService::OpenReader(std::string_view path) {
       }
       return reader.status();
     }
-    sources.push_back({part.get(), std::move(reader).value()});
+    sources.push_back({part, std::move(reader).value()});
   }
   if (sources.empty()) {
     return NotFound("log file '" + std::string(path) + "' does not exist");
   }
   return std::make_unique<PartitionedLogReader>(std::move(sources));
+}
+
+Result<ChainProof> PartitionedLogService::BuildChainProof(
+    std::string_view path, Timestamp t) {
+  if (std::optional<uint32_t> home = RouteOf(path)) {
+    LogService* owner = partitions_[*home];
+    std::shared_lock<std::shared_mutex> lock(owner->mutex());
+    return owner->BuildChainProof(path, t);
+  }
+  for (LogService* part : partitions_) {
+    std::shared_lock<std::shared_mutex> lock(part->mutex());
+    auto proof = part->BuildChainProof(path, t);
+    if (proof.ok() || proof.status().code() != StatusCode::kNotFound) {
+      return proof;
+    }
+  }
+  return NotFound("no entry of " + std::string(path) + " at timestamp " +
+                  std::to_string(t) + " on any partition");
 }
 
 // -- PartitionedLogReader --

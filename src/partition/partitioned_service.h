@@ -35,7 +35,13 @@
 // OWNING partition's lock in the contract's mode, so appends to different
 // partitions never contend. Multi-lane frontends (src/net/) that need to
 // interleave batching with the lock reach through partition(i)/mutex()
-// directly, exactly as they do for a single service.
+// directly.
+//
+// Serving. Every server (src/net/, src/ipc/) serves one of these; a plain
+// LogService is served as a one-partition view (Wrap). The router knows
+// only the paths it has learned, so once a LogService is being served,
+// create log files through the server or this class, never on the
+// LogService directly.
 #ifndef SRC_PARTITION_PARTITIONED_SERVICE_H_
 #define SRC_PARTITION_PARTITIONED_SERVICE_H_
 
@@ -92,25 +98,34 @@ class PartitionedLogService {
       TimeSource* clock, const PartitionedServiceOptions& options,
       std::vector<RecoveryReport>* reports);
 
+  // A one-partition view over a LogService the caller keeps owning; it
+  // must outlive the view. The router learns the service's catalog exactly
+  // as Recover does, so a catalog naming another partition (the volume was
+  // one partition of a larger deployment) is kCorrupt.
+  static Result<std::unique_ptr<PartitionedLogService>> Wrap(
+      LogService* service);
+
   PartitionedLogService(const PartitionedLogService&) = delete;
   PartitionedLogService& operator=(const PartitionedLogService&) = delete;
 
   uint32_t partition_count() const {
     return static_cast<uint32_t>(partitions_.size());
   }
-  LogService* partition(uint32_t i) { return partitions_[i].get(); }
+  LogService* partition(uint32_t i) { return partitions_[i]; }
   PartitionRouter& router() { return *router_; }
   const PartitionRouter& router() const { return *router_; }
   TimeSource* clock() { return clock_; }
 
   // Creates a log file on `placement` (explicit) or its hash partition,
   // mirroring any not-yet-present ancestors onto that partition first.
-  // Returns the home partition chosen. Intermediate components must
-  // already exist somewhere in the deployment, matching LogService.
+  // Returns the home partition chosen; `id`, when non-null, receives the
+  // leaf's id on it. Intermediate components must already exist somewhere
+  // in the deployment, matching LogService.
   Result<uint32_t> CreateLogFile(std::string_view path,
                                  uint32_t permissions = 0644,
                                  std::optional<uint32_t> placement
-                                 = std::nullopt);
+                                 = std::nullopt,
+                                 LogFileId* id = nullptr);
 
   // Routes to the owning partition and appends under that partition's
   // exclusive lock only — appends to other partitions proceed in parallel.
@@ -134,15 +149,29 @@ class PartitionedLogService {
   Result<std::unique_ptr<PartitionedLogReader>> OpenReader(
       std::string_view path);
 
+  // Inclusion proof for the entry of `path` with exact timestamp `t`
+  // (LogService::BuildChainProof), built under the owning partition's
+  // SHARED lock only. A path with no route (missing, or "/") probes each
+  // partition and returns the first answer that is not kNotFound.
+  Result<ChainProof> BuildChainProof(std::string_view path, Timestamp t);
+
  private:
   explicit PartitionedLogService(TimeSource* clock) : clock_(clock) {}
+
+  // Rebuilds the router from the partitions' catalogs, the durable routing
+  // table. Mirrored ancestors carry their original home id, so every
+  // partition that knows a path agrees on its home (disagreement is
+  // corruption, caught by Learn).
+  Status LearnRoutes();
 
   // Mirrors `path`'s proper ancestors onto partition `home` (each with its
   // own original home id). Caller holds create_mu_.
   Status MirrorAncestors(std::string_view path, uint32_t home);
 
   TimeSource* clock_;
-  std::vector<std::unique_ptr<LogService>> partitions_;
+  // Owned by Create/Recover; empty for a Wrap view.
+  std::vector<std::unique_ptr<LogService>> owned_;
+  std::vector<LogService*> partitions_;
   std::unique_ptr<PartitionRouter> router_;
   // Serializes CreateLogFile end to end, so two concurrent creates of the
   // same path cannot race the router and split-brain onto two partitions.

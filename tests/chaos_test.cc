@@ -173,7 +173,7 @@ class ChaosTest : public ::testing::Test {
     }
     NetLogServerOptions options;
     options.port = port_;  // first generation: 0 = pick; then reuse
-    options.dedup = &dedup_;
+    options.dedup = {&dedup_};
     options.batch.max_hold_us = 200;
     options.scrub = scrub;
     options.scrub_options.interval_ms = 1;
@@ -619,10 +619,10 @@ class PartitionedChaosTest : public ::testing::Test {
     NetLogServerOptions options;
     options.port = port_;
     for (auto& dedup : dedup_) {
-      options.partition_dedup.push_back(dedup.get());
+      options.dedup.push_back(dedup.get());
     }
     options.batch.max_hold_us = 200;
-    auto server = NetLogServer::StartPartitioned(service_.get(), options);
+    auto server = NetLogServer::Start(service_.get(), options);
     ASSERT_OK(server.status());
     server_ = std::move(server).value();
     port_ = server_->port();
@@ -709,7 +709,7 @@ class PartitionedChaosTest : public ::testing::Test {
 
   SimulatedClock clock_{1'000'000, /*auto_tick=*/7};
   // Supervisor state: one dedup index per append lane, outliving every
-  // incarnation (mirrors how StartPartitioned wires partition_dedup).
+  // incarnation (mirrors how the server wires one dedup index per lane).
   std::vector<std::unique_ptr<AppendDedupIndex>> dedup_;
   std::vector<std::unique_ptr<MemoryWormDevice>> media_;
   std::unique_ptr<PartitionedLogService> service_;

@@ -1,7 +1,7 @@
 // Event-loop server tests: partial-frame state machine behaviour under
 // slow and hostile clients, write backpressure on the zero-copy flush
-// path, connection churn, and byte-for-byte wire equivalence between the
-// epoll server and the thread-per-connection compat mode (DESIGN.md §16).
+// path, connection churn, and byte-for-byte equivalence between the
+// server's zero-copy replies and the flat reference encoder (DESIGN.md §16).
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -9,7 +9,9 @@
 #include <thread>
 #include <vector>
 
+#include "src/ipc/channel.h"
 #include "src/ipc/codec.h"
+#include "src/ipc/log_server.h"
 #include "src/net/frame.h"
 #include "src/net/net_client.h"
 #include "src/net/net_server.h"
@@ -168,31 +170,6 @@ TEST_F(EventLoopTest, BatchedReadIsServedZeroCopy) {
   EXPECT_TRUE(Eventually([] {
     return ObsRegistry().gauge("clio.cache.pinned_blocks")->value() == 0;
   }));
-}
-
-TEST_F(EventLoopTest, ZeroCopyDisabledStillServesIdenticalBatches) {
-  NetLogServerOptions options;
-  options.zero_copy = false;
-  StartServer(options);
-  auto client = Client();
-  ASSERT_OK(client->CreateLogFile("/flat").status());
-  Rng rng(0xF1A7);
-  std::vector<Bytes> payloads;
-  for (int i = 0; i < 8; ++i) {
-    payloads.push_back(RandomPayload(&rng, 1500));
-    ASSERT_OK(client->Append("/flat", payloads.back(), /*timestamped=*/true).status());
-  }
-  const uint64_t zerocopy_before =
-      ObsRegistry().counter("clio.net.reply.zerocopy_bytes")->value();
-  ASSERT_OK_AND_ASSIGN(uint64_t handle, client->OpenReader("/flat"));
-  ASSERT_OK(client->SeekToStart(handle));
-  ASSERT_OK_AND_ASSIGN(EntryBatch batch, client->ReadNextBatch(handle, 1000));
-  ASSERT_EQ(batch.entries.size(), payloads.size());
-  for (size_t i = 0; i < payloads.size(); ++i) {
-    EXPECT_EQ(batch.entries[i].payload, payloads[i]) << "entry " << i;
-  }
-  EXPECT_EQ(ObsRegistry().counter("clio.net.reply.zerocopy_bytes")->value(),
-            zerocopy_before);
 }
 
 // ---------------------------------------------------------------------------
@@ -360,24 +337,19 @@ TEST_F(EventLoopTest, AcceptAndTeardownChurnInRounds) {
 // ---------------------------------------------------------------------------
 // A/B wire equivalence
 
-// The epoll server with zero-copy replies and the thread-per-connection
-// compat server answer the SAME raw request sequence with byte-identical
-// frames. Both serve one shared LogService, so any divergence is the
-// transport's fault — framing, scatter encoding, or flush order.
+// The event loop's zero-copy replies (DispatchScatter) and the IPC
+// LogServer's flat Dispatch — the reference encoder — answer the SAME
+// request script, error replies included, with byte-identical reply
+// bodies. Both serve one shared LogService, so any divergence is the
+// scatter encoding's fault.
 TEST(EventLoopAbTest, BothModesProduceByteIdenticalReplies) {
   ServiceFixture fx = ServiceFixture::Make();
 
-  NetLogServerOptions event_options;  // defaults: epoll loop, zero-copy on
-  auto event_server = NetLogServer::Start(fx.service.get(), event_options);
+  auto event_server = NetLogServer::Start(fx.service.get());
   ASSERT_TRUE(event_server.ok()) << event_server.status().ToString();
-  NetLogServerOptions compat_options;
-  compat_options.thread_per_conn = true;
-  auto compat_server = NetLogServer::Start(fx.service.get(), compat_options);
-  ASSERT_TRUE(compat_server.ok()) << compat_server.status().ToString();
-
   {
-    // Seed shared state through one server; entries with payloads spanning
-    // several 1 KiB blocks exercise multi-segment scatter replies.
+    // Seed shared state through the event server; entries with payloads
+    // spanning several 1 KiB blocks exercise multi-segment scatter replies.
     auto writer = NetLogClient::Connect((*event_server)->port());
     ASSERT_TRUE(writer.ok()) << writer.status().ToString();
     ASSERT_OK((*writer)->CreateLogFile("/ab").status());
@@ -390,11 +362,13 @@ TEST(EventLoopAbTest, BothModesProduceByteIdenticalReplies) {
     }
     ASSERT_OK((*writer)->Force());
   }
+  // Started after the seeding, so its view has learned "/ab".
+  IpcChannel channel;
+  LogServer ipc_server(fx.service.get(), &channel);
+  ipc_server.Start();
 
   ASSERT_OK_AND_ASSIGN(TcpSocket to_event,
                        TcpSocket::ConnectLoopback((*event_server)->port()));
-  ASSERT_OK_AND_ASSIGN(TcpSocket to_compat,
-                       TcpSocket::ConnectLoopback((*compat_server)->port()));
 
   // (op, body) script; both fresh sessions allocate the same handle.
   const uint64_t kHandleProbe = 0;  // patched after kOpenReader
@@ -409,14 +383,16 @@ TEST(EventLoopAbTest, BothModesProduceByteIdenticalReplies) {
   script.emplace_back(LogOp::kStat, PathBody("/ab"));
   script.emplace_back(LogOp::kStat, PathBody("/missing"));  // error reply
   script.emplace_back(LogOp::kReadNext, HandleBody(~0ull));  // bad handle
+  script.emplace_back(LogOp::kReadBatch, ReadBatchBody(~0ull, 4));
 
   uint64_t event_handle = 0;
-  uint64_t compat_handle = 0;
+  uint64_t ipc_handle = 0;
   for (size_t i = 0; i < script.size(); ++i) {
     const auto& [op, body_template] = script[i];
     auto patched = [&](uint64_t handle) {
       Bytes body = body_template;
-      if (i > 0 && op != LogOp::kStat && body.size() >= 8) {
+      if (i > 0 && op != LogOp::kStat && body.size() >= 8 &&
+          LoadU64(body, 0) == kHandleProbe) {
         StoreU64(body, 0, handle);
       }
       return body;
@@ -426,35 +402,36 @@ TEST(EventLoopAbTest, BothModesProduceByteIdenticalReplies) {
     ASSERT_OK_AND_ASSIGN(Bytes event_reply,
                          RawRoundTrip(&to_event, op, request_id,
                                       patched(event_handle), trace_id));
-    ASSERT_OK_AND_ASSIGN(Bytes compat_reply,
-                         RawRoundTrip(&to_compat, op, request_id,
-                                      patched(compat_handle), trace_id));
-    EXPECT_EQ(event_reply, compat_reply)
+    ASSERT_OK_AND_ASSIGN(FrameHeader header, DecodeFrameHeader(event_reply));
+    EXPECT_EQ(header.op, static_cast<uint32_t>(op));
+    EXPECT_EQ(header.request_id, request_id);
+    EXPECT_EQ(header.trace_id, trace_id);
+    const Bytes event_body(event_reply.end() - header.body_size,
+                           event_reply.end());
+    ASSERT_OK_AND_ASSIGN(
+        IpcMessage ipc_reply,
+        channel.Call(IpcMessage{static_cast<uint32_t>(op),
+                                patched(ipc_handle)}));
+    EXPECT_EQ(event_body, ipc_reply.body)
         << "step " << i << " (op " << static_cast<uint32_t>(op)
-        << "): wire divergence between event-loop and thread-per-conn";
+        << "): scatter reply diverges from the flat encoder";
     if (op == LogOp::kOpenReader) {
-      auto extract = [](const Bytes& reply) -> uint64_t {
-        auto header = DecodeFrameHeader(reply);
-        if (!header.ok()) {
-          return 0;
-        }
-        auto payload = DecodeReplyBody(std::span<const std::byte>(reply)
-                                           .subspan(reply.size() -
-                                                    header->body_size));
+      auto extract = [](const Bytes& body) -> uint64_t {
+        auto payload = DecodeReplyBody(body);
         if (!payload.ok() || payload->size() < 8) {
           return 0;
         }
         return LoadU64(*payload, 0);
       };
-      event_handle = extract(event_reply);
-      compat_handle = extract(compat_reply);
+      event_handle = extract(event_body);
+      ipc_handle = extract(ipc_reply.body);
       ASSERT_NE(event_handle, 0u);
-      EXPECT_EQ(event_handle, compat_handle);
+      EXPECT_EQ(event_handle, ipc_handle);
     }
   }
 
+  ipc_server.Stop();
   (*event_server)->Stop();
-  (*compat_server)->Stop();
 }
 
 // Stop() with a flushed-but-unread reply still delivers the bytes: the

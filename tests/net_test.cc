@@ -1216,7 +1216,7 @@ class NetRestartTest : public ::testing::Test {
     options.port = port;
     // Supervisor-owned dedup index: it outlives individual server
     // incarnations, so acks lost to a restart still deduplicate.
-    options.dedup = &dedup_;
+    options.dedup = {&dedup_};
     options.batch.max_hold_us = 500;
     auto server = NetLogServer::Start(service_.get(), options);
     ASSERT_OK(server.status());

@@ -2,6 +2,8 @@
 // merge-by-timestamp reader, recovery, and the partitioned net server.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -9,10 +11,10 @@
 #include <vector>
 
 #include "src/device/memory_worm_device.h"
+#include "src/device/nvram_tail.h"
 #include "src/util/bytes.h"
 #include "src/net/net_client.h"
 #include "src/net/net_server.h"
-#include "src/partition/partition_backend.h"
 #include "src/partition/partition_router.h"
 #include "src/partition/partitioned_service.h"
 #include "tests/test_util.h"
@@ -357,13 +359,171 @@ TEST(PartitionedService, RecoveryRejectsTheSameChainMountedTwice) {
 }
 
 // ---------------------------------------------------------------------------
+// A volume written by a plain LogService recovers as partition 0
+
+// Every answer a client gets about `paths` from the server on `port`,
+// rendered one line per answer, plus a verified inclusion proof of the
+// entry of `proven_path` at `proven_ts`.
+std::vector<std::string> ProbeServer(uint16_t port,
+                                     const std::vector<std::string>& paths,
+                                     const std::string& proven_path,
+                                     Timestamp proven_ts) {
+  std::vector<std::string> out;
+  auto client = NetLogClient::Connect(port);
+  EXPECT_TRUE(client.ok()) << client.status().ToString();
+  if (!client.ok()) {
+    return out;
+  }
+  auto render = [](const Status& status) { return status.ToString(); };
+  auto topology = (*client)->GetPartitionInfo();
+  out.push_back("topology " + (topology.ok()
+                                   ? std::to_string(topology->partition_count)
+                                   : render(topology.status())));
+  for (const std::string& path : paths) {
+    auto where = (*client)->GetPartitionInfo(path);
+    out.push_back(path + " partition " +
+                  (!where.ok() ? render(where.status())
+                   : where->partition.has_value()
+                       ? std::to_string(*where->partition)
+                       : std::string("none")));
+    auto stat = (*client)->Stat(path);
+    out.push_back(path + " stat " +
+                  (stat.ok() ? std::to_string(stat->id) + " " +
+                                   std::to_string(stat->unique_id) + " " +
+                                   std::to_string(stat->parent) + " " +
+                                   std::to_string(stat->permissions) + " " +
+                                   std::to_string(stat->created_at) + " " +
+                                   stat->name
+                             : render(stat.status())));
+    auto handle = (*client)->OpenReader(path);
+    if (!handle.ok()) {
+      out.push_back(path + " open " + render(handle.status()));
+      continue;
+    }
+    auto batch = (*client)->ReadNextBatch(*handle, 1000);
+    if (!batch.ok()) {
+      out.push_back(path + " read " + render(batch.status()));
+      continue;
+    }
+    for (const RemoteEntry& entry : batch->entries) {
+      out.push_back(path + " entry " + std::to_string(entry.logfile_id) +
+                    " " + std::to_string(entry.timestamp) + " " +
+                    ToString(entry.payload));
+    }
+  }
+  auto proven = (*client)->VerifyEntry(proven_path, proven_ts);
+  out.push_back("proof " + (proven.ok() ? ToString(proven->payload)
+                                        : render(proven.status())));
+  return out;
+}
+
+TEST(PlainVolume, RecoversAsPartitionZero) {
+  // The volume is written by a plain LogService, exactly as a standalone
+  // deployment writes it: nested sublogs, an entry fragmented across
+  // blocks, and NVRAM checkpoints.
+  SimulatedClock clock(1'000'000, /*auto_tick=*/7);
+  MemoryWormOptions dev;
+  dev.block_size = 1024;
+  dev.capacity_blocks = 4096;
+  MemoryWormDevice media(dev);
+  NvramTail nvram(dev.block_size);
+  LogServiceOptions options;
+  options.sequence_id = 0x9A11;
+  options.nvram = &nvram;
+  options.checkpoint_interval_blocks = 8;
+  Rng rng(0x0A);
+  const Bytes fragmented = testing::RandomPayload(&rng, 3000);
+  Timestamp fragmented_ts = 0;
+  {
+    ASSERT_OK_AND_ASSIGN(
+        auto service, LogService::Create(std::make_unique<BorrowedDevice>(&media),
+                                         &clock, options));
+    for (const char* path :
+         {"/mail", "/mail/smith", "/mail/smith/inbox", "/audit"}) {
+      ASSERT_OK(service->CreateLogFile(path).status());
+    }
+    WriteOptions timestamped;
+    timestamped.timestamped = true;
+    for (int i = 0; i < 120; ++i) {
+      const char* path = i % 3 == 0   ? "/mail/smith/inbox"
+                         : i % 3 == 1 ? "/mail/smith"
+                                      : "/audit";
+      ASSERT_OK(service
+                    ->Append(path, testing::RandomPayload(&rng, 200),
+                             timestamped)
+                    .status());
+    }
+    ASSERT_OK_AND_ASSIGN(
+        AppendResult appended,
+        service->Append("/mail/smith/inbox", fragmented, timestamped));
+    fragmented_ts = appended.timestamp;
+    ASSERT_OK(service->Force());
+  }  // crash: the media and the NVRAM survive
+
+  const std::vector<std::string> paths = {
+      "/", "/mail", "/mail/smith", "/mail/smith/inbox", "/audit", "/missing"};
+  std::map<std::string, uint32_t> partition_routes;
+  std::vector<std::string> as_partition;
+  {
+    std::vector<std::vector<std::unique_ptr<WormDevice>>> chains(1);
+    chains[0].push_back(std::make_unique<BorrowedDevice>(&media));
+    PartitionedServiceOptions partitioned;
+    partitioned.lane_nvram = {&nvram};
+    std::vector<RecoveryReport> reports;
+    ASSERT_OK_AND_ASSIGN(auto service,
+                         PartitionedLogService::Recover(
+                             std::move(chains), &clock, partitioned, &reports));
+    ASSERT_EQ(reports.size(), 1u);
+    EXPECT_TRUE(reports[0].restored_checkpoint);
+    partition_routes = service->router().Routes();
+    for (const char* path :
+         {"/mail", "/mail/smith", "/mail/smith/inbox", "/audit"}) {
+      EXPECT_EQ(service->RouteOf(path), std::optional<uint32_t>(0)) << path;
+    }
+    ASSERT_OK_AND_ASSIGN(auto server, NetLogServer::Start(service.get()));
+    as_partition =
+        ProbeServer(server->port(), paths, "/mail/smith/inbox", fragmented_ts);
+    server->Stop();
+  }
+  std::vector<std::string> as_plain;
+  {
+    std::vector<std::unique_ptr<WormDevice>> devices;
+    devices.push_back(std::make_unique<BorrowedDevice>(&media));
+    ASSERT_OK_AND_ASSIGN(auto service,
+                         LogService::Recover(std::move(devices), &clock,
+                                             options, nullptr));
+    ASSERT_OK_AND_ASSIGN(auto view, PartitionedLogService::Wrap(service.get()));
+    EXPECT_EQ(view->router().Routes(), partition_routes);
+    ASSERT_OK_AND_ASSIGN(auto server, NetLogServer::Start(service.get()));
+    as_plain =
+        ProbeServer(server->port(), paths, "/mail/smith/inbox", fragmented_ts);
+    server->Stop();
+  }
+  EXPECT_EQ(as_partition, as_plain);
+  // The answers carry the volume's content, not two matching errors: the
+  // fragmented entry reads back whole, and its proof (which covers the
+  // entry's record in its first block) verifies.
+  const std::string whole = ToString(fragmented);
+  EXPECT_TRUE(std::any_of(as_partition.begin(), as_partition.end(),
+                          [&](const std::string& line) {
+                            return line.size() > whole.size() &&
+                                   line.compare(line.size() - whole.size(),
+                                                whole.size(), whole) == 0;
+                          }));
+  const std::string proof = as_partition.back();
+  ASSERT_EQ(proof.rfind("proof ", 0), 0u);
+  EXPECT_EQ(whole.rfind(proof.substr(6), 0), 0u) << proof;
+  EXPECT_EQ(partition_routes.size(), 4u);
+}
+
+// ---------------------------------------------------------------------------
 // Partitioned net server
 
 class PartitionedNetTest : public ::testing::Test {
  protected:
   void StartServer(uint32_t partitions, NetLogServerOptions options = {}) {
     fx_ = PartitionedFixture::Make(partitions);
-    auto server = NetLogServer::StartPartitioned(fx_.service.get(), options);
+    auto server = NetLogServer::Start(fx_.service.get(), options);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     server_ = std::move(server).value();
   }

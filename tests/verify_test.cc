@@ -54,6 +54,46 @@ TEST(Verify, CleanVolumeWithFragmentsVerifiesClean) {
   EXPECT_GT(report.fragments_total, 30u);
 }
 
+// An entrymap node too wide for one block (1 KiB blocks, 260 live files:
+// the level-3 node due at block 4096) used to be burned on its own in the
+// middle of a fragment chain without the continues flag, so the entry
+// straddling block 4096 read back wrong and the chain looked broken.
+TEST(Verify, FragmentChainSurvivesAnOverflowingEntrymapNode) {
+  auto fx = ServiceFixture::Make(/*block_size=*/1024, /*capacity_blocks=*/8192,
+                                 /*degree=*/16);
+  constexpr int kFiles = 260;
+  for (int f = 0; f < kFiles; ++f) {
+    ASSERT_OK(fx.service->CreateLogFile("/f" + std::to_string(f)).status());
+  }
+  Rng rng(0x4096);
+  WriteOptions timestamped;
+  timestamped.timestamped = true;
+  for (int i = 0; fx.service->current_volume()->end_block() < 4090; ++i) {
+    ASSERT_OK(fx.service
+                  ->Append("/f" + std::to_string(i % kFiles),
+                           RandomPayload(&rng, 300), timestamped)
+                  .status());
+  }
+  ASSERT_LT(fx.service->current_volume()->end_block(), 4096u);
+  const Bytes straddler = RandomPayload(&rng, 12 * 1024);
+  ASSERT_OK_AND_ASSIGN(AppendResult appended,
+                       fx.service->Append("/f7", straddler, timestamped));
+  ASSERT_OK(fx.service->Force());
+  ASSERT_GT(fx.service->current_volume()->end_block(), 4100u);
+
+  ASSERT_OK_AND_ASSIGN(VerifyReport report,
+                       VerifyVolume(fx.service->current_volume()));
+  EXPECT_TRUE(report.clean())
+      << (report.broken_chains.empty() ? "" : report.broken_chains[0]);
+  ASSERT_OK_AND_ASSIGN(auto reader, fx.service->OpenReader("/f7"));
+  ASSERT_OK_AND_ASSIGN(auto found,
+                       reader->FindByTimestamp(appended.timestamp));
+  ASSERT_TRUE(found.has_value());
+  EXPECT_FALSE(found->truncated);
+  EXPECT_EQ(found->payload.size(), straddler.size());
+  EXPECT_TRUE(found->payload == straddler);
+}
+
 TEST(Verify, MultiMembershipVolumesVerifyClean) {
   auto fx = ServiceFixture::Make(/*block_size=*/512, /*capacity_blocks=*/8192,
                                  /*degree=*/8);
