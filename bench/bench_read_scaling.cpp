@@ -10,8 +10,11 @@
 // lock, their device time overlaps.
 //
 // Output: aggregate entries/sec at 1 and 8 readers, the readahead cold-scan
-// speedup, and the kReadBatch K=32 RPC reduction on a 10k-entry tail scan
-// (>= 5x fewer round trips than per-entry ReadNext).
+// speedup, the blocks a sparse file's cold scan reads per entry at the
+// default readahead depth (the index-planned pass reads only the file's
+// own blocks, DESIGN.md §12), and the kReadBatch K=32 RPC reduction on a
+// 10k-entry tail scan (>= 5x fewer round trips than per-entry ReadNext).
+#include <atomic>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -31,7 +34,7 @@ namespace {
 // charged per ReadBlock AND per ReadBlocks pass, so a readahead pass of
 // M+1 blocks costs the same as a single-block miss — the physical model
 // (optical seek dominates transfer) that motivates prefetching. Burns stay
-// fast: this bench measures the read path.
+// fast: this bench measures the read path. Every block read is counted.
 class SlowReadDevice : public WormDevice {
  public:
   SlowReadDevice(std::unique_ptr<WormDevice> base, uint64_t seek_us)
@@ -43,12 +46,17 @@ class SlowReadDevice : public WormDevice {
   }
   Status ReadBlock(uint64_t i, std::span<std::byte> out) override {
     std::this_thread::sleep_for(std::chrono::microseconds(seek_us_));
+    blocks_read_.fetch_add(1);
     return base_->ReadBlock(i, out);
   }
   Result<uint64_t> ReadBlocks(uint64_t first, uint64_t count,
                               std::span<std::byte> out) override {
     std::this_thread::sleep_for(std::chrono::microseconds(seek_us_));
-    return base_->ReadBlocks(first, count, out);
+    auto got = base_->ReadBlocks(first, count, out);
+    if (got.ok()) {
+      blocks_read_.fetch_add(got.value());
+    }
+    return got;
   }
   Result<uint64_t> AppendBlock(std::span<const std::byte> data) override {
     return base_->AppendBlock(data);
@@ -63,9 +71,12 @@ class SlowReadDevice : public WormDevice {
   const DeviceStats& stats() const override { return base_->stats(); }
   void ResetStats() override { base_->ResetStats(); }
 
+  uint64_t blocks_read() const { return blocks_read_.load(); }
+
  private:
   std::unique_ptr<WormDevice> base_;
   const uint64_t seek_us_;
+  std::atomic<uint64_t> blocks_read_{0};
 };
 
 constexpr size_t kPayloadBytes = 64;
@@ -80,20 +91,26 @@ constexpr uint32_t kBatchSize = 32;
 uint64_t SeekUs() { return FastMode() ? 2000 : 3000; }
 int EntriesPerFile() { return FastMode() ? 400 : 1250; }
 int TailScanEntries() { return FastMode() ? 2000 : 10000; }
+constexpr int kSparseEntries = 24;
+constexpr size_t kFillerBytes = 1000;  // about one 1 KiB block per entry
 
 std::string FilePath(int reader) {
   return "/scan" + std::to_string(reader);
 }
 
 struct Harness {
+  SlowReadDevice* device = nullptr;  // owned by the service
   std::unique_ptr<SimulatedClock> clock;
   std::unique_ptr<LogService> service;
   std::unique_ptr<NetLogServer> server;
 };
 
 // One server per cell: every reader scans cold, so the cells are
-// comparable. `readahead` is the knob under test.
-Harness StartServer(uint32_t readahead, int entries_per_file, int files) {
+// comparable. `readahead` is the knob under test. `gap_blocks` > 0 puts
+// that many block-sized entries of another file before each entry, so a
+// file's entries sit about gap_blocks apart on the volume.
+Harness StartServer(uint32_t readahead, int entries_per_file, int files,
+                    int gap_blocks = 0) {
   Harness h;
   h.clock = std::make_unique<SimulatedClock>(1'000'000, /*auto_tick=*/11);
   MemoryWormOptions dev;
@@ -103,10 +120,11 @@ Harness StartServer(uint32_t readahead, int entries_per_file, int files) {
   options.cache_blocks = 8192;
   options.readahead_blocks = readahead;
   options.sequence_id = 0xBE7C6;
-  auto service = LogService::Create(
-      std::make_unique<SlowReadDevice>(
-          std::make_unique<MemoryWormDevice>(dev), SeekUs()),
-      h.clock.get(), options);
+  auto device = std::make_unique<SlowReadDevice>(
+      std::make_unique<MemoryWormDevice>(dev), SeekUs());
+  h.device = device.get();
+  auto service =
+      LogService::Create(std::move(device), h.clock.get(), options);
   BENCH_CHECK_OK(service.status());
   h.service = std::move(service).value();
 
@@ -119,9 +137,18 @@ Harness StartServer(uint32_t readahead, int entries_per_file, int files) {
   auto setup = NetLogClient::Connect(h.server->port());
   BENCH_CHECK_OK(setup.status());
   Rng rng(0xC0FFEE);
+  if (gap_blocks > 0) {
+    BENCH_CHECK_OK((*setup)->CreateLogFile("/filler").status());
+  }
   for (int f = 0; f < files; ++f) {
     BENCH_CHECK_OK((*setup)->CreateLogFile(FilePath(f)).status());
     for (int i = 0; i < entries_per_file; ++i) {
+      for (int g = 0; g < gap_blocks; ++g) {
+        BENCH_CHECK_OK((*setup)
+                           ->Append("/filler", FillPayload(&rng, kFillerBytes),
+                                    /*timestamped=*/false, /*force=*/false)
+                           .status());
+      }
       BENCH_CHECK_OK((*setup)
                          ->Append(FilePath(f), FillPayload(&rng, kPayloadBytes),
                                   /*timestamped=*/false,
@@ -264,6 +291,26 @@ int main() {
   std::printf("readahead=8 cold-scan speedup over readahead=0: %.1fx\n",
               ra_gain);
   report.AddCounter("summary", "readahead_speedup", ra_gain);
+
+  // -- Readahead waste: a cold scan of one file whose entries sit further
+  //    apart than the default window. Blind readahead would read about
+  //    window+1 blocks per entry; the index-planned pass reads only the
+  //    file's own block. A deterministic block count, not a timing.
+  {
+    const uint32_t window = clio::LogServiceOptions{}.readahead_blocks;
+    Harness h = StartServer(window, kSparseEntries, /*files=*/1,
+                            /*gap_blocks=*/2 * static_cast<int>(window));
+    const uint64_t before = h.device->blocks_read();
+    RunScanCell(h, 1, kSparseEntries);
+    h.server->Stop();
+    double per_entry =
+        static_cast<double>(h.device->blocks_read() - before) /
+        kSparseEntries;
+    std::printf("sparse cold scan (readahead=%u): %.2f blocks read per "
+                "entry\n",
+                window, per_entry);
+    report.AddCounter("summary", "sparse_blocks_read_per_entry", per_entry);
+  }
 
   // -- RPC amortization: per-entry ReadNext vs kReadBatch for a tail scan.
   {

@@ -93,7 +93,7 @@ Result<std::optional<LogEntryRecord>> VolumeCursor::Next(OpStats* stats) {
   }
 
   while (true) {
-    auto parsed = volume_->GetBlock(block_, stats, /*sequential=*/true);
+    auto parsed = volume_->GetBlock(block_, stats, id_);
     if (parsed.ok()) {
       const auto& entries = parsed.value().entries();
       size_t from = index_ == kScanAll ? entries.size() : index_;
@@ -206,8 +206,6 @@ Result<std::optional<LogEntryRecord>> VolumeCursor::Prev(OpStats* stats) {
     }
     block_ = *prev;
     index_ = kScanAll;
-    // kScanAll means "whole block"; normalize so the index_ > 0 guard holds.
-    index_ = kScanAll;
   }
 }
 
@@ -217,6 +215,20 @@ Result<bool> VolumeCursor::SeekToTime(Timestamp t, OpStats* stats) {
   if (!block.has_value()) {
     state_ = State::kAtStart;
     return false;
+  }
+  // A block the extent index rules out for this file is not read: where
+  // the gap sits among its foreign entries cannot change what Next or Prev
+  // return. The gap goes where Next would step past it — the start of the
+  // file's next block, or the burned end — and Prev walks back from there.
+  if (const ExtentIndex* idx =
+          volume_->PlanningIndex(id_, *block, *block + 1)) {
+    ExtentIndex::Lookup next = idx->NextBlockWith(id_, *block);
+    if (next.authoritative && next.block != block) {
+      state_ = State::kPositioned;
+      block_ = next.block.value_or(volume_->end_block());
+      index_ = 0;
+      return true;
+    }
   }
   auto parsed = volume_->GetBlock(*block, stats);
   if (!parsed.ok()) {

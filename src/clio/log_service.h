@@ -39,9 +39,11 @@ struct LogServiceOptions {
   std::string label;
   uint64_t sequence_id = 0;  // 0: derive one from the clock
   NvramTail* nvram = nullptr;  // optional rewritable tail staging (§2.3.1)
-  // Blocks speculatively fetched past a cache miss during a forward scan
-  // (one device pass; see DESIGN.md §12). 0 disables readahead.
-  uint32_t readahead_blocks = 8;
+  // Most blocks fetched past a cache miss during a forward scan, in the
+  // same device pass; the extent index trims the pass to end at the
+  // scanned file's last block in the window (DESIGN.md §12). 0 disables
+  // readahead.
+  uint32_t readahead_blocks = 32;
   // RAM extent index (DESIGN.md §17): hot locates resolve in memory with
   // zero device reads, falling back to the entrymap walk on index miss.
   bool enable_extent_index = true;

@@ -657,8 +657,29 @@ Result<CheckpointState> LogVolume::BuildCheckpointState() {
   return state;
 }
 
+const ExtentIndex* LogVolume::PlanningIndex(LogFileId id, uint64_t lo,
+                                            uint64_t hi) const {
+  if (id == kVolumeSeqLogId || id == kEntrymapLogId) {
+    return nullptr;  // untracked: the index holds no runs for them
+  }
+  const ExtentIndex* idx = extent_index();
+  if (idx == nullptr || idx->covered_end() != end_block() ||
+      hi > end_block()) {
+    return nullptr;
+  }
+  // The index records burn-time memberships; a block quarantined since
+  // must still be read (and fail) exactly as it would without the index.
+  const auto& quarantined = catalog_->quarantined();
+  auto q = quarantined.lower_bound({header_.volume_index, lo});
+  if (q != quarantined.end() &&
+      *q < std::make_pair(header_.volume_index, hi)) {
+    return nullptr;
+  }
+  return idx;
+}
+
 Result<ParsedBlock> LogVolume::GetBlock(uint64_t block, OpStats* stats,
-                                        bool sequential) {
+                                        std::optional<LogFileId> scanned) {
   if (block == 0) {
     return InvalidArgument("block 0 is the volume header");
   }
@@ -682,11 +703,21 @@ Result<ParsedBlock> LogVolume::GetBlock(uint64_t block, OpStats* stats,
                    ", chain position " + std::to_string(block) + ")");
   }
   // Readahead never crosses end_block(): the staging block is served from
-  // memory above and unburned blocks would fail the device read.
-  auto image = sequential && readahead_blocks_ > 0
-                   ? blocks_.FetchSequential(block, end_block(),
-                                             readahead_blocks_, stats)
-                   : blocks_.Fetch(block, stats);
+  // memory above and unburned blocks would fail the device read. The
+  // index ends the pass at the scanned file's last block in the window,
+  // so blocks holding only other files are not read (DESIGN.md §12).
+  uint64_t limit = block + 1;
+  if (scanned.has_value() && readahead_blocks_ > 0) {
+    limit = std::min<uint64_t>(block + readahead_blocks_ + 1, end_block());
+    if (const ExtentIndex* idx = PlanningIndex(*scanned, block, limit)) {
+      ExtentIndex::Lookup last = idx->PrevBlockWith(*scanned, limit);
+      if (last.authoritative) {
+        limit = std::max(last.block.value_or(block), block) + 1;
+      }
+    }
+  }
+  auto image =
+      blocks_.FetchSequential(block, limit, readahead_blocks_, stats);
   if (!image.ok()) {
     return image.status();
   }

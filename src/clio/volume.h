@@ -131,17 +131,30 @@ class LogVolume {
 
   // Fetches and decodes one block (cache- and staged-tail-aware).
   // kNotWritten / kInvalidated / kCorrupt surface to the caller.
-  // `sequential` marks a forward-scan fetch: a cache miss then pulls up to
-  // readahead_blocks() following burned blocks in the same device pass
-  // (DESIGN.md §12). Point lookups and backward scans leave it false.
+  // `scanned` names the log file a forward scan is reading: a cache miss
+  // then reads, in the same device pass, the following burned blocks up to
+  // the last one within readahead_blocks() that holds that file, as the
+  // extent index plans it; where the index cannot rule (PlanningIndex),
+  // the whole window (DESIGN.md §12). Point lookups and backward scans
+  // leave it unset.
   Result<ParsedBlock> GetBlock(uint64_t block, OpStats* stats,
-                               bool sequential = false);
+                               std::optional<LogFileId> scanned =
+                                   std::nullopt);
 
-  // Forward-scan readahead depth: how many blocks past a sequential cache
-  // miss are speculatively fetched in the same device pass. 0 disables.
+  // Forward-scan readahead depth: how many blocks past a forward-scan
+  // cache miss may be fetched in the same device pass. 0 disables.
   // Set by the owning LogService from LogServiceOptions::readahead_blocks.
   uint32_t readahead_blocks() const { return readahead_blocks_; }
   void set_readahead_blocks(uint32_t blocks) { readahead_blocks_ = blocks; }
+
+  // The extent index when it may plan reads of `id` over the burned
+  // blocks [lo, hi) without touching the device: it is ready and covers
+  // every burned block, it tracks `id` (not the volume-sequence or
+  // entrymap log), and no block of the range is quarantined. nullptr
+  // means read as if there were no index. Holes in the range still make
+  // the index's own lookups non-authoritative.
+  const ExtentIndex* PlanningIndex(LogFileId id, uint64_t lo,
+                                   uint64_t hi) const;
 
   // Nearest block strictly before `before_block` containing entries of
   // `id` (or of a sublog of `id`); nullopt if none on this volume.

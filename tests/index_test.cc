@@ -7,9 +7,14 @@
 //      entrymap/device walk returns on the same media;
 //  I2  convergence: the index the writer maintained incrementally, the one
 //      a recovery rebuilds by scan, and the one restored from a checkpoint
-//      serialize byte-identically.
+//      serialize byte-identically;
+//  I3  planned reads: scans and seeks return exactly what they return with
+//      the index off, while forward-scan readahead never reads past the
+//      scanned file's last block in the window and a seek onto a block
+//      without the file reads nothing (DESIGN.md §12).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <shared_mutex>
 #include <string>
@@ -248,13 +253,19 @@ struct DualRig {
   }
 
   // Recovers a read companion over the same media with the index on or
-  // off. Requires a Force() first so media holds everything.
-  std::unique_ptr<LogService> Remount(bool with_index) {
+  // off. Requires a Force() first so media holds everything. `device`
+  // (default: a plain view of the media) lets a test observe the reads.
+  std::unique_ptr<LogService> Remount(
+      bool with_index, std::unique_ptr<WormDevice> device = nullptr,
+      size_t cache_blocks = LogServiceOptions{}.cache_blocks) {
     LogServiceOptions options;
     options.entrymap_degree = degree;
     options.enable_extent_index = with_index;
+    options.cache_blocks = cache_blocks;
     std::vector<std::unique_ptr<WormDevice>> devices;
-    devices.push_back(std::make_unique<BorrowedDevice>(media.get()));
+    devices.push_back(device != nullptr
+                          ? std::move(device)
+                          : std::make_unique<BorrowedDevice>(media.get()));
     auto recovered =
         LogService::Recover(std::move(devices), clock.get(), options, nullptr);
     EXPECT_TRUE(recovered.ok()) << recovered.status().ToString();
@@ -422,6 +433,364 @@ TEST(IndexConcurrency, ConcurrentColdLocatesBuildTheIndexOnce) {
   for (auto& t : threads) {
     t.join();
   }
+}
+
+// -- I3: index-planned read passes --
+
+// A view of the media that records every device read pass as (first
+// block, block count).
+class PassRecorder : public BorrowedDevice {
+ public:
+  using BorrowedDevice::BorrowedDevice;
+  Status ReadBlock(uint64_t i, std::span<std::byte> out) override {
+    if (!in_pass_) {
+      passes.emplace_back(i, 1);
+    }
+    return BorrowedDevice::ReadBlock(i, out);
+  }
+  Result<uint64_t> ReadBlocks(uint64_t first, uint64_t count,
+                              std::span<std::byte> out) override {
+    passes.emplace_back(first, count);
+    in_pass_ = true;  // the base splits the pass into ReadBlock calls
+    auto got = BorrowedDevice::ReadBlocks(first, count, out);
+    in_pass_ = false;
+    return got;
+  }
+  uint64_t blocks() const {
+    uint64_t total = 0;
+    for (const auto& pass : passes) {
+      total += pass.second;
+    }
+    return total;
+  }
+
+  std::vector<std::pair<uint64_t, uint64_t>> passes;
+
+ private:
+  bool in_pass_ = false;
+};
+
+// Smaller than every PlannedReadRig volume, so scans miss.
+constexpr size_t kPlannedCacheBlocks = 48;
+
+// A 4 KiB-block volume of 12 Zipf-skewed files: /f0 is the hottest and
+// has two sublogs, 1 in 8 entries is also a member of a second file, and
+// 1 in 40 is large enough to fragment across blocks.
+DualRig PlannedReadRig(uint64_t seed) {
+  Rng rng(seed);
+  DualRig rig = DualRig::Make(/*block_size=*/4096, /*degree=*/16,
+                              /*files=*/10);
+  for (const char* sub : {"/f0/a", "/f0/b"}) {
+    EXPECT_TRUE(rig.service->CreateLogFile(sub).ok());
+    rig.paths.push_back(sub);
+  }
+  std::vector<double> cdf;
+  double total = 0;
+  for (size_t k = 0; k < rig.paths.size(); ++k) {
+    total += 1.0 / static_cast<double>(k + 1);
+    cdf.push_back(total);
+  }
+  for (int i = 0; i < 3000; ++i) {
+    size_t k = static_cast<size_t>(
+        std::lower_bound(cdf.begin(), cdf.end(), rng.NextDouble() * total) -
+        cdf.begin());
+    const std::string& path = rig.paths[std::min(k, rig.paths.size() - 1)];
+    size_t size = rng.Chance(1, 40) ? 5000 + rng.Below(5000)
+                                    : 64 + rng.Below(449);
+    WriteOptions opts;
+    opts.timestamped = true;
+    opts.force = rng.Chance(1, 64);
+    if (rng.Chance(1, 8)) {
+      auto other = rig.service->Resolve(rig.paths[rng.Below(rig.paths.size())]);
+      EXPECT_TRUE(other.ok());
+      opts.extra_memberships.push_back(other.value());
+    }
+    auto result = rig.service->Append(path, RandomPayload(&rng, size), opts);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    rig.stamps.emplace_back(path, result.value().timestamp);
+  }
+  EXPECT_TRUE(rig.service->Force().ok());
+  return rig;
+}
+
+std::string Describe(const Result<std::optional<LogEntryRecord>>& r) {
+  if (!r.ok()) {
+    return "error " + r.status().ToString();
+  }
+  if (!r.value().has_value()) {
+    return "end";
+  }
+  const LogEntryRecord& e = *r.value();
+  return std::to_string(e.position.block) + ":" +
+         std::to_string(e.position.index_in_block) + " ts " +
+         std::to_string(e.timestamp) + " len " +
+         std::to_string(e.payload.size()) + " hash " +
+         std::to_string(std::hash<std::string>{}(ToString(e.payload)));
+}
+
+// Seeks a reader of `id` to `t` (or, when t is 0, to the start) and
+// describes up to `steps` Next (forward) or Prev results.
+std::vector<std::string> Sweep(LogService* service, LogFileId id, Timestamp t,
+                               bool forward, int steps = 32) {
+  std::vector<std::string> out;
+  auto reader = service->OpenReaderById(id);
+  if (!reader.ok()) {
+    return {"open " + reader.status().ToString()};
+  }
+  if (t == 0) {
+    (*reader)->SeekToStart();
+  } else {
+    Status seek = (*reader)->SeekToTime(t);
+    out.push_back(seek.ok() ? "seek" : "seek " + seek.ToString());
+  }
+  for (int i = 0; i < steps; ++i) {
+    auto r = forward ? (*reader)->Next() : (*reader)->Prev();
+    out.push_back(Describe(r));
+    if (!r.ok() || !r.value().has_value()) {
+      break;
+    }
+  }
+  return out;
+}
+
+// Index-on and index-off read companions over the rig's media, each with
+// a pass recorder and a cache smaller than the volume. Both caches start
+// in the same state: the index build's full pass leaves the volume's tail
+// cached, and the walk gets the same pass.
+struct PlannedPair {
+  PassRecorder* on = nullptr;
+  PassRecorder* off = nullptr;
+  std::unique_ptr<LogService> indexed;
+  std::unique_ptr<LogService> walked;
+
+  static PlannedPair Make(DualRig* rig) {
+    PlannedPair pair;
+    auto on = std::make_unique<PassRecorder>(rig->media.get());
+    auto off = std::make_unique<PassRecorder>(rig->media.get());
+    pair.on = on.get();
+    pair.off = off.get();
+    pair.indexed = rig->Remount(true, std::move(on), kPlannedCacheBlocks);
+    pair.walked = rig->Remount(false, std::move(off), kPlannedCacheBlocks);
+    EXPECT_TRUE(pair.vi()->EnsureExtentIndex().ok());
+    EXPECT_NE(pair.vi()->extent_index(), nullptr);
+    for (uint64_t b = 1; b < pair.vw()->end_block(); ++b) {
+      (void)pair.vw()->GetBlock(b, nullptr);
+    }
+    pair.on->passes.clear();
+    pair.off->passes.clear();
+    return pair;
+  }
+  LogVolume* vi() { return indexed->current_volume(); }
+  LogVolume* vw() { return walked->current_volume(); }
+};
+
+// Random (file, t) queries: SeekToTime then 32 Next, and SeekToTime then
+// 32 Prev, return the same with the index on and off. With it on, every
+// multi-block pass (only forward scans read ahead) ends at a block holding
+// the scanned file, unless the index could not rule on the window — then
+// the pass is the untrimmed window — and the indexed side reads no more
+// blocks in total. Returns the number of untrimmed passes.
+int CheckPlannedScans(DualRig* rig, Rng* rng, int queries) {
+  PlannedPair pair = PlannedPair::Make(rig);
+  LogVolume* vi = pair.vi();
+  const uint64_t end = vi->end_block();
+  const uint32_t window = vi->readahead_blocks();
+  EXPECT_EQ(window, LogServiceOptions{}.readahead_blocks);
+  std::vector<std::pair<LogFileId, uint64_t>> pass_ends;
+  int untrimmed = 0;
+  for (int q = 0; q < queries; ++q) {
+    const std::string& path = rig->paths[rng->Below(rig->paths.size())];
+    Timestamp t = rig->stamps[rng->Below(rig->stamps.size())].second +
+                  (rng->Chance(1, 2) ? 0 : 3);
+    auto id = pair.indexed->Resolve(path);
+    EXPECT_TRUE(id.ok());
+    for (bool forward : {true, false}) {
+      const size_t first_pass = pair.on->passes.size();
+      EXPECT_EQ(Sweep(pair.indexed.get(), *id, t, forward),
+                Sweep(pair.walked.get(), *id, t, forward))
+          << path << " t=" << t << (forward ? " Next" : " Prev");
+      for (size_t i = first_pass; i < pair.on->passes.size(); ++i) {
+        const auto [first, count] = pair.on->passes[i];
+        if (count == 1) {
+          continue;
+        }
+        EXPECT_TRUE(forward) << "readahead outside a forward scan";
+        EXPECT_LE(count, window + 1u);
+        const uint64_t limit = std::min<uint64_t>(first + window + 1, end);
+        const ExtentIndex* idx = vi->PlanningIndex(*id, first, limit);
+        if (idx == nullptr || !idx->PrevBlockWith(*id, limit).authoritative) {
+          EXPECT_EQ(count, limit - first) << "fallback must read blindly";
+          ++untrimmed;
+        } else {
+          pass_ends.emplace_back(*id, first + count - 1);
+        }
+      }
+    }
+  }
+  EXPECT_LE(pair.on->blocks(), pair.off->blocks());
+  EXPECT_FALSE(pass_ends.empty());
+  // Ground truth from the walk: each planned pass ends at a file block.
+  for (const auto& [id, last] : pass_ends) {
+    auto holder = pair.vw()->NextBlockWith(id, last, nullptr);
+    EXPECT_TRUE(holder.ok());
+    EXPECT_EQ(holder.value(), std::optional<uint64_t>(last))
+        << "pass read past file " << id << "'s last block in the window";
+  }
+  return untrimmed;
+}
+
+TEST(IndexPlannedReads, ScansMatchTheWalkAndEndPassesAtTheFile) {
+  DualRig rig = PlannedReadRig(0x5CA7);
+  Rng rng(0x9A55);
+  EXPECT_EQ(CheckPlannedScans(&rig, &rng, 60), 0);
+}
+
+// A quarantined block is one the index cannot rule on: scans return what
+// the walk returns, and a pass whose window spans it reads the untrimmed
+// window.
+TEST(IndexPlannedReads, QuarantinedBlockFallsBackToTheFullWindow) {
+  DualRig rig = PlannedReadRig(0x0BAD);
+  LogVolume* live = rig.service->current_volume();
+  const uint64_t q = live->end_block() / 2;
+  ASSERT_OK_AND_ASSIGN(LogFileId hot, rig.service->Resolve("/f0"));
+  ASSERT_NE(live->PlanningIndex(hot, q - 1, q + 1), nullptr);
+  ASSERT_OK(rig.service->QuarantineBlock(live->header().volume_index, q));
+  ASSERT_OK(rig.service->Force());
+  // Live, the index's burn-time marks predate the verdict: no plan spans q.
+  EXPECT_EQ(live->PlanningIndex(hot, q - 1, q + 1), nullptr);
+  EXPECT_NE(live->PlanningIndex(hot, q + 1, q + 2), nullptr);
+
+  Rng rng(0xF00D);
+  CheckPlannedScans(&rig, &rng, 40);
+
+  // Remounted, the rebuild also records q as a hole. A forward-scan miss
+  // whose window spans q reads the whole window.
+  PlannedPair pair = PlannedPair::Make(&rig);
+  LogVolume* vi = pair.vi();
+  EXPECT_EQ(vi->extent_index()->hole_count(), 1u);
+  const uint64_t b = q - 1;
+  const uint64_t limit =
+      std::min<uint64_t>(b + vi->readahead_blocks() + 1, vi->end_block());
+  EXPECT_EQ(vi->PlanningIndex(hot, b, limit), nullptr);
+  ASSERT_OK(vi->GetBlock(b, nullptr, hot).status());
+  ASSERT_EQ(pair.on->passes.size(), 1u);
+  EXPECT_EQ(pair.on->passes[0],
+            (std::pair<uint64_t, uint64_t>(b, limit - b)));
+}
+
+// The volume-sequence and entrymap logs are not in the index: the index
+// never plans their reads, so a miss reads the untrimmed window, and their
+// scans and seeks return what the walk returns.
+TEST(IndexPlannedReads, UntrackedLogsScanWithTheFullWindow) {
+  DualRig rig = PlannedReadRig(0xE4A9);
+  PlannedPair pair = PlannedPair::Make(&rig);
+  LogVolume* vi = pair.vi();
+  const uint32_t window = vi->readahead_blocks();
+  uint64_t b = vi->end_block() / 3;  // cold: the cache holds the tail
+  for (LogFileId id : {kEntrymapLogId, kVolumeSeqLogId}) {
+    EXPECT_EQ(vi->PlanningIndex(id, b, b + 1), nullptr) << id;
+    pair.on->passes.clear();
+    ASSERT_OK(vi->GetBlock(b, nullptr, id).status());
+    ASSERT_EQ(pair.on->passes.size(), 1u) << id;
+    EXPECT_EQ(pair.on->passes[0],
+              (std::pair<uint64_t, uint64_t>(b, window + 1)))
+        << id;
+    b += window + 1;
+  }
+  const Timestamp mid = rig.stamps[rig.stamps.size() / 2].second;
+  for (LogFileId id : {kEntrymapLogId, kVolumeSeqLogId}) {
+    std::vector<std::string> from_start =
+        Sweep(pair.indexed.get(), id, 0, true, 400);
+    EXPECT_GT(from_start.size(), 5u) << id;
+    EXPECT_EQ(from_start, Sweep(pair.walked.get(), id, 0, true, 400)) << id;
+    for (bool forward : {true, false}) {
+      EXPECT_EQ(Sweep(pair.indexed.get(), id, mid, forward),
+                Sweep(pair.walked.get(), id, mid, forward))
+          << id << (forward ? " Next" : " Prev");
+    }
+  }
+}
+
+// A seek the index can place without the landing block reads nothing;
+// the following Next and Prev return what the index-off walk returns. A
+// seek into the staged tail still serves that block from memory.
+TEST(IndexPlannedReads, SeekOntoABlockWithoutTheFileReadsNothing) {
+  DualRig rig = PlannedReadRig(0x5EE4);
+  PlannedPair pair = PlannedPair::Make(&rig);
+  LogVolume* vi = pair.vi();
+  LogVolume* vw = pair.vw();
+  const ExtentIndex* idx = vi->extent_index();
+  int seeks = 0;
+  for (const char* path : {"/f3", "/f8", "/f0/b"}) {
+    ASSERT_OK_AND_ASSIGN(LogFileId id, pair.indexed->Resolve(path));
+    // A block without the file whose leading stamp lands the seek on it.
+    std::optional<Timestamp> t;
+    for (uint64_t b = vi->end_block() / 3; b < vi->end_block() && !t; ++b) {
+      ExtentIndex::Lookup next = idx->NextBlockWith(id, b);
+      if (!next.authoritative || next.block == b) {
+        continue;
+      }
+      ASSERT_OK_AND_ASSIGN(ParsedBlock parsed, vw->GetBlock(b, nullptr));
+      std::optional<Timestamp> lead = parsed.FirstTimestamp();
+      if (lead.has_value() &&
+          vi->FindBlockByTime(*lead, nullptr).value() ==
+              std::optional<uint64_t>(b)) {
+        t = lead;
+      }
+    }
+    ASSERT_TRUE(t.has_value()) << path;
+    for (bool forward : {true, false}) {
+      VolumeCursor indexed(vi, id);
+      VolumeCursor walked(vw, id);
+      const size_t passes_before = pair.on->passes.size();
+      OpStats stats;
+      ASSERT_OK_AND_ASSIGN(bool found, indexed.SeekToTime(*t, &stats));
+      EXPECT_TRUE(found);
+      EXPECT_EQ(stats.blocks_read, 0u) << path;
+      EXPECT_EQ(pair.on->passes.size(), passes_before) << path;
+      ASSERT_OK_AND_ASSIGN(bool found_walked, walked.SeekToTime(*t, nullptr));
+      EXPECT_EQ(found, found_walked);
+      for (int i = 0; i < 32; ++i) {
+        auto got = forward ? indexed.Next(nullptr) : indexed.Prev(nullptr);
+        auto want = forward ? walked.Next(nullptr) : walked.Prev(nullptr);
+        ASSERT_EQ(Describe(got), Describe(want))
+            << path << (forward ? " Next " : " Prev ") << i;
+        if (!got.ok() || !got.value().has_value()) {
+          break;
+        }
+      }
+      ++seeks;
+    }
+  }
+  EXPECT_EQ(seeks, 6);
+
+  // The staged tail: three unforced entries share the staging block.
+  ASSERT_OK_AND_ASSIGN(LogFileId hot, rig.service->Resolve("/f0"));
+  std::vector<Timestamp> staged;
+  for (const char* text : {"one", "two", "three"}) {
+    WriteOptions opts;
+    opts.timestamped = true;
+    ASSERT_OK_AND_ASSIGN(AppendResult appended,
+                         rig.service->Append("/f0", AsBytes(text), opts));
+    staged.push_back(appended.timestamp);
+  }
+  LogVolume* live = rig.service->current_volume();
+  ASSERT_TRUE(live->writer()->has_staged_entries());
+  const uint64_t reads_before = rig.media->stats().reads.load();
+  VolumeCursor cursor(live, hot);
+  OpStats stats;
+  ASSERT_OK_AND_ASSIGN(bool found, cursor.SeekToTime(staged[1], &stats));
+  EXPECT_TRUE(found);
+  EXPECT_EQ(stats.blocks_read, 1u);
+  EXPECT_EQ(stats.cache_hits, 1u);
+  ASSERT_OK_AND_ASSIGN(auto prev, cursor.Prev(nullptr));
+  ASSERT_TRUE(prev.has_value());
+  EXPECT_EQ(ToString(prev->payload), "two");
+  ASSERT_OK(cursor.Next(nullptr).status());  // "two" again
+  ASSERT_OK_AND_ASSIGN(auto next, cursor.Next(nullptr));
+  ASSERT_TRUE(next.has_value());
+  EXPECT_EQ(ToString(next->payload), "three");
+  EXPECT_EQ(rig.media->stats().reads.load(), reads_before);
 }
 
 }  // namespace
