@@ -128,7 +128,10 @@ void Measure(uint16_t degree, const std::vector<uint64_t>& sizes) {
 // only the post-checkpoint suffix. The summary ratios (restart time and
 // device reads over the full-scan cell) are gated as absolute ceilings
 // in the bench-smoke CI job: checkpointed restart must be flat or better
-// than scan recovery outright.
+// than scan recovery outright. So is the replay's device passes per
+// replayed block: the suffix is contiguous, so read-ahead fetches it in
+// passes of up to readahead_blocks + 1 blocks. It is a pass count, free of
+// timing noise.
 void MeasureCheckpointRestart(BenchReport* report) {
   const uint16_t degree = 16;
   const uint64_t target = FastMode() ? 4000 : 20000;
@@ -201,6 +204,14 @@ void MeasureCheckpointRestart(BenchReport* report) {
   }
   double time_ratio = scan_us > 0 ? ckpt_us / scan_us : 0.0;
   double read_ratio = scan_reads > 0 ? ckpt_reads / scan_reads : 0.0;
+  const double replay_passes =
+      static_cast<double>(ckpt_rep.tail_scan_device_reads);
+  const double replay_blocks =
+      static_cast<double>(ckpt_rep.checkpoint_replay_blocks);
+  if (replay_blocks == 0) {
+    BENCH_CHECK_OK(Internal("checkpoint restart replayed no blocks"));
+  }
+  double passes_per_block = replay_passes / replay_blocks;
 
   std::printf("\ncheckpoint restart vs full-scan recovery, N=%u, b=%" PRIu64
               " blocks:\n",
@@ -214,9 +225,10 @@ void MeasureCheckpointRestart(BenchReport* report) {
   std::printf("%-20s | %-12.0f | %-14.0f | %" PRIu64 "\n",
               "checkpoint restart", ckpt_us, ckpt_reads,
               ckpt_rep.checkpoint_replay_blocks);
-  std::printf("restart_vs_scan_ratio: %.3f  recovery_read_ratio: %.3f "
-              "(CI ceilings: 1.0 / 0.5)\n",
-              time_ratio, read_ratio);
+  std::printf("restart_vs_scan_ratio: %.3f  recovery_read_ratio: %.3f  "
+              "replay_passes_per_block: %.3f (%.0f passes) "
+              "(CI ceilings: 1.0 / 0.5 / 0.1)\n",
+              time_ratio, read_ratio, passes_per_block, replay_passes);
 
   report->AddMean("full_scan", 1, scan_us);
   report->AddCounter("full_scan", "tail_scan_blocks",
@@ -226,8 +238,10 @@ void MeasureCheckpointRestart(BenchReport* report) {
   report->AddCounter("checkpoint_restart", "replay_blocks",
                      static_cast<double>(ckpt_rep.checkpoint_replay_blocks));
   report->AddCounter("checkpoint_restart", "device_reads", ckpt_reads);
+  report->AddCounter("checkpoint_restart", "replay_passes", replay_passes);
   report->AddCounter("summary", "restart_vs_scan_ratio", time_ratio);
   report->AddCounter("summary", "recovery_read_ratio", read_ratio);
+  report->AddCounter("summary", "replay_passes_per_block", passes_per_block);
 }
 
 }  // namespace

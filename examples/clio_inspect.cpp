@@ -104,6 +104,7 @@ int main(int argc, char** argv) {
   RecoveryReport recovery;
   auto volume = LogVolume::Open(device.value().get(), &cache, 0, &catalog,
                                 &clock, nullptr, /*writable=*/false,
+                                LogServiceOptions{}.readahead_blocks,
                                 &recovery);
   CHECK_OK(volume.status());
   LogVolume& v = *volume.value();

@@ -145,8 +145,8 @@ Result<std::unique_ptr<LogService>> LogService::Create(
       auto volume,
       LogVolume::Format(first_device.get(), service->cache_.get(),
                         /*cache_device_id=*/0, &service->catalog_, clock,
-                        service->options_.nvram, format));
-  volume->set_readahead_blocks(service->options_.readahead_blocks);
+                        service->options_.nvram, format,
+                        service->options_.readahead_blocks));
   service->ConfigureVolumeIndex(volume.get());
   service->devices_.push_back(std::move(first_device));
   service->volumes_.push_back(std::move(volume));
@@ -183,7 +183,8 @@ Result<std::unique_ptr<LogService>> LogService::Recover(
         LogVolume::Open(devices[i].get(), service->cache_.get(),
                         /*cache_device_id=*/i, &service->catalog_, clock,
                         writable ? options.nvram : nullptr, writable,
-                        &volume_report, /*replay_catalog=*/true,
+                        service->options_.readahead_blocks, &volume_report,
+                        /*replay_catalog=*/true,
                         writable ? checkpoint_ptr : nullptr));
     if (volume->header().volume_index != i) {
       return Corrupt("volume " + std::to_string(i) +
@@ -199,6 +200,7 @@ Result<std::unique_ptr<LogService>> LogService::Recover(
     if (report != nullptr) {
       report->end_location_reads += volume_report.end_location_reads;
       report->tail_scan_blocks += volume_report.tail_scan_blocks;
+      report->tail_scan_device_reads += volume_report.tail_scan_device_reads;
       report->catalog_replay_blocks += volume_report.catalog_replay_blocks;
       report->invalidated_blocks += volume_report.invalidated_blocks;
       report->restored_nvram_tail |= volume_report.restored_nvram_tail;
@@ -213,7 +215,6 @@ Result<std::unique_ptr<LogService>> LogService::Recover(
       // The restored coverage is as fresh as a just-written checkpoint.
       service->last_checkpoint_block_ = checkpoint.covered_end;
     }
-    volume->set_readahead_blocks(service->options_.readahead_blocks);
     service->ConfigureVolumeIndex(volume.get());
     service->volumes_.push_back(std::move(volume));
     service->volume_slots_.emplace_back(service->volumes_.back().get());
@@ -329,7 +330,7 @@ Status LogService::RollToNewVolume() {
       auto volume,
       LogVolume::Format(device.get(), cache_.get(),
                         /*cache_device_id=*/next_index, &catalog_, clock_,
-                        options_.nvram, format));
+                        options_.nvram, format, options_.readahead_blocks));
   // Seed the successor's catalog log so the new volume is self-describing
   // (each log file is "totally contained in one log volume sequence").
   WriteOptions opts;
@@ -341,7 +342,6 @@ Status LogService::RollToNewVolume() {
       return appended.status();
     }
   }
-  volume->set_readahead_blocks(options_.readahead_blocks);
   ConfigureVolumeIndex(volume.get());
   // The sidecar checkpoint described the sealed predecessor; recovery
   // validates volume_index before trusting one, but clearing keeps the
@@ -457,13 +457,12 @@ Result<LogVolume*> LogService::VolumeForRead(size_t index) {
   CLIO_ASSIGN_OR_RETURN(
       auto volume,
       LogVolume::Open(device.get(), cache_.get(), index, &catalog_, clock_,
-                      nullptr, /*writable=*/false, &report,
-                      /*replay_catalog=*/false));
+                      nullptr, /*writable=*/false, options_.readahead_blocks,
+                      &report, /*replay_catalog=*/false));
   if (volume->header().sequence_id != options_.sequence_id ||
       volume->header().volume_index != index) {
     return Corrupt("mounted device holds the wrong volume");
   }
-  volume->set_readahead_blocks(options_.readahead_blocks);
   ConfigureVolumeIndex(volume.get());
   on_demand_mounts_.fetch_add(1, std::memory_order_relaxed);
   devices_[index] = std::move(device);

@@ -1,7 +1,6 @@
 #include "src/clio/volume.h"
 
 #include <algorithm>
-#include <set>
 #include <string>
 #include <utility>
 
@@ -28,19 +27,21 @@ bool AnyBitSet(const Bytes& bitmap) {
 
 LogVolume::LogVolume(WormDevice* device, BlockCache* cache,
                      uint64_t cache_device_id, Catalog* catalog,
-                     TimeSource* clock, const VolumeHeader& header)
+                     TimeSource* clock, const VolumeHeader& header,
+                     uint32_t readahead_blocks)
     : device_(device),
       blocks_(device, cache, cache_device_id),
       catalog_(catalog),
       clock_(clock),
       header_(header),
       geometry_(header.entrymap_degree, device->capacity_blocks()),
-      accumulator_(&geometry_) {}
+      accumulator_(&geometry_),
+      readahead_blocks_(readahead_blocks) {}
 
 Result<std::unique_ptr<LogVolume>> LogVolume::Format(
     WormDevice* device, BlockCache* cache, uint64_t cache_device_id,
     Catalog* catalog, TimeSource* clock, NvramTail* nvram,
-    const FormatOptions& options) {
+    const FormatOptions& options, uint32_t readahead_blocks) {
   auto end = device->QueryEnd();
   if (end.ok() && end.value() != 0) {
     return FailedPrecondition("device is not virgin; refusing to format");
@@ -67,7 +68,8 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Format(
   }
 
   std::unique_ptr<LogVolume> volume(new LogVolume(
-      device, cache, cache_device_id, catalog, clock, header));
+      device, cache, cache_device_id, catalog, clock, header,
+      readahead_blocks));
   volume->accumulator_ready_ = true;
   volume->end_block_ = 1;
   volume->chain_seed_ = ChainSeed(header_image);
@@ -130,7 +132,7 @@ Result<uint64_t> LogVolume::LocateEnd(WormDevice* device, OpStats* stats) {
 Result<std::unique_ptr<LogVolume>> LogVolume::Open(
     WormDevice* device, BlockCache* cache, uint64_t cache_device_id,
     Catalog* catalog, TimeSource* clock, NvramTail* nvram, bool writable,
-    RecoveryReport* report, bool replay_catalog,
+    uint32_t readahead_blocks, RecoveryReport* report, bool replay_catalog,
     const CheckpointState* checkpoint) {
   // Step 0: the volume header fixes geometry for everything below.
   Bytes header_block(device->block_size());
@@ -139,7 +141,8 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
                         VolumeHeader::Decode(header_block));
 
   std::unique_ptr<LogVolume> volume(new LogVolume(
-      device, cache, cache_device_id, catalog, clock, header));
+      device, cache, cache_device_id, catalog, clock, header,
+      readahead_blocks));
 
   // Step 1: locate the end of the written portion.
   OpStats end_stats;
@@ -223,6 +226,7 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
         report->restored_checkpoint = true;
         report->checkpoint_replay_blocks = end - checkpoint->covered_end;
         report->tail_scan_blocks = replay_stats.blocks_read;
+        report->tail_scan_device_reads = replay_stats.device_reads;
       }
     } else {
       // A partial restore may have imported pending nodes; start over.
@@ -242,6 +246,7 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
         volume->RebuildAccumulator(&accumulator, &tail_stats));
     if (report != nullptr) {
       report->tail_scan_blocks = tail_stats.blocks_read;
+      report->tail_scan_device_reads = tail_stats.device_reads;
     }
     OpStats ts_stats;
     CLIO_RETURN_IF_ERROR(volume->ComputeRecoveredMaxTimestamp(&ts_stats));
@@ -342,10 +347,11 @@ Status LogVolume::RebuildAccumulator(EntrymapAccumulator* acc,
   }
   const uint16_t n = geometry_.degree();
 
-  // Level 1: scan the blocks since the last written level-1 home.
+  // Level 1: scan the blocks since the last written level-1 home, a
+  // contiguous run read in read-ahead passes.
   uint64_t h1 = ((end - 1) / n) * n;
   for (uint64_t b = std::max<uint64_t>(h1, 1); b < end; ++b) {
-    auto parsed = GetBlock(b, stats);
+    auto parsed = ScanBlock(b, end, stats);
     if (!parsed.ok()) {
       continue;  // invalidated / torn blocks contribute nothing
     }
@@ -444,18 +450,20 @@ Status LogVolume::ComputeRecoveredMaxTimestamp(OpStats* stats) {
 
 std::vector<LogFileId> LogVolume::BlockMarkIds(const ParsedBlock& parsed)
     const {
-  std::set<LogFileId> ids;
+  std::vector<LogFileId> ids;
   for (const ParsedEntry& e : parsed.entries()) {
     for (LogFileId id : catalog_->SelfAndAncestors(e.logfile_id)) {
-      ids.insert(id);
+      ids.push_back(id);
     }
     for (LogFileId extra : e.extra_ids) {
       for (LogFileId id : catalog_->SelfAndAncestors(extra)) {
-        ids.insert(id);
+        ids.push_back(id);
       }
     }
   }
-  return std::vector<LogFileId>(ids.begin(), ids.end());
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
 }
 
 Result<ParsedBlock> LogVolume::ScanBlock(uint64_t block, uint64_t limit,
@@ -465,10 +473,8 @@ Result<ParsedBlock> LogVolume::ScanBlock(uint64_t block, uint64_t limit,
   }
   static Counter* rebuild_readahead =
       ObsRegistry().counter("clio.index.rebuild_readahead_blocks");
-  auto image = readahead_blocks_ > 0
-                   ? blocks_.FetchSequential(block, limit, readahead_blocks_,
-                                             stats, rebuild_readahead)
-                   : blocks_.Fetch(block, stats);
+  auto image = blocks_.FetchSequential(block, limit, readahead_blocks_, stats,
+                                       rebuild_readahead);
   if (!image.ok()) {
     return image.status();
   }

@@ -15,7 +15,8 @@
 //  - Open() performs the §2.3.1/§3.4 recovery: locate the end of the
 //    written portion (device query, else binary search), replay the catalog
 //    log, reconstruct the un-logged tail of the entrymap accumulators, and
-//    restore any NVRAM-staged tail block.
+//    restore any NVRAM-staged tail block. Its contiguous scans read in
+//    read-ahead passes, so a restart costs device passes, not blocks.
 //
 // Entrymap information is treated as what the paper says it is — a
 // redundant cache: a missing or displaced entrymap entry degrades searches
@@ -51,6 +52,9 @@ namespace clio {
 struct RecoveryReport {
   uint64_t end_location_reads = 0;   // step 1: finding the written end
   uint64_t tail_scan_blocks = 0;     // step 2: entrymap reconstruction
+  // Device passes step 2 (or the checkpoint replay) took: with read-ahead
+  // one pass fetches up to readahead_blocks + 1 contiguous blocks.
+  uint64_t tail_scan_device_reads = 0;
   uint64_t catalog_replay_blocks = 0;  // step 3 (approximate: via OpStats)
   uint64_t invalidated_blocks = 0;   // trailing garbage burned to 1s
   bool restored_nvram_tail = false;
@@ -70,10 +74,12 @@ class LogVolume {
   };
 
   // Formats a fresh volume on an empty device (burns the header block).
+  // `readahead_blocks` is the forward-scan read-ahead depth (see
+  // readahead_blocks()).
   static Result<std::unique_ptr<LogVolume>> Format(
       WormDevice* device, BlockCache* cache, uint64_t cache_device_id,
       Catalog* catalog, TimeSource* clock, NvramTail* nvram,
-      const FormatOptions& options);
+      const FormatOptions& options, uint32_t readahead_blocks);
 
   // Opens an existing volume, running crash recovery. `writable` volumes
   // get a writer positioned at the recovered end. The catalog is replayed
@@ -88,10 +94,16 @@ class LogVolume {
   // recovery restores catalog + accumulator + extent index from it and
   // replays only [checkpoint->covered_end, end) instead of the full §3.4
   // scan. A stale or unusable checkpoint silently falls back to the scan.
+  //
+  // `readahead_blocks` is the volume's read-ahead depth, in force from the
+  // start: recovery's contiguous scans (the checkpoint replay and the
+  // level-1 tail scan) read up to readahead_blocks + 1 blocks per device
+  // pass, never past the recovered end. 0 reads one block per pass.
   static Result<std::unique_ptr<LogVolume>> Open(
       WormDevice* device, BlockCache* cache, uint64_t cache_device_id,
       Catalog* catalog, TimeSource* clock, NvramTail* nvram, bool writable,
-      RecoveryReport* report, bool replay_catalog = true,
+      uint32_t readahead_blocks, RecoveryReport* report,
+      bool replay_catalog = true,
       const CheckpointState* checkpoint = nullptr);
 
   const VolumeHeader& header() const { return header_; }
@@ -143,9 +155,9 @@ class LogVolume {
 
   // Forward-scan readahead depth: how many blocks past a forward-scan
   // cache miss may be fetched in the same device pass. 0 disables.
-  // Set by the owning LogService from LogServiceOptions::readahead_blocks.
+  // Fixed by Format / Open; the owning LogService passes
+  // LogServiceOptions::readahead_blocks.
   uint32_t readahead_blocks() const { return readahead_blocks_; }
-  void set_readahead_blocks(uint32_t blocks) { readahead_blocks_ = blocks; }
 
   // The extent index when it may plan reads of `id` over the burned
   // blocks [lo, hi) without touching the device: it is ready and covers
@@ -222,7 +234,8 @@ class LogVolume {
 
  private:
   LogVolume(WormDevice* device, BlockCache* cache, uint64_t cache_device_id,
-            Catalog* catalog, TimeSource* clock, const VolumeHeader& header);
+            Catalog* catalog, TimeSource* clock, const VolumeHeader& header,
+            uint32_t readahead_blocks);
 
   // Recovery steps (§3.4).
   static Result<uint64_t> LocateEnd(WormDevice* device, OpStats* stats);
@@ -240,9 +253,10 @@ class LogVolume {
                                         OpStats* stats);
 
   // Quarantine-aware sequential fetch+parse for bulk internal scans
-  // (index rebuild, checkpoint replay). Readahead charges the
-  // clio.index.rebuild_readahead_blocks counter, not the demand-path
-  // clio.cache.readahead_blocks.
+  // (index rebuild, checkpoint replay, level-1 tail scan): a miss reads up
+  // to readahead_blocks() + 1 blocks below `limit` in one device pass.
+  // Readahead charges the clio.index.rebuild_readahead_blocks counter, not
+  // the demand-path clio.cache.readahead_blocks.
   Result<ParsedBlock> ScanBlock(uint64_t block, uint64_t limit,
                                 OpStats* stats);
 
@@ -299,7 +313,7 @@ class LogVolume {
   EntrymapAccumulator accumulator_;          // used when read-only
   bool accumulator_ready_ = false;
   uint64_t end_block_ = 1;  // burned end for read-only volumes
-  uint32_t readahead_blocks_ = 0;
+  const uint32_t readahead_blocks_;
   bool sealed_ = false;
   Timestamp recovered_max_timestamp_ = 0;
   std::optional<uint64_t> chain_head_tag_;  // read-only chained volumes

@@ -52,6 +52,12 @@ int64_t UnZigZag(uint64_t v) {
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
 }
 
+// Capacity for a decoded vector of `n` elements that is about to grow: a
+// checkpoint restore replays the suffix past covered_end through
+// MarkBlock, and an exact-size vector would reallocate and copy on its
+// first append.
+uint64_t WithHeadroom(uint64_t n) { return n + n / 8 + 16; }
+
 }  // namespace
 
 void ExtentIndex::MarkBlock(uint64_t block,
@@ -318,7 +324,7 @@ Result<ExtentIndex> ExtentIndex::Deserialize(std::span<const std::byte> blob) {
       return Corrupt("extent index: bad file record");
     }
     RunList runs;
-    runs.reserve(run_count);
+    runs.reserve(WithHeadroom(run_count));
     uint64_t prev = 0;
     for (uint64_t i = 0; i < run_count; ++i) {
       uint64_t gap = 0;
@@ -336,7 +342,8 @@ Result<ExtentIndex> ExtentIndex::Deserialize(std::span<const std::byte> blob) {
   if (!GetVarint(&r, &ts_count) || ts_count > covered_end) {
     return Corrupt("extent index: bad timestamp vector");
   }
-  index.leading_ts_.reserve(ts_count);
+  index.leading_ts_.reserve(WithHeadroom(ts_count));
+  index.prefix_max_ts_.reserve(WithHeadroom(ts_count));
   uint64_t prev_block = 0;
   Timestamp prev_ts = 0;
   for (uint64_t i = 0; i < ts_count; ++i) {

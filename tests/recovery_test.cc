@@ -12,6 +12,7 @@
 #include "src/device/fault_injection.h"
 #include "src/device/memory_worm_device.h"
 #include "src/device/nvram_tail.h"
+#include "src/index/checkpoint.h"
 #include "tests/test_util.h"
 
 namespace clio {
@@ -434,6 +435,162 @@ TEST(Recovery, TruncatedCheckpointFallsBackToFullScan) {
   RecoveryReport report = rig.Crash();
   EXPECT_FALSE(report.restored_checkpoint);
   EXPECT_EQ(ReadAll(rig.service.get(), "/wal"), wrote);
+}
+
+// -- Checkpoint replay in read-ahead passes --
+
+// Burns past one checkpoint until ~200 blocks lie beyond its coverage,
+// then crashes and recovers with read-ahead depth `readahead`. The suffix
+// holds a block quarantined before it burned (the replay learns the
+// verdict from the catalog before it reaches the block) and, at the tail,
+// a torn block that recovery invalidates. Deterministic: every call burns
+// identical media.
+struct ReplayCase {
+  std::unique_ptr<NvramTail> nvram = std::make_unique<NvramTail>(512);
+  CrashRig rig;
+  uint64_t covered_end = 0;
+  uint64_t quarantined = 0;
+  uint64_t torn = 0;
+  std::vector<Timestamp> stamps;
+  RecoveryReport report;
+
+  static constexpr const char* kFiles[] = {"/a", "/a/s", "/b"};
+
+  explicit ReplayCase(uint32_t readahead)
+      : rig(CrashRig::Make(/*block_size=*/512, /*capacity=*/4096,
+                           /*degree=*/8, nvram.get(),
+                           /*checkpoint_interval=*/256)) {
+    for (const char* path : kFiles) {
+      EXPECT_OK(rig.service->CreateLogFile(path).status());
+    }
+    Rng rng(0x2E9A);
+    WriteOptions forced;
+    forced.force = true;
+    forced.timestamped = true;
+    auto append = [&] {
+      const char* path = kFiles[rng.Range(0, 2)];
+      auto r = rig.service->Append(
+          path, RandomPayload(&rng, rng.Range(40, 300)), forced);
+      EXPECT_OK(r.status());
+      if (r.ok()) {
+        stamps.push_back(r.value().timestamp);
+      }
+      return r.ok();
+    };
+    while (!nvram->has_checkpoint() && append()) {
+    }
+    auto ck = CheckpointState::Decode(nvram->checkpoint());
+    EXPECT_OK(ck.status());
+    covered_end = ck.ok() ? ck.value().covered_end : 0;
+    quarantined = covered_end + 90;
+    EXPECT_OK(rig.service->QuarantineBlock(0, quarantined));
+    while (rig.devices[0]->frontier() < covered_end + 200 && append()) {
+    }
+    torn = rig.devices[0]->frontier();
+    rig.devices[0]->Scribble(torn, RandomPayload(&rng, 512));
+    rig.options.readahead_blocks = readahead;
+    report = rig.Crash();
+  }
+
+  uint64_t replayed() const { return report.checkpoint_replay_blocks; }
+};
+
+// The checkpoint replay reads its suffix in read-ahead passes, and
+// recovers exactly what a one-block-per-pass replay recovers: the same
+// extent index (holes included), catalog, report counts and query
+// answers.
+TEST(Recovery, CheckpointReplayReadsInPassesAndRecoversTheSameState) {
+  const uint32_t depth = LogServiceOptions{}.readahead_blocks;
+  ASSERT_GT(depth, 0u);
+  ReplayCase on(depth);
+  ReplayCase off(/*readahead=*/0);
+  ASSERT_EQ(on.stamps, off.stamps);  // identical media
+
+  ASSERT_TRUE(on.report.restored_checkpoint);
+  ASSERT_TRUE(off.report.restored_checkpoint);
+  const uint64_t r = on.replayed();
+  ASSERT_GE(r, 200u);
+  ASSERT_EQ(r, off.replayed());
+  EXPECT_EQ(on.covered_end + r, on.torn + 1);  // the torn block is replayed
+  EXPECT_GT(on.quarantined, on.covered_end);
+  EXPECT_LT(on.quarantined, on.torn);
+  EXPECT_EQ(on.report.invalidated_blocks, 1u);
+
+  // At the default depth each pass fetches up to depth + 1 blocks.
+  EXPECT_LE(on.report.tail_scan_device_reads, (r + depth) / (depth + 1) + 1);
+  // With read-ahead off every block is its own pass, except three: the
+  // quarantined block is never read, and the torn-tail and seal checks
+  // that run before the replay left the last two blocks in the cache.
+  EXPECT_EQ(off.report.tail_scan_device_reads, r - 3);
+
+  // Same report block counts.
+  EXPECT_EQ(on.report.end_location_reads, off.report.end_location_reads);
+  EXPECT_EQ(on.report.tail_scan_blocks, off.report.tail_scan_blocks);
+  EXPECT_EQ(on.report.catalog_replay_blocks,
+            off.report.catalog_replay_blocks);
+  EXPECT_EQ(on.report.invalidated_blocks, off.report.invalidated_blocks);
+  EXPECT_EQ(on.report.restored_nvram_tail, off.report.restored_nvram_tail);
+
+  // Same extent index, byte for byte: the quarantined block is the one
+  // hole either way; the invalidated block is not a hole.
+  LogVolume* von = on.rig.service->current_volume();
+  LogVolume* voff = off.rig.service->current_volume();
+  ASSERT_NE(von->extent_index(), nullptr);
+  ASSERT_NE(voff->extent_index(), nullptr);
+  EXPECT_EQ(von->extent_index()->hole_count(), 1u);
+  EXPECT_EQ(von->extent_index()->Serialize(),
+            voff->extent_index()->Serialize());
+
+  // Same catalog.
+  auto encoded = [](const Catalog& catalog) {
+    std::vector<Bytes> out;
+    for (const CatalogRecord& record : catalog.ExportRecords()) {
+      out.push_back(record.Encode());
+    }
+    return out;
+  };
+  EXPECT_EQ(encoded(on.rig.service->catalog()),
+            encoded(off.rig.service->catalog()));
+  EXPECT_TRUE(on.rig.service->catalog().IsQuarantined(0, on.quarantined));
+  EXPECT_EQ(on.rig.service->catalog().quarantined(),
+            off.rig.service->catalog().quarantined());
+
+  // Same answers to SeekToTime + Next, from instants across the volume.
+  // A read that reaches the quarantined block fails the same way on both.
+  auto answers = [](LogService* service, const char* path, Timestamp t) {
+    std::vector<std::string> out;
+    auto reader = service->OpenReader(path);
+    EXPECT_OK(reader.status());
+    Status seek = reader.value()->SeekToTime(t);
+    if (!seek.ok()) {
+      return std::vector<std::string>{seek.ToString()};
+    }
+    for (int n = 0; n < 8; ++n) {
+      auto record = reader.value()->Next();
+      if (!record.ok()) {
+        out.push_back(record.status().ToString());
+        break;
+      }
+      if (!record.value().has_value()) {
+        break;
+      }
+      out.push_back(std::to_string(record.value()->timestamp) + " " +
+                    ToString(record.value()->payload));
+    }
+    return out;
+  };
+  int failed_reads = 0;
+  for (const char* path : ReplayCase::kFiles) {
+    for (size_t i = 0; i < on.stamps.size(); i += on.stamps.size() / 64) {
+      std::vector<std::string> got =
+          answers(on.rig.service.get(), path, on.stamps[i]);
+      EXPECT_FALSE(got.empty()) << path << " from stamp " << i;
+      EXPECT_EQ(got, answers(off.rig.service.get(), path, on.stamps[i]))
+          << path << " from stamp " << i;
+      failed_reads += !got.empty() && got.back().starts_with("corrupt");
+    }
+  }
+  EXPECT_GT(failed_reads, 0);  // some read crossed the quarantined block
 }
 
 // Checkpoints written in one volume must not leak into its successor: a

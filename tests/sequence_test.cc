@@ -151,7 +151,8 @@ TEST(Sequence, CatalogSeedMakesSuccessorSelfDescribing) {
   Catalog catalog;
   auto volume =
       LogVolume::Open(rig.devices.back().get(), &cache, 0, &catalog, &clock,
-                      nullptr, /*writable=*/false, nullptr);
+                      nullptr, /*writable=*/false,
+                      LogServiceOptions{}.readahead_blocks, nullptr);
   ASSERT_TRUE(volume.ok()) << volume.status().ToString();
   ASSERT_OK_AND_ASSIGN(LogFileId id, catalog.Resolve("/early/sub"));
   ASSERT_OK_AND_ASSIGN(LogFileInfo info, catalog.Info(id));

@@ -1,10 +1,13 @@
-// Utility-layer tests: Status/Result, byte codecs, clocks, RNG determinism.
+// Utility-layer tests: Status/Result, byte codecs, CRC32C, clocks, RNG
+// determinism.
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
 #include "src/util/bytes.h"
+#include "src/util/crc32c.h"
+#include "src/util/crc32c_internal.h"
 #include "src/util/rng.h"
 #include "src/util/status.h"
 #include "src/util/time.h"
@@ -111,6 +114,82 @@ TEST(Bytes, ReaderFailsGracefullyOnTruncation) {
   (void)r.GetU32();  // asks for more than present
   EXPECT_TRUE(r.failed());
   EXPECT_EQ(r.GetU64(), 0u);  // stays failed, returns zeros
+}
+
+// RFC 3720 §B.4 test vectors, plus the customary "123456789" check
+// value. Every implementation must produce them.
+TEST(Crc32c, KnownAnswers) {
+  Bytes zeros(32, std::byte{0x00});
+  Bytes ones(32, std::byte{0xFF});
+  Bytes ascending(32);
+  Bytes descending(32);
+  for (int i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<std::byte>(i);
+    descending[i] = static_cast<std::byte>(31 - i);
+  }
+  const Bytes digits = ToBytes("123456789");
+  const std::vector<std::pair<const Bytes*, uint32_t>> vectors = {
+      {&zeros, 0x8A9136AAu},     {&ones, 0x62A8AB43u},
+      {&ascending, 0x46DD794Eu}, {&descending, 0x113FDB5Cu},
+      {&digits, 0xE3069283u},
+  };
+  for (const auto& [data, want] : vectors) {
+    EXPECT_EQ(Crc32c(*data), want);
+    EXPECT_EQ(crc32c_internal::ExtendTable(0, *data), want);
+    if (crc32c_internal::HardwareAvailable()) {
+      EXPECT_EQ(crc32c_internal::ExtendHardware(0, *data), want);
+    }
+  }
+}
+
+// The hardware path must be bit-identical to the table path (the media
+// format depends on it) for every length and start alignment.
+TEST(Crc32c, HardwareMatchesTable) {
+  if (!crc32c_internal::HardwareAvailable()) {
+    GTEST_SKIP() << "no SSE4.2 crc32 instruction on this CPU";
+  }
+  Rng rng(0xC3C3);
+  Bytes buffer(4200 + 8);
+  for (std::byte& b : buffer) {
+    b = static_cast<std::byte>(rng.Next());
+  }
+  const std::span<const std::byte> all(buffer);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 4200; ++length) {
+      const auto data = all.subspan(offset, length);
+      const uint32_t seed = static_cast<uint32_t>(length * 2654435761u);
+      ASSERT_EQ(crc32c_internal::ExtendHardware(seed, data),
+                crc32c_internal::ExtendTable(seed, data))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+// Extending over any split of the input equals one call over all of it.
+TEST(Crc32c, ExtendChainsOverAnySplit) {
+  Rng rng(0x5911);
+  Bytes data(1000);
+  for (std::byte& b : data) {
+    b = static_cast<std::byte>(rng.Next());
+  }
+  const std::span<const std::byte> all(data);
+  const uint32_t whole = Crc32c(all);
+  for (size_t cut = 0; cut <= data.size(); ++cut) {
+    ASSERT_EQ(Crc32cExtend(Crc32c(all.first(cut)), all.subspan(cut)), whole)
+        << "cut " << cut;
+  }
+  // Three pieces, at random cut points.
+  for (int trial = 0; trial < 200; ++trial) {
+    size_t a = rng.Range(0, data.size());
+    size_t b = rng.Range(0, data.size());
+    if (a > b) {
+      std::swap(a, b);
+    }
+    uint32_t crc = Crc32c(all.first(a));
+    crc = Crc32cExtend(crc, all.subspan(a, b - a));
+    crc = Crc32cExtend(crc, all.subspan(b));
+    ASSERT_EQ(crc, whole) << "cuts " << a << ", " << b;
+  }
 }
 
 TEST(Time, NowUniqueStrictlyIncreases) {
