@@ -81,6 +81,11 @@ class BlockBuilder {
     return BlockFooterBytes(chain_tag_.has_value());
   }
 
+  // The packed entry records, back to back in append order, and their
+  // sizes: what the block's chain commit hashes (src/clio/chain.h).
+  std::span<const std::byte> records() const { return data_; }
+  std::span<const uint16_t> record_sizes() const { return sizes_; }
+
   // Bytes still unclaimed by entries, their size slots, and the footer;
   // this is what burns as internal padding if the block is forced early.
   uint32_t free_bytes() const { return FreeBytes(); }

@@ -15,11 +15,27 @@ uint64_t Trunc8(const Sha256Digest& d) {
   return v;
 }
 
-void UpdateU16(Sha256& h, uint16_t v) {
-  std::byte b[2];
-  StoreU16(b, 0, v);
-  h.Update(b);
-}
+// Streams a block commit: the domain and footer fields, then one record
+// digest at a time.
+class CommitHasher {
+ public:
+  CommitHasher(uint16_t count, uint16_t flags, uint16_t used) {
+    std::byte fields[6];
+    StoreU16(fields, 0, count);
+    StoreU16(fields, 2, flags);
+    StoreU16(fields, 4, used);
+    h_.Update(AsBytes(kBlockDomain));
+    h_.Update(fields);
+  }
+  void AddRecordHash(const Sha256Digest& digest) { h_.Update(digest); }
+  void AddRecord(std::span<const std::byte> record) {
+    AddRecordHash(ChainRecordHash(record));
+  }
+  Sha256Digest Finish() { return h_.Finish(); }
+
+ private:
+  Sha256 h_;
+};
 
 }  // namespace
 
@@ -34,28 +50,32 @@ Sha256Digest ChainRecordHash(std::span<const std::byte> record) {
 Sha256Digest ChainBlockCommitFromParts(
     uint16_t count, uint16_t flags, uint16_t used,
     std::span<const Sha256Digest> record_hashes) {
-  Sha256 h;
-  h.Update(AsBytes(kBlockDomain));
-  UpdateU16(h, count);
-  UpdateU16(h, flags);
-  UpdateU16(h, used);
+  CommitHasher h(count, flags, used);
   for (const Sha256Digest& d : record_hashes) {
-    h.Update(d);
+    h.AddRecordHash(d);
   }
   return h.Finish();
 }
 
 Sha256Digest ChainBlockCommit(const ParsedBlock& block) {
-  std::vector<Sha256Digest> hashes;
-  hashes.reserve(block.entries().size());
+  CommitHasher h(static_cast<uint16_t>(block.entries().size()), block.flags(),
+                 block.used_bytes());
   std::span<const std::byte> image(block.image());
   for (const ParsedEntry& e : block.entries()) {
-    hashes.push_back(
-        ChainRecordHash(image.subspan(e.offset, e.record_size)));
+    h.AddRecord(image.subspan(e.offset, e.record_size));
   }
-  return ChainBlockCommitFromParts(
-      static_cast<uint16_t>(block.entries().size()), block.flags(),
-      block.used_bytes(), hashes);
+  return h.Finish();
+}
+
+Sha256Digest ChainBlockCommit(const BlockBuilder& builder) {
+  std::span<const std::byte> records = builder.records();
+  CommitHasher h(static_cast<uint16_t>(builder.record_sizes().size()),
+                 builder.flags(), static_cast<uint16_t>(records.size()));
+  for (uint16_t size : builder.record_sizes()) {
+    h.AddRecord(records.first(size));
+    records = records.subspan(size);
+  }
+  return h.Finish();
 }
 
 uint64_t AdvanceChainTag(uint64_t tag, const Sha256Digest& commit) {

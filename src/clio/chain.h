@@ -56,8 +56,13 @@ Sha256Digest ChainBlockCommitFromParts(
     uint16_t count, uint16_t flags, uint16_t used,
     std::span<const Sha256Digest> record_hashes);
 
-// Block commit of a parsed block (writer / scrubber / verifier path).
+// Block commit of a parsed block (scrubber / verifier / proof path).
 Sha256Digest ChainBlockCommit(const ParsedBlock& block);
+
+// Block commit of the image `builder.Finish()` returns, computed from the
+// builder's own records (writer path): equal to ChainBlockCommit of that
+// image parsed, without building or parsing it.
+Sha256Digest ChainBlockCommit(const BlockBuilder& builder);
 
 // tag' = trunc8(SHA256(LE64(tag) || commit)).
 uint64_t AdvanceChainTag(uint64_t tag, const Sha256Digest& commit);

@@ -112,14 +112,39 @@ std::optional<uint32_t> EntrymapPayload::LowestSetFrom(const Bytes& bitmap,
 EntrymapAccumulator::EntrymapAccumulator(const EntrymapGeometry* geometry)
     : geometry_(geometry) {}
 
+std::span<std::byte> EntrymapAccumulator::BitmapIn(Node& node,
+                                                   LogFileId id) const {
+  const size_t width = geometry_->bitmap_bytes();
+  auto it = std::lower_bound(node.ids.begin(), node.ids.end(), id);
+  const size_t i = static_cast<size_t>(it - node.ids.begin());
+  if (it == node.ids.end() || *it != id) {
+    node.ids.insert(it, id);
+    node.bitmaps.insert(node.bitmaps.begin() + i * width, width,
+                        std::byte{0});
+  }
+  return std::span<std::byte>(node.bitmaps).subspan(i * width, width);
+}
+
+std::span<const std::byte> EntrymapAccumulator::BitmapAt(const Node& node,
+                                                         size_t i) const {
+  const size_t width = geometry_->bitmap_bytes();
+  return std::span<const std::byte>(node.bitmaps).subspan(i * width, width);
+}
+
+namespace {
+
+bool AnySet(std::span<const std::byte> bitmap) {
+  return std::any_of(bitmap.begin(), bitmap.end(),
+                     [](std::byte b) { return b != std::byte{0}; });
+}
+
+}  // namespace
+
 void EntrymapAccumulator::SetBit(int level, uint64_t home, LogFileId id,
                                  uint32_t bit) {
   assert(level >= 1 && level <= geometry_->max_level());
-  Bytes& bitmap = pending_[{level, home}][id];
-  if (bitmap.empty()) {
-    bitmap.assign(geometry_->bitmap_bytes(), std::byte{0});
-  }
-  bitmap[bit / 8] |= static_cast<std::byte>(1u << (bit % 8));
+  BitmapIn(pending_[{level, home}], id)[bit / 8] |=
+      static_cast<std::byte>(1u << (bit % 8));
 }
 
 void EntrymapAccumulator::Mark(uint64_t block,
@@ -127,12 +152,19 @@ void EntrymapAccumulator::Mark(uint64_t block,
   static Counter* marks = ObsRegistry().counter("clio.entrymap.marks");
   marks->Increment();
   for (int level = 1; level <= geometry_->max_level(); ++level) {
-    uint64_t home = geometry_->HomeFor(block, level);
-    uint32_t bit = geometry_->SubgroupOf(block, level);
+    const uint32_t bit = geometry_->SubgroupOf(block, level);
+    const std::byte mask = static_cast<std::byte>(1u << (bit % 8));
+    // One node lookup per level; the node is created only once a tracked
+    // id marks it, so untracked ids leave no empty node behind.
+    Node* node = nullptr;
     for (LogFileId id : ids) {
-      if (EntrymapTracks(id)) {
-        SetBit(level, home, id, bit);
+      if (!EntrymapTracks(id)) {
+        continue;
       }
+      if (node == nullptr) {
+        node = &pending_[{level, geometry_->HomeFor(block, level)}];
+      }
+      BitmapIn(*node, id)[bit / 8] |= mask;
     }
   }
 }
@@ -144,11 +176,12 @@ EntrymapPayload EntrymapAccumulator::Take(int level, uint64_t home) {
   payload.home_block = home;
   auto it = pending_.find({level, home});
   if (it != pending_.end()) {
-    for (auto& [id, bitmap] : it->second) {
-      bool any = std::any_of(bitmap.begin(), bitmap.end(),
-                             [](std::byte b) { return b != std::byte{0}; });
-      if (any) {
-        payload.files.push_back({id, bitmap});
+    const Node& node = it->second;
+    for (size_t i = 0; i < node.ids.size(); ++i) {
+      std::span<const std::byte> bitmap = BitmapAt(node, i);
+      if (AnySet(bitmap)) {
+        payload.files.push_back(
+            {node.ids[i], Bytes(bitmap.begin(), bitmap.end())});
       }
     }
     pending_.erase(it);
@@ -162,11 +195,14 @@ Bytes EntrymapAccumulator::BitmapOf(int level, uint64_t home,
   if (it == pending_.end()) {
     return {};
   }
-  auto f = it->second.find(id);
-  if (f == it->second.end()) {
+  const Node& node = it->second;
+  auto f = std::lower_bound(node.ids.begin(), node.ids.end(), id);
+  if (f == node.ids.end() || *f != id) {
     return {};
   }
-  return f->second;
+  std::span<const std::byte> bitmap =
+      BitmapAt(node, static_cast<size_t>(f - node.ids.begin()));
+  return Bytes(bitmap.begin(), bitmap.end());
 }
 
 std::vector<LogFileId> EntrymapAccumulator::MarkedIds(int level,
@@ -176,11 +212,10 @@ std::vector<LogFileId> EntrymapAccumulator::MarkedIds(int level,
   if (it == pending_.end()) {
     return ids;
   }
-  for (const auto& [id, bitmap] : it->second) {
-    bool any = std::any_of(bitmap.begin(), bitmap.end(),
-                           [](std::byte b) { return b != std::byte{0}; });
-    if (any) {
-      ids.push_back(id);
+  const Node& node = it->second;
+  for (size_t i = 0; i < node.ids.size(); ++i) {
+    if (AnySet(BitmapAt(node, i))) {
+      ids.push_back(node.ids[i]);
     }
   }
   return ids;
@@ -192,12 +227,16 @@ std::vector<EntrymapAccumulator::ExportedNode>
 EntrymapAccumulator::ExportPending() const {
   std::vector<ExportedNode> nodes;
   nodes.reserve(pending_.size());
-  for (const auto& [key, files] : pending_) {
-    ExportedNode node;
-    node.level = key.first;
-    node.home = key.second;
-    node.files.assign(files.begin(), files.end());
-    nodes.push_back(std::move(node));
+  for (const auto& [key, node] : pending_) {
+    ExportedNode out;
+    out.level = key.first;
+    out.home = key.second;
+    out.files.reserve(node.ids.size());
+    for (size_t i = 0; i < node.ids.size(); ++i) {
+      std::span<const std::byte> bitmap = BitmapAt(node, i);
+      out.files.emplace_back(node.ids[i], Bytes(bitmap.begin(), bitmap.end()));
+    }
+    nodes.push_back(std::move(out));
   }
   return nodes;
 }
@@ -205,10 +244,15 @@ EntrymapAccumulator::ExportPending() const {
 void EntrymapAccumulator::ImportPending(
     const std::vector<ExportedNode>& nodes) {
   pending_.clear();
-  for (const ExportedNode& node : nodes) {
-    std::map<LogFileId, Bytes>& files = pending_[{node.level, node.home}];
-    for (const auto& [id, bitmap] : node.files) {
-      files[id] = bitmap;
+  for (const ExportedNode& in : nodes) {
+    Node& node = pending_[{in.level, in.home}];
+    for (const auto& [id, bitmap] : in.files) {
+      // A later duplicate replaces an earlier one; a bitmap of the wrong
+      // width is cut or zero-filled to the geometry's.
+      std::span<std::byte> slot = BitmapIn(node, id);
+      std::fill(slot.begin(), slot.end(), std::byte{0});
+      std::copy_n(bitmap.begin(), std::min(bitmap.size(), slot.size()),
+                  slot.begin());
     }
   }
 }

@@ -156,9 +156,21 @@ class EntrymapAccumulator {
   void ImportPending(const std::vector<ExportedNode>& nodes);
 
  private:
+  // One pending node, flat: the marked log files in ascending order and
+  // their bitmaps packed back to back in the same order, bitmap_bytes()
+  // each. A mark is a binary search over a short id array.
+  struct Node {
+    std::vector<LogFileId> ids;
+    Bytes bitmaps;
+  };
+
+  // The bitmap of `id` in `node`, created all-zero if absent.
+  std::span<std::byte> BitmapIn(Node& node, LogFileId id) const;
+  // The bitmap of the node's i-th id.
+  std::span<const std::byte> BitmapAt(const Node& node, size_t i) const;
+
   const EntrymapGeometry* geometry_;
-  // (level, home block) -> log file -> bitmap
-  std::map<std::pair<int, uint64_t>, std::map<LogFileId, Bytes>> pending_;
+  std::map<std::pair<int, uint64_t>, Node> pending_;  // by (level, home)
 };
 
 }  // namespace clio

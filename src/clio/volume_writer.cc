@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/clio/chain.h"
+#include "src/clio/cursor.h"
 #include "src/index/extent_index.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -113,6 +114,12 @@ Status LogVolumeWriter::SealStrandedChain() {
       break;
     }
     const ParsedEntry& last = parsed->entries().back();
+    // The terminator carries the base entry's effective timestamp: its own
+    // if the header persists one, else the block-resolution stamp readers
+    // report for it. It may lead the staged block, where the time search
+    // bisects on it.
+    const Timestamp base_ts =
+        EffectiveTimestamp(*parsed, parsed->entries().size() - 1).first;
     int stalls = 0;
     for (;;) {
       CLIO_RETURN_IF_ERROR(OpenBuilderInChain());
@@ -129,7 +136,7 @@ Status LogVolumeWriter::SealStrandedChain() {
       CLIO_RETURN_IF_ERROR(BurnBuilder());
     }
     builder_->AddEntry(HeaderVersion::kFragment, last.logfile_id, {},
-                       last.timestamp.value_or(0));
+                       base_ts);
     AccountClientEntry(last.logfile_id, HeaderVersion::kFragment, 0);
     for (LogFileId a : catalog_->SelfAndAncestors(last.logfile_id)) {
       pending_mark_ids_.insert(a);
@@ -274,12 +281,9 @@ Status LogVolumeWriter::BurnBuilder() {
       if (chain_tag_.has_value()) {
         // Only a successfully burned, valid block advances the chain —
         // garbage and invalidated blocks are skipped by readers, so they
-        // are skipped by the chain too (see src/clio/chain.h).
-        auto parsed = ParsedBlock::Parse(std::make_shared<const Bytes>(image));
-        if (parsed.ok()) {
-          chain_tag_ =
-              AdvanceChainTag(*chain_tag_, ChainBlockCommit(parsed.value()));
-        }
+        // are skipped by the chain too (see src/clio/chain.h). The commit
+        // comes from the builder's records, which are the image's.
+        chain_tag_ = AdvanceChainTag(*chain_tag_, ChainBlockCommit(*builder_));
       }
       blocks_->Put(actual, std::move(image));
       staging_block_ = actual + 1;

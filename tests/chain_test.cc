@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <vector>
+
+#include "src/clio/entrymap.h"
 #include "src/clio/log_service.h"
 #include "src/clio/verify.h"
 #include "src/util/crc32c.h"
@@ -322,6 +327,169 @@ TEST(Chain, V1FootersStillParseUnchained) {
   ASSERT_OK(v2_parsed.status());
   ASSERT_TRUE(v2_parsed->chain_tag().has_value());
   EXPECT_EQ(*v2_parsed->chain_tag(), 0xDEADBEEFCAFEF00Dull);
+}
+
+// The writer hashes each burned block from its builder instead of
+// re-parsing the image it just built; the two commits must agree byte for
+// byte over every header shape, entrymap nodes, flags and fill level.
+TEST(Chain, BuilderCommitMatchesTheParsedImage) {
+  Rng rng(0xB111D);
+  const uint32_t sizes[] = {kMinBlockSize, 256, 1024, 4096};
+  int shapes_seen[6] = {};
+  for (int trial = 0; trial < 400; ++trial) {
+    const uint32_t block_size = sizes[rng.Below(4)];
+    std::optional<uint64_t> tag;
+    if (rng.Chance(3, 4)) {
+      tag = rng.Next();
+    }
+    BlockBuilder builder(block_size, tag);
+    const size_t target = rng.Below(40);
+    for (size_t i = 0; i < target; ++i) {
+      const int shape = static_cast<int>(rng.Below(6));
+      HeaderVersion v = HeaderVersion::kCompact;
+      LogFileId id = static_cast<LogFileId>(rng.Range(3, 300));
+      std::vector<LogFileId> extras;
+      std::optional<uint32_t> seq;
+      Bytes payload;
+      switch (shape) {
+        case 0:
+          break;
+        case 1:
+          v = HeaderVersion::kTimestamped;
+          break;
+        case 2:
+          v = HeaderVersion::kComplete;
+          seq = static_cast<uint32_t>(rng.Next());
+          break;
+        case 3:
+          v = HeaderVersion::kFragment;
+          break;
+        case 4:
+          v = HeaderVersion::kMulti;
+          for (size_t k = rng.Range(1, 5); k > 0; --k) {
+            extras.push_back(static_cast<LogFileId>(rng.Range(3, 300)));
+          }
+          break;
+        case 5: {
+          v = builder.empty() ? HeaderVersion::kTimestamped
+                              : HeaderVersion::kCompact;
+          id = kEntrymapLogId;
+          EntrymapPayload node;
+          node.level = static_cast<uint8_t>(rng.Range(1, 3));
+          node.home_block = rng.Below(1 << 20);
+          for (size_t k = rng.Below(4); k > 0; --k) {
+            node.files.push_back({static_cast<LogFileId>(rng.Range(2, 300)),
+                                  RandomPayload(&rng, 2)});
+          }
+          payload = node.Encode();
+          break;
+        }
+      }
+      const uint32_t cap = builder.PayloadCapacity(
+          v, static_cast<uint32_t>(extras.size()));
+      if (id != kEntrymapLogId) {
+        payload =
+            RandomPayload(&rng, rng.Below(std::min<uint32_t>(cap, 300) + 1));
+      }
+      if (cap == 0 || payload.size() > cap) {
+        break;
+      }
+      builder.AddEntry(v, id, payload,
+                       static_cast<Timestamp>(rng.Next() >> 1), seq, extras);
+      ++shapes_seen[shape];
+    }
+    if (rng.Chance(1, 2)) {
+      builder.SetFlags(static_cast<uint16_t>(rng.Below(16)));
+    }
+    ASSERT_OK_AND_ASSIGN(
+        ParsedBlock parsed,
+        ParsedBlock::Parse(std::make_shared<const Bytes>(builder.Finish())));
+    ASSERT_EQ(ChainBlockCommit(builder), ChainBlockCommit(parsed))
+        << "trial " << trial << ", " << builder.entry_count() << " entries";
+  }
+  for (int count : shapes_seen) {
+    EXPECT_GT(count, 50);
+  }
+}
+
+// Media golden image: a fixed, seeded workload on a SimulatedClock burns
+// the same bytes on every build. The workload mixes sublogs, compact,
+// timestamped, client-sequenced and multi-membership headers, fragments
+// spilling across blocks, forced partial burns, and entrymap nodes up to
+// level 3. The constants below were captured from a build that hashed
+// each burned block by re-parsing its image, so a write path that
+// computes the chain commit any other way must still burn identical
+// blocks. A change here is a media format change.
+TEST(Chain, BurnedImagesMatchTheGoldenCrc) {
+  MemoryWormOptions dev;
+  dev.block_size = 256;
+  dev.capacity_blocks = 2048;
+  MemoryWormDevice media(dev);
+  SimulatedClock clock(1'000'000, 7);
+  LogServiceOptions service_options;
+  service_options.entrymap_degree = 4;
+  service_options.sequence_id = 0xC110C110;
+  ASSERT_OK_AND_ASSIGN(
+      auto service,
+      LogService::Create(std::make_unique<BorrowedDevice>(&media), &clock,
+                         service_options));
+  const char* const paths[] = {"/a", "/a/s", "/a/s/t", "/b", "/c"};
+  std::vector<LogFileId> ids;
+  for (const char* path : paths) {
+    ASSERT_OK_AND_ASSIGN(LogFileId id, service->CreateLogFile(path));
+    ids.push_back(id);
+  }
+  Rng rng(0x601D);
+  uint32_t sequence = 0;
+  for (int i = 0; i < 700; ++i) {
+    WriteOptions options;
+    options.timestamped = rng.Chance(1, 3);
+    if (rng.Chance(1, 8)) {
+      options.client_sequence = ++sequence;
+    }
+    if (rng.Chance(1, 10)) {
+      options.extra_memberships.push_back(ids[rng.Below(ids.size())]);
+    }
+    options.force = rng.Chance(1, 6);
+    const size_t size =
+        rng.Chance(1, 12) ? rng.Range(300, 700) : rng.Range(0, 120);
+    ASSERT_OK(service
+                  ->Append(ids[rng.Below(ids.size())],
+                           RandomPayload(&rng, size), options)
+                  .status());
+  }
+  ASSERT_OK(service->Force());
+
+  LogVolume* volume = service->current_volume();
+  int fragments = 0;
+  int top_level = 0;
+  uint32_t crc = 0;
+  for (uint64_t b = 0; b < media.frontier(); ++b) {
+    Bytes image(dev.block_size);
+    ASSERT_OK(media.ReadBlock(b, image));
+    // Leave out each image's own trailing CRC32C: extending a running CRC
+    // over a message followed by its CRC lands on a fixed residue, which
+    // would hide every byte before it.
+    crc = Crc32cExtend(
+        crc, std::span<const std::byte>(image).first(image.size() - 4));
+    if (b == 0) {
+      continue;
+    }
+    OpStats op;
+    ASSERT_OK_AND_ASSIGN(ParsedBlock parsed, volume->GetBlock(b, &op));
+    for (const ParsedEntry& e : parsed.entries()) {
+      fragments += e.is_fragment();
+      if (e.logfile_id == kEntrymapLogId) {
+        ASSERT_OK_AND_ASSIGN(EntrymapPayload node,
+                             EntrymapPayload::Decode(e.payload, 1));
+        top_level = std::max<int>(top_level, node.level);
+      }
+    }
+  }
+  EXPECT_GT(fragments, 20);
+  EXPECT_GE(top_level, 3);
+  EXPECT_EQ(media.frontier(), 401u);
+  EXPECT_EQ(crc, 0xF80F9621u);
 }
 
 }  // namespace

@@ -441,7 +441,7 @@ TEST_F(ChaosTest, BitRotIsQuarantinedWhileTheServiceKeepsServing) {
       ASSERT_NE(victim, 0u);
       Bytes buf(media_->block_size());
       ASSERT_OK(media_->ReadBlock(victim, buf));
-      buf[100] ^= std::byte{0x01 << (iteration % 8)};
+      buf[100] ^= static_cast<std::byte>(1u << (iteration % 8));
       media_->Scribble(victim, buf);
       service_->cache().Erase({0, victim});
     }

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/util/rng.h"
 #include "tests/test_util.h"
 
 namespace clio {
@@ -167,6 +170,61 @@ TEST(Accumulator, MarkedIdsAndBitmapOf) {
   EXPECT_TRUE(EntrymapPayload::TestBit(acc.BitmapOf(1, 16, 4), 2));
   EXPECT_TRUE(acc.BitmapOf(1, 16, 99).empty());
   EXPECT_TRUE(acc.MarkedIds(1, 32).empty());
+}
+
+// Mark resolves each level's node once for all ids; it must leave exactly
+// the state of the per-(level, id) SetBit loop it replaces — the same
+// pending nodes (none created by untracked ids alone) and the same
+// harvested payload bytes.
+TEST(Accumulator, MarkMatchesThePerIdReference) {
+  EntrymapGeometry geometry(8, 1 << 12);
+  EntrymapAccumulator fast(&geometry);
+  EntrymapAccumulator reference(&geometry);
+  Rng rng(0xACC);
+  for (int i = 0; i < 3000; ++i) {
+    const uint64_t block = rng.Range(1, 1200);
+    std::vector<LogFileId> ids;
+    const size_t n = rng.Below(6);
+    for (size_t k = 0; k < n; ++k) {
+      // Ids 0 and 1 are untracked; some calls carry only those.
+      ids.push_back(static_cast<LogFileId>(rng.Below(40)));
+    }
+    fast.Mark(block, ids);
+    for (int level = 1; level <= geometry.max_level(); ++level) {
+      for (LogFileId id : ids) {
+        if (EntrymapTracks(id)) {
+          reference.SetBit(level, geometry.HomeFor(block, level), id,
+                           geometry.SubgroupOf(block, level));
+        }
+      }
+    }
+  }
+  // Groups that see only untracked ids, or no ids, get no node.
+  const LogFileId untracked[] = {kVolumeSeqLogId, kEntrymapLogId};
+  fast.Mark(3000, untracked);
+  fast.Mark(3500, {});
+  auto encoded = [](const EntrymapAccumulator& acc) {
+    Bytes out;
+    ByteWriter w(&out);
+    for (const auto& node : acc.ExportPending()) {
+      w.PutU8(static_cast<uint8_t>(node.level));
+      w.PutU64(node.home);
+      w.PutU16(static_cast<uint16_t>(node.files.size()));
+      for (const auto& [id, bitmap] : node.files) {
+        w.PutU16(id);
+        w.PutBytes(bitmap);
+      }
+    }
+    return out;
+  };
+  ASSERT_FALSE(fast.ExportPending().empty());
+  EXPECT_EQ(encoded(fast), encoded(reference));
+  for (const auto& node : reference.ExportPending()) {
+    EXPECT_EQ(fast.Take(node.level, node.home).Encode(),
+              reference.Take(node.level, node.home).Encode())
+        << "level " << node.level << " home " << node.home;
+  }
+  EXPECT_TRUE(fast.ExportPending().empty());
 }
 
 TEST(Tracks, ExclusionsMatchPaperFootnote) {

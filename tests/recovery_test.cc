@@ -437,6 +437,69 @@ TEST(Recovery, TruncatedCheckpointFallsBackToFullScan) {
   EXPECT_EQ(ReadAll(rig.service.get(), "/wal"), wrote);
 }
 
+// A crash that strands a fragment chain whose base entry has a compact
+// (untimestamped) header: the NVRAM tail held the chain's continuation,
+// but its staging block was scribbled, so recovery discards the tail and
+// seals the chain with a terminator fragment. The terminator must carry
+// the base entry's effective (block-resolution) timestamp. Stamped 0, it
+// would lead the staged block, and the time search's staged-tail fast
+// path would answer the staging block for every instant.
+TEST(Recovery, StrandedCompactChainKeepsTimeSearchWorking) {
+  NvramTail nvram(512);
+  auto rig = CrashRig::Make(/*block_size=*/512, /*capacity=*/4096,
+                            /*degree=*/16, &nvram);
+  ASSERT_OK(rig.service->CreateLogFile("/w").status());
+  WriteOptions forced;
+  forced.force = true;
+  Rng rng(0x57A4);
+  std::vector<Timestamp> stamps;
+  // Append until the newest burned block ends in a compact entry that
+  // continues into the staged tail.
+  auto stranded_compact = [&] {
+    const uint64_t last = rig.devices[0]->frontier() - 1;
+    Bytes image(512);
+    if (last == 0 || !rig.devices[0]->ReadBlock(last, image).ok()) {
+      return false;
+    }
+    auto parsed = ParsedBlock::Parse(std::make_shared<const Bytes>(image));
+    return parsed.ok() && parsed->last_entry_continues() &&
+           !parsed->entries().empty() &&
+           parsed->entries().back().logfile_id != kEntrymapLogId &&
+           !parsed->entries().back().timestamp.has_value();
+  };
+  while (stamps.size() < 20 || !stranded_compact()) {
+    ASSERT_LT(stamps.size(), 2000u);
+    const size_t size = rng.Chance(1, 4) ? 600 : rng.Range(20, 120);
+    ASSERT_OK_AND_ASSIGN(
+        AppendResult appended,
+        rig.service->Append("/w", RandomPayload(&rng, size), forced));
+    stamps.push_back(appended.timestamp);
+  }
+  ASSERT_TRUE(nvram.has_data());
+  rig.devices[0]->Scribble(rig.devices[0]->frontier(),
+                           RandomPayload(&rng, 512));
+  RecoveryReport report = rig.Crash();
+  EXPECT_FALSE(report.restored_nvram_tail);
+
+  const std::vector<std::string> all = ReadAll(rig.service.get(), "/w");
+  ASSERT_GT(all.size(), 10u);
+  auto reader = rig.service->OpenReader("/w");
+  ASSERT_OK(reader.status());
+  ASSERT_OK(reader.value()->SeekToTime(stamps[2]));
+  std::vector<std::string> got;
+  for (;;) {
+    ASSERT_OK_AND_ASSIGN(auto record, reader.value()->Next());
+    if (!record.has_value()) {
+      break;
+    }
+    got.push_back(ToString(record->payload));
+  }
+  // From an early instant, Next walks (at block resolution) most of the
+  // file, ending where a read from the start ends.
+  ASSERT_GT(got.size(), all.size() / 2);
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), all.end() - got.size()));
+}
+
 // -- Checkpoint replay in read-ahead passes --
 
 // Burns past one checkpoint until ~200 blocks lie beyond its coverage,

@@ -1,7 +1,9 @@
-// Utility-layer tests: Status/Result, byte codecs, CRC32C, clocks, RNG
-// determinism.
+// Utility-layer tests: Status/Result, byte codecs, CRC32C, SHA-256,
+// clocks, RNG determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -9,6 +11,8 @@
 #include "src/util/crc32c.h"
 #include "src/util/crc32c_internal.h"
 #include "src/util/rng.h"
+#include "src/util/sha256.h"
+#include "src/util/sha256_internal.h"
 #include "src/util/status.h"
 #include "src/util/time.h"
 #include "tests/test_util.h"
@@ -189,6 +193,98 @@ TEST(Crc32c, ExtendChainsOverAnySplit) {
     crc = Crc32cExtend(crc, all.subspan(a, b - a));
     crc = Crc32cExtend(crc, all.subspan(b));
     ASSERT_EQ(crc, whole) << "cuts " << a << ", " << b;
+  }
+}
+
+std::string Hex(const Sha256Digest& digest) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (std::byte b : digest) {
+    out.push_back(kDigits[static_cast<uint8_t>(b) >> 4]);
+    out.push_back(kDigits[static_cast<uint8_t>(b) & 0xF]);
+  }
+  return out;
+}
+
+Sha256Digest DigestWith(Sha256::CompressFn compress,
+                        std::span<const std::byte> data) {
+  Sha256 h(compress);
+  h.Update(data);
+  return h.Finish();
+}
+
+// FIPS 180-4 example vectors (NIST CSRC "SHA256.pdf" and the long
+// message). Every implementation must produce them.
+TEST(Sha256, KnownAnswers) {
+  const std::vector<std::pair<Bytes, std::string>> vectors = {
+      {ToBytes(""),
+       "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {ToBytes("abc"),
+       "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {ToBytes("abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {Bytes(1'000'000, std::byte{'a'}),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"},
+  };
+  for (const auto& [data, want] : vectors) {
+    EXPECT_EQ(Hex(Sha256Of(data)), want) << data.size() << " bytes";
+    EXPECT_EQ(Hex(DigestWith(sha256_internal::CompressPortable, data)), want);
+    if (sha256_internal::HardwareAvailable()) {
+      EXPECT_EQ(Hex(DigestWith(sha256_internal::CompressHardware, data)),
+                want);
+    }
+  }
+}
+
+// The SHA-NI path must be bit-identical to the portable rounds (the chain
+// tags on media depend on it) for every padding shape: each length up to
+// 300 crosses the one- and two-block padding cases several times.
+TEST(Sha256, HardwareMatchesPortable) {
+  if (!sha256_internal::HardwareAvailable()) {
+    GTEST_SKIP() << "no SHA extensions on this CPU";
+  }
+  Rng rng(0x5A256);
+  Bytes buffer(4096);
+  for (std::byte& b : buffer) {
+    b = static_cast<std::byte>(rng.Next());
+  }
+  const std::span<const std::byte> all(buffer);
+  std::vector<size_t> lengths;
+  for (size_t length = 0; length <= 300; ++length) {
+    lengths.push_back(length);
+  }
+  lengths.push_back(4096);
+  for (size_t length : lengths) {
+    ASSERT_EQ(DigestWith(sha256_internal::CompressHardware, all.first(length)),
+              DigestWith(sha256_internal::CompressPortable, all.first(length)))
+        << "length " << length;
+  }
+}
+
+// Updating over any split of the input equals one call over all of it.
+TEST(Sha256, UpdateChainsOverAnySplit) {
+  Rng rng(0x5B11);
+  Bytes data(700);
+  for (std::byte& b : data) {
+    b = static_cast<std::byte>(rng.Next());
+  }
+  const std::span<const std::byte> all(data);
+  const Sha256Digest whole = Sha256Of(all);
+  Sha256 h;
+  for (size_t cut = 0; cut <= data.size(); ++cut) {
+    h.Update(all.first(cut));
+    h.Update(all.subspan(cut));
+    ASSERT_EQ(h.Finish(), whole) << "cut " << cut;  // Finish resets
+  }
+  // Many pieces, at random cut points, some of them empty.
+  for (int trial = 0; trial < 200; ++trial) {
+    size_t at = 0;
+    while (at < data.size()) {
+      size_t piece = std::min<size_t>(rng.Below(150), data.size() - at);
+      h.Update(all.subspan(at, piece));
+      at += piece;
+    }
+    ASSERT_EQ(h.Finish(), whole) << "trial " << trial;
   }
 }
 
