@@ -38,6 +38,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -101,9 +102,20 @@ void Usage(const char* argv0) {
       argv0);
 }
 
-// Per-partition breakdown of the ".p<i>"-suffixed metric mirrors every
-// server's append lanes record next to the aggregate names (see
-// src/net/batcher.h and LogServiceOptions::metric_suffix).
+// The partitions a snapshot carries metric lanes for: every ".p<i>"
+// counter names one (LaneMetricName; DESIGN.md §11).
+std::set<uint32_t> MetricLanes(const clio::StatsSnapshot& stats) {
+  std::set<uint32_t> lanes;
+  for (const auto& [name, value] : stats.counters) {
+    if (auto lane = clio::ParseLaneMetricName(name)) {
+      lanes.insert(lane->lane);
+    }
+  }
+  return lanes;
+}
+
+// Aggregates, then the per-partition breakdown of the metric lanes every
+// server's partitions record into (the aggregates are their fold).
 void PrintStats(const clio::StatsSnapshot& stats) {
   std::printf("server metrics snapshot: %zu counters, %zu histograms\n",
               stats.counters.size(), stats.histograms.size());
@@ -139,16 +151,7 @@ void PrintStats(const clio::StatsSnapshot& stats) {
               stats.counter("clio.index.checkpoint_bytes"),
               stats.gauge("clio.index.checkpoint_age_blocks"));
 
-  // Discover partitions from the suffixed batch counters.
-  std::map<uint32_t, uint64_t> partitions;
-  constexpr char kProbe[] = "clio.net.batch.appends.p";
-  for (const auto& [name, value] : stats.counters) {
-    if (name.rfind(kProbe, 0) == 0) {
-      partitions[static_cast<uint32_t>(
-          std::strtoul(name.c_str() + sizeof(kProbe) - 1, nullptr, 10))] =
-          value;
-    }
-  }
+  const std::set<uint32_t> partitions = MetricLanes(stats);
   if (partitions.empty()) {
     std::printf("  no per-partition metrics (single write head)\n");
     return;
@@ -157,18 +160,19 @@ void PrintStats(const clio::StatsSnapshot& stats) {
   std::printf("  %4s  %10s  %8s  %10s  %9s  %9s  %12s  %12s\n", "part",
               "appends", "batches", "vol blocks", "idx hits", "idx miss",
               "commit p99", "append p99");
-  for (const auto& [p, appends] : partitions) {
-    const std::string suffix = ".p" + std::to_string(p);
-    auto commit_us =
-        stats.histogram("clio.net.batch.commit_us" + suffix);
-    auto append_us = stats.histogram("clio.volume.append_us" + suffix);
+  for (uint32_t p : partitions) {
+    auto lane = [p](const char* name) {
+      return clio::LaneMetricName(name, p);
+    };
+    auto commit_us = stats.histogram(lane("clio.net.batch.commit_us"));
+    auto append_us = stats.histogram(lane("clio.volume.append_us"));
     std::printf("  %4u  %10" PRIu64 "  %8" PRIu64 "  %10" PRIu64
                 "  %9" PRIu64 "  %9" PRIu64 "  %9.0f us  %9.0f us\n",
-                p, appends,
-                stats.counter("clio.net.batch.batches" + suffix),
-                stats.counter("clio.volume.appends" + suffix),
-                stats.counter("clio.index.hits" + suffix),
-                stats.counter("clio.index.misses" + suffix),
+                p, stats.counter(lane("clio.net.batch.appends")),
+                stats.counter(lane("clio.net.batch.batches")),
+                stats.counter(lane("clio.volume.appends")),
+                stats.counter(lane("clio.index.hits")),
+                stats.counter(lane("clio.index.misses")),
                 commit_us ? commit_us->p99() : 0.0,
                 append_us ? append_us->p99() : 0.0);
   }
@@ -281,28 +285,22 @@ void PrintDashboard(const clio::StatsSnapshot& now,
               Rate(now, prev, "clio.net.dedup.replays", window_s),
               now.gauge("clio.scrub.degraded") > 0 ? "YES" : "no");
 
-  std::map<uint32_t, std::string> lanes;
-  constexpr char kProbe[] = "clio.net.batch.appends.p";
-  for (const auto& [name, value] : now.counters) {
-    if (name.rfind(kProbe, 0) == 0) {
-      lanes[static_cast<uint32_t>(std::strtoul(
-          name.c_str() + sizeof(kProbe) - 1, nullptr, 10))] = name;
-    }
-  }
+  const std::set<uint32_t> lanes = MetricLanes(now);
   if (!lanes.empty()) {
     std::printf("  %-6s %12s %12s %12s\n", "lane", "appends/s", "batches/s",
                 "append p99");
-    for (const auto& [p, counter_name] : lanes) {
-      const std::string suffix = ".p" + std::to_string(p);
-      auto lane_hist = now.histogram("clio.volume.append_us" + suffix);
+    for (uint32_t p : lanes) {
+      auto lane = [p](const char* name) {
+        return clio::LaneMetricName(name, p);
+      };
+      auto lane_hist = now.histogram(lane("clio.volume.append_us"));
       std::optional<clio::HistogramSnapshot> lane_prev;
       if (prev != nullptr) {
-        lane_prev = prev->histogram("clio.volume.append_us" + suffix);
+        lane_prev = prev->histogram(lane("clio.volume.append_us"));
       }
       std::printf("  p%-5u %12.1f %12.1f %9.0f us\n", p,
-                  Rate(now, prev, counter_name, window_s),
-                  Rate(now, prev, "clio.net.batch.batches" + suffix,
-                       window_s),
+                  Rate(now, prev, lane("clio.net.batch.appends"), window_s),
+                  Rate(now, prev, lane("clio.net.batch.batches"), window_s),
                   lane_hist
                       ? WindowedPercentile(
                             *lane_hist,

@@ -56,18 +56,6 @@ LogService::LogService(TimeSource* clock, const LogServiceOptions& options)
   if (options_.sequence_id == 0) {
     options_.sequence_id = static_cast<uint64_t>(clock_->NowUnique()) | 1u;
   }
-  if (!options_.metric_suffix.empty()) {
-    labeled_appends_ =
-        ObsRegistry().counter("clio.volume.appends" + options_.metric_suffix);
-    labeled_append_bytes_ = ObsRegistry().counter("clio.volume.append_bytes" +
-                                                  options_.metric_suffix);
-    labeled_append_us_ = ObsRegistry().histogram("clio.volume.append_us" +
-                                                 options_.metric_suffix);
-    labeled_index_hits_ =
-        ObsRegistry().counter("clio.index.hits" + options_.metric_suffix);
-    labeled_index_misses_ =
-        ObsRegistry().counter("clio.index.misses" + options_.metric_suffix);
-  }
 }
 
 LogService::~LogService() {
@@ -77,27 +65,34 @@ LogService::~LogService() {
 }
 
 // The health plane's quarantine signal (SloRules::Defaults'
-// "scrub-quarantine" rule reads it): a process-wide count of known-lost
-// blocks across live services, kept additive so partition lanes sum
-// instead of clobbering each other. The suffixed mirror pins a breach to
-// its lane.
+// "scrub-quarantine" rule reads it): a count of known-lost blocks across
+// live services, kept additive so the lanes fold into the process-wide
+// total and a breach stays pinned to its lane. Quarantines are rare, so
+// the lane's gauge is looked up per call.
 void LogService::BumpDegradedGauge(int64_t delta) {
-  static Gauge* degraded = ObsRegistry().gauge("clio.scrub.degraded");
-  degraded->Add(delta);
-  if (!options_.metric_suffix.empty()) {
-    ObsRegistry()
-        .gauge("clio.scrub.degraded" + options_.metric_suffix)
-        ->Add(delta);
-  }
+  ObsRegistry()
+      .gauge(LaneMetricName("clio.scrub.degraded", partition_index_))
+      ->Add(delta);
   degraded_gauge_contrib_ += delta;
 }
 
-void LogService::ConfigureVolumeIndex(LogVolume* volume) {
-  if (!options_.enable_extent_index) {
-    return;
+void LogService::AssignPartition(uint32_t index) {
+  const int64_t degraded = degraded_gauge_contrib_;
+  if (degraded != 0) {
+    BumpDegradedGauge(-degraded);
   }
-  volume->SetIndexMetricMirrors(labeled_index_hits_, labeled_index_misses_);
-  volume->EnableExtentIndex();
+  partition_index_ = index;
+  lane_metrics_ = VolumeLaneMetrics(index);
+  if (degraded != 0) {
+    BumpDegradedGauge(degraded);
+  }
+}
+
+void LogService::ConfigureVolume(LogVolume* volume) {
+  volume->set_lane_metrics(&lane_metrics_);
+  if (options_.enable_extent_index) {
+    volume->EnableExtentIndex();
+  }
 }
 
 void LogService::MaybeWriteCheckpoint() {
@@ -147,7 +142,7 @@ Result<std::unique_ptr<LogService>> LogService::Create(
                         /*cache_device_id=*/0, &service->catalog_, clock,
                         service->options_.nvram, format,
                         service->options_.readahead_blocks));
-  service->ConfigureVolumeIndex(volume.get());
+  service->ConfigureVolume(volume.get());
   service->devices_.push_back(std::move(first_device));
   service->volumes_.push_back(std::move(volume));
   service->volume_slots_.emplace_back(service->volumes_.back().get());
@@ -215,7 +210,7 @@ Result<std::unique_ptr<LogService>> LogService::Recover(
       // The restored coverage is as fresh as a just-written checkpoint.
       service->last_checkpoint_block_ = checkpoint.covered_end;
     }
-    service->ConfigureVolumeIndex(volume.get());
+    service->ConfigureVolume(volume.get());
     service->volumes_.push_back(std::move(volume));
     service->volume_slots_.emplace_back(service->volumes_.back().get());
     service->devices_.push_back(std::move(devices[i]));
@@ -342,7 +337,7 @@ Status LogService::RollToNewVolume() {
       return appended.status();
     }
   }
-  ConfigureVolumeIndex(volume.get());
+  ConfigureVolume(volume.get());
   // The sidecar checkpoint described the sealed predecessor; recovery
   // validates volume_index before trusting one, but clearing keeps the
   // sidecar from carrying a stale record across the roll.
@@ -360,13 +355,6 @@ Result<AppendResult> LogService::Append(LogFileId id,
                                         std::span<const std::byte> payload,
                                         const WriteOptions& options) {
   CLIO_SINGLE_MUTATOR_CHECK();
-  // The volume writer records the process-global volume-append metrics;
-  // these are the per-partition mirrors (see metric_suffix).
-  if (labeled_appends_ != nullptr) {
-    labeled_appends_->Increment();
-    labeled_append_bytes_->Increment(payload.size());
-  }
-  ScopedTimer labeled_timer(labeled_append_us_);
   if (id < kFirstClientLogId) {
     return PermissionDenied("service log files are not client-writable");
   }
@@ -463,7 +451,7 @@ Result<LogVolume*> LogService::VolumeForRead(size_t index) {
       volume->header().volume_index != index) {
     return Corrupt("mounted device holds the wrong volume");
   }
-  ConfigureVolumeIndex(volume.get());
+  ConfigureVolume(volume.get());
   on_demand_mounts_.fetch_add(1, std::memory_order_relaxed);
   devices_[index] = std::move(device);
   volumes_[index] = std::move(volume);

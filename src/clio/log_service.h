@@ -51,11 +51,6 @@ struct LogServiceOptions {
   // (restart then replays only the post-checkpoint suffix). 0 disables
   // checkpointing; no NVRAM also disables it.
   uint64_t checkpoint_interval_blocks = 256;
-  // When nonempty (e.g. ".p2" for partition 2 of a partitioned service),
-  // this service additionally records its appends into suffixed mirrors of
-  // the volume-append metrics ("clio.volume.appends.p2", ...), so the
-  // per-partition share of the global counters is visible in kStats.
-  std::string metric_suffix;
 };
 
 // Supplies a fresh device when the current volume fills and the sequence
@@ -212,6 +207,16 @@ class LogService {
   // Aggregated space accounting across all volumes (§3.5 experiments).
   SpaceAccounting TotalSpace() const;
 
+  // The partition this service serves as, assigned by PartitionedLogService
+  // (Create, Recover, Wrap); nullopt for a standalone service. It names the
+  // service's metric lane (DESIGN.md §11): per-partition metrics — its
+  // volumes', its scrubber's, its group-commit batcher's — record once,
+  // into "<name>.p<i>", or into "<name>" when standalone.
+  std::optional<uint32_t> partition_index() const { return partition_index_; }
+  // Moves the service onto partition `index`'s lane, carrying its degraded
+  // contribution along. Call before the service is shared.
+  void AssignPartition(uint32_t index);
+
  private:
   friend class LogReader;
 
@@ -219,9 +224,9 @@ class LogService {
 
   Status CheckPermission(LogFileId id, uint32_t needed_bits) const;
   Status RollToNewVolume();
-  // Applies the extent-index configuration (enable + per-partition metric
-  // mirrors) to a volume entering service.
-  void ConfigureVolumeIndex(LogVolume* volume);
+  // Points a volume entering service at this service's metric lane and
+  // applies the extent-index configuration.
+  void ConfigureVolume(LogVolume* volume);
   // Writes a checkpoint record to the NVRAM sidecar when enough blocks
   // burned since the last one. Failures are swallowed: a checkpoint is an
   // accelerator, never required for correctness.
@@ -243,16 +248,13 @@ class LogService {
   VolumeFactory volume_factory_;
   VolumeMounter volume_mounter_;
   std::atomic<uint64_t> on_demand_mounts_{0};
-  // Suffixed mirrors of the volume-append metrics (see
-  // LogServiceOptions::metric_suffix); null when the suffix is empty.
-  Counter* labeled_appends_ = nullptr;
-  Counter* labeled_append_bytes_ = nullptr;
-  Histogram* labeled_append_us_ = nullptr;
-  Counter* labeled_index_hits_ = nullptr;
-  Counter* labeled_index_misses_ = nullptr;
-  // This service's contribution to the clio.scrub.degraded gauge (the
-  // health plane's quarantine signal): +1 per quarantined block, withdrawn
-  // in the destructor so an in-process recover does not double-count.
+  // See partition_index(); every volume points at lane_metrics_.
+  std::optional<uint32_t> partition_index_;
+  VolumeLaneMetrics lane_metrics_;
+  // This service's contribution to its lane of the clio.scrub.degraded
+  // gauge (the health plane's quarantine signal): +1 per quarantined
+  // block, withdrawn in the destructor so an in-process recover does not
+  // double-count.
   int64_t degraded_gauge_contrib_ = 0;
   void BumpDegradedGauge(int64_t delta);
   // Staging block at the last checkpoint written for the current volume.

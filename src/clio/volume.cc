@@ -1060,8 +1060,6 @@ Result<std::optional<uint64_t>> LogVolume::PrevBlockWith(LogFileId id,
   // zero device reads; non-authoritative answers (a hole overlaps the
   // range) fall through to the entrymap walk, the source of truth.
   if (index_enabled_) {
-    static Counter* hits = ObsRegistry().counter("clio.index.hits");
-    static Counter* misses = ObsRegistry().counter("clio.index.misses");
     Status built = EnsureExtentIndex();
     const ExtentIndex* idx = built.ok() ? extent_index() : nullptr;
     ExtentIndex::Lookup hit;
@@ -1069,16 +1067,10 @@ Result<std::optional<uint64_t>> LogVolume::PrevBlockWith(LogFileId id,
       hit = idx->PrevBlockWith(id, limit);
     }
     if (hit.authoritative) {
-      hits->Increment();
-      if (labeled_index_hits_ != nullptr) {
-        labeled_index_hits_->Increment();
-      }
+      lane_metrics_->index_hits->Increment();
       return hit.block;
     }
-    misses->Increment();
-    if (labeled_index_misses_ != nullptr) {
-      labeled_index_misses_->Increment();
-    }
+    lane_metrics_->index_misses->Increment();
   }
   const uint16_t n = geometry_.degree();
 
@@ -1142,8 +1134,6 @@ Result<std::optional<uint64_t>> LogVolume::NextBlockWith(LogFileId id,
   // RAM fast path over the burned range; an authoritative "none" still
   // falls through to the staged-tail check below.
   if (search_burned && index_enabled_) {
-    static Counter* hits = ObsRegistry().counter("clio.index.hits");
-    static Counter* misses = ObsRegistry().counter("clio.index.misses");
     Status built = EnsureExtentIndex();
     const ExtentIndex* idx = built.ok() ? extent_index() : nullptr;
     ExtentIndex::Lookup hit;
@@ -1151,19 +1141,13 @@ Result<std::optional<uint64_t>> LogVolume::NextBlockWith(LogFileId id,
       hit = idx->NextBlockWith(id, from);
     }
     if (hit.authoritative) {
-      hits->Increment();
-      if (labeled_index_hits_ != nullptr) {
-        labeled_index_hits_->Increment();
-      }
+      lane_metrics_->index_hits->Increment();
       if (hit.block.has_value()) {
         return hit.block;
       }
       search_burned = false;
     } else {
-      misses->Increment();
-      if (labeled_index_misses_ != nullptr) {
-        labeled_index_misses_->Increment();
-      }
+      lane_metrics_->index_misses->Increment();
     }
   }
   if (search_burned) {
@@ -1221,8 +1205,6 @@ Result<std::optional<uint64_t>> LogVolume::FindBlockByTime(Timestamp t,
   // timestamp) vector answers for the burned range. Any scan hole makes
   // the timestamp vector non-authoritative and the bisection below runs.
   if (index_enabled_) {
-    static Counter* hits = ObsRegistry().counter("clio.index.hits");
-    static Counter* misses = ObsRegistry().counter("clio.index.misses");
     Status built = EnsureExtentIndex();
     const ExtentIndex* idx = built.ok() ? extent_index() : nullptr;
     if (idx != nullptr && idx->covered_end() == end_block()) {
@@ -1231,25 +1213,16 @@ Result<std::optional<uint64_t>> LogVolume::FindBlockByTime(Timestamp t,
               ? writer_->staged_leading_timestamp()
               : std::nullopt;
       if (staged_ts.has_value() && *staged_ts <= t) {
-        hits->Increment();
-        if (labeled_index_hits_ != nullptr) {
-          labeled_index_hits_->Increment();
-        }
+        lane_metrics_->index_hits->Increment();
         return std::optional<uint64_t>(writer_->staging_block());
       }
       ExtentIndex::Lookup hit = idx->LastBlockAtOrBefore(t);
       if (hit.authoritative) {
-        hits->Increment();
-        if (labeled_index_hits_ != nullptr) {
-          labeled_index_hits_->Increment();
-        }
+        lane_metrics_->index_hits->Increment();
         return hit.block;
       }
     }
-    misses->Increment();
-    if (labeled_index_misses_ != nullptr) {
-      labeled_index_misses_->Increment();
-    }
+    lane_metrics_->index_misses->Increment();
   }
   uint64_t lo = 1;
   uint64_t hi = limit;

@@ -210,11 +210,13 @@ class LogVolume {
   // position.
   Result<CheckpointState> BuildCheckpointState();
 
-  // Per-partition mirrors of the clio.index.hits / clio.index.misses
-  // counters (see LogServiceOptions::metric_suffix); null disables.
-  void SetIndexMetricMirrors(Counter* hits, Counter* misses) {
-    labeled_index_hits_ = hits;
-    labeled_index_misses_ = misses;
+  // The lane this volume's index and append metrics record into (never
+  // null; the standalone lane until the owning service sets its own).
+  void set_lane_metrics(const VolumeLaneMetrics* metrics) {
+    lane_metrics_ = metrics;
+    if (writer_ != nullptr) {
+      writer_->set_lane_metrics(metrics);
+    }
   }
 
   // Full payload of entry `entry_index` of `parsed` (which was read from
@@ -326,8 +328,7 @@ class LogVolume {
   std::atomic<bool> index_ready_{false};
   mutable std::mutex index_build_mu_;
   std::unique_ptr<ExtentIndex> index_;
-  Counter* labeled_index_hits_ = nullptr;
-  Counter* labeled_index_misses_ = nullptr;
+  const VolumeLaneMetrics* lane_metrics_ = VolumeLaneMetrics::Standalone();
 };
 
 }  // namespace clio

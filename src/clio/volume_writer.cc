@@ -27,6 +27,23 @@ Bytes EncodeBadBlockRecord(uint64_t block) {
 
 }  // namespace
 
+VolumeLaneMetrics::VolumeLaneMetrics(std::optional<uint32_t> lane)
+    : appends(ObsRegistry().counter(
+          LaneMetricName("clio.volume.appends", lane))),
+      append_bytes(ObsRegistry().counter(
+          LaneMetricName("clio.volume.append_bytes", lane))),
+      append_us(ObsRegistry().histogram(
+          LaneMetricName("clio.volume.append_us", lane))),
+      index_hits(
+          ObsRegistry().counter(LaneMetricName("clio.index.hits", lane))),
+      index_misses(
+          ObsRegistry().counter(LaneMetricName("clio.index.misses", lane))) {}
+
+const VolumeLaneMetrics* VolumeLaneMetrics::Standalone() {
+  static const VolumeLaneMetrics* standalone = new VolumeLaneMetrics();
+  return standalone;
+}
+
 LogVolumeWriter::LogVolumeWriter(CachedBlockReader* blocks,
                                  const VolumeHeader& header,
                                  const EntrymapGeometry* geometry,
@@ -236,7 +253,7 @@ Status LogVolumeWriter::BurnBuilder() {
   // spans in the trace, which is exactly the story a fault injection run
   // should tell.
   for (int attempt = 0; attempt < kMaxBurnAttempts; ++attempt) {
-    TraceSpanTimer span(TraceStage::kBurn);
+    StageTimer span(nullptr, TraceStage::kBurn);
     auto result = blocks_->device()->AppendBlock(image);
     if (result.ok()) {
       uint64_t actual = result.value();
@@ -361,15 +378,9 @@ void LogVolumeWriter::AccountClientEntry(LogFileId id, HeaderVersion v,
 Result<AppendResult> LogVolumeWriter::Append(LogFileId id,
                                              std::span<const std::byte> payload,
                                              const WriteOptions& options) {
-  static Counter* appends = ObsRegistry().counter("clio.volume.appends");
-  static Counter* append_bytes =
-      ObsRegistry().counter("clio.volume.append_bytes");
-  static Histogram* append_us =
-      ObsRegistry().histogram("clio.volume.append_us");
-  appends->Increment();
-  append_bytes->Increment(payload.size());
-  ScopedTimer timer(append_us);
-  TraceSpanTimer span(TraceStage::kVolumeAppend);
+  lane_metrics_->appends->Increment();
+  lane_metrics_->append_bytes->Increment(payload.size());
+  StageTimer timer(lane_metrics_->append_us, TraceStage::kVolumeAppend);
   if (sealed_) {
     return FailedPrecondition("volume is sealed");
   }
@@ -495,8 +506,7 @@ Status LogVolumeWriter::Force() {
   static Counter* forces = ObsRegistry().counter("clio.volume.forces");
   static Histogram* force_us = ObsRegistry().histogram("clio.volume.force_us");
   forces->Increment();
-  ScopedTimer timer(force_us);
-  TraceSpanTimer span(TraceStage::kForce);
+  StageTimer timer(force_us, TraceStage::kForce);
   if (nvram_ != nullptr) {
     // Rewritable tail: restage the current partial image; nothing burns.
     return nvram_->Store(staging_block_, builder_->Finish());

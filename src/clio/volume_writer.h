@@ -30,6 +30,7 @@
 #include "src/clio/types.h"
 #include "src/clio/volume_header.h"
 #include "src/device/nvram_tail.h"
+#include "src/obs/metrics.h"
 #include "src/util/time.h"
 
 namespace clio {
@@ -58,6 +59,23 @@ struct SpaceAccounting {
     return client_payload_bytes + client_header_bytes + entrymap_bytes +
            catalog_bytes + badblock_bytes + padding_bytes + footer_bytes;
   }
+};
+
+// The per-partition metrics a volume records, resolved for one lane
+// (LaneMetricName, DESIGN.md §11): "<name>.p<i>" on partition i, "<name>"
+// on a standalone service. The owning LogService holds the set and
+// re-resolves it in place when it is assigned a partition, so its volumes
+// and writers keep a pointer.
+struct VolumeLaneMetrics {
+  explicit VolumeLaneMetrics(std::optional<uint32_t> lane = std::nullopt);
+  // The standalone set, for volumes outside any service.
+  static const VolumeLaneMetrics* Standalone();
+
+  Counter* appends = nullptr;
+  Counter* append_bytes = nullptr;
+  Histogram* append_us = nullptr;
+  Counter* index_hits = nullptr;
+  Counter* index_misses = nullptr;
 };
 
 class LogVolumeWriter {
@@ -134,6 +152,11 @@ class LogVolumeWriter {
   // position, so the index stays a faithful mirror.
   void set_extent_index(ExtentIndex* index) { extent_index_ = index; }
 
+  // The lane the append metrics record into (never null).
+  void set_lane_metrics(const VolumeLaneMetrics* metrics) {
+    lane_metrics_ = metrics;
+  }
+
   // Leading timestamp of the staged (partial) tail block, if any — what
   // the block's FirstTimestamp() will be once burned. Lets the timestamp
   // fast path consult the staged tail without parsing its image.
@@ -191,6 +214,7 @@ class LogVolumeWriter {
   SpaceAccounting space_;
   uint64_t entrymap_upkeep_calls_ = 0;
   ExtentIndex* extent_index_ = nullptr;  // not owned; may be null
+  const VolumeLaneMetrics* lane_metrics_ = VolumeLaneMetrics::Standalone();
   Timestamp last_issued_timestamp_ = kTimestampMin;
 };
 

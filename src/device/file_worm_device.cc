@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/util/bytes.h"
 
 namespace clio {
@@ -86,7 +87,7 @@ Status FileWormDevice::ReadBlock(uint64_t index, std::span<std::byte> out) {
   static Counter* reads = ObsRegistry().counter("clio.device.reads");
   static Histogram* read_us = ObsRegistry().histogram("clio.device.read_us");
   reads->Increment();
-  ScopedTimer timer(read_us);
+  StageTimer timer(read_us);
   if (index >= options_.capacity_blocks) {
     ++stats_.failed_ops;
     return OutOfRange("read beyond device capacity");
@@ -148,7 +149,7 @@ Result<uint64_t> FileWormDevice::AppendBlock(std::span<const std::byte> data) {
   uint64_t index = frontier_;
   static Counter* burns = ObsRegistry().counter("clio.device.burns");
   static Histogram* burn_us = ObsRegistry().histogram("clio.device.burn_us");
-  ScopedTimer timer(burn_us);
+  StageTimer timer(burn_us);
   CLIO_RETURN_IF_ERROR(WriteBlockAt(index, data, WormBlockState::kWritten));
   burns->Increment();
   ++stats_.appends;

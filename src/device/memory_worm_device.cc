@@ -4,6 +4,7 @@
 #include <string>
 
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 
 namespace clio {
 
@@ -15,7 +16,7 @@ Status MemoryWormDevice::ReadBlock(uint64_t index, std::span<std::byte> out) {
   static Counter* reads = ObsRegistry().counter("clio.device.reads");
   static Histogram* read_us = ObsRegistry().histogram("clio.device.read_us");
   reads->Increment();
-  ScopedTimer timer(read_us);
+  StageTimer timer(read_us);
   if (index >= options_.capacity_blocks) {
     ++stats_.failed_ops;
     return OutOfRange("read of block " + std::to_string(index) +
@@ -65,7 +66,7 @@ Result<uint64_t> MemoryWormDevice::AppendBlock(
   static Counter* burns = ObsRegistry().counter("clio.device.burns");
   static Histogram* burn_us = ObsRegistry().histogram("clio.device.burn_us");
   burns->Increment();
-  ScopedTimer timer(burn_us);
+  StageTimer timer(burn_us);
   uint64_t index = frontier_;
   if (blocks_.size() <= index) {
     blocks_.resize(index + 1);

@@ -67,25 +67,10 @@ Counter* RequestCounter(LogOp op) {
   return counters[index >= 1 && index <= kMaxOp ? index : 0];
 }
 
-// Per-class latency histograms: appends and reads are the two op families
-// the soak bench gates on, so they get their own percentile series beside
-// the all-ops clio.rpc.request_us. Null for everything else (ScopedTimer
-// treats null as "don't record").
-Histogram* OpClassHistogram(LogOp op) {
-  static Histogram* append_us = ObsRegistry().histogram("clio.rpc.append_us");
-  static Histogram* read_us = ObsRegistry().histogram("clio.rpc.read_us");
-  switch (op) {
-    case LogOp::kAppend:
-      return append_us;
-    case LogOp::kReadNext:
-    case LogOp::kReadPrev:
-    case LogOp::kReadBatch:
-      return read_us;
-    default:
-      return nullptr;
-  }
-}
-
+// The op's family. Appends and reads are the two the soak bench gates on,
+// so each gets a latency histogram (clio.rpc.append_us / clio.rpc.read_us)
+// beside the all-ops clio.rpc.request_us, and its own slow-request
+// threshold.
 RpcClass OpRpcClass(LogOp op) {
   switch (op) {
     case LogOp::kAppend:
@@ -99,20 +84,37 @@ RpcClass OpRpcClass(LogOp op) {
   }
 }
 
-// Feeds over-SLO requests into the slow-request ring (telemetry.h), the
-// exemplar bridge from latency SLOs back to kTraceDump: any request
-// slower than its class's degraded ceiling is captured with its trace id.
-class SlowRequestProbe {
+// The accounting of one dispatched request, shared by Dispatch and
+// DispatchScatter so the two entry points are indistinguishable in
+// metrics and traces. The op's request counter is bumped on entry (a
+// kStats request is visible in its own reply). The scope's duration —
+// decode + execute + encode, one clock read at each end — feeds
+// clio.rpc.request_us, the op's class histogram, the kDispatch span and
+// the slow-request ring (telemetry.h), the exemplar bridge from latency
+// SLOs back to kTraceDump.
+class DispatchScope {
  public:
-  explicit SlowRequestProbe(LogOp op)
-      : op_(op), trace_id_(CurrentTraceId()), start_us_(TraceNowUs()) {}
-  ~SlowRequestProbe() {
-    SlowRequestRing::Instance().Observe(OpRpcClass(op_), LogOpName(op_),
-                                        trace_id_,
-                                        TraceNowUs() - start_us_);
+  explicit DispatchScope(LogOp op)
+      : op_(op), trace_id_(CurrentTraceId()), start_us_(TraceNowUs()) {
+    RequestCounter(op)->Increment();
   }
-  SlowRequestProbe(const SlowRequestProbe&) = delete;
-  SlowRequestProbe& operator=(const SlowRequestProbe&) = delete;
+  ~DispatchScope() {
+    static Histogram* request_us =
+        ObsRegistry().histogram("clio.rpc.request_us");
+    static Histogram* append_us = ObsRegistry().histogram("clio.rpc.append_us");
+    static Histogram* read_us = ObsRegistry().histogram("clio.rpc.read_us");
+    const uint64_t dur_us = TraceNowUs() - start_us_;
+    RecordStage(request_us, TraceStage::kDispatch, trace_id_, start_us_,
+                dur_us);
+    const RpcClass op_class = OpRpcClass(op_);
+    if (op_class != RpcClass::kOther) {
+      (op_class == RpcClass::kAppend ? append_us : read_us)->Record(dur_us);
+    }
+    SlowRequestRing::Instance().Observe(op_class, LogOpName(op_), trace_id_,
+                                        dur_us);
+  }
+  DispatchScope(const DispatchScope&) = delete;
+  DispatchScope& operator=(const DispatchScope&) = delete;
 
  private:
   LogOp op_;
@@ -374,15 +376,7 @@ Result<AppendRequest> DecodeAppendRequest(std::span<const std::byte> body) {
 // ServiceDispatcher
 
 Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
-  // Counted before execution so a kStats request is visible in its own
-  // reply; timed across decode + execute + encode.
-  RequestCounter(op)->Increment();
-  static Histogram* request_us =
-      ObsRegistry().histogram("clio.rpc.request_us");
-  ScopedTimer timer(request_us);
-  ScopedTimer op_timer(OpClassHistogram(op));
-  TraceSpanTimer dispatch_span(TraceStage::kDispatch);
-  SlowRequestProbe slow_probe(op);
+  DispatchScope scope(op);
 
   // kStats reads only the (internally synchronized) metrics registry, so
   // it never takes the service mutex — a monitoring poller cannot stall
@@ -665,15 +659,7 @@ WireMessage ServiceDispatcher::DispatchScatter(LogOp op,
     msg.AddOwned(Dispatch(op, body));
     return msg;
   }
-  // Mirror Dispatch's accounting so the two entry points are
-  // indistinguishable in metrics and traces.
-  RequestCounter(op)->Increment();
-  static Histogram* request_us =
-      ObsRegistry().histogram("clio.rpc.request_us");
-  ScopedTimer timer(request_us);
-  ScopedTimer op_timer(OpClassHistogram(op));
-  TraceSpanTimer dispatch_span(TraceStage::kDispatch);
-  SlowRequestProbe slow_probe(op);
+  DispatchScope scope(op);
   Bytes flat = ReadBatch(body, &msg);
   if (msg.empty()) {
     msg.AddOwned(std::move(flat));  // the error-reply paths stay flat

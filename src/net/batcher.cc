@@ -8,25 +8,22 @@
 
 namespace clio {
 
-GroupCommitBatcher::BatchMetrics GroupCommitBatcher::ResolveBatchMetrics(
-    const std::string& suffix) {
-  BatchMetrics m;
-  m.entries = ObsRegistry().histogram("clio.net.batch.entries" + suffix);
-  m.dwell_us = ObsRegistry().histogram("clio.net.batch.dwell_us" + suffix);
-  m.commit_us = ObsRegistry().histogram("clio.net.batch.commit_us" + suffix);
-  m.batches = ObsRegistry().counter("clio.net.batch.batches" + suffix);
-  m.appends = ObsRegistry().counter("clio.net.batch.appends" + suffix);
-  return m;
-}
-
 GroupCommitBatcher::GroupCommitBatcher(LogService* service,
                                        std::shared_mutex* service_mu,
                                        const GroupCommitOptions& options)
     : service_(service), service_mu_(service_mu), options_(options) {
-  metrics_ = ResolveBatchMetrics("");
-  if (!options_.metric_suffix.empty()) {
-    labeled_ = ResolveBatchMetrics(options_.metric_suffix);
-  }
+  const std::optional<uint32_t> lane = service_->partition_index();
+  auto histogram = [&](std::string_view name) {
+    return ObsRegistry().histogram(LaneMetricName(name, lane));
+  };
+  auto counter = [&](std::string_view name) {
+    return ObsRegistry().counter(LaneMetricName(name, lane));
+  };
+  metrics_.entries = histogram("clio.net.batch.entries");
+  metrics_.dwell_us = histogram("clio.net.batch.dwell_us");
+  metrics_.commit_us = histogram("clio.net.batch.commit_us");
+  metrics_.batches = counter("clio.net.batch.batches");
+  metrics_.appends = counter("clio.net.batch.appends");
 }
 
 GroupCommitBatcher::~GroupCommitBatcher() { Stop(); }
@@ -103,9 +100,6 @@ void GroupCommitBatcher::CommitLoop() {
 
 void GroupCommitBatcher::CommitBatch(const std::vector<Pending*>& batch) {
   metrics_.entries->Record(batch.size());
-  if (labeled_) {
-    labeled_->entries->Record(batch.size());
-  }
   auto commit_started = std::chrono::steady_clock::now();
   for (const Pending* pending : batch) {
     const uint64_t dwell = static_cast<uint64_t>(
@@ -113,12 +107,8 @@ void GroupCommitBatcher::CommitBatch(const std::vector<Pending*>& batch) {
             commit_started - pending->enqueued)
             .count());
     metrics_.dwell_us->Record(dwell);
-    if (labeled_) {
-      labeled_->dwell_us->Record(dwell);
-    }
   }
-  ScopedTimer commit_timer(metrics_.commit_us);
-  ScopedTimer labeled_commit_timer(labeled_ ? labeled_->commit_us : nullptr);
+  StageTimer commit_timer(metrics_.commit_us);
 
   std::vector<Result<AppendResult>> results;
   results.reserve(batch.size());
@@ -133,7 +123,7 @@ void GroupCommitBatcher::CommitBatch(const std::vector<Pending*>& batch) {
       // for the duration of its staging append, so the span here and the
       // volume-writer spans underneath attach to the right trace.
       ScopedTraceContext trace_scope(request.trace_id);
-      TraceSpanTimer stage_span(TraceStage::kBatchAppend);
+      StageTimer stage_span(nullptr, TraceStage::kBatchAppend);
       WriteOptions options;
       options.timestamped = request.timestamped;
       options.force = false;  // the batch force below covers this entry
@@ -158,11 +148,8 @@ void GroupCommitBatcher::CommitBatch(const std::vector<Pending*>& batch) {
     Status force = service_->Force();
     const uint64_t force_dur_us = TraceNowUs() - force_start_us;
     for (const Pending* pending : batch) {
-      if (pending->request->trace_id != 0) {
-        FlightRecorder::Instance().Record(pending->request->trace_id,
-                                          TraceStage::kForce, force_start_us,
-                                          force_dur_us);
-      }
+      RecordStage(nullptr, TraceStage::kForce, pending->request->trace_id,
+                  force_start_us, force_dur_us);
     }
     if (force.ok()) {
       if (dedup_ != nullptr) {
@@ -186,10 +173,6 @@ void GroupCommitBatcher::CommitBatch(const std::vector<Pending*>& batch) {
   entries_committed_.fetch_add(batch.size(), std::memory_order_relaxed);
   metrics_.batches->Increment();
   metrics_.appends->Increment(batch.size());
-  if (labeled_) {
-    labeled_->batches->Increment();
-    labeled_->appends->Increment(batch.size());
-  }
   // Publish under mu_: waiters evaluate `result.has_value()` under mu_.
   std::lock_guard<std::mutex> lock(mu_);
   for (size_t i = 0; i < batch.size(); ++i) {

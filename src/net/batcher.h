@@ -44,17 +44,15 @@ struct GroupCommitOptions {
   size_t max_batch_bytes = 1 << 20;
   // ...or when the oldest queued entry has waited this long.
   uint64_t max_hold_us = 500;
-  // When nonempty (".p<i>" on the server's lane i), this batcher
-  // additionally records into suffixed mirrors of the clio.net.batch.*
-  // metrics, so per-lane commit economics are separable in kStats.
-  std::string metric_suffix;
 };
 
 class GroupCommitBatcher {
  public:
   // `service_mu` is LogService::mutex(): held EXCLUSIVE across the batch's
   // appends and force so the commit thread serializes with session
-  // dispatchers (shared-lock readers included).
+  // dispatchers (shared-lock readers included). The clio.net.batch.*
+  // metrics record into the service's metric lane (partition_index()), so
+  // per-lane commit economics are separable in kStats.
   GroupCommitBatcher(LogService* service, std::shared_mutex* service_mu,
                      const GroupCommitOptions& options);
   ~GroupCommitBatcher();
@@ -88,8 +86,7 @@ class GroupCommitBatcher {
 
  private:
   // The clio.net.batch.* instruments, resolved once per batcher (the
-  // registry hands out stable pointers). `labeled_` holds the suffixed
-  // mirrors and is skipped when metric_suffix is empty.
+  // registry hands out stable pointers).
   struct BatchMetrics {
     Histogram* entries = nullptr;
     Histogram* dwell_us = nullptr;
@@ -108,8 +105,6 @@ class GroupCommitBatcher {
     std::optional<Result<AppendResult>> result;
   };
 
-  static BatchMetrics ResolveBatchMetrics(const std::string& suffix);
-
   void CommitLoop();
   void CommitBatch(const std::vector<Pending*>& batch);
 
@@ -118,7 +113,6 @@ class GroupCommitBatcher {
   const GroupCommitOptions options_;
   AppendDedupIndex* dedup_ = nullptr;
   BatchMetrics metrics_;
-  std::optional<BatchMetrics> labeled_;
 
   std::mutex mu_;
   std::condition_variable queue_cv_;  // commit thread <- arrivals, stop

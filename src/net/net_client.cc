@@ -150,18 +150,17 @@ Result<Bytes> NetLogClient::Call(LogOp op, const Bytes& body) {
   static Histogram* call_us =
       ObsRegistry().histogram("clio.net.client.call_us");
   calls->Increment();
-  ScopedTimer timer(call_us);
   FrameHeader header;
   header.op = static_cast<uint32_t>(op);
   header.request_id = next_request_id_++;
   header.trace_id = MixTraceId(client_id_, header.request_id);
   last_trace_id_.store(header.trace_id);
+  StageTimer timer(call_us, TraceStage::kClientCall, header.trace_id);
   // Encoded once: a retransmitted append carries the identical
   // (client_id, request_seq) stamp — which is what makes the server-side
   // dedup work — and the identical trace id, so every attempt of one
   // logical request lands in the same server-side trace.
   const Bytes frame = EncodeFrame(header, body);
-  TraceSpanTimer client_span(TraceStage::kClientCall, header.trace_id);
 
   uint64_t backoff_ms = options_.retry.initial_backoff_ms;
   Status last = Unavailable("no attempts made");

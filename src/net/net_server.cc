@@ -114,21 +114,16 @@ Result<std::unique_ptr<NetLogServer>> NetLogServer::Start(
     } else {
       lane.dedup = options.dedup[i];
     }
-    // Lane metrics mirror under ".p<i>" next to the aggregates at every
-    // partition count, one naming rule for all deployments.
-    const std::string suffix = ".p" + std::to_string(i);
+    // The batcher and scrubber record into their service's metric lane.
     if (options.batching) {
-      GroupCommitOptions batch = options.batch;
-      batch.metric_suffix = suffix;
       lane.batcher = std::make_unique<GroupCommitBatcher>(
-          lane.service, &lane.service->mutex(), batch);
+          lane.service, &lane.service->mutex(), options.batch);
       lane.batcher->set_dedup(lane.dedup);
       lane.batcher->Start();
     }
     if (options.scrub) {
-      ScrubOptions scrub = options.scrub_options;
-      scrub.metric_suffix = suffix;
-      lane.scrubber = std::make_unique<Scrubber>(lane.service, scrub);
+      lane.scrubber =
+          std::make_unique<Scrubber>(lane.service, options.scrub_options);
       lane.scrubber->Start();
     }
   }
@@ -210,7 +205,7 @@ Result<AppendResult> NetLogServer::ExecuteAppend(AppendLane& lane,
   // Forced appends share a batch force; unforced ones are pure buffer
   // writes with nothing to amortize, so they run directly.
   if (lane.batcher != nullptr && request.force) {
-    TraceSpanTimer batch_wait(TraceStage::kBatchWait);
+    StageTimer batch_wait(nullptr, TraceStage::kBatchWait);
     return lane.batcher->Append(request);
   }
   std::lock_guard<std::shared_mutex> lock(lane.service->mutex());
@@ -308,7 +303,7 @@ Result<AppendResult> NetLogServer::RouteAppend(const AppendRequest& request) {
   if (lane->batcher != nullptr && request.force) {
     // The batcher completes the claim itself: only it can tell a failed
     // stage from a failed covering force (see batcher.h).
-    TraceSpanTimer batch_wait(TraceStage::kBatchWait);
+    StageTimer batch_wait(nullptr, TraceStage::kBatchWait);
     return lane->batcher->Append(request);
   }
   // Unbatched path. Stage with the per-entry force suppressed so a failure
@@ -470,12 +465,9 @@ void NetLogServer::HandleReadable(Conn* conn) {
     case ConnState::ReadOutcome::kFrame: {
       conn->io_deadline_armed = false;
       Metrics().bytes_in->Increment(conn->state.frame_wire_bytes());
-      const uint64_t trace_id = conn->state.header().trace_id;
-      if (trace_id != 0) {
-        FlightRecorder::Instance().Record(
-            trace_id, TraceStage::kSessionRead, conn->state.frame_start_us(),
-            TraceNowUs() - conn->state.frame_start_us());
-      }
+      RecordStage(nullptr, TraceStage::kSessionRead,
+                  conn->state.header().trace_id, conn->state.frame_start_us(),
+                  TraceNowUs() - conn->state.frame_start_us());
       // Park: no epoll interest while the worker owns the connection.
       (void)loop_.Modify(conn->state.socket().fd(), 0, conn);
       conn->busy.store(true, std::memory_order_release);
@@ -508,14 +500,9 @@ void NetLogServer::FlushReply(Conn* conn) {
   switch (conn->state.FlushStep()) {
     case ConnState::FlushOutcome::kDone: {
       Metrics().bytes_out->Increment(conn->state.reply_wire_bytes());
-      const uint64_t now_us = TraceNowUs();
-      Metrics().stage_flush_us->Record(now_us - conn->flush_start_us);
-      if (conn->trace_id != 0) {
-        FlightRecorder::Instance().Record(conn->trace_id,
-                                          TraceStage::kReplyWrite,
-                                          conn->flush_start_us,
-                                          now_us - conn->flush_start_us);
-      }
+      RecordStage(Metrics().stage_flush_us, TraceStage::kReplyWrite,
+                  conn->trace_id, conn->flush_start_us,
+                  TraceNowUs() - conn->flush_start_us);
       conn->io_deadline_armed = false;
       if (stopping_.load()) {
         CloseConn(conn);  // drained: answered, now gone
@@ -659,14 +646,9 @@ void NetLogServer::WorkerMain() {
         // loop's idle/drain sweep close the fd out from under the Modify
         // and race a reused descriptor.
         Metrics().bytes_out->Increment(conn->state.reply_wire_bytes());
-        const uint64_t now_us = TraceNowUs();
-        Metrics().stage_flush_us->Record(now_us - conn->flush_start_us);
-        if (conn->trace_id != 0) {
-          FlightRecorder::Instance().Record(conn->trace_id,
-                                            TraceStage::kReplyWrite,
-                                            conn->flush_start_us,
-                                            now_us - conn->flush_start_us);
-        }
+        RecordStage(Metrics().stage_flush_us, TraceStage::kReplyWrite,
+                    conn->trace_id, conn->flush_start_us,
+                    TraceNowUs() - conn->flush_start_us);
         conn->io_deadline_armed = false;
         conn->idle_deadline =
             Clock::now() +

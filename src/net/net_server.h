@@ -74,7 +74,7 @@ struct NetLogServerOptions {
   std::vector<AppendDedupIndex*> dedup;
   // Online scrubbing (DESIGN.md §15): one background Scrubber per append
   // lane, started with the server and stopped by Stop(). Lane i's scrub
-  // metrics mirror under ".p<i>", same as the batch metrics.
+  // metrics record under ".p<i>", same as the batch metrics.
   bool scrub = false;
   ScrubOptions scrub_options;
   // Self-hosted telemetry (DESIGN.md §18): a background TelemetrySampler

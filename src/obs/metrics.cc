@@ -33,6 +33,28 @@ void AppendDouble(std::string* out, double v) {
   out->append(buf);
 }
 
+void AddInto(uint64_t* into, uint64_t value) { *into += value; }
+void AddInto(int64_t* into, int64_t value) { *into += value; }
+void AddInto(HistogramSnapshot* into, const HistogramSnapshot& h) {
+  for (size_t i = 0; i < Histogram::kBucketCount; ++i) {
+    into->buckets[i] += h.buckets[i];
+  }
+  into->count += h.count;
+  into->sum += h.sum;
+  into->max = std::max(into->max, h.max);
+}
+
+// Adds `value` under `name` and, when `name` is a lane, folds it into the
+// bare name as well (which may also hold a direct value).
+template <typename T>
+void AddFolded(std::map<std::string, T>* out, const std::string& name,
+               const T& value) {
+  AddInto(&(*out)[name], value);
+  if (std::optional<MetricLane> lane = ParseLaneMetricName(name)) {
+    AddInto(&(*out)[std::string(lane->base)], value);
+  }
+}
+
 }  // namespace
 
 double HistogramSnapshot::Percentile(double p) const {
@@ -177,22 +199,20 @@ StatsSnapshot MetricsRegistry::Snapshot() const {
   StatsSnapshot snapshot;
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [name, counter] : counters_) {
-    snapshot.counters[name] = counter->value();
+    AddFolded(&snapshot.counters, name, counter->value());
   }
   for (const auto& [name, gauge] : gauges_) {
-    snapshot.gauges[name] = gauge->value();
+    AddFolded(&snapshot.gauges, name, gauge->value());
   }
   for (const auto& [name, hist] : histograms_) {
     HistogramSnapshot h;
-    uint64_t total = 0;
     for (size_t i = 0; i < Histogram::kBucketCount; ++i) {
       h.buckets[i] = hist->buckets_[i].load(std::memory_order_relaxed);
-      total += h.buckets[i];
+      h.count += h.buckets[i];  // by construction: count == sum of buckets
     }
-    h.count = total;  // by construction: count == sum of buckets
     h.sum = hist->sum();
     h.max = hist->max();
-    snapshot.histograms[name] = h;
+    AddFolded(&snapshot.histograms, name, h);
   }
   return snapshot;
 }
@@ -217,6 +237,30 @@ void MetricsRegistry::ResetForTest() {
 MetricsRegistry& ObsRegistry() {
   static MetricsRegistry* registry = new MetricsRegistry();
   return *registry;
+}
+
+std::string LaneMetricName(std::string_view name,
+                           std::optional<uint32_t> lane) {
+  std::string out(name);
+  if (lane.has_value()) {
+    out += ".p" + std::to_string(*lane);
+  }
+  return out;
+}
+
+std::optional<MetricLane> ParseLaneMetricName(std::string_view name) {
+  const size_t dot = name.rfind(".p");
+  if (dot == std::string_view::npos || dot == 0 || dot + 2 == name.size()) {
+    return std::nullopt;
+  }
+  MetricLane out{name.substr(0, dot), 0};
+  for (char c : name.substr(dot + 2)) {
+    if (c < '0' || c > '9' || out.lane > (UINT32_MAX - 9) / 10) {
+      return std::nullopt;
+    }
+    out.lane = out.lane * 10 + static_cast<uint32_t>(c - '0');
+  }
+  return out;
 }
 
 Bytes EncodeStatsSnapshot(const StatsSnapshot& snapshot) {

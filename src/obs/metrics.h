@@ -13,9 +13,18 @@
 //    pipeline's BENCH_*.json records embed.
 //
 // Cost model: a counter increment is one relaxed atomic add; a histogram
-// record is one clock read plus two relaxed adds and a CAS-free atomic
-// max. Metric pointers are resolved once per call site (function-local
-// static) so the name->metric map is off the hot path entirely.
+// record is two relaxed adds plus a short CAS loop for the max. Stages
+// are timed by StageTimer (src/obs/trace.h), which reads the clock once
+// at each end. Metric pointers are resolved once per call site
+// (function-local static) or per owning object, so the name->metric map
+// is off the hot path entirely.
+//
+// Per-partition lanes: a metric a partition records is recorded ONCE, into
+// "<name>.p<i>" on partition i (LaneMetricName) or into "<name>" on a
+// standalone service. Snapshot() derives each bare name as its direct
+// value plus the sum of its lanes — counters and gauges summed, histograms
+// merged bucket by bucket — so readers of the aggregate never see lanes.
+// A gauge kept per lane must therefore be additive.
 //
 // Thread safety: registration takes a mutex; Counter / Gauge / Histogram
 // operations are lock-free atomics. Snapshots are taken without stopping
@@ -28,7 +37,6 @@
 
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -175,6 +183,8 @@ class MetricsRegistry {
   Gauge* gauge(std::string_view name);
   Histogram* histogram(std::string_view name);
 
+  // Every registered metric, plus each lane's fold into its bare name
+  // (see the header comment).
   StatsSnapshot Snapshot() const;
   std::string ToJson() const { return Snapshot().ToJson(); }
 
@@ -193,30 +203,18 @@ class MetricsRegistry {
 // into (and the one the kStats wire op serves).
 MetricsRegistry& ObsRegistry();
 
-// Records wall time from construction to destruction, in microseconds,
-// into a histogram. Dismiss() drops the sample (e.g. on error paths).
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram* hist)
-      : hist_(hist), start_(std::chrono::steady_clock::now()) {}
-  ~ScopedTimer() {
-    if (hist_ == nullptr) {
-      return;
-    }
-    auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                  std::chrono::steady_clock::now() - start_)
-                  .count();
-    hist_->Record(static_cast<uint64_t>(us < 0 ? 0 : us));
-  }
-  void Dismiss() { hist_ = nullptr; }
+// The lane naming rule: `name` + ".p<lane>" for a partition, `name` itself
+// for a standalone service (no lane).
+std::string LaneMetricName(std::string_view name,
+                           std::optional<uint32_t> lane);
 
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram* hist_;
-  std::chrono::steady_clock::time_point start_;
+// Inverse of LaneMetricName: splits "<base>.p<digits>" into its base and
+// lane; nullopt for a name without a lane suffix.
+struct MetricLane {
+  std::string_view base;
+  uint32_t lane = 0;
 };
+std::optional<MetricLane> ParseLaneMetricName(std::string_view name);
 
 // -- Wire form (the kStats reply payload; see src/ipc/codec.h). --
 //

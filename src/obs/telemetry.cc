@@ -708,8 +708,9 @@ SloRules SloRules::Defaults() {
 namespace {
 
 // A rule written against the base metric also matches its per-partition
-// `.p<i>` mirrors, so one rule rolls lane breaches up with the lane
-// named in the reason. Rules ending ".*" are plain prefix matches.
+// `.p<i>` lanes (ParseLaneMetricName), so one rule rolls lane breaches up
+// with the lane named in the reason. Rules ending ".*" are plain prefix
+// matches.
 bool RuleMatchesMetric(const std::string& rule_metric,
                        const std::string& name) {
   if (rule_metric.size() >= 2 &&
@@ -722,17 +723,8 @@ bool RuleMatchesMetric(const std::string& rule_metric,
   if (name == rule_metric) {
     return true;
   }
-  if (name.size() <= rule_metric.size() + 2 ||
-      name.compare(0, rule_metric.size(), rule_metric) != 0) {
-    return false;
-  }
-  const std::string_view rest =
-      std::string_view(name).substr(rule_metric.size());
-  if (rest.size() < 3 || rest[0] != '.' || rest[1] != 'p') {
-    return false;
-  }
-  return std::all_of(rest.begin() + 2, rest.end(),
-                     [](char c) { return c >= '0' && c <= '9'; });
+  const std::optional<MetricLane> lane = ParseLaneMetricName(name);
+  return lane.has_value() && lane->base == rule_metric;
 }
 
 // Per-window histogram: current minus previous, bucket by bucket. `max`

@@ -263,7 +263,7 @@ std::string_view HealthStateName(HealthState state);
 // One rule; bounds are "breach when value > bound", a negative bound
 // disables that severity tier. `metric` may end in ".*" to match every
 // metric with that prefix, and every rule also matches the per-partition
-// `.p<i>` mirrors of its metric so lane breaches roll up with the lane
+// `.p<i>` lanes of its metric so lane breaches roll up with the lane
 // named in the reason.
 struct SloRule {
   enum class Kind : uint8_t {

@@ -122,6 +122,16 @@ void FlightRecorder::Record(uint64_t trace_id, TraceStage stage,
   recorded->Increment();
 }
 
+void RecordStage(Histogram* hist, TraceStage stage, uint64_t trace_id,
+                 uint64_t start_us, uint64_t dur_us) {
+  if (hist != nullptr) {
+    hist->Record(dur_us);
+  }
+  if (trace_id != 0) {
+    FlightRecorder::Instance().Record(trace_id, stage, start_us, dur_us);
+  }
+}
+
 TraceDump FlightRecorder::Collect(uint64_t min_total_us,
                                   size_t max_spans) const {
   TraceDump dump;

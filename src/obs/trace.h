@@ -29,9 +29,9 @@
 //
 // Trace context: a thread-local current trace ID. The net server sets it
 // (ScopedTraceContext) around each dispatched request; deep layers
-// (volume writer, device burn) attach spans via TraceSpanTimer without
-// any API threading. Context id 0 means "not traced" and makes every
-// recording site a no-op beyond one thread-local read.
+// (volume writer, device burn) attach spans via StageTimer without any
+// API threading. Context id 0 means "not traced": a stage then feeds only
+// its histogram, and a span-only site costs one thread-local read.
 #ifndef SRC_OBS_TRACE_H_
 #define SRC_OBS_TRACE_H_
 
@@ -45,6 +45,7 @@
 #include <string_view>
 #include <vector>
 
+#include "src/obs/metrics.h"
 #include "src/util/bytes.h"
 #include "src/util/status.h"
 
@@ -172,32 +173,45 @@ class FlightRecorder {
   std::vector<Ring*> free_rings_;
 };
 
-// Records a span for the thread's current trace context from construction
-// to destruction. When the context is empty (trace id 0) the timer is a
-// no-op and never reads the clock, so instrumentation sites cost one
-// thread-local read on untraced paths.
-class TraceSpanTimer {
+// Records one finished stage — the single instrumentation point every
+// timed stage funnels through: `hist`, when non-null, always gets the
+// duration; a span is recorded only when `trace_id` is nonzero (traced).
+void RecordStage(Histogram* hist, TraceStage stage, uint64_t trace_id,
+                 uint64_t start_us, uint64_t dur_us);
+
+// Times one stage from construction to destruction and records it through
+// RecordStage, reading the trace clock once at each end. Either half may
+// be empty: a null histogram records only the span, and an untraced or
+// stageless timer only the histogram. With both empty the timer never
+// reads the clock, so a span-only site costs one thread-local read on
+// untraced paths.
+class StageTimer {
  public:
-  explicit TraceSpanTimer(TraceStage stage)
-      : TraceSpanTimer(stage, CurrentTraceId()) {}
+  // A stage of the thread's current trace context. Without a stage
+  // (kUnknown) the timer feeds the histogram only and never spans.
+  explicit StageTimer(Histogram* hist, TraceStage stage = TraceStage::kUnknown)
+      : StageTimer(hist, stage,
+                   stage == TraceStage::kUnknown ? 0 : CurrentTraceId()) {}
   // Explicit-id form for sites outside any thread context (the client's
   // round trip, which is where trace ids are born).
-  TraceSpanTimer(TraceStage stage, uint64_t trace_id)
-      : trace_id_(trace_id),
+  StageTimer(Histogram* hist, TraceStage stage, uint64_t trace_id)
+      : hist_(hist),
         stage_(stage),
-        start_us_(trace_id_ != 0 ? TraceNowUs() : 0) {}
-  ~TraceSpanTimer() {
-    if (trace_id_ != 0) {
-      FlightRecorder::Instance().Record(trace_id_, stage_, start_us_,
-                                        TraceNowUs() - start_us_);
+        trace_id_(trace_id),
+        start_us_(hist_ != nullptr || trace_id_ != 0 ? TraceNowUs() : 0) {}
+  ~StageTimer() {
+    if (hist_ != nullptr || trace_id_ != 0) {
+      RecordStage(hist_, stage_, trace_id_, start_us_,
+                  TraceNowUs() - start_us_);
     }
   }
-  TraceSpanTimer(const TraceSpanTimer&) = delete;
-  TraceSpanTimer& operator=(const TraceSpanTimer&) = delete;
+  StageTimer(const StageTimer&) = delete;
+  StageTimer& operator=(const StageTimer&) = delete;
 
  private:
-  const uint64_t trace_id_;
+  Histogram* const hist_;
   const TraceStage stage_;
+  const uint64_t trace_id_;
   const uint64_t start_us_;
 };
 

@@ -9,10 +9,9 @@ namespace clio {
 namespace {
 
 // Per-partition variant of the shared option template: sequence ids are
-// assigned by the caller; the metric suffix and label identify the lane.
+// assigned by the caller; the label identifies the partition.
 LogServiceOptions PartitionOptions(const LogServiceOptions& base, uint32_t p) {
   LogServiceOptions o = base;
-  o.metric_suffix = ".p" + std::to_string(p);
   if (!o.label.empty()) {
     o.label += "/p" + std::to_string(p);
   } else {
@@ -47,7 +46,7 @@ Result<std::unique_ptr<PartitionedLogService>> PartitionedLogService::Create(
     }
     CLIO_ASSIGN_OR_RETURN(auto part, LogService::Create(std::move(devices[p]),
                                                         clock, o));
-    svc->partitions_.push_back(part.get());
+    svc->AddPartition(part.get());
     svc->owned_.push_back(std::move(part));
   }
   CLIO_RETURN_IF_ERROR(svc->LearnRoutes());
@@ -77,7 +76,7 @@ Result<std::unique_ptr<PartitionedLogService>> PartitionedLogService::Recover(
     if (reports != nullptr) {
       reports->push_back(report);
     }
-    svc->partitions_.push_back(part.get());
+    svc->AddPartition(part.get());
     svc->owned_.push_back(std::move(part));
   }
   // Each partition is its own volume sequence; two equal ids mean the same
@@ -100,9 +99,16 @@ Result<std::unique_ptr<PartitionedLogService>> PartitionedLogService::Wrap(
     LogService* service) {
   auto svc = std::unique_ptr<PartitionedLogService>(
       new PartitionedLogService(service->clock()));
-  svc->partitions_.push_back(service);
+  svc->AddPartition(service);
   CLIO_RETURN_IF_ERROR(svc->LearnRoutes());
   return svc;
+}
+
+// The one place a service learns its partition index, which is also its
+// metric lane (LogService::partition_index).
+void PartitionedLogService::AddPartition(LogService* part) {
+  part->AssignPartition(partition_count());
+  partitions_.push_back(part);
 }
 
 Status PartitionedLogService::LearnRoutes() {

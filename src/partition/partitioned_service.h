@@ -67,8 +67,7 @@ class PartitionedLogReader;
 struct PartitionedServiceOptions {
   // Template applied to every partition. `sequence_id`, when nonzero, is
   // the BASE id: partition p's sequence gets base + p (a fresh base is
-  // derived from the clock when 0). `metric_suffix` is overridden with
-  // ".p<i>" per partition; `label` gets "/p<i>" appended.
+  // derived from the clock when 0). `label` gets "/p<i>" appended.
   LogServiceOptions base;
 
   // Per-lane NVRAM tails: partition p gets lane_nvram[p] when present,
@@ -157,6 +156,9 @@ class PartitionedLogService {
 
  private:
   explicit PartitionedLogService(TimeSource* clock) : clock_(clock) {}
+
+  // Appends `part` as the next partition and assigns it that index.
+  void AddPartition(LogService* part);
 
   // Rebuilds the router from the partitions' catalogs, the durable routing
   // table. Mirrored ancestors carry their original home id, so every

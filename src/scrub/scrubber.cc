@@ -11,8 +11,12 @@
 namespace clio {
 namespace {
 
-Counter* ScrubCounter(const std::string& name, const std::string& suffix) {
-  return ObsRegistry().counter("clio.scrub." + name + suffix);
+// The clio.scrub.<name> counter. The per-lane ones (passes,
+// blocks_scanned, quarantined_blocks) pass their service's metric lane and
+// are looked up per pass, volume or verdict, never per block.
+Counter* ScrubCounter(const std::string& name,
+                      std::optional<uint32_t> lane = std::nullopt) {
+  return ObsRegistry().counter(LaneMetricName("clio.scrub." + name, lane));
 }
 
 // What one locked probe of a block concluded.
@@ -91,11 +95,7 @@ void Scrubber::ThreadMain() {
 }
 
 Result<Scrubber::PassStats> Scrubber::RunOnce() {
-  static Counter* passes = ScrubCounter("passes", "");
-  Counter* labeled_passes =
-      options_.metric_suffix.empty()
-          ? nullptr
-          : ScrubCounter("passes", options_.metric_suffix);
+  Counter* passes = ScrubCounter("passes", service_->partition_index());
 
   PassStats stats;
   uint32_t start_volume = 0;
@@ -146,21 +146,16 @@ Result<Scrubber::PassStats> Scrubber::RunOnce() {
   }
   passes_.fetch_add(1, std::memory_order_relaxed);
   passes->Increment();
-  if (labeled_passes != nullptr) {
-    labeled_passes->Increment();
-  }
   return stats;
 }
 
 Status Scrubber::ScrubVolume(uint32_t volume_index, uint64_t from,
                              bool resumed, PassStats* stats) {
-  static Counter* scanned = ScrubCounter("blocks_scanned", "");
-  static Counter* corrupt = ScrubCounter("corrupt_blocks", "");
-  static Counter* mismatches = ScrubCounter("chain_mismatches", "");
-  static Counter* retries = ScrubCounter("retries", "");
-  const std::string& suffix = options_.metric_suffix;
-  Counter* labeled_scanned =
-      suffix.empty() ? nullptr : ScrubCounter("blocks_scanned", suffix);
+  static Counter* corrupt = ScrubCounter("corrupt_blocks");
+  static Counter* mismatches = ScrubCounter("chain_mismatches");
+  static Counter* retries = ScrubCounter("retries");
+  Counter* scanned =
+      ScrubCounter("blocks_scanned", service_->partition_index());
 
   bool chained = false;
   uint64_t acc = 0;
@@ -263,9 +258,6 @@ Status Scrubber::ScrubVolume(uint32_t volume_index, uint64_t from,
     }
     ++stats->blocks_scanned;
     scanned->Increment();
-    if (labeled_scanned != nullptr) {
-      labeled_scanned->Increment();
-    }
 
     switch (probe) {
       case Probe::kValid:
@@ -323,12 +315,8 @@ Status Scrubber::ScrubVolume(uint32_t volume_index, uint64_t from,
 
 void Scrubber::Quarantine(uint32_t volume_index, uint64_t block,
                           PassStats* stats) {
-  static Counter* quarantined = ScrubCounter("quarantined_blocks", "");
-  static Gauge* degraded = ObsRegistry().gauge("clio.scrub.degraded");
-  Counter* labeled =
-      options_.metric_suffix.empty()
-          ? nullptr
-          : ScrubCounter("quarantined_blocks", options_.metric_suffix);
+  Counter* quarantined =
+      ScrubCounter("quarantined_blocks", service_->partition_index());
 
   std::unique_lock<std::shared_mutex> lock(service_->mutex());
   if (service_->catalog().IsQuarantined(volume_index, block)) {
@@ -340,14 +328,10 @@ void Scrubber::Quarantine(uint32_t volume_index, uint64_t block,
   (void)service_->QuarantineBlock(volume_index, block);
   ++stats->quarantined;
   quarantined->Increment();
-  if (labeled != nullptr) {
-    labeled->Increment();
-  }
-  degraded->Set(service_->degraded() ? 1 : 0);
 }
 
 void Scrubber::PersistCursor(uint32_t volume_index, uint64_t block) {
-  static Counter* cursor_records = ScrubCounter("cursor_records", "");
+  static Counter* cursor_records = ScrubCounter("cursor_records");
   std::unique_lock<std::shared_mutex> lock(service_->mutex());
   if (service_->PersistScrubCursor(volume_index, block).ok()) {
     cursor_records->Increment();

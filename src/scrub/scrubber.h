@@ -32,7 +32,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <thread>
 
 #include "src/clio/log_service.h"
@@ -47,9 +46,6 @@ struct ScrubOptions {
   uint64_t retry_backoff_ms = 5;     // initial backoff, doubling up to...
   uint64_t retry_backoff_cap_ms = 100;
   int max_busy_yields = 8;           // ticks yielded to appends in a row
-  // Suffix for per-lane metric mirrors ("" = global metrics only), same
-  // convention as LogServiceOptions::metric_suffix.
-  std::string metric_suffix;
 };
 
 class Scrubber {

@@ -1,12 +1,15 @@
 // IPC channel and log-server protocol tests.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <thread>
 #include <vector>
 
 #include "src/ipc/channel.h"
 #include "src/ipc/log_server.h"
+#include "src/obs/metrics.h"
+#include "src/partition/partitioned_service.h"
 #include "tests/test_util.h"
 
 namespace clio {
@@ -246,6 +249,65 @@ TEST_F(LogServerTest, ForcedWriteViaIpcIsDurable) {
   ASSERT_OK(client.CreateLogFile("/commit").status());
   ASSERT_OK(client.Append("/commit", AsBytes("record"), true, true).status());
   EXPECT_GE(fx_.service->current_volume()->end_block(), 2u);
+}
+
+// Dispatch and DispatchScatter share one accounting scope: the same
+// kReadBatch through either entry point leaves identical deltas in the
+// request counter, the all-ops histogram and the read-class histogram.
+TEST(ServiceDispatcherTest, FlatAndScatterReadBatchAccountAlike) {
+  ServiceFixture fx = ServiceFixture::Make();
+  ASSERT_OK_AND_ASSIGN(auto view,
+                       PartitionedLogService::Wrap(fx.service.get()));
+  ASSERT_OK(view->CreateLogFile("/acct").status());
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_OK(view->Append("/acct", AsBytes("e" + std::to_string(i))).status());
+  }
+  ServiceDispatcher dispatcher(view.get());
+  dispatcher.set_zero_copy(true);
+  auto open_reader = [&]() -> uint64_t {
+    Bytes body;
+    ByteWriter(&body).PutString("/acct");
+    auto reply = DecodeReplyBody(dispatcher.Dispatch(LogOp::kOpenReader, body));
+    EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+    return reply.ok() ? ByteReader(*reply).GetU64() : 0;
+  };
+  auto batch_body = [](uint64_t handle) {
+    Bytes body;
+    ByteWriter w(&body);
+    w.PutU64(handle);
+    w.PutU32(4);
+    return body;
+  };
+  auto deltas = [](const auto& dispatch) {
+    const StatsSnapshot before = ObsRegistry().Snapshot();
+    dispatch();
+    const StatsSnapshot after = ObsRegistry().Snapshot();
+    auto count = [](const StatsSnapshot& s, const char* name) {
+      auto h = s.histogram(name);
+      return h.has_value() ? h->count : 0;
+    };
+    return std::array<uint64_t, 3>{
+        after.counter("clio.rpc.requests.read_batch") -
+            before.counter("clio.rpc.requests.read_batch"),
+        count(after, "clio.rpc.request_us") -
+            count(before, "clio.rpc.request_us"),
+        count(after, "clio.rpc.read_us") - count(before, "clio.rpc.read_us")};
+  };
+
+  const Bytes flat_body = batch_body(open_reader());
+  const Bytes scatter_body = batch_body(open_reader());
+  const auto flat = deltas([&] {
+    EXPECT_OK(DecodeReplyBody(dispatcher.Dispatch(LogOp::kReadBatch,
+                                                  flat_body))
+                  .status());
+  });
+  const auto scatter = deltas([&] {
+    WireMessage reply =
+        dispatcher.DispatchScatter(LogOp::kReadBatch, scatter_body);
+    EXPECT_GT(reply.borrowed_bytes(), 0u);  // really the scatter path
+  });
+  EXPECT_EQ(flat, (std::array<uint64_t, 3>{1, 1, 1}));
+  EXPECT_EQ(scatter, flat);
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
 // Metrics registry: bucket boundaries, concurrency, snapshot consistency,
-// and the wire round trip the kStats op relies on.
+// the per-partition lane fold, the stage timer, and the wire round trip
+// the kStats op relies on.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 
 namespace clio {
 namespace {
@@ -253,16 +256,88 @@ TEST(StatsJson, WellFormedAndComplete) {
   EXPECT_EQ(depth, 0);
 }
 
-TEST(ScopedTimerTest, RecordsOnceAndDismisses) {
+// The one stage timer: the histogram always gets the sample, the flight
+// recorder a span only when the stage is traced, and both get the same
+// duration from the same two clock reads.
+TEST(StageTimerTest, FeedsTheHistogramAndSpansOnlyWhenTraced) {
+  auto& recorder = FlightRecorder::Instance();
+  recorder.ResetForTest();
   MetricsRegistry registry;
   Histogram* h = registry.histogram("t");
-  { ScopedTimer timer(h); }
+
+  { StageTimer untraced(h, TraceStage::kDispatch); }  // no trace context
   EXPECT_EQ(h->count(), 1u);
+  EXPECT_TRUE(recorder.Collect().spans.empty());
+
+  const uint64_t sum_before = h->sum();
   {
-    ScopedTimer timer(h);
-    timer.Dismiss();
+    ScopedTraceContext scope(0x5000'0001);
+    StageTimer traced(h, TraceStage::kForce);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
-  EXPECT_EQ(h->count(), 1u);  // dismissed sample not recorded
+  EXPECT_EQ(h->count(), 2u);
+  TraceDump dump = recorder.Collect();
+  ASSERT_EQ(dump.spans.size(), 1u);
+  EXPECT_EQ(dump.spans[0].trace_id, 0x5000'0001u);
+  EXPECT_EQ(dump.spans[0].stage, TraceStage::kForce);
+  EXPECT_GE(dump.spans[0].dur_us, 2000u);
+  EXPECT_EQ(h->sum() - sum_before, dump.spans[0].dur_us);
+
+  {
+    ScopedTraceContext scope(0x5000'0002);
+    StageTimer span_only(nullptr, TraceStage::kBurn);
+  }
+  EXPECT_EQ(h->count(), 2u);  // a null histogram records the span only
+  dump = recorder.Collect();
+  ASSERT_EQ(dump.spans.size(), 2u);
+  EXPECT_EQ(dump.spans[1].trace_id, 0x5000'0002u);
+  EXPECT_EQ(dump.spans[1].stage, TraceStage::kBurn);
+}
+
+// ---------------------------------------------------------------------------
+// Per-partition lanes
+
+TEST(MetricLanes, NamingRuleRoundTrips) {
+  EXPECT_EQ(LaneMetricName("clio.volume.appends", std::nullopt),
+            "clio.volume.appends");
+  EXPECT_EQ(LaneMetricName("clio.volume.appends", 12),
+            "clio.volume.appends.p12");
+  auto lane = ParseLaneMetricName("clio.volume.appends.p12");
+  ASSERT_TRUE(lane.has_value());
+  EXPECT_EQ(lane->base, "clio.volume.appends");
+  EXPECT_EQ(lane->lane, 12u);
+  for (const char* bare : {"clio.volume.appends", "clio.volume.appends.p",
+                           "clio.volume.appends.p1x", "clio.process.rss_bytes",
+                           ".p3", "clio.x.p99999999999"}) {
+    EXPECT_FALSE(ParseLaneMetricName(bare).has_value()) << bare;
+  }
+}
+
+TEST(MetricLanes, SnapshotFoldsEveryLaneIntoTheBareName) {
+  MetricsRegistry registry;
+  registry.counter("c")->Increment(1);  // a standalone service's direct value
+  registry.counter("c.p0")->Increment(2);
+  registry.counter("c.p1")->Increment(4);
+  registry.gauge("g.p0")->Add(3);
+  registry.gauge("g.p2")->Add(-1);
+  registry.histogram("h.p0")->Record(3);
+  registry.histogram("h.p1")->Record(100);
+  registry.histogram("h.p1")->Record(5);
+
+  const StatsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.counter("c"), 7u);
+  EXPECT_EQ(snap.counter("c.p1"), 4u);  // lanes stay visible
+  EXPECT_EQ(snap.gauge("g"), 2);
+  EXPECT_EQ(snap.gauge("g.p2"), -1);
+  auto h = snap.histogram("h");
+  ASSERT_TRUE(h.has_value());
+  EXPECT_EQ(h->count, 3u);
+  EXPECT_EQ(h->sum, 108u);
+  EXPECT_EQ(h->max, 100u);
+  EXPECT_EQ(h->buckets[Histogram::BucketFor(3)], 1u);
+  EXPECT_EQ(h->buckets[Histogram::BucketFor(5)], 1u);
+  EXPECT_EQ(h->buckets[Histogram::BucketFor(100)], 1u);
+  EXPECT_EQ(snap.histogram("h.p0")->count, 1u);
 }
 
 TEST(ObsRegistryTest, ProcessWideSingleton) {

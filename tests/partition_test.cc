@@ -1,5 +1,6 @@
 // Partitioned volume sequences: routing, namespace mirroring, the
-// merge-by-timestamp reader, recovery, and the partitioned net server.
+// merge-by-timestamp reader, recovery, the partitioned net server, and
+// per-partition metric lanes.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -516,6 +517,26 @@ TEST(PlainVolume, RecoversAsPartitionZero) {
   EXPECT_EQ(partition_routes.size(), 4u);
 }
 
+// A plain LogService served through NetLogServer::Start(LogService*) is a
+// one-partition view: its per-partition metrics record into lane 0.
+TEST(PlainVolume, ServedAloneRecordsIntoLaneZero) {
+  testing::ServiceFixture fx = testing::ServiceFixture::Make();
+  EXPECT_FALSE(fx.service->partition_index().has_value());
+  ASSERT_OK_AND_ASSIGN(auto server, NetLogServer::Start(fx.service.get()));
+  EXPECT_EQ(fx.service->partition_index(), std::optional<uint32_t>(0));
+  auto lane_appends = [] {
+    return ObsRegistry().Snapshot().counter("clio.volume.appends.p0");
+  };
+  const uint64_t before = lane_appends();
+  ASSERT_OK_AND_ASSIGN(auto client, NetLogClient::Connect(server->port()));
+  ASSERT_OK(client->CreateLogFile("/alone").status());
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_OK(client->Append("/alone", AsBytes("a"), true).status());
+  }
+  EXPECT_GE(lane_appends() - before, 5u);
+  server->Stop();
+}
+
 // ---------------------------------------------------------------------------
 // Partitioned net server
 
@@ -618,6 +639,65 @@ TEST_F(PartitionedNetTest, SinglePartitionDeploymentBehavesLikeClassic) {
   ASSERT_OK_AND_ASSIGN(auto entry, client->ReadNext(handle));
   ASSERT_TRUE(entry.has_value());
   EXPECT_EQ(ToString(entry->payload), "p");
+}
+
+// Each per-partition metric is recorded once, into its lane, and the
+// aggregate is the lanes' fold: over creates, reads and appends (one of
+// them rejected), every `.p<i>` family's deltas sum to the bare delta —
+// nothing counts in a lane but not the total, or in the total but no lane.
+TEST_F(PartitionedNetTest, LaneDeltasSumToTheAggregateDelta) {
+  StartServer(4);
+  const StatsSnapshot before = ObsRegistry().Snapshot();
+  auto client = Client();
+  for (uint32_t p = 0; p < 4; ++p) {
+    ASSERT_OK(client->CreateLogFilePlaced("/lane" + std::to_string(p), 0644, p)
+                  .status());
+  }
+  ASSERT_OK(client->CreateLogFilePlaced("/readonly", 0444, 2).status());
+  for (int i = 0; i < 16; ++i) {
+    ASSERT_OK(client
+                  ->Append("/lane" + std::to_string(i % 4), AsBytes("x"),
+                           /*timestamped=*/true, /*force=*/i % 2 == 0)
+                  .status());
+  }
+  EXPECT_EQ(client->Append("/readonly", AsBytes("no"), true).status().code(),
+            StatusCode::kPermissionDenied);
+  ASSERT_OK_AND_ASSIGN(uint64_t handle, client->OpenReader("/lane1"));
+  ASSERT_OK(client->SeekToStart(handle));
+  ASSERT_OK(client->ReadNext(handle).status());
+  ASSERT_OK(client->CloseReader(handle));
+  const StatsSnapshot after = ObsRegistry().Snapshot();
+
+  std::map<std::string, uint64_t> counter_lanes;
+  for (const auto& [name, value] : after.counters) {
+    if (auto lane = ParseLaneMetricName(name)) {
+      counter_lanes[std::string(lane->base)] += value - before.counter(name);
+    }
+  }
+  auto hist_count = [](const StatsSnapshot& s, const std::string& name) {
+    auto h = s.histogram(name);
+    return h.has_value() ? h->count : 0;
+  };
+  std::map<std::string, uint64_t> histogram_lanes;
+  for (const auto& [name, hist] : after.histograms) {
+    if (auto lane = ParseLaneMetricName(name)) {
+      histogram_lanes[std::string(lane->base)] +=
+          hist.count - hist_count(before, name);
+    }
+  }
+  for (const char* family : {"clio.volume.appends", "clio.volume.append_bytes",
+                             "clio.index.hits", "clio.net.batch.appends"}) {
+    EXPECT_TRUE(counter_lanes.count(family)) << family;
+  }
+  EXPECT_GT(counter_lanes["clio.volume.appends"], 16u);  // + catalog records
+  for (const auto& [base, lanes] : counter_lanes) {
+    EXPECT_EQ(lanes, after.counter(base) - before.counter(base)) << base;
+  }
+  EXPECT_TRUE(histogram_lanes.count("clio.volume.append_us"));
+  for (const auto& [base, lanes] : histogram_lanes) {
+    EXPECT_EQ(lanes, hist_count(after, base) - hist_count(before, base))
+        << base;
+  }
 }
 
 }  // namespace

@@ -141,6 +141,41 @@ TEST(Scrub, BitFlipIsFoundQuarantinedAndDegradesOnlyCrossingReads) {
   EXPECT_EQ(again.quarantined, 0u);
 }
 
+// clio.scrub.degraded is additive: each quarantined block adds one, and a
+// destroyed service withdraws what it added, so the gauge ends where it
+// started. The scrubber only reports verdicts; it never sets the gauge.
+TEST(Scrub, DegradedGaugeCountsQuarantinesAndReturnsToItsStart) {
+  auto degraded = [] {
+    return ObsRegistry().Snapshot().gauge("clio.scrub.degraded");
+  };
+  const int64_t start = degraded();
+  {
+    auto fx = FaultFixture::Make();
+    ASSERT_OK_AND_ASSIGN(LogFileId a_id, fx.service->CreateLogFile("/a"));
+    ASSERT_OK_AND_ASSIGN(LogFileId b_id, fx.service->CreateLogFile("/b"));
+    Rng rng(21);
+    WriteOptions forced;
+    forced.force = true;
+    for (const char* path : {"/a", "/b"}) {
+      for (int i = 0; i < 30; ++i) {
+        ASSERT_OK(
+            fx.service->Append(path, RandomPayload(&rng, 80), forced).status());
+      }
+    }
+    for (LogFileId id : {a_id, b_id}) {
+      const uint64_t victim = FindDataBlockOf(fx.service.get(), id);
+      ASSERT_GT(victim, 0u) << "no pure data block of log file " << id;
+      ASSERT_OK(fx.device->FlipBitOnMedia(victim, /*bit_index=*/1234));
+      fx.service->cache().Erase({0, victim});
+    }
+    Scrubber scrubber(fx.service.get(), ScrubOptions{});
+    ASSERT_OK_AND_ASSIGN(Scrubber::PassStats stats, scrubber.RunOnce());
+    ASSERT_EQ(stats.quarantined, 2u);
+    EXPECT_EQ(degraded(), start + 2);
+  }
+  EXPECT_EQ(degraded(), start);
+}
+
 TEST(Scrub, ChainMismatchConvictsTheForgedBlock) {
   auto fx = FaultFixture::Make();
   ASSERT_OK(fx.service->CreateLogFile("/a").status());

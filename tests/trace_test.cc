@@ -71,16 +71,25 @@ TEST(FlightRecorderTest, SpanTimerUsesTheCurrentContext) {
   recorder.ResetForTest();
   {
     // No context: the timer must record nothing.
-    TraceSpanTimer untraced(TraceStage::kDispatch);
+    StageTimer untraced(nullptr, TraceStage::kDispatch);
   }
   {
     ScopedTraceContext scope(kIdBase + 30);
-    TraceSpanTimer traced(TraceStage::kVolumeAppend);
+    StageTimer traced(nullptr, TraceStage::kVolumeAppend);
+    // The histogram-only form never spans, even inside a context.
+    StageTimer histogram_only(nullptr);
+  }
+  {
+    // The explicit id wins over the thread's context.
+    ScopedTraceContext scope(kIdBase + 31);
+    StageTimer client(nullptr, TraceStage::kClientCall, kIdBase + 32);
   }
   TraceDump dump = recorder.Collect();
-  ASSERT_EQ(dump.spans.size(), 1u);
+  ASSERT_EQ(dump.spans.size(), 2u);
   EXPECT_EQ(dump.spans[0].trace_id, kIdBase + 30);
   EXPECT_EQ(dump.spans[0].stage, TraceStage::kVolumeAppend);
+  EXPECT_EQ(dump.spans[1].trace_id, kIdBase + 32);
+  EXPECT_EQ(dump.spans[1].stage, TraceStage::kClientCall);
 }
 
 TEST(FlightRecorderTest, RingWrapCountsDrops) {
