@@ -113,11 +113,12 @@ CellResult RunCell(int clients, bool batching, uint64_t hold_us,
   BENCH_CHECK_OK(service.status());
 
   NetLogServerOptions server_options;
-  server_options.batching = batching;
   server_options.batch.max_hold_us = hold_us;
   // Commit as soon as every connected committer has joined the batch; the
-  // hold window is the fallback when some are mid-round-trip.
-  server_options.batch.max_batch_entries = static_cast<size_t>(clients);
+  // hold window is the fallback when some are mid-round-trip. Unbatched
+  // cells commit batches of one: one force per append.
+  server_options.batch.max_batch_entries =
+      batching ? static_cast<size_t>(clients) : 1;
   // Scrub cells run the online scrubber at an aggressive cadence so it
   // actually races the committers during the short measurement window —
   // the overhead measured here is an upper bound on production settings.
@@ -172,8 +173,7 @@ CellResult RunCell(int clients, bool batching, uint64_t hold_us,
   result.p50_us = Percentile(&all, 0.50);
   result.p99_us = Percentile(&all, 0.99);
   result.p999_us = Percentile(&all, 0.999);
-  if (batching && (*server)->batcher() != nullptr &&
-      (*server)->batcher()->batches_committed() > 0) {
+  if ((*server)->batcher()->batches_committed() > 0) {
     result.mean_batch =
         static_cast<double>((*server)->batcher()->entries_committed()) /
         (*server)->batcher()->batches_committed();
@@ -221,7 +221,6 @@ PartitionCellResult RunPartitionedCell(uint32_t partitions, int clients) {
   BENCH_CHECK_OK(service.status());
 
   NetLogServerOptions server_options;
-  server_options.batching = true;
   server_options.batch.max_hold_us = 1000;
   // Commit as soon as every committer pinned to the lane has joined.
   server_options.batch.max_batch_entries = static_cast<size_t>(

@@ -80,13 +80,11 @@ int main() {
               kWriters * kWritesEach, kWriters,
               static_cast<double>(elapsed) / (kWriters * kWritesEach) /
                   1000.0);
-  if ((*server)->batcher() != nullptr) {
-    std::printf("group commit: %llu entries in %llu forces\n",
-                static_cast<unsigned long long>(
-                    (*server)->batcher()->entries_committed()),
-                static_cast<unsigned long long>(
-                    (*server)->batcher()->batches_committed()));
-  }
+  std::printf("group commit: %llu entries in %llu forces\n",
+              static_cast<unsigned long long>(
+                  (*server)->batcher()->entries_committed()),
+              static_cast<unsigned long long>(
+                  (*server)->batcher()->batches_committed()));
 
   // Read the newest entries back over a fresh connection.
   auto reader = NetLogClient::Connect((*server)->port());

@@ -29,7 +29,9 @@ class VolumeCursor {
       : volume_(volume), id_(id) {}
 
   LogFileId logfile_id() const { return id_; }
-  LogVolume* volume() { return volume_; }
+  // Moves the cursor onto another LogVolume object for the same volume (a
+  // remount), keeping the gap position.
+  void Rebind(LogVolume* volume) { volume_ = volume; }
 
   // Zero-copy mode: records carry their payload as PayloadSegments
   // referencing pinned block images instead of a flat copy (DESIGN.md

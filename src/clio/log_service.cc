@@ -1,36 +1,12 @@
 #include "src/clio/log_service.h"
 
 #include <algorithm>
-#include <cassert>
+#include <mutex>
+#include <shared_mutex>
 #include <utility>
 
 namespace clio {
 namespace {
-
-// Debug assertion behind the mutex() contract (see log_service.h): every
-// mutating entry point takes one of these; two alive at once means
-// concurrent callers are mutating the service without holding mutex().
-#ifndef NDEBUG
-class SingleMutatorCheck {
- public:
-  explicit SingleMutatorCheck(std::atomic<int>* count) : count_(count) {
-    int previous = count_->fetch_add(1, std::memory_order_acq_rel);
-    assert(previous == 0 &&
-           "concurrent LogService mutation; callers must hold mutex()");
-    (void)previous;
-  }
-  ~SingleMutatorCheck() { count_->fetch_sub(1, std::memory_order_acq_rel); }
-
- private:
-  std::atomic<int>* count_;
-};
-#define CLIO_SINGLE_MUTATOR_CHECK() \
-  SingleMutatorCheck _single_mutator_check(&active_mutators_)
-#else
-#define CLIO_SINGLE_MUTATOR_CHECK() \
-  do {                              \
-  } while (0)
-#endif
 
 constexpr uint32_t kReadBit = 0400;
 constexpr uint32_t kWriteBit = 0200;
@@ -240,10 +216,19 @@ Status LogService::CheckPermission(LogFileId id, uint32_t needed_bits) const {
   return Status::Ok();
 }
 
+Status LogService::AppendCatalogRecord(const CatalogRecord& record) {
+  WriteOptions opts;
+  opts.timestamped = true;
+  return current_volume()
+      ->writer()
+      ->Append(kCatalogLogId, record.Encode(), opts)
+      .status();
+}
+
 Result<LogFileId> LogService::CreateLogFile(std::string_view path,
                                             uint32_t permissions,
                                             uint32_t home_partition) {
-  CLIO_SINGLE_MUTATOR_CHECK();
+  std::unique_lock lock(mu_);
   std::string parent_path;
   std::string name;
   CLIO_RETURN_IF_ERROR(SplitPath(path, &parent_path, &name));
@@ -252,54 +237,46 @@ Result<LogFileId> LogService::CreateLogFile(std::string_view path,
       CatalogRecord record,
       catalog_.Create(name, parent, permissions, clock_->Now(),
                       home_partition));
-  WriteOptions opts;
-  opts.timestamped = true;
-  auto appended = current_volume()->writer()->Append(kCatalogLogId,
-                                                     record.Encode(), opts);
+  Status appended = AppendCatalogRecord(record);
   if (!appended.ok()) {
     catalog_.RemoveForRollback(record.subject);
-    return appended.status();
+    return appended;
   }
   return record.subject;
 }
 
 Result<LogFileId> LogService::Resolve(std::string_view path) const {
+  std::shared_lock lock(mu_);
   return catalog_.Resolve(path);
 }
 
 Result<LogFileInfo> LogService::Stat(std::string_view path) const {
+  std::shared_lock lock(mu_);
   CLIO_ASSIGN_OR_RETURN(LogFileId id, catalog_.Resolve(path));
   return catalog_.Info(id);
 }
 
 Result<std::map<std::string, LogFileId>> LogService::List(
     std::string_view path) const {
+  std::shared_lock lock(mu_);
   CLIO_ASSIGN_OR_RETURN(LogFileId id, catalog_.Resolve(path));
   return catalog_.Children(id);
 }
 
 Status LogService::SetPermissions(std::string_view path,
                                   uint32_t permissions) {
-  CLIO_SINGLE_MUTATOR_CHECK();
+  std::unique_lock lock(mu_);
   CLIO_ASSIGN_OR_RETURN(LogFileId id, catalog_.Resolve(path));
   CLIO_ASSIGN_OR_RETURN(CatalogRecord record,
                         catalog_.SetPermissions(id, permissions));
-  WriteOptions opts;
-  opts.timestamped = true;
-  auto appended = current_volume()->writer()->Append(kCatalogLogId,
-                                                     record.Encode(), opts);
-  return appended.ok() ? Status::Ok() : appended.status();
+  return AppendCatalogRecord(record);
 }
 
 Status LogService::SealLogFile(std::string_view path) {
-  CLIO_SINGLE_MUTATOR_CHECK();
+  std::unique_lock lock(mu_);
   CLIO_ASSIGN_OR_RETURN(LogFileId id, catalog_.Resolve(path));
   CLIO_ASSIGN_OR_RETURN(CatalogRecord record, catalog_.Seal(id));
-  WriteOptions opts;
-  opts.timestamped = true;
-  auto appended = current_volume()->writer()->Append(kCatalogLogId,
-                                                     record.Encode(), opts);
-  return appended.ok() ? Status::Ok() : appended.status();
+  return AppendCatalogRecord(record);
 }
 
 Status LogService::RollToNewVolume() {
@@ -354,7 +331,33 @@ Status LogService::RollToNewVolume() {
 Result<AppendResult> LogService::Append(LogFileId id,
                                         std::span<const std::byte> payload,
                                         const WriteOptions& options) {
-  CLIO_SINGLE_MUTATOR_CHECK();
+  std::unique_lock lock(mu_);
+  return AppendLocked(id, payload, options);
+}
+
+Result<AppendResult> LogService::Append(std::string_view path,
+                                        std::span<const std::byte> payload,
+                                        const WriteOptions& options) {
+  std::unique_lock lock(mu_);
+  return AppendLocked(path, payload, options);
+}
+
+Status LogService::Force() {
+  std::unique_lock lock(mu_);
+  return ForceLocked();
+}
+
+Result<AppendResult> LogService::WriteHandle::Append(
+    std::string_view path, std::span<const std::byte> payload,
+    const WriteOptions& options) {
+  return service_->AppendLocked(path, payload, options);
+}
+
+Status LogService::WriteHandle::Force() { return service_->ForceLocked(); }
+
+Result<AppendResult> LogService::AppendLocked(
+    LogFileId id, std::span<const std::byte> payload,
+    const WriteOptions& options) {
   if (id < kFirstClientLogId) {
     return PermissionDenied("service log files are not client-writable");
   }
@@ -383,15 +386,14 @@ Result<AppendResult> LogService::Append(LogFileId id,
   return result;
 }
 
-Result<AppendResult> LogService::Append(std::string_view path,
-                                        std::span<const std::byte> payload,
-                                        const WriteOptions& options) {
+Result<AppendResult> LogService::AppendLocked(
+    std::string_view path, std::span<const std::byte> payload,
+    const WriteOptions& options) {
   CLIO_ASSIGN_OR_RETURN(LogFileId id, catalog_.Resolve(path));
-  return Append(id, payload, options);
+  return AppendLocked(id, payload, options);
 }
 
-Status LogService::Force() {
-  CLIO_SINGLE_MUTATOR_CHECK();
+Status LogService::ForceLocked() {
   LogVolume* volume = current_volume();
   if (volume->writer() == nullptr) {
     return Status::Ok();
@@ -399,10 +401,11 @@ Status LogService::Force() {
   return volume->writer()->Force();
 }
 
-// A mutating call: callers must hold the exclusive lock, which guarantees
-// no shared-lock reader still holds the LogVolume* being destroyed.
+// The exclusive lock guarantees no reader is inside the LogVolume being
+// destroyed; a reader positioned on it rebinds on its next call
+// (LogReader::RebindCursor).
 Status LogService::TakeVolumeOffline(uint32_t index) {
-  CLIO_SINGLE_MUTATOR_CHECK();
+  std::unique_lock lock(mu_);
   if (index >= volumes_.size()) {
     return InvalidArgument("no such volume");
   }
@@ -460,30 +463,34 @@ Result<LogVolume*> LogService::VolumeForRead(size_t index) {
   return volumes_[index].get();
 }
 
-Result<std::unique_ptr<LogReader>> LogService::OpenReader(
-    std::string_view path) {
-  CLIO_ASSIGN_OR_RETURN(LogFileId id, catalog_.Resolve(path));
-  return OpenReaderById(id);
-}
-
-Result<std::unique_ptr<LogReader>> LogService::OpenReaderById(LogFileId id) {
+Status LogService::CheckReadable(LogFileId id) const {
   if (!catalog_.Exists(id)) {
     return NotFound("no such log file id");
   }
-  if (id != kVolumeSeqLogId) {
-    CLIO_RETURN_IF_ERROR(CheckPermission(id, kReadBit));
-  }
+  return id == kVolumeSeqLogId ? Status::Ok() : CheckPermission(id, kReadBit);
+}
+
+Result<std::unique_ptr<LogReader>> LogService::OpenReader(
+    std::string_view path) {
+  std::shared_lock lock(mu_);
+  CLIO_ASSIGN_OR_RETURN(LogFileId id, catalog_.Resolve(path));
+  CLIO_RETURN_IF_ERROR(CheckReadable(id));
+  return std::make_unique<LogReader>(this, id);
+}
+
+Result<std::unique_ptr<LogReader>> LogService::OpenReaderById(LogFileId id) {
+  std::shared_lock lock(mu_);
+  CLIO_RETURN_IF_ERROR(CheckReadable(id));
   return std::make_unique<LogReader>(this, id);
 }
 
 Result<ChainProof> LogService::BuildChainProof(std::string_view path,
                                                Timestamp t) {
+  std::shared_lock lock(mu_);
   CLIO_ASSIGN_OR_RETURN(LogFileId id, catalog_.Resolve(path));
-  if (id != kVolumeSeqLogId) {
-    CLIO_RETURN_IF_ERROR(CheckPermission(id, kReadBit));
-  }
+  CLIO_RETURN_IF_ERROR(CheckReadable(id));
   LogReader reader(this, id);
-  CLIO_ASSIGN_OR_RETURN(auto found, reader.FindByTimestamp(t));
+  CLIO_ASSIGN_OR_RETURN(auto found, reader.FindByTimestampLocked(t, nullptr));
   if (!found.has_value()) {
     return NotFound("no entry of " + std::string(path) + " at timestamp " +
                     std::to_string(t));
@@ -559,7 +566,7 @@ Result<ChainProof> LogService::BuildChainProof(std::string_view path,
 }
 
 Status LogService::QuarantineBlock(uint32_t volume_index, uint64_t block) {
-  CLIO_SINGLE_MUTATOR_CHECK();
+  std::unique_lock lock(mu_);
   if (catalog_.IsQuarantined(volume_index, block)) {
     return Status::Ok();
   }
@@ -568,28 +575,68 @@ Status LogService::QuarantineBlock(uint32_t volume_index, uint64_t block) {
   // Drop any cached copy so every future read funnels through GetBlock's
   // quarantine check instead of serving stale cached bytes.
   cache_->Erase({volume_index, block});
-  WriteOptions opts;
-  opts.timestamped = true;
-  auto appended = current_volume()->writer()->Append(kCatalogLogId,
-                                                     record.Encode(), opts);
-  if (appended.ok()) {
-    BumpDegradedGauge(1);
-  }
-  return appended.ok() ? Status::Ok() : appended.status();
+  CLIO_RETURN_IF_ERROR(AppendCatalogRecord(record));
+  BumpDegradedGauge(1);
+  return Status::Ok();
 }
 
 Status LogService::PersistScrubCursor(uint32_t volume_index, uint64_t block) {
-  CLIO_SINGLE_MUTATOR_CHECK();
+  std::unique_lock lock(mu_);
   CLIO_ASSIGN_OR_RETURN(CatalogRecord record,
                         catalog_.RecordScrubCursor(volume_index, block));
-  WriteOptions opts;
-  opts.timestamped = true;
-  auto appended = current_volume()->writer()->Append(kCatalogLogId,
-                                                     record.Encode(), opts);
-  return appended.ok() ? Status::Ok() : appended.status();
+  return AppendCatalogRecord(record);
+}
+
+std::optional<std::pair<uint32_t, uint64_t>> LogService::ScrubCursor() const {
+  std::shared_lock lock(mu_);
+  return catalog_.scrub_cursor();
+}
+
+bool LogService::degraded() const {
+  std::shared_lock lock(mu_);
+  return !catalog_.quarantined().empty();
+}
+
+Result<ParsedBlock> LogService::ProbeBlock(uint32_t volume_index,
+                                           uint64_t block) const {
+  std::shared_lock lock(mu_);
+  LogVolume* volume =
+      volume_index < volume_slots_.size()
+          ? volume_slots_[volume_index].load(std::memory_order_acquire)
+          : nullptr;
+  if (volume == nullptr || block == 0 || block >= volume->end_block()) {
+    return OutOfRange("no burned block " + std::to_string(block) +
+                      " on an online volume " +
+                      std::to_string(volume_index));
+  }
+  if (catalog_.IsQuarantined(volume_index, block)) {
+    return FailedPrecondition("block " + std::to_string(block) +
+                              " is already quarantined");
+  }
+  OpStats stats;
+  return volume->GetBlock(block, &stats);
+}
+
+Result<std::optional<uint64_t>> LogService::ChainSeed(
+    uint32_t volume_index) const {
+  std::shared_lock lock(mu_);
+  if (volume_index >= volume_slots_.size()) {
+    return OutOfRange("no volume " + std::to_string(volume_index));
+  }
+  LogVolume* volume =
+      volume_slots_[volume_index].load(std::memory_order_acquire);
+  if (volume == nullptr) {
+    return Unavailable("volume " + std::to_string(volume_index) +
+                       " is offline");
+  }
+  if (!volume->header().chained()) {
+    return std::optional<uint64_t>();
+  }
+  return std::optional<uint64_t>(volume->chain_seed());
 }
 
 SpaceAccounting LogService::TotalSpace() const {
+  std::shared_lock lock(mu_);
   SpaceAccounting total;
   auto add = [&](const SpaceAccounting& s) {
     total.client_payload_bytes += s.client_payload_bytes;
@@ -638,7 +685,19 @@ Status LogReader::EnsureCursor(size_t volume_index) {
   return Status::Ok();
 }
 
+Status LogReader::RebindCursor() {
+  CLIO_ASSIGN_OR_RETURN(LogVolume * volume,
+                        service_->VolumeForRead(volume_index_));
+  cursor_->Rebind(volume);
+  return Status::Ok();
+}
+
 Result<std::optional<LogEntryRecord>> LogReader::Next(OpStats* stats) {
+  std::shared_lock lock(service_->mu_);
+  return NextLocked(stats);
+}
+
+Result<std::optional<LogEntryRecord>> LogReader::NextLocked(OpStats* stats) {
   if (pending_edge_ == Edge::kStart) {
     CLIO_RETURN_IF_ERROR(EnsureCursor(0));
     cursor_->SeekToStart();
@@ -647,6 +706,8 @@ Result<std::optional<LogEntryRecord>> LogReader::Next(OpStats* stats) {
     CLIO_RETURN_IF_ERROR(EnsureCursor(service_->volume_count() - 1));
     cursor_->SeekToEnd();
     pending_edge_ = Edge::kNone;
+  } else {
+    CLIO_RETURN_IF_ERROR(RebindCursor());
   }
   while (true) {
     CLIO_ASSIGN_OR_RETURN(std::optional<LogEntryRecord> record,
@@ -663,6 +724,7 @@ Result<std::optional<LogEntryRecord>> LogReader::Next(OpStats* stats) {
 }
 
 Result<std::optional<LogEntryRecord>> LogReader::Prev(OpStats* stats) {
+  std::shared_lock lock(service_->mu_);
   if (pending_edge_ == Edge::kStart) {
     return std::optional<LogEntryRecord>(std::nullopt);
   }
@@ -670,6 +732,8 @@ Result<std::optional<LogEntryRecord>> LogReader::Prev(OpStats* stats) {
     CLIO_RETURN_IF_ERROR(EnsureCursor(service_->volume_count() - 1));
     cursor_->SeekToEnd();
     pending_edge_ = Edge::kNone;
+  } else {
+    CLIO_RETURN_IF_ERROR(RebindCursor());
   }
   while (true) {
     CLIO_ASSIGN_OR_RETURN(std::optional<LogEntryRecord> record,
@@ -686,6 +750,11 @@ Result<std::optional<LogEntryRecord>> LogReader::Prev(OpStats* stats) {
 }
 
 Status LogReader::SeekToTime(Timestamp t, OpStats* stats) {
+  std::shared_lock lock(service_->mu_);
+  return SeekToTimeLocked(t, stats);
+}
+
+Status LogReader::SeekToTimeLocked(Timestamp t, OpStats* stats) {
   for (size_t v = service_->volume_count(); v > 0; --v) {
     CLIO_RETURN_IF_ERROR(EnsureCursor(v - 1));
     CLIO_ASSIGN_OR_RETURN(bool positioned, cursor_->SeekToTime(t, stats));
@@ -700,9 +769,16 @@ Status LogReader::SeekToTime(Timestamp t, OpStats* stats) {
 
 Result<std::optional<LogEntryRecord>> LogReader::FindByTimestamp(
     Timestamp t, OpStats* stats) {
-  CLIO_RETURN_IF_ERROR(SeekToTime(t - 1, stats));
+  std::shared_lock lock(service_->mu_);
+  return FindByTimestampLocked(t, stats);
+}
+
+Result<std::optional<LogEntryRecord>> LogReader::FindByTimestampLocked(
+    Timestamp t, OpStats* stats) {
+  CLIO_RETURN_IF_ERROR(SeekToTimeLocked(t - 1, stats));
   while (true) {
-    CLIO_ASSIGN_OR_RETURN(std::optional<LogEntryRecord> record, Next(stats));
+    CLIO_ASSIGN_OR_RETURN(std::optional<LogEntryRecord> record,
+                          NextLocked(stats));
     if (!record.has_value() || record->timestamp > t) {
       return std::optional<LogEntryRecord>(std::nullopt);
     }
@@ -715,10 +791,12 @@ Result<std::optional<LogEntryRecord>> LogReader::FindByTimestamp(
 Result<std::optional<LogEntryRecord>> LogReader::FindByClientId(
     uint32_t sequence, Timestamp client_time, Timestamp max_skew,
     OpStats* stats) {
-  CLIO_RETURN_IF_ERROR(SeekToTime(client_time - max_skew - 1, stats));
+  std::shared_lock lock(service_->mu_);
+  CLIO_RETURN_IF_ERROR(SeekToTimeLocked(client_time - max_skew - 1, stats));
   const Timestamp upper = client_time + max_skew;
   while (true) {
-    CLIO_ASSIGN_OR_RETURN(std::optional<LogEntryRecord> record, Next(stats));
+    CLIO_ASSIGN_OR_RETURN(std::optional<LogEntryRecord> record,
+                          NextLocked(stats));
     if (!record.has_value() || record->timestamp > upper) {
       return std::optional<LogEntryRecord>(std::nullopt);
     }

@@ -94,8 +94,9 @@ class LogService {
   }
 
   // Unmounts an old (sealed, non-newest) volume: its device is released and
-  // its cached blocks dropped. Readers that later need it trigger the
-  // volume mounter; without one they fail with kUnavailable.
+  // its cached blocks dropped. Readers that later need it, including ones
+  // positioned on it, trigger the volume mounter; without one they fail
+  // with kUnavailable.
   Status TakeVolumeOffline(uint32_t index);
   bool VolumeOnline(uint32_t index) const {
     return index < volume_slots_.size() &&
@@ -144,7 +145,7 @@ class LogService {
   // hashes of its block, and the commit of every later valid block up to
   // the chain head, checking stored-tag linkage at every step (a forged
   // block fails the build with kCorrupt rather than producing a proof
-  // that papers over it). SHARED lock. kFailedPrecondition on v1 volumes.
+  // that papers over it). kFailedPrecondition on v1 volumes.
   Result<ChainProof> BuildChainProof(std::string_view path, Timestamp t);
 
   // Marks a burned block known-corrupt (the scrubber's verdict): readers
@@ -153,56 +154,75 @@ class LogService {
   // persisted as a catalog record — if the persist append fails the
   // in-memory verdict STANDS (the media is already in trouble; the record
   // is re-exported at the next volume roll) and the error is returned so
-  // the caller can count it. EXCLUSIVE lock.
+  // the caller can count it. A block already quarantined is left as is.
   Status QuarantineBlock(uint32_t volume_index, uint64_t block);
 
   // Persists scrub progress so a restarted server resumes scanning at the
-  // cursor instead of block 0. EXCLUSIVE lock.
+  // cursor instead of block 0.
   Status PersistScrubCursor(uint32_t volume_index, uint64_t block);
+
+  // The persisted scrub progress (volume index, next block), if any.
+  std::optional<std::pair<uint32_t, uint64_t>> ScrubCursor() const;
+
+  // The scrubber's view of one burned block: the parsed block, or why
+  // there is none — kOutOfRange (no such volume, volume offline, or past
+  // the burned end; never mounts), kFailedPrecondition (quarantined), or
+  // the read's kInvalidated, kUnavailable (transient) or kCorrupt.
+  Result<ParsedBlock> ProbeBlock(uint32_t volume_index, uint64_t block) const;
+
+  // Tag 0 of the volume's hash chain; nullopt on an unchained v1 volume.
+  // kOutOfRange: no such volume; kUnavailable: offline (never mounts).
+  Result<std::optional<uint64_t>> ChainSeed(uint32_t volume_index) const;
 
   // Degraded mode: at least one block is quarantined, i.e. some stored
   // data is known lost. Reads crossing a quarantined block return
   // kCorrupt; everything else keeps serving.
-  bool degraded() const { return !catalog_.quarantined().empty(); }
+  bool degraded() const;
 
-  // -- Concurrency contract (DESIGN.md §12). --
+  // -- Concurrency (DESIGN.md §12). --
   //
-  // LogService does no internal locking of its own state transitions; the
-  // embedded reader/writer lock is FOR CALLERS, and the split exploits
-  // write-once media: everything at or below the durable end is immutable,
-  // so reads need only a consistent view of where that end is.
+  // Every public call takes the service's reader/writer lock itself:
+  // SHARED for reads (namespace and scrub queries, degraded, TotalSpace,
+  // OpenReader*, BuildChainProof, and LogReader calls that read volumes),
+  // EXCLUSIVE for mutations. Write-once media make the split safe: nothing
+  // at or below the durable end changes, so a read needs only a consistent
+  // view of where that end is.
   //
-  //  - SHARED holders may run concurrently: OpenReader/OpenReaderById,
-  //    every LogReader operation (Next/Prev/Seek*/Find*), Resolve/Stat/
-  //    List, VolumeForRead, and TotalSpace. The block cache is internally
-  //    striped, device stats are atomic, and on-demand mounting is
-  //    serialized by an internal mount lock, so shared holders never
-  //    require external serialization among themselves.
-  //  - EXCLUSIVE holders mutate: Append, Force, CreateLogFile,
-  //    SealLogFile, SetPermissions, TakeVolumeOffline. Releasing the
-  //    exclusive lock publishes the new durable end (volume index, block
-  //    index, staged tail) to subsequent shared holders.
-  //
-  // Multi-threaded frontends (the src/net/ session dispatcher and its
-  // group-commit batcher, the src/ipc/ dispatcher) take the matching lock
-  // mode around each call AND around every use of a LogReader obtained
-  // from the service. Single-threaded users (tests, benches) may ignore
-  // the lock entirely. Debug builds assert the single-mutator invariant on
-  // the write path (Append / Force / CreateLogFile / SealLogFile /
-  // SetPermissions).
-  std::shared_mutex& mutex() const { return mu_; }
+  // A WriteHandle holds the EXCLUSIVE side across several mutations that
+  // must form one critical section (a group-commit batch: stage every
+  // member, force once, promote the dedup stamps that force covered).
+  // Move-only; destroying it releases the lock. The lock is not recursive,
+  // so the holder calls only the handle and the unsynchronized accessors
+  // below, never the service's other methods.
+  class WriteHandle {
+   public:
+    Result<AppendResult> Append(std::string_view path,
+                                std::span<const std::byte> payload,
+                                const WriteOptions& options = {});
+    Status Force();
+
+   private:
+    friend class LogService;
+    explicit WriteHandle(LogService* service)
+        : service_(service), lock_(service->mu_) {}
+
+    LogService* service_;
+    std::unique_lock<std::shared_mutex> lock_;
+  };
+  WriteHandle LockForWrite() { return WriteHandle(this); }
 
   // -- Introspection. --
 
+  // UNSYNCHRONIZED raw accessors, for single-threaded callers (tests,
+  // PartitionedLogService construction, offline verification, benches)
+  // and WriteHandle holders.
   const Catalog& catalog() const { return catalog_; }
   BlockCache& cache() { return *cache_; }
-  TimeSource* clock() { return clock_; }
   size_t volume_count() const { return volumes_.size(); }
   LogVolume* volume(size_t index) { return volumes_[index].get(); }
   LogVolume* current_volume() { return volumes_.back().get(); }
 
-  // The volume at `index`, mounting it on demand if it is offline.
-  Result<LogVolume*> VolumeForRead(size_t index);
+  TimeSource* clock() { return clock_; }
 
   // Aggregated space accounting across all volumes (§3.5 experiments).
   SpaceAccounting TotalSpace() const;
@@ -222,7 +242,22 @@ class LogService {
 
   LogService(TimeSource* clock, const LogServiceOptions& options);
 
+  // Unlocked bodies of public calls; the caller holds mu_.
+  Result<AppendResult> AppendLocked(LogFileId id,
+                                    std::span<const std::byte> payload,
+                                    const WriteOptions& options);
+  Result<AppendResult> AppendLocked(std::string_view path,
+                                    std::span<const std::byte> payload,
+                                    const WriteOptions& options);
+  Status ForceLocked();
+  // Appends a record to the current volume's catalog log.
+  Status AppendCatalogRecord(const CatalogRecord& record);
+  // The volume at `index`, mounting it on demand if it is offline.
+  Result<LogVolume*> VolumeForRead(size_t index);
+
   Status CheckPermission(LogFileId id, uint32_t needed_bits) const;
+  // kNotFound for an unknown id, else the read-permission check.
+  Status CheckReadable(LogFileId id) const;
   Status RollToNewVolume();
   // Points a volume entering service at this service's metric lane and
   // applies the extent-index configuration.
@@ -262,16 +297,13 @@ class LogService {
   // Serializes on-demand mounting among shared-lock readers (VolumeForRead
   // misses); never held across a device read.
   mutable std::mutex mount_mu_;
-  mutable std::shared_mutex mu_;  // see mutex(): caller-held, never locked here
-#ifndef NDEBUG
-  // Count of threads currently inside a mutating entry point; >1 means a
-  // multi-threaded caller is not honouring the mutex() contract.
-  mutable std::atomic<int> active_mutators_{0};
-#endif
+  mutable std::shared_mutex mu_;  // the service lock (see Concurrency)
 };
 
 // Cross-volume reader for one log file. Iterates the sequence's volumes in
-// order, delegating to a VolumeCursor within each.
+// order, delegating to a VolumeCursor within each. Calls that read the
+// volumes take the service's SHARED lock; a reader is used by one thread
+// at a time.
 class LogReader {
  public:
   LogReader(LogService* service, LogFileId id);
@@ -289,7 +321,7 @@ class LogReader {
     }
   }
 
-  void SeekToStart();
+  void SeekToStart();  // reader-local, like SeekToEnd
   void SeekToEnd();
   // Position so Prev() yields the last entry with timestamp <= t.
   Status SeekToTime(Timestamp t, OpStats* stats = nullptr);
@@ -316,7 +348,18 @@ class LogReader {
                                                         = nullptr);
 
  private:
+  friend class LogService;
+
+  // Unlocked bodies; the caller holds the service lock.
+  Status SeekToTimeLocked(Timestamp t, OpStats* stats);
+  Result<std::optional<LogEntryRecord>> NextLocked(OpStats* stats);
+  Result<std::optional<LogEntryRecord>> FindByTimestampLocked(Timestamp t,
+                                                              OpStats* stats);
   Status EnsureCursor(size_t volume_index);
+  // Points the cursor at the volume now serving its index (one taken
+  // offline since the last call is gone; a remount is a new object),
+  // keeping the gap position.
+  Status RebindCursor();
 
   LogService* service_;
   LogFileId id_;

@@ -419,9 +419,9 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
     return EncodeOkReplyBody(EncodeTraceDump(dump));
   }
 
-  // kAppend first: when an append override is installed it must run without
-  // any service lock (the group-commit batcher blocks the session until the
-  // whole batch is forced, and takes the service mutex itself).
+  // kAppend first: an installed append override (the group-commit batcher
+  // blocks the session until the whole batch is forced) runs outside every
+  // service call, and the batch takes the service lock itself.
   if (op == LogOp::kAppend) {
     auto request = DecodeAppendRequest(body);
     if (!request.ok()) {

@@ -218,14 +218,14 @@ constexpr uint32_t kNoPartitionPlacement = 0xFFFFFFFFu;
 // replies. Malformed bodies produce error replies, never crashes.
 //
 // Thread safety: the dispatcher itself is confined to one session (its
-// reader table is unsynchronized). The service and its merged readers lock
-// internally, each call taking only the owning partition's
-// LogService::mutex() in the contract's mode: SHARED for reads, EXCLUSIVE
-// for mutations. kCloseReader touches only the session-local reader table;
-// kStats reads only the internally synchronized metrics registry;
-// kTraceDump only the flight recorder. kAppend can be redirected through
-// `append_fn` — the net server's dedup + group-commit hook. The override
-// must arrange its own locking.
+// reader table is unsynchronized). The dispatcher takes no service lock:
+// every LogService call locks for itself (DESIGN.md §12), so a request
+// holds only the owning partition's lock, SHARED for reads and EXCLUSIVE
+// for mutations, and only for that call. kCloseReader touches only the
+// session-local reader table; kStats reads only the internally
+// synchronized metrics registry; kTraceDump only the flight recorder.
+// kAppend can be redirected through `append_fn` — the net server's dedup +
+// group-commit hook.
 class ServiceDispatcher {
  public:
   using AppendFn =

@@ -9,9 +9,8 @@
 namespace clio {
 
 GroupCommitBatcher::GroupCommitBatcher(LogService* service,
-                                       std::shared_mutex* service_mu,
                                        const GroupCommitOptions& options)
-    : service_(service), service_mu_(service_mu), options_(options) {
+    : service_(service), options_(options) {
   const std::optional<uint32_t> lane = service_->partition_index();
   auto histogram = [&](std::string_view name) {
     return ObsRegistry().histogram(LaneMetricName(name, lane));
@@ -113,10 +112,7 @@ void GroupCommitBatcher::CommitBatch(const std::vector<Pending*>& batch) {
   std::vector<Result<AppendResult>> results;
   results.reserve(batch.size());
   {
-    std::unique_lock<std::shared_mutex> service_lock =
-        service_mu_ != nullptr
-            ? std::unique_lock<std::shared_mutex>(*service_mu_)
-            : std::unique_lock<std::shared_mutex>();
+    LogService::WriteHandle writer = service_->LockForWrite();
     for (Pending* pending : batch) {
       const AppendRequest& request = *pending->request;
       // Re-establish the request's trace context on this (commit) thread
@@ -128,7 +124,7 @@ void GroupCommitBatcher::CommitBatch(const std::vector<Pending*>& batch) {
       options.timestamped = request.timestamped;
       options.force = false;  // the batch force below covers this entry
       Result<AppendResult> staged =
-          service_->Append(request.path, request.payload, options);
+          writer.Append(request.path, request.payload, options);
       if (dedup_ != nullptr && request.client_id != 0) {
         if (staged.ok()) {
           dedup_->CompleteStaged(request.client_id, request.request_seq,
@@ -145,7 +141,7 @@ void GroupCommitBatcher::CommitBatch(const std::vector<Pending*>& batch) {
     // context-driven kForce span would mis-attribute the shared force to
     // whichever request staged last.
     const uint64_t force_start_us = TraceNowUs();
-    Status force = service_->Force();
+    Status force = writer.Force();
     const uint64_t force_dur_us = TraceNowUs() - force_start_us;
     for (const Pending* pending : batch) {
       RecordStage(nullptr, TraceStage::kForce, pending->request->trace_id,
@@ -153,8 +149,8 @@ void GroupCommitBatcher::CommitBatch(const std::vector<Pending*>& batch) {
     }
     if (force.ok()) {
       if (dedup_ != nullptr) {
-        // Still under the service mutex: every kStaged entry was staged
-        // by an earlier critical section, so this force covered it.
+        // Still holding the writer: every kStaged entry was staged by an
+        // earlier critical section, so this force covered it.
         dedup_->MarkAllStagedDurable();
       }
     } else {

@@ -26,7 +26,6 @@
 #include <deque>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <thread>
 #include <vector>
 
@@ -48,13 +47,12 @@ struct GroupCommitOptions {
 
 class GroupCommitBatcher {
  public:
-  // `service_mu` is LogService::mutex(): held EXCLUSIVE across the batch's
-  // appends and force so the commit thread serializes with session
-  // dispatchers (shared-lock readers included). The clio.net.batch.*
-  // metrics record into the service's metric lane (partition_index()), so
-  // per-lane commit economics are separable in kStats.
-  GroupCommitBatcher(LogService* service, std::shared_mutex* service_mu,
-                     const GroupCommitOptions& options);
+  // Each batch holds one LogService::WriteHandle across its appends and
+  // force, so a batch is one exclusive critical section: readers see all
+  // of it or none. The clio.net.batch.* metrics record into the service's
+  // metric lane (partition_index()), so per-lane commit economics are
+  // separable in kStats.
+  GroupCommitBatcher(LogService* service, const GroupCommitOptions& options);
   ~GroupCommitBatcher();
 
   GroupCommitBatcher(const GroupCommitBatcher&) = delete;
@@ -109,7 +107,6 @@ class GroupCommitBatcher {
   void CommitBatch(const std::vector<Pending*>& batch);
 
   LogService* const service_;
-  std::shared_mutex* const service_mu_;
   const GroupCommitOptions options_;
   AppendDedupIndex* dedup_ = nullptr;
   BatchMetrics metrics_;

@@ -87,13 +87,13 @@ class AppendDedupIndex {
   // The covering force completed; retransmits replay the ack verbatim.
   void MarkDurable(uint64_t client_id, uint64_t request_seq);
   // A force covers EVERY entry staged before it, not just the batch that
-  // issued it — call this (under the service mutex, right after a
-  // successful Force) so entries whose own covering force failed earlier
+  // issued it — call this (holding the LogService::WriteHandle that ran
+  // a successful Force) so entries whose own covering force failed earlier
   // are promoted once a later force lands. Without this, such an entry —
   // burned to media but still recorded kStaged — would be dropped by
   // DropNonDurable at the next restart and duplicated by its retry.
   void MarkAllStagedDurable();
-  // Staged + durable in one step (unbatched paths).
+  // Staged + durable in one step (unforced appends).
   void CompleteSuccess(uint64_t client_id, uint64_t request_seq,
                        const AppendResult& result);
   // Releases a claimed stamp without recording anything — the append

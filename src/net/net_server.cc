@@ -115,12 +115,10 @@ Result<std::unique_ptr<NetLogServer>> NetLogServer::Start(
       lane.dedup = options.dedup[i];
     }
     // The batcher and scrubber record into their service's metric lane.
-    if (options.batching) {
-      lane.batcher = std::make_unique<GroupCommitBatcher>(
-          lane.service, &lane.service->mutex(), options.batch);
-      lane.batcher->set_dedup(lane.dedup);
-      lane.batcher->Start();
-    }
+    lane.batcher =
+        std::make_unique<GroupCommitBatcher>(lane.service, options.batch);
+    lane.batcher->set_dedup(lane.dedup);
+    lane.batcher->Start();
     if (options.scrub) {
       lane.scrubber =
           std::make_unique<Scrubber>(lane.service, options.scrub_options);
@@ -166,9 +164,9 @@ void NetLogServer::Stop() {
   if (sampler_ != nullptr) {
     sampler_->Stop();
   }
-  // Quiesce the scrubbers next: they only hold the service lock in
-  // bounded chunks, so this is quick, and it keeps a scan from contending
-  // with the draining sessions below.
+  // Quiesce the scrubbers next: they hold the service lock one block probe
+  // at a time, so this is quick, and it keeps a scan from contending with
+  // the draining sessions below.
   for (AppendLane& lane : lanes_) {
     if (lane.scrubber != nullptr) {
       lane.scrubber->Stop();
@@ -193,31 +191,14 @@ void NetLogServer::Stop() {
   // After the workers: a worker blocked in a batcher needs that commit
   // thread alive to get its result.
   for (AppendLane& lane : lanes_) {
-    if (lane.batcher != nullptr) {
-      lane.batcher->Stop();
-    }
+    lane.batcher->Stop();
   }
   stopped_ = true;
 }
 
-Result<AppendResult> NetLogServer::ExecuteAppend(AppendLane& lane,
-                                                 const AppendRequest& request) {
-  // Forced appends share a batch force; unforced ones are pure buffer
-  // writes with nothing to amortize, so they run directly.
-  if (lane.batcher != nullptr && request.force) {
-    StageTimer batch_wait(nullptr, TraceStage::kBatchWait);
-    return lane.batcher->Append(request);
-  }
-  std::lock_guard<std::shared_mutex> lock(lane.service->mutex());
-  WriteOptions options;
-  options.timestamped = request.timestamped;
-  options.force = request.force;
-  return lane.service->Append(request.path, request.payload, options);
-}
-
 Status NetLogServer::ForceLane(AppendLane& lane) {
-  std::lock_guard<std::shared_mutex> lock(lane.service->mutex());
-  Status force = lane.service->Force();
+  LogService::WriteHandle writer = lane.service->LockForWrite();
+  Status force = writer.Force();
   if (force.ok()) {
     // Promotes every staged stamp this force covered (see dedup.h).
     lane.dedup->MarkAllStagedDurable();
@@ -284,50 +265,44 @@ Result<AppendResult> NetLogServer::RouteAppend(const AppendRequest& request) {
   // owning lane's own; appends to other lanes proceed untouched.
   CLIO_ASSIGN_OR_RETURN(AppendLane * lane, ResolveLane(request.path));
   // Unstamped appends (client_id 0) opted out of retry dedup.
-  if (request.client_id == 0) {
-    return ExecuteAppend(*lane, request);
-  }
-  if (auto replay =
-          lane->dedup->Begin(request.client_id, request.request_seq)) {
-    if (request.force && !replay->durable) {
-      // The entry is staged in the log buffer but its covering force never
-      // completed (a transient device fault failed the batch force, and
-      // the client is retrying the lost ack). Re-acking would promise
-      // durability the log doesn't have, and re-executing would duplicate
-      // the entry — so force now (which promotes the stamp to durable),
-      // then replay the recorded ack.
-      CLIO_RETURN_IF_ERROR(ForceLane(*lane));
+  const bool stamped = request.client_id != 0;
+  if (stamped) {
+    if (auto replay =
+            lane->dedup->Begin(request.client_id, request.request_seq)) {
+      if (request.force && !replay->durable) {
+        // The entry is staged in the log buffer but its covering force
+        // never completed (a transient device fault failed the batch
+        // force, and the client is retrying the lost ack). Re-acking would
+        // promise durability the log doesn't have, and re-executing would
+        // duplicate the entry — so force now (which promotes the stamp to
+        // durable), then replay the recorded ack.
+        CLIO_RETURN_IF_ERROR(ForceLane(*lane));
+      }
+      return replay->result;
     }
-    return replay->result;
   }
-  if (lane->batcher != nullptr && request.force) {
-    // The batcher completes the claim itself: only it can tell a failed
-    // stage from a failed covering force (see batcher.h).
+  if (request.force) {
+    // Forced appends share a batch force. The batcher completes a claim
+    // itself: only it can tell a failed stage from a failed covering force
+    // (see batcher.h).
     StageTimer batch_wait(nullptr, TraceStage::kBatchWait);
     return lane->batcher->Append(request);
   }
-  // Unbatched path. Stage with the per-entry force suppressed so a failure
-  // here is unambiguous — nothing landed, the stamp is released — then
-  // force separately if the caller asked for durability.
-  Result<AppendResult> staged = [&]() -> Result<AppendResult> {
-    std::lock_guard<std::shared_mutex> lock(lane->service->mutex());
-    WriteOptions options;
-    options.timestamped = request.timestamped;
-    options.force = false;
-    return lane->service->Append(request.path, request.payload, options);
-  }();
-  if (!staged.ok()) {
+  // Unforced appends are pure buffer writes with nothing to amortize, so
+  // they run directly. They never promised durability: a landed one
+  // completes its claim and its ack replays as-is; a failed one landed
+  // nothing and releases the stamp.
+  WriteOptions options;
+  options.timestamped = request.timestamped;
+  Result<AppendResult> appended =
+      lane->service->Append(request.path, request.payload, options);
+  if (stamped && appended.ok()) {
+    lane->dedup->CompleteSuccess(request.client_id, request.request_seq,
+                                 *appended);
+  } else if (stamped) {
     lane->dedup->CompleteFailure(request.client_id, request.request_seq);
-    return staged;
   }
-  lane->dedup->CompleteStaged(request.client_id, request.request_seq, *staged);
-  if (request.force) {
-    CLIO_RETURN_IF_ERROR(ForceLane(*lane));
-  }
-  // Unforced appends never promised durability, so their acks replay
-  // as-is; forced ones reach here only after the force succeeded.
-  lane->dedup->MarkDurable(request.client_id, request.request_seq);
-  return staged;
+  return appended;
 }
 
 // ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@
 // worker pool executes decoded requests, so connection count costs no
 // thread (DESIGN.md §16). Batched-read replies are scatter lists over
 // cache-pinned block images flushed with sendmsg() (no payload memcpy).
-// Read ops take the owning partition's LogService::mutex() SHARED —
-// write-once data lets tail scans run concurrently — and mutations take it
-// EXCLUSIVE (DESIGN.md §12).
+// Each LogService locks for itself: read ops take the owning partition's
+// lock SHARED — write-once data lets tail scans run concurrently — and
+// mutations take it EXCLUSIVE (DESIGN.md §12).
 //
 // Appends run on one LANE per partition: the partition's LogService, its
 // own group-commit batcher (so batches never mix partitions and N covering
@@ -53,9 +53,8 @@ struct NetLogServerOptions {
   uint16_t port = 0;  // 0: kernel-chosen; read it back with port()
   // A session with no traffic for this long is closed. 0 disables.
   uint64_t idle_timeout_ms = 60'000;
-  // Group-commit batching of forced appends. With batching off every
-  // forced append pays its own device force (batch size 1).
-  bool batching = true;
+  // Group commit of forced appends: every forced append goes through its
+  // lane's batcher (max_batch_entries = 1 gives each its own force).
   GroupCommitOptions batch;
   // Per-frame body cap for this server (see src/net/frame.h).
   uint32_t max_frame_body = kMaxFrameBodySize;
@@ -172,8 +171,8 @@ class NetLogServer {
   // The lane owning `path`'s appends; NotFound when no partition knows it.
   Result<AppendLane*> ResolveLane(const std::string& path);
   Result<AppendResult> RouteAppend(const AppendRequest& request);
-  Result<AppendResult> ExecuteAppend(AppendLane& lane,
-                                     const AppendRequest& request);
+  // Forces the lane and promotes the stamps that force covered, under one
+  // WriteHandle (the replay re-force).
   Status ForceLane(AppendLane& lane);
 
   // -- Telemetry / health plane (src/obs/telemetry.h). --

@@ -13,7 +13,7 @@ uint32_t PartitionRouter::HashRoute(std::string_view path) const {
 }
 
 std::optional<uint32_t> PartitionRouter::Lookup(std::string_view path) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = routes_.find(path);
   if (it == routes_.end()) {
     return std::nullopt;
@@ -27,7 +27,7 @@ Status PartitionRouter::Learn(std::string_view path, uint32_t partition) {
                    std::to_string(partition) + " of " +
                    std::to_string(partition_count_));
   }
-  std::lock_guard<std::shared_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = routes_.emplace(std::string(path), partition);
   if (!inserted && it->second != partition) {
     return Corrupt("log file '" + std::string(path) +
@@ -39,7 +39,7 @@ Status PartitionRouter::Learn(std::string_view path, uint32_t partition) {
 }
 
 void PartitionRouter::Forget(std::string_view path) {
-  std::lock_guard<std::shared_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = routes_.find(path);
   if (it != routes_.end()) {
     routes_.erase(it);
@@ -47,7 +47,7 @@ void PartitionRouter::Forget(std::string_view path) {
 }
 
 std::map<std::string, uint32_t> PartitionRouter::Routes() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(mu_);
   return {routes_.begin(), routes_.end()};
 }
 

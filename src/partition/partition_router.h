@@ -15,16 +15,16 @@
 // partition's catalog (the records are the durable form; this map is only
 // the cache).
 //
-// Thread safety: internally synchronized (shared_mutex; lookups take it
-// shared). Callers never hold partition service locks while calling in,
-// so lock order is trivially acyclic.
+// Thread safety: internally synchronized by one mutex, held only for a map
+// lookup or update. It is a leaf lock: nothing is called while holding
+// it, so lock order is trivially acyclic.
 #ifndef SRC_PARTITION_PARTITION_ROUTER_H_
 #define SRC_PARTITION_PARTITION_ROUTER_H_
 
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 
@@ -64,7 +64,7 @@ class PartitionRouter {
 
  private:
   const uint32_t partition_count_;
-  mutable std::shared_mutex mu_;
+  mutable std::mutex mu_;
   std::map<std::string, uint32_t, std::less<>> routes_;
 };
 

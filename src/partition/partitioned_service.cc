@@ -1,7 +1,6 @@
 #include "src/partition/partitioned_service.h"
 
 #include <algorithm>
-#include <shared_mutex>
 #include <utility>
 
 namespace clio {
@@ -114,7 +113,6 @@ void PartitionedLogService::AddPartition(LogService* part) {
 Status PartitionedLogService::LearnRoutes() {
   router_ = std::make_unique<PartitionRouter>(partition_count());
   for (LogService* part : partitions_) {
-    std::shared_lock<std::shared_mutex> lock(part->mutex());
     for (const LogFileInfo& info : part->catalog().All()) {
       CLIO_ASSIGN_OR_RETURN(std::string path, part->catalog().PathOf(info.id));
       CLIO_RETURN_IF_ERROR(router_->Learn(path, info.home_partition));
@@ -147,15 +145,11 @@ Result<uint32_t> PartitionedLogService::CreateLogFile(
   uint32_t home =
       placement.has_value() ? *placement : router_->HashRoute(path);
   CLIO_RETURN_IF_ERROR(MirrorAncestors(path, home));
-  {
-    std::lock_guard<std::shared_mutex> lock(partitions_[home]->mutex());
-    auto created = partitions_[home]->CreateLogFile(path, permissions, home);
-    if (!created.ok()) {
-      return created.status();
-    }
-    if (id != nullptr) {
-      *id = *created;
-    }
+  CLIO_ASSIGN_OR_RETURN(LogFileId created,
+                        partitions_[home]->CreateLogFile(path, permissions,
+                                                         home));
+  if (id != nullptr) {
+    *id = created;
   }
   CLIO_RETURN_IF_ERROR(router_->Learn(path, home));
   return home;
@@ -177,28 +171,15 @@ Status PartitionedLogService::MirrorAncestors(std::string_view path,
     if (*ancestor_home == home) {
       continue;  // native to the target partition
     }
-    {
-      std::shared_lock<std::shared_mutex> lock(partitions_[home]->mutex());
-      if (partitions_[home]->Resolve(ancestor).ok()) {
-        continue;  // already mirrored by an earlier create
-      }
+    if (partitions_[home]->Resolve(ancestor).ok()) {
+      continue;  // already mirrored by an earlier create
     }
-    LogFileInfo info;
-    {
-      std::shared_lock<std::shared_mutex> lock(
-          partitions_[*ancestor_home]->mutex());
-      auto stat = partitions_[*ancestor_home]->Stat(ancestor);
-      if (!stat.ok()) {
-        return stat.status();
-      }
-      info = std::move(stat).value();
-    }
-    std::lock_guard<std::shared_mutex> lock(partitions_[home]->mutex());
-    auto created = partitions_[home]->CreateLogFile(ancestor, info.permissions,
-                                                    *ancestor_home);
-    if (!created.ok()) {
-      return created.status();
-    }
+    CLIO_ASSIGN_OR_RETURN(LogFileInfo info,
+                          partitions_[*ancestor_home]->Stat(ancestor));
+    CLIO_RETURN_IF_ERROR(partitions_[home]
+                             ->CreateLogFile(ancestor, info.permissions,
+                                             *ancestor_home)
+                             .status());
   }
   return Status::Ok();
 }
@@ -214,15 +195,12 @@ Result<AppendResult> PartitionedLogService::Append(
     }
     target = *route;
   }
-  LogService* service = partitions_[target];
-  std::lock_guard<std::shared_mutex> lock(service->mutex());
-  return service->Append(path, payload, options);
+  return partitions_[target]->Append(path, payload, options);
 }
 
 Status PartitionedLogService::Force() {
   Status first = Status::Ok();
-  for (const auto& part : partitions_) {
-    std::lock_guard<std::shared_mutex> lock(part->mutex());
+  for (LogService* part : partitions_) {
     Status st = part->Force();
     if (!st.ok() && first.ok()) {
       first = st;
@@ -240,16 +218,13 @@ Result<LogFileInfo> PartitionedLogService::Stat(std::string_view path) const {
     }
     target = *route;
   }
-  const LogService* service = partitions_[target];
-  std::shared_lock<std::shared_mutex> lock(service->mutex());
-  return service->Stat(path);
+  return partitions_[target]->Stat(path);
 }
 
 Result<std::unique_ptr<PartitionedLogReader>>
 PartitionedLogService::OpenReader(std::string_view path) {
-  std::vector<PartitionedLogReader::Source> sources;
-  for (const auto& part : partitions_) {
-    std::shared_lock<std::shared_mutex> lock(part->mutex());
+  std::vector<std::unique_ptr<LogReader>> sources;
+  for (LogService* part : partitions_) {
     auto reader = part->OpenReader(path);
     if (!reader.ok()) {
       if (reader.status().code() == StatusCode::kNotFound) {
@@ -257,7 +232,7 @@ PartitionedLogService::OpenReader(std::string_view path) {
       }
       return reader.status();
     }
-    sources.push_back({part, std::move(reader).value()});
+    sources.push_back(std::move(reader).value());
   }
   if (sources.empty()) {
     return NotFound("log file '" + std::string(path) + "' does not exist");
@@ -268,12 +243,9 @@ PartitionedLogService::OpenReader(std::string_view path) {
 Result<ChainProof> PartitionedLogService::BuildChainProof(
     std::string_view path, Timestamp t) {
   if (std::optional<uint32_t> home = RouteOf(path)) {
-    LogService* owner = partitions_[*home];
-    std::shared_lock<std::shared_mutex> lock(owner->mutex());
-    return owner->BuildChainProof(path, t);
+    return partitions_[*home]->BuildChainProof(path, t);
   }
   for (LogService* part : partitions_) {
-    std::shared_lock<std::shared_mutex> lock(part->mutex());
     auto proof = part->BuildChainProof(path, t);
     if (proof.ok() || proof.status().code() != StatusCode::kNotFound) {
       return proof;
@@ -287,22 +259,19 @@ Result<ChainProof> PartitionedLogService::BuildChainProof(
 
 void PartitionedLogReader::SeekToStart() {
   for (auto& source : sources_) {
-    std::shared_lock<std::shared_mutex> lock(source.service->mutex());
-    source.reader->SeekToStart();
+    source->SeekToStart();
   }
 }
 
 void PartitionedLogReader::SeekToEnd() {
   for (auto& source : sources_) {
-    std::shared_lock<std::shared_mutex> lock(source.service->mutex());
-    source.reader->SeekToEnd();
+    source->SeekToEnd();
   }
 }
 
 Status PartitionedLogReader::SeekToTime(Timestamp t, OpStats* stats) {
   for (auto& source : sources_) {
-    std::shared_lock<std::shared_mutex> lock(source.service->mutex());
-    CLIO_RETURN_IF_ERROR(source.reader->SeekToTime(t, stats));
+    CLIO_RETURN_IF_ERROR(source->SeekToTime(t, stats));
   }
   return Status::Ok();
 }
@@ -329,18 +298,14 @@ Result<std::optional<LogEntryRecord>> PartitionedLogReader::Next(
   // entry) makes the undo exact.
   std::vector<std::optional<LogEntryRecord>> advanced(sources_.size());
   for (size_t i = 0; i < sources_.size(); ++i) {
-    std::shared_lock<std::shared_mutex> lock(sources_[i].service->mutex());
-    auto next = sources_[i].reader->Next(stats);
+    auto next = sources_[i]->Next(stats);
     if (!next.ok()) {
-      lock.unlock();
       // Roll back the sources already stepped so the merge position is
       // unchanged; a rollback failure is unreported (the blocks were just
       // read, so re-reading them is as good as a read can get).
       for (size_t j = 0; j < i; ++j) {
         if (advanced[j].has_value()) {
-          std::shared_lock<std::shared_mutex> undo_lock(
-              sources_[j].service->mutex());
-          (void)sources_[j].reader->Prev();
+          (void)sources_[j]->Prev();
         }
       }
       return next.status();
@@ -360,8 +325,7 @@ Result<std::optional<LogEntryRecord>> PartitionedLogReader::Next(
   }
   for (size_t i = 0; i < sources_.size(); ++i) {
     if (i != *winner && advanced[i].has_value()) {
-      std::shared_lock<std::shared_mutex> lock(sources_[i].service->mutex());
-      auto undone = sources_[i].reader->Prev();
+      auto undone = sources_[i]->Prev();
       if (!undone.ok()) {
         return undone.status();
       }
@@ -376,15 +340,11 @@ Result<std::optional<LogEntryRecord>> PartitionedLogReader::Prev(
   // to the highest index, so Next-then-Prev round-trips), undo the rest.
   std::vector<std::optional<LogEntryRecord>> stepped(sources_.size());
   for (size_t i = 0; i < sources_.size(); ++i) {
-    std::shared_lock<std::shared_mutex> lock(sources_[i].service->mutex());
-    auto prev = sources_[i].reader->Prev(stats);
+    auto prev = sources_[i]->Prev(stats);
     if (!prev.ok()) {
-      lock.unlock();
       for (size_t j = 0; j < i; ++j) {
         if (stepped[j].has_value()) {
-          std::shared_lock<std::shared_mutex> undo_lock(
-              sources_[j].service->mutex());
-          (void)sources_[j].reader->Next();
+          (void)sources_[j]->Next();
         }
       }
       return prev.status();
@@ -404,8 +364,7 @@ Result<std::optional<LogEntryRecord>> PartitionedLogReader::Prev(
   }
   for (size_t i = 0; i < sources_.size(); ++i) {
     if (i != *winner && stepped[i].has_value()) {
-      std::shared_lock<std::shared_mutex> lock(sources_[i].service->mutex());
-      auto undone = sources_[i].reader->Next();
+      auto undone = sources_[i]->Next();
       if (!undone.ok()) {
         return undone.status();
       }
@@ -417,8 +376,7 @@ Result<std::optional<LogEntryRecord>> PartitionedLogReader::Prev(
 Result<std::optional<LogEntryRecord>> PartitionedLogReader::FindByTimestamp(
     Timestamp t, OpStats* stats) {
   for (auto& source : sources_) {
-    std::shared_lock<std::shared_mutex> lock(source.service->mutex());
-    auto found = source.reader->FindByTimestamp(t, stats);
+    auto found = source->FindByTimestamp(t, stats);
     if (!found.ok()) {
       return found.status();
     }
@@ -433,9 +391,8 @@ Result<std::optional<LogEntryRecord>> PartitionedLogReader::FindByClientId(
     uint32_t sequence, Timestamp client_time, Timestamp max_skew,
     OpStats* stats) {
   for (auto& source : sources_) {
-    std::shared_lock<std::shared_mutex> lock(source.service->mutex());
     auto found =
-        source.reader->FindByClientId(sequence, client_time, max_skew, stats);
+        source->FindByClientId(sequence, client_time, max_skew, stats);
     if (!found.ok()) {
       return found.status();
     }

@@ -30,12 +30,11 @@
 // timestamps are globally unique and ordered across partitions, which is
 // what makes the cross-partition merge-by-timestamp well defined.
 //
-// Concurrency. Unlike LogService (whose mutex() is caller-held), this
-// class is internally synchronized: each call routes and then takes the
-// OWNING partition's lock in the contract's mode, so appends to different
-// partitions never contend. Multi-lane frontends (src/net/) that need to
-// interleave batching with the lock reach through partition(i)/mutex()
-// directly.
+// Concurrency. Every LogService locks for itself (DESIGN.md §12), so each
+// call here routes and then calls the OWNING partition, which takes its
+// own lock: appends to different partitions never contend. Multi-lane
+// frontends (src/net/) that batch reach through partition(i) and hold a
+// LogService::WriteHandle for the batch.
 //
 // Serving. Every server (src/net/, src/ipc/) serves one of these; a plain
 // LogService is served as a one-partition view (Wrap). The router knows
@@ -196,19 +195,14 @@ class PartitionedLogService {
 // buffered, so a reader holds no payload memory between calls and
 // interleaved Next/Prev behave exactly like a single-partition reader.
 //
-// Each per-source call runs under that partition's SHARED lock, taken one
+// Each per-source call takes that partition's SHARED lock itself, one
 // source at a time (never nested), so a merged read never blocks appends
 // on partitions it is not currently touching.
 class PartitionedLogReader {
  public:
-  // One per-partition source. `service` is borrowed from the parent
-  // PartitionedLogService; `reader` was opened on it.
-  struct Source {
-    LogService* service;
-    std::unique_ptr<LogReader> reader;
-  };
-
-  explicit PartitionedLogReader(std::vector<Source> sources)
+  // One reader per partition holding the log file, in partition order.
+  explicit PartitionedLogReader(
+      std::vector<std::unique_ptr<LogReader>> sources)
       : sources_(std::move(sources)) {}
 
   size_t source_count() const { return sources_.size(); }
@@ -217,8 +211,8 @@ class PartitionedLogReader {
   // LogReader::set_zero_copy). Records produced by the merge then carry
   // PayloadSegments from whichever partition they came from.
   void set_zero_copy(bool on) {
-    for (Source& source : sources_) {
-      source.reader->set_zero_copy(on);
+    for (auto& source : sources_) {
+      source->set_zero_copy(on);
     }
   }
 
@@ -241,7 +235,7 @@ class PartitionedLogReader {
                                                        = nullptr);
 
  private:
-  std::vector<Source> sources_;
+  std::vector<std::unique_ptr<LogReader>> sources_;
 };
 
 }  // namespace clio

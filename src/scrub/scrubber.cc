@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <shared_mutex>
 #include <utility>
 
 #include "src/clio/chain.h"
@@ -18,16 +17,6 @@ Counter* ScrubCounter(const std::string& name,
                       std::optional<uint32_t> lane = std::nullopt) {
   return ObsRegistry().counter(LaneMetricName("clio.scrub." + name, lane));
 }
-
-// What one locked probe of a block concluded.
-enum class Probe {
-  kValid,
-  kInvalidated,
-  kCorrupt,
-  kTransient,   // kUnavailable: retry, never quarantine
-  kQuarantined, // already convicted in an earlier pass
-  kGone,        // volume offline / shrunk / block past the burned end
-};
 
 }  // namespace
 
@@ -69,27 +58,18 @@ bool Scrubber::SleepFor(uint64_t ms) {
 
 void Scrubber::ThreadMain() {
   while (SleepFor(options_.interval_ms)) {
-    // Idle detection: a tick that sees the burned end (or the volume
-    // count) moving yields to the append path, but only max_busy_yields
-    // times in a row — the scrub keeps a floor of progress on a busy
-    // server.
-    uint64_t end = 0;
-    size_t volumes = 0;
-    {
-      std::shared_lock<std::shared_mutex> lock(service_->mutex());
-      volumes = service_->volume_count();
-      end = service_->current_volume()->end_block();
-    }
-    if ((end != last_seen_end_ || volumes != last_seen_volumes_) &&
+    // Idle detection: a tick that sees blocks burning yields to the append
+    // path, but only max_busy_yields times in a row — the scrub keeps a
+    // floor of progress on a busy server.
+    const uint64_t burned = service_->TotalSpace().blocks_burned;
+    if (burned != last_seen_burned_ &&
         busy_yields_ < options_.max_busy_yields) {
-      last_seen_end_ = end;
-      last_seen_volumes_ = volumes;
+      last_seen_burned_ = burned;
       ++busy_yields_;
       continue;
     }
     busy_yields_ = 0;
-    last_seen_end_ = end;
-    last_seen_volumes_ = volumes;
+    last_seen_burned_ = burned;
     (void)RunOnce();
   }
 }
@@ -98,84 +78,58 @@ Result<Scrubber::PassStats> Scrubber::RunOnce() {
   Counter* passes = ScrubCounter("passes", service_->partition_index());
 
   PassStats stats;
-  uint32_t start_volume = 0;
-  uint64_t start_block = 1;
-  {
-    std::shared_lock<std::shared_mutex> lock(service_->mutex());
-    if (auto cursor = service_->catalog().scrub_cursor()) {
-      start_volume = cursor->first;
-      start_block = std::max<uint64_t>(cursor->second, 1);
+  const std::optional<std::pair<uint32_t, uint64_t>> cursor =
+      service_->ScrubCursor();
+  uint32_t volume_index = 0;
+  uint64_t from = 1;
+  // A cursor naming a volume the sequence lacks restarts at the seed.
+  if (cursor.has_value() &&
+      service_->ChainSeed(cursor->first).status().code() !=
+          StatusCode::kOutOfRange) {
+    volume_index = cursor->first;
+    from = std::max<uint64_t>(cursor->second, 1);
+  }
+  // Volume by volume until the sequence ends; a roll that appends a
+  // volume mid-pass is covered too.
+  for (; ScrubVolume(volume_index, from, /*resumed=*/from > 1, &stats);
+       ++volume_index, from = 1) {
+    std::lock_guard<std::mutex> lock(wake_mu_);
+    if (stop_requested_) {
+      return stats;  // partial pass; the cursor marks where to resume
     }
-  }
-  size_t volume_count = 0;
-  {
-    std::shared_lock<std::shared_mutex> lock(service_->mutex());
-    volume_count = service_->volume_count();
-  }
-  if (start_volume >= volume_count) {
-    start_volume = 0;
-    start_block = 1;
-  }
-  for (uint32_t vi = start_volume; vi < volume_count; ++vi) {
-    uint64_t from = vi == start_volume ? start_block : 1;
-    CLIO_RETURN_IF_ERROR(ScrubVolume(vi, from, /*resumed=*/from > 1,
-                                     &stats));
-    {
-      std::lock_guard<std::mutex> lock(wake_mu_);
-      if (stop_requested_) {
-        return stats;  // partial pass; the cursor marks where to resume
-      }
-    }
-    // A roll may have appended a volume while we scanned; cover it too.
-    std::shared_lock<std::shared_mutex> lock(service_->mutex());
-    volume_count = service_->volume_count();
   }
   // Pass complete: rewind the persisted cursor so the next pass (or a
   // restart) replays the chain from the seed — the full-pass walk is what
   // re-checks the prefix the O(1) recovery shortcut trusts.
-  {
-    std::shared_lock<std::shared_mutex> lock(service_->mutex());
-    auto cursor = service_->catalog().scrub_cursor();
-    if (!cursor.has_value() ||
-        cursor->first != 0 || cursor->second != 1) {
-      lock.unlock();
-      if (cursor.has_value()) {
-        PersistCursor(0, 1);
-      }
-    }
+  if (auto now = service_->ScrubCursor();
+      now.has_value() && (now->first != 0 || now->second != 1)) {
+    PersistCursor(0, 1);
   }
   passes_.fetch_add(1, std::memory_order_relaxed);
   passes->Increment();
   return stats;
 }
 
-Status Scrubber::ScrubVolume(uint32_t volume_index, uint64_t from,
-                             bool resumed, PassStats* stats) {
+bool Scrubber::ScrubVolume(uint32_t volume_index, uint64_t from,
+                           bool resumed, PassStats* stats) {
   static Counter* corrupt = ScrubCounter("corrupt_blocks");
   static Counter* mismatches = ScrubCounter("chain_mismatches");
   static Counter* retries = ScrubCounter("retries");
   Counter* scanned =
       ScrubCounter("blocks_scanned", service_->partition_index());
 
-  bool chained = false;
-  uint64_t acc = 0;
+  auto seed = service_->ChainSeed(volume_index);
+  if (!seed.ok()) {
+    // No such volume ends the pass; an offline one is skipped — scrubbing
+    // must not force a mount.
+    return seed.status().code() != StatusCode::kOutOfRange;
+  }
+  const bool chained = seed->has_value();
+  uint64_t acc = seed->value_or(0);
   // A mid-pass resume starts desynced and adopts the first valid block's
   // stored tag (same resync rule the offline verifier uses); a from-seed
   // pass checks every link including the first.
-  bool synced = false;
-  {
-    std::shared_lock<std::shared_mutex> lock(service_->mutex());
-    if (volume_index >= service_->volume_count()) {
-      return Status::Ok();
-    }
-    LogVolume* volume = service_->volume(volume_index);
-    if (volume == nullptr) {
-      return Status::Ok();  // offline: scrubbing must not force a mount
-    }
-    chained = volume->header().chained();
-    acc = volume->chain_seed();
-    synced = chained && !resumed;
-  }
+  bool synced = chained && !resumed;
 
   uint64_t prev_valid = 0;
   bool have_prev_valid = false;
@@ -183,8 +137,8 @@ Status Scrubber::ScrubVolume(uint32_t volume_index, uint64_t from,
   uint64_t since_pace = 0;
 
   for (uint64_t b = std::max<uint64_t>(from, 1);; ++b) {
-    // Pacing: between chunks, yield the lock and (on the background
-    // thread) sleep an interval so appends and readers interleave.
+    // Pacing: between chunks, sleep an interval (on the background thread)
+    // so appends and readers get the device.
     if (since_pace >= options_.blocks_per_tick) {
       since_pace = 0;
       bool paced_sleep = false;
@@ -192,75 +146,51 @@ Status Scrubber::ScrubVolume(uint32_t volume_index, uint64_t from,
         std::lock_guard<std::mutex> lock(wake_mu_);
         if (stop_requested_) {
           PersistCursor(volume_index, b);
-          return Status::Ok();
+          return true;
         }
         paced_sleep = running_;
       }
       if (paced_sleep && !SleepFor(options_.interval_ms)) {
         PersistCursor(volume_index, b);
-        return Status::Ok();
+        return true;
       }
     }
     ++since_pace;
 
-    Probe probe = Probe::kGone;
+    // The probe's verdict (see LogService::ProbeBlock): kOk, or why the
+    // block yields no commit.
+    StatusCode probe = StatusCode::kOutOfRange;
     std::optional<uint64_t> tag;
     Sha256Digest commit{};
     uint64_t backoff = options_.retry_backoff_ms;
     for (int attempt = 0; attempt <= options_.max_read_retries; ++attempt) {
-      std::shared_lock<std::shared_mutex> lock(service_->mutex());
-      if (volume_index >= service_->volume_count()) {
-        probe = Probe::kGone;
-        break;
-      }
-      LogVolume* volume = service_->volume(volume_index);
-      if (volume == nullptr || b >= volume->end_block()) {
-        probe = Probe::kGone;
-        break;
-      }
-      if (service_->catalog().IsQuarantined(volume_index, b)) {
-        probe = Probe::kQuarantined;
-        break;
-      }
-      OpStats op;
-      auto parsed = volume->GetBlock(b, &op);
+      auto parsed = service_->ProbeBlock(volume_index, b);
+      probe = parsed.status().code();
       if (parsed.ok()) {
-        probe = Probe::kValid;
         tag = parsed.value().chain_tag();
         if (chained) {
           commit = ChainBlockCommit(parsed.value());
         }
+      }
+      if (probe != StatusCode::kUnavailable) {
         break;
       }
-      StatusCode code = parsed.status().code();
-      if (code == StatusCode::kInvalidated) {
-        probe = Probe::kInvalidated;
-        break;
+      ++stats->retries;
+      retries->Increment();
+      if (attempt == options_.max_read_retries || !SleepFor(backoff)) {
+        break;  // still transient: skip, never quarantine
       }
-      if (code == StatusCode::kUnavailable) {
-        probe = Probe::kTransient;
-        lock.unlock();
-        ++stats->retries;
-        retries->Increment();
-        if (attempt == options_.max_read_retries ||
-            !SleepFor(backoff)) {
-          break;  // still transient: skip, never quarantine
-        }
-        backoff = std::min(backoff * 2, options_.retry_backoff_cap_ms);
-        continue;
-      }
-      probe = Probe::kCorrupt;
-      break;
+      backoff = std::min(backoff * 2, options_.retry_backoff_cap_ms);
     }
 
-    if (probe == Probe::kGone) {
+    if (probe == StatusCode::kOutOfRange) {
       break;  // reached the burned end (or lost the volume)
     }
     ++stats->blocks_scanned;
     scanned->Increment();
 
     switch (probe) {
-      case Probe::kValid:
+      case StatusCode::kOk:
         if (chained) {
           if (!tag.has_value()) {
             // A v1 footer inside a chained volume is as damning as a CRC
@@ -287,21 +217,19 @@ Status Scrubber::ScrubVolume(uint32_t volume_index, uint64_t from,
           }
         }
         break;
-      case Probe::kCorrupt:
-        ++stats->corrupt_blocks;
-        corrupt->Increment();
-        Quarantine(volume_index, b, stats);
-        synced = false;
-        break;
-      case Probe::kInvalidated:
-      case Probe::kTransient:
-      case Probe::kQuarantined:
+      case StatusCode::kInvalidated:
+      case StatusCode::kUnavailable:         // transient: never convict
+      case StatusCode::kFailedPrecondition:  // quarantined already
         // None of these yields a commit to advance with; re-sync at the
         // next valid block (see src/clio/verify.cc for why invalidated
         // blocks also desync).
         synced = false;
         break;
-      case Probe::kGone:
+      default:  // kCorrupt: fails validation
+        ++stats->corrupt_blocks;
+        corrupt->Increment();
+        Quarantine(volume_index, b, stats);
+        synced = false;
         break;
     }
 
@@ -310,21 +238,17 @@ Status Scrubber::ScrubVolume(uint32_t volume_index, uint64_t from,
       PersistCursor(volume_index, b + 1);
     }
   }
-  return Status::Ok();
+  return true;
 }
 
 void Scrubber::Quarantine(uint32_t volume_index, uint64_t block,
                           PassStats* stats) {
   Counter* quarantined =
       ScrubCounter("quarantined_blocks", service_->partition_index());
-
-  std::unique_lock<std::shared_mutex> lock(service_->mutex());
-  if (service_->catalog().IsQuarantined(volume_index, block)) {
-    return;  // convicted by an earlier pass (or a peer) already
-  }
   // The in-memory verdict stands even when persisting the record fails
   // (see LogService::QuarantineBlock); a failed persist is re-exported at
-  // the next volume roll.
+  // the next volume roll. The probe just saw the block unquarantined, so
+  // the verdict is new unless another judge raced this one to it.
   (void)service_->QuarantineBlock(volume_index, block);
   ++stats->quarantined;
   quarantined->Increment();
@@ -332,7 +256,6 @@ void Scrubber::Quarantine(uint32_t volume_index, uint64_t block,
 
 void Scrubber::PersistCursor(uint32_t volume_index, uint64_t block) {
   static Counter* cursor_records = ScrubCounter("cursor_records");
-  std::unique_lock<std::shared_mutex> lock(service_->mutex());
   if (service_->PersistScrubCursor(volume_index, block).ok()) {
     cursor_records->Increment();
   }

@@ -15,10 +15,12 @@
 //  - transient kUnavailable reads are retried with capped exponential
 //    backoff, never quarantined.
 //
-// Pacing: the scrubber wakes every interval_ms and scans at most
-// blocks_per_tick blocks under the service's SHARED lock, so sessions read
-// concurrently and appends wait at most one chunk. A tick that observes
-// the burned end moving (appends in flight) yields, up to
+// Pacing: the scrubber wakes every interval_ms and scans chunks of at most
+// blocks_per_tick blocks, sleeping an interval between chunks. It reads
+// through the service's locked calls (ProbeBlock, ChainSeed, ScrubCursor),
+// one block per SHARED acquisition, so sessions read concurrently and an
+// append waits at most one block probe. A tick that observes blocks
+// burning (appends in flight) yields, up to
 // max_busy_yields in a row — the scrub makes progress even on a busy
 // server, just more slowly. Progress within a pass is persisted through
 // the catalog log every cursor_persist_blocks, so a restarted server
@@ -40,7 +42,7 @@ namespace clio {
 
 struct ScrubOptions {
   uint64_t interval_ms = 25;         // sleep between ticks
-  uint64_t blocks_per_tick = 64;     // chunk scanned under one SHARED lock
+  uint64_t blocks_per_tick = 64;     // blocks scanned between sleeps
   uint64_t cursor_persist_blocks = 512;  // persist progress every N blocks
   int max_read_retries = 4;          // transient-fault retries per block
   uint64_t retry_backoff_ms = 5;     // initial backoff, doubling up to...
@@ -73,8 +75,7 @@ class Scrubber {
   // One synchronous scrub pass over every online volume, resuming from
   // the persisted cursor if one exists (the remainder of an interrupted
   // pass), otherwise from the start. Callable without Start(); the chaos
-  // and scrub tests drive this directly. Takes the service lock itself —
-  // callers must NOT hold it.
+  // and scrub tests drive this directly.
   Result<PassStats> RunOnce();
 
   uint64_t passes_completed() const {
@@ -84,11 +85,11 @@ class Scrubber {
  private:
   // Scans one volume's burned blocks [from, end), chunked; accumulates
   // into *stats. `resumed` marks a mid-pass resume (the chain accumulator
-  // re-syncs from the first valid block instead of the seed).
-  Status ScrubVolume(uint32_t volume_index, uint64_t from, bool resumed,
-                     PassStats* stats);
-  // One block verdict helper: quarantine + counters. Takes the EXCLUSIVE
-  // lock itself.
+  // re-syncs from the first valid block instead of the seed). False when
+  // the sequence has no volume `volume_index` (the pass is over).
+  bool ScrubVolume(uint32_t volume_index, uint64_t from, bool resumed,
+                   PassStats* stats);
+  // One block verdict helper: quarantine + counters.
   void Quarantine(uint32_t volume_index, uint64_t block, PassStats* stats);
   void PersistCursor(uint32_t volume_index, uint64_t block);
 
@@ -106,9 +107,9 @@ class Scrubber {
   bool stop_requested_ = false;
   bool running_ = false;
 
-  // Busy-yield bookkeeping (see header comment).
-  uint64_t last_seen_end_ = 0;
-  size_t last_seen_volumes_ = 0;
+  // Busy-yield bookkeeping (see header comment): the service's burned
+  // block count at the last tick.
+  uint64_t last_seen_burned_ = 0;
   int busy_yields_ = 0;
 };
 

@@ -28,7 +28,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -77,8 +76,8 @@ class AckJournal {
 FaultPolicy CleanPolicy() { return FaultPolicy{}; }
 
 // Finds a readable burned block all of whose entries belong to `id` (a
-// pure data block, not an entrymap/catalog block). 0 if none. Caller
-// holds the service lock.
+// pure data block, not an entrymap/catalog block). 0 if none. Reads the
+// volume raw: the caller holds a WriteHandle.
 uint64_t FindDataBlockOf(LogService* service, LogFileId id) {
   LogVolume* volume = service->current_volume();
   for (uint64_t b = 1; b < volume->end_block(); ++b) {
@@ -431,12 +430,12 @@ TEST_F(ChaosTest, BitRotIsQuarantinedWhileTheServiceKeepsServing) {
           (*client)->Append(kLog, AsBytes(payload), true, true).status());
     }
 
-    // Rot one burned data block of the log. The exclusive lock fences the
+    // Rot one burned data block of the log. A write handle fences the
     // media mutation against the scrubber's concurrent shared-lock reads.
     uint64_t victim = 0;
+    ASSERT_OK_AND_ASSIGN(LogFileId id, service_->Resolve(kLog));
     {
-      std::unique_lock<std::shared_mutex> lock(service_->mutex());
-      ASSERT_OK_AND_ASSIGN(LogFileId id, service_->Resolve(kLog));
+      LogService::WriteHandle fence = service_->LockForWrite();
       victim = FindDataBlockOf(service_.get(), id);
       ASSERT_NE(victim, 0u);
       Bytes buf(media_->block_size());
@@ -448,24 +447,17 @@ TEST_F(ChaosTest, BitRotIsQuarantinedWhileTheServiceKeepsServing) {
     ++flips;
 
     // The background scrubber (interval 1ms) must find and quarantine the
-    // rotten block on its own while the server stays up.
+    // rotten block on its own while the server stays up (a probe of a
+    // quarantined block answers kFailedPrecondition).
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(20);
-    for (;;) {
-      {
-        std::shared_lock<std::shared_mutex> lock(service_->mutex());
-        if (service_->catalog().IsQuarantined(0, victim)) {
-          break;
-        }
-      }
+    while (service_->ProbeBlock(0, victim).status().code() !=
+           StatusCode::kFailedPrecondition) {
       ASSERT_LT(std::chrono::steady_clock::now(), deadline)
           << "scrubber never quarantined block " << victim;
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
-    {
-      std::shared_lock<std::shared_mutex> lock(service_->mutex());
-      EXPECT_TRUE(service_->degraded());
-    }
+    EXPECT_TRUE(service_->degraded());
 
     // Degraded, not down: appends still succeed after the verdict, and a
     // scan either drains or fails FAST with the quarantine status — never
@@ -475,7 +467,6 @@ TEST_F(ChaosTest, BitRotIsQuarantinedWhileTheServiceKeepsServing) {
                            true, true)
                   .status());
     {
-      std::shared_lock<std::shared_mutex> lock(service_->mutex());
       ASSERT_OK_AND_ASSIGN(auto reader, service_->OpenReader(kLog));
       for (;;) {
         auto next = reader->Next();

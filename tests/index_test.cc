@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <map>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -392,8 +391,8 @@ TEST(IndexConvergence, WriterAndScanBuiltIndexesAreByteIdentical) {
                                       : report.index_mismatches[0]);
 }
 
-// Lazy rebuild is safe under concurrent readers holding the shared lock
-// (the TSan lane runs this with real interleavings).
+// Lazy rebuild is safe under concurrent readers, each call holding the
+// service's shared lock (the TSan lane runs this with real interleavings).
 TEST(IndexConcurrency, ConcurrentColdLocatesBuildTheIndexOnce) {
   Rng rng(0xC0DE);
   DualRig rig = DualRig::Make(/*block_size=*/512, /*degree=*/8, /*files=*/4);
@@ -413,7 +412,6 @@ TEST(IndexConcurrency, ConcurrentColdLocatesBuildTheIndexOnce) {
   for (int w = 0; w < 4; ++w) {
     threads.emplace_back([&remounted, &rig, &expect_count, w] {
       const std::string& path = rig.paths[w % rig.paths.size()];
-      std::shared_lock lock(remounted->mutex());
       auto reader = remounted->OpenReader(path);
       ASSERT_TRUE(reader.ok());
       reader.value()->SeekToEnd();

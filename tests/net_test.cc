@@ -642,9 +642,10 @@ TEST_F(NetServerTest, SharedLogFileInterleavedAppendsStayTotallyOrdered) {
   EXPECT_EQ(report.time_regressions.size(), 0u);
 }
 
-TEST_F(NetServerTest, BatchingDisabledStillCorrect) {
+// Batches of one: every forced append pays its own covering force.
+TEST_F(NetServerTest, SizeOneBatchesStillCorrect) {
   NetLogServerOptions options;
-  options.batching = false;
+  options.batch.max_batch_entries = 1;
   StartServer(options);
   constexpr int kClients = 4;
   std::vector<std::thread> threads;
@@ -667,7 +668,10 @@ TEST_F(NetServerTest, BatchingDisabledStillCorrect) {
     t.join();
   }
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(server_->batcher(), nullptr);
+  EXPECT_EQ(server_->batcher()->entries_committed(),
+            static_cast<uint64_t>(kClients * 20));
+  EXPECT_EQ(server_->batcher()->batches_committed(),
+            server_->batcher()->entries_committed());
   server_->Stop();
   ASSERT_OK_AND_ASSIGN(VerifyReport report,
                        VerifyVolume(fx_.service->current_volume()));
@@ -1021,12 +1025,7 @@ TEST(NetTrace, InjectedSlowBurnIsVisibleInTheTraceDump) {
   sopts.sequence_id = 0x7ACE;
   ASSERT_OK_AND_ASSIGN(auto service,
                        LogService::Create(std::move(injector), &clock, sopts));
-  // Batching off: force runs on the session thread under the request's
-  // trace context, so even the physical burn is attributed stage by stage.
-  NetLogServerOptions options;
-  options.batching = false;
-  ASSERT_OK_AND_ASSIGN(auto server,
-                       NetLogServer::Start(service.get(), options));
+  ASSERT_OK_AND_ASSIGN(auto server, NetLogServer::Start(service.get()));
   ASSERT_OK_AND_ASSIGN(auto client, NetLogClient::Connect(server->port()));
   ASSERT_OK(client->CreateLogFile("/slow").status());
   ASSERT_OK(
@@ -1045,19 +1044,18 @@ TEST(NetTrace, InjectedSlowBurnIsVisibleInTheTraceDump) {
   }
   ASSERT_NE(slow, nullptr) << "slow append filtered out of the dump";
   EXPECT_GE(slow->total_us, 10'000u);
-  // The breakdown points at the device: the burn stage carries the
-  // injected latency.
-  ASSERT_TRUE(slow->stage_us.contains(TraceStage::kBurn));
-  EXPECT_GE(slow->stage_us.at(TraceStage::kBurn), 15'000u);
+  // The breakdown points at the batch's covering force, which carries the
+  // injected burn latency. The burn itself runs on the commit thread under
+  // no request's context (one force covers every member), so it is
+  // recorded per member as this force span, not as a burn span.
   ASSERT_TRUE(slow->stage_us.contains(TraceStage::kForce));
-  EXPECT_GE(slow->stage_us.at(TraceStage::kForce),
-            slow->stage_us.at(TraceStage::kBurn));
+  EXPECT_GE(slow->stage_us.at(TraceStage::kForce), 15'000u);
 
   // The export round-trips into Chrome trace_event JSON with one event
   // per span.
   std::string json = TraceDumpToChromeJson(dump);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"burn\""), std::string::npos);
+  EXPECT_NE(json.find("\"force\""), std::string::npos);
   server->Stop();
 }
 

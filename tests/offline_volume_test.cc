@@ -114,6 +114,54 @@ TEST(OfflineVolumes, ReverseReadAcrossOfflineBoundary) {
   }
 }
 
+// A reader positioned on a volume that goes offline keeps its gap: the
+// next call fails kUnavailable without a mounter, and once one is
+// installed the reader continues from the same place on the remount.
+TEST(OfflineVolumes, ForwardReaderSurvivesItsVolumeGoingOffline) {
+  auto rig = ArchiveRig::Make();
+  ASSERT_OK_AND_ASSIGN(auto reader, rig.service->OpenReader("/d"));
+  ASSERT_OK_AND_ASSIGN(auto first, reader->Next());
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(ToString(first->payload), rig.wrote[0]);
+  ASSERT_EQ(first->position.volume_index, 0u);
+
+  ASSERT_OK(rig.service->TakeVolumeOffline(0));
+  EXPECT_EQ(reader->Next().status().code(), StatusCode::kUnavailable);
+  rig.InstallMounter();
+  for (size_t i = 1; i < rig.wrote.size(); ++i) {
+    ASSERT_OK_AND_ASSIGN(auto record, reader->Next());
+    ASSERT_TRUE(record.has_value()) << i;
+    EXPECT_EQ(ToString(record->payload), rig.wrote[i]);
+  }
+  ASSERT_OK_AND_ASSIGN(auto end, reader->Next());
+  EXPECT_FALSE(end.has_value());
+  EXPECT_EQ(rig.service->on_demand_mounts(), 1u);
+}
+
+TEST(OfflineVolumes, BackwardReaderSurvivesItsVolumeGoingOffline) {
+  auto rig = ArchiveRig::Make();
+  rig.InstallMounter();
+  ASSERT_OK_AND_ASSIGN(auto reader, rig.service->OpenReader("/d"));
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_OK_AND_ASSIGN(auto record, reader->Next());
+    ASSERT_TRUE(record.has_value());
+    ASSERT_EQ(record->position.volume_index, 0u);
+  }
+  ASSERT_OK_AND_ASSIGN(auto third, reader->Prev());
+  ASSERT_TRUE(third.has_value());
+  EXPECT_EQ(ToString(third->payload), rig.wrote[2]);
+
+  ASSERT_OK(rig.service->TakeVolumeOffline(0));
+  for (size_t i = 2; i > 0; --i) {
+    ASSERT_OK_AND_ASSIGN(auto record, reader->Prev());
+    ASSERT_TRUE(record.has_value()) << i;
+    EXPECT_EQ(ToString(record->payload), rig.wrote[i - 1]);
+  }
+  ASSERT_OK_AND_ASSIGN(auto start, reader->Prev());
+  EXPECT_FALSE(start.has_value());
+  EXPECT_EQ(rig.service->on_demand_mounts(), 1u);
+}
+
 TEST(OfflineVolumes, MounterRejectsWrongPlatter) {
   auto rig = ArchiveRig::Make();
   auto* media = &rig.media;

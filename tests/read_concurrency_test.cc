@@ -1,8 +1,8 @@
 // Concurrent read-path stress: 8 reader threads tail one log file over
 // loopback TCP while a writer appends and forces. Exercises the shared/
-// exclusive locking protocol of DESIGN.md §12 end to end — sharded cache,
-// shared-lock dispatch, kReadBatch, and sequential readahead all run at
-// once. Every reader asserts:
+// exclusive locking of DESIGN.md §12 end to end — sharded cache, shared-
+// lock dispatch, kReadBatch, and sequential readahead all run at once.
+// Every reader asserts:
 //   * no torn entries — each payload is self-describing (sequence number
 //     plus a seed-derived fill pattern spanning block boundaries) and must
 //     verify byte-for-byte;
@@ -15,14 +15,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "src/net/net_client.h"
+#include "src/clio/verify.h"
 #include "src/net/net_server.h"
+#include "src/scrub/scrubber.h"
 #include "tests/test_util.h"
 
 namespace clio {
@@ -141,12 +142,12 @@ TEST(ReadConcurrency, EightTailingReadersRaceOneWriter) {
   EXPECT_FALSE(failed.load());
 }
 
-// Same race through the service API directly (no sockets): readers take
-// the shared lock themselves, the writer the exclusive one — the pattern
-// an embedding file server uses (DESIGN.md §12). Each reader runs a FIXED
-// number of verification passes rather than waiting to observe the final
-// entry: a reader-preferring rwlock gives no forward-progress guarantee to
-// the writer while scan passes overlap, so a "wait until I see everything"
+// Same race through the service API directly (no sockets): the service
+// takes its lock per call, shared for each reader call and exclusive for
+// each append (DESIGN.md §12). Each reader runs a FIXED number of
+// verification passes rather than waiting to observe the final entry: a
+// reader-preferring rwlock gives no forward-progress guarantee to the
+// writer while reader calls overlap, so a "wait until I see everything"
 // loop could outlive any CI timeout. Prefix consistency and cursor
 // monotonicity are asserted per pass; completeness is asserted by a final
 // scan after the writer finishes.
@@ -165,7 +166,6 @@ TEST(ReadConcurrency, SharedLockReadersSeeConsistentPrefixes) {
       int seen_floor = 0;  // entries seen by the previous pass
       for (int pass = 0; pass < kPassesPerReader && !failed.load(); ++pass) {
         {
-          std::shared_lock<std::shared_mutex> lock(service->mutex());
           auto reader = service->OpenReaderById(*id);
           if (!reader.ok()) {
             failed.store(true);
@@ -199,8 +199,8 @@ TEST(ReadConcurrency, SharedLockReadersSeeConsistentPrefixes) {
           }
           seen_floor = seq;
         }
-        // Off the shared lock between passes, giving the writer's
-        // exclusive acquisition a window.
+        // Idle between passes, giving the writer's exclusive acquisitions
+        // a window.
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
     });
@@ -210,7 +210,6 @@ TEST(ReadConcurrency, SharedLockReadersSeeConsistentPrefixes) {
     WriteOptions opts;
     opts.timestamped = true;
     for (int i = 0; i < kEntries && !failed.load(); ++i) {
-      std::unique_lock<std::shared_mutex> lock(service->mutex());
       auto appended = service->Append(*id, PayloadFor(i), opts);
       if (!appended.ok()) {
         failed.store(true);
@@ -224,7 +223,7 @@ TEST(ReadConcurrency, SharedLockReadersSeeConsistentPrefixes) {
   });
 
   // Readers first: the writer may be starved while passes overlap, and
-  // only drains once the readers stop taking the shared lock.
+  // only drains once the readers stop reading.
   for (auto& t : readers) {
     t.join();
   }
@@ -232,7 +231,6 @@ TEST(ReadConcurrency, SharedLockReadersSeeConsistentPrefixes) {
   ASSERT_FALSE(failed.load());
 
   // Completeness: with the race over, one more pass sees every entry.
-  std::shared_lock<std::shared_mutex> lock(service->mutex());
   auto reader = service->OpenReaderById(*id);
   ASSERT_TRUE(reader.ok());
   for (int i = 0; i < kEntries; ++i) {
@@ -244,6 +242,164 @@ TEST(ReadConcurrency, SharedLockReadersSeeConsistentPrefixes) {
   auto end = (*reader)->Next();
   ASSERT_TRUE(end.ok());
   EXPECT_FALSE(end->has_value());
+}
+
+std::string WriterPath(int writer, int file) {
+  return "/w" + std::to_string(writer) + "-" + std::to_string(file);
+}
+
+// Every kind of LogService call at once, with no lock taken by the test:
+// writers create files, append (forced and not) and force; readers open,
+// scan both ways, seek by time, stat and build chain proofs; a scrubber
+// re-reads every burned block. The service's own lock is all that orders
+// them (DESIGN.md §12).
+TEST(ReadConcurrency, ServiceCallsNeedNoCallerLock) {
+  constexpr int kWriters = 4;
+  constexpr int kFilesPerWriter = 3;
+  constexpr int kAppendsPerFile = 40;
+  constexpr int kPassesPerReader = 20;
+  ServiceFixture fx = ServiceFixture::Make();
+  LogService* service = fx.service.get();
+  // Each writer's first file exists up front so its reader has a target;
+  // the rest are created mid-race. created[w] counts the files of writer
+  // w that readers may open.
+  std::atomic<int> created[kWriters];
+  for (int w = 0; w < kWriters; ++w) {
+    ASSERT_OK(service->CreateLogFile(WriterPath(w, 0)).status());
+    created[w].store(1);
+  }
+
+  std::atomic<bool> failed{false};
+  auto fail = [&failed](const std::string& what) {
+    ADD_FAILURE() << what;
+    failed.store(true);
+  };
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int f = 0; f < kFilesPerWriter && !failed.load(); ++f) {
+        const std::string path = WriterPath(w, f);
+        if (f > 0) {
+          if (!service->CreateLogFile(path).ok()) {
+            return fail("create " + path);
+          }
+          created[w].store(f + 1);
+        }
+        for (int i = 0; i < kAppendsPerFile; ++i) {
+          WriteOptions opts;
+          opts.timestamped = true;
+          opts.force = i % 5 == 4;
+          if (!service->Append(path, PayloadFor(i), opts).ok()) {
+            return fail("append to " + path);
+          }
+          if (i % 8 == 7 && !service->Force().ok()) {
+            return fail("force");
+          }
+        }
+      }
+    });
+  }
+  for (int r = 0; r < kWriters; ++r) {
+    threads.emplace_back([&, r] {
+      for (int pass = 0; pass < kPassesPerReader && !failed.load(); ++pass) {
+        const std::string path = WriterPath(r, pass % created[r].load());
+        if (!service->Stat(path).ok()) {
+          return fail("stat " + path);
+        }
+        auto reader = service->OpenReader(path);
+        if (!reader.ok()) {
+          return fail("open " + path);
+        }
+        // Forward: a verbatim, time-ordered prefix.
+        int n = 0;
+        Timestamp last_ts = 0;
+        for (;;) {
+          auto entry = (*reader)->Next();
+          if (!entry.ok()) {
+            return fail("next: " + entry.status().ToString());
+          }
+          if (!entry->has_value()) {
+            break;
+          }
+          if ((*entry)->payload != PayloadFor(n) ||
+              (*entry)->timestamp <= last_ts) {
+            return fail(path + ": torn or reordered entry " +
+                        std::to_string(n));
+          }
+          last_ts = (*entry)->timestamp;
+          ++n;
+        }
+        if (n == 0) {
+          continue;
+        }
+        // Backward from the end gap, then by time: both land on the last
+        // entry seen; the one after it, if any arrived since, is next.
+        auto last = (*reader)->Prev();
+        if (!last.ok() || !last->has_value() ||
+            (*last)->payload != PayloadFor(n - 1)) {
+          return fail(path + ": prev did not return the last entry");
+        }
+        if (!(*reader)->SeekToTime(last_ts).ok()) {
+          return fail("seek " + path);
+        }
+        auto at = (*reader)->Prev();
+        auto after = (*reader)->Next();
+        auto later = (*reader)->Next();
+        if (!at.ok() || !at->has_value() ||
+            (*at)->payload != PayloadFor(n - 1) || !after.ok() ||
+            !after->has_value() || (*after)->payload != PayloadFor(n - 1) ||
+            !later.ok() ||
+            (later->has_value() && (*later)->payload != PayloadFor(n))) {
+          return fail(path + ": time seek misplaced the gap");
+        }
+        auto proof = service->BuildChainProof(path, last_ts);
+        if (!proof.ok()) {
+          return fail("proof: " + proof.status().ToString());
+        }
+        auto proven = proof->Verify();
+        if (!proven.ok() || proven->timestamp != last_ts) {
+          return fail(path + ": proof does not verify");
+        }
+      }
+    });
+  }
+  std::atomic<bool> done{false};
+  std::thread scrub([&] {
+    Scrubber scrubber(service, ScrubOptions{});
+    while (!done.load()) {
+      auto stats = scrubber.RunOnce();
+      if (!stats.ok() || stats->corrupt_blocks != 0 ||
+          stats->chain_mismatches != 0 || stats->quarantined != 0) {
+        return fail("scrub found damage on healthy media");
+      }
+    }
+  });
+  for (auto& t : threads) {
+    t.join();
+  }
+  done.store(true);
+  scrub.join();
+  ASSERT_FALSE(failed.load());
+
+  for (int w = 0; w < kWriters; ++w) {
+    for (int f = 0; f < kFilesPerWriter; ++f) {
+      ASSERT_OK_AND_ASSIGN(auto reader,
+                           service->OpenReader(WriterPath(w, f)));
+      for (int i = 0; i < kAppendsPerFile; ++i) {
+        ASSERT_OK_AND_ASSIGN(auto entry, reader->Next());
+        ASSERT_TRUE(entry.has_value()) << WriterPath(w, f) << " ended at "
+                                       << i;
+        EXPECT_EQ(entry->payload, PayloadFor(i));
+      }
+      ASSERT_OK_AND_ASSIGN(auto end, reader->Next());
+      EXPECT_FALSE(end.has_value());
+    }
+  }
+  for (size_t v = 0; v < service->volume_count(); ++v) {
+    ASSERT_OK_AND_ASSIGN(VerifyReport report,
+                         VerifyVolume(service->volume(v)));
+    EXPECT_TRUE(report.clean());
+  }
 }
 
 }  // namespace

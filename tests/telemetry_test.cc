@@ -419,7 +419,6 @@ struct JournalFixture {
 
   TelemetryAppendFn AppendFn() {
     return [this](std::span<const std::byte> record) -> Status {
-      std::lock_guard<std::shared_mutex> lock(fx.service->mutex());
       WriteOptions options;
       options.timestamped = true;
       return fx.service->Append(kTelemetryJournalPath, record, options)
@@ -428,7 +427,6 @@ struct JournalFixture {
   }
 
   void CreateJournal() {
-    std::lock_guard<std::shared_mutex> lock(fx.service->mutex());
     ASSERT_OK(fx.service->CreateLogFile(kReservedSystemRoot).status());
     ASSERT_OK(fx.service->CreateLogFile(kTelemetryJournalPath).status());
   }
@@ -585,10 +583,7 @@ TEST_F(TelemetryWireTest, HealthReportsDegradedOnQuarantineWhileAppendsWork) {
     EXPECT_NE(r.rule, "scrub-quarantine") << r.metric;
   }
 
-  {
-    std::lock_guard<std::shared_mutex> lock(fx_.service->mutex());
-    ASSERT_OK(fx_.service->QuarantineBlock(0, 3));
-  }
+  ASSERT_OK(fx_.service->QuarantineBlock(0, 3));
   ASSERT_OK_AND_ASSIGN(HealthReport after, client->GetHealth());
   EXPECT_EQ(after.state, HealthState::kDegraded);
   bool quarantine_reason = false;
