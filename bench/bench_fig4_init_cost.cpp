@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "src/device/memory_worm_device.h"
+#include "src/device/nvram_tail.h"
+#include "src/obs/metrics.h"
 
 namespace clio {
 namespace bench {
@@ -244,6 +246,86 @@ void MeasureCheckpointRestart(BenchReport* report) {
   report->AddCounter("summary", "replay_passes_per_block", passes_per_block);
 }
 
+// Checkpoint bytes per checkpoint as the volume grows (DESIGN.md §17):
+// 256 Zipf-skewed log files of unforced appends, an NVRAM sidecar and the
+// default 256-block interval. The sidecar holds a base plus append-only
+// deltas, compacted into a fresh base once the deltas would pass a
+// quarter of it, so the average record stays flat; one full record per
+// checkpoint would grow with the volume (3.15x from 8k to 32k blocks).
+// The growth ratio is a byte count, free of timing noise, and CI gates it
+// as a ceiling.
+double CheckpointBytesPerCheckpoint(uint64_t target) {
+  MemoryWormOptions dev;
+  dev.block_size = 1024;
+  dev.capacity_blocks = target + 1024;
+  MemoryWormDevice media(dev);
+  NvramTail nvram(dev.block_size);
+  SimulatedClock clock(1'000'000, 11);
+  LogServiceOptions options;
+  options.nvram = &nvram;
+  auto service = LogService::Create(std::make_unique<Borrowed>(&media),
+                                    &clock, options);
+  BENCH_CHECK_OK(service.status());
+  std::vector<LogFileId> files;
+  for (int f = 0; f < 256; ++f) {
+    auto id = service.value()->CreateLogFile("/f" + std::to_string(f));
+    BENCH_CHECK_OK(id.status());
+    files.push_back(id.value());
+  }
+  std::vector<double> cdf;
+  double total = 0;
+  for (size_t rank = 1; rank <= files.size(); ++rank) {
+    total += 1.0 / static_cast<double>(rank);
+    cdf.push_back(total);
+  }
+  Counter* bytes = ObsRegistry().counter("clio.index.checkpoint_bytes");
+  Counter* written = ObsRegistry().counter("clio.index.checkpoints_written");
+  const uint64_t bytes_before = bytes->value();
+  const uint64_t written_before = written->value();
+  Rng rng(target);
+  WriteOptions stamped;
+  stamped.timestamped = true;
+  while (media.frontier() < target) {
+    const double pick = rng.NextDouble() * total;
+    const size_t rank = std::min<size_t>(
+        std::upper_bound(cdf.begin(), cdf.end(), pick) - cdf.begin(),
+        files.size() - 1);
+    BENCH_CHECK_OK(service.value()
+                       ->Append(files[rank],
+                                FillPayload(&rng, rng.Range(64, 512)),
+                                stamped)
+                       .status());
+  }
+  const uint64_t records = written->value() - written_before;
+  if (records == 0) {
+    BENCH_CHECK_OK(Internal("no checkpoint written"));
+  }
+  return static_cast<double>(bytes->value() - bytes_before) /
+         static_cast<double>(records);
+}
+
+void MeasureCheckpointGrowth(BenchReport* report) {
+  const uint64_t small = 8192;
+  const uint64_t large = FastMode() ? 32768 : 131072;
+  const double small_bytes = CheckpointBytesPerCheckpoint(small);
+  const double large_bytes = CheckpointBytesPerCheckpoint(large);
+  const double growth = large_bytes / small_bytes;
+  std::printf("\ncheckpoint bytes per checkpoint, 256 Zipf files, "
+              "interval 256:\n");
+  std::printf("%-10s | %s\n", "b (blocks)", "bytes per checkpoint");
+  std::printf("-----------+---------------------\n");
+  std::printf("%-10" PRIu64 " | %.0f\n", small, small_bytes);
+  std::printf("%-10" PRIu64 " | %.0f\n", large, large_bytes);
+  std::printf("checkpoint_bytes_growth: %.3f (CI ceiling in fast mode, "
+              "32k over 8k blocks: 1.2)\n",
+              growth);
+  report->AddCounter("checkpoint_growth", "bytes_per_checkpoint_8k",
+                     small_bytes);
+  report->AddCounter("checkpoint_growth", "bytes_per_checkpoint_large",
+                     large_bytes);
+  report->AddCounter("summary", "checkpoint_bytes_growth", growth);
+}
+
 }  // namespace
 }  // namespace bench
 }  // namespace clio
@@ -265,6 +347,7 @@ int main() {
   }
   BenchReport report("fig4_init_cost");
   MeasureCheckpointRestart(&report);
+  MeasureCheckpointGrowth(&report);
   if (!report.Write()) {
     return 1;
   }

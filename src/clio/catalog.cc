@@ -217,6 +217,7 @@ Result<CatalogRecord> Catalog::RecordScrubCursor(uint32_t volume_index,
 }
 
 Status Catalog::Apply(const CatalogRecord& record) {
+  ++generation_;
   if (record.subject > kMaxLogFileId) {
     return Corrupt("catalog subject id out of range");
   }
@@ -431,6 +432,7 @@ void Catalog::RemoveForRollback(LogFileId id) {
   if (!Exists(id) || id < kFirstClientLogId) {
     return;
   }
+  ++generation_;
   const LogFileInfo& info = *table_[id];
   children_[info.parent].erase(info.name);
   children_.erase(id);

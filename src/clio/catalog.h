@@ -143,6 +143,10 @@ class Catalog {
   // of a successor volume so each volume is self-describing.
   std::vector<CatalogRecord> ExportRecords() const;
 
+  // Bumped by every Apply and rollback: a checkpoint delta re-exports the
+  // catalog only when this moved since the previous record.
+  uint64_t generation() const { return generation_; }
+
   // Undoes a just-applied Create when appending its record to the catalog
   // log failed, keeping the cached table consistent with the media.
   void RemoveForRollback(LogFileId id);
@@ -156,6 +160,7 @@ class Catalog {
   std::set<std::pair<uint32_t, uint64_t>> quarantined_;
   uint64_t quarantine_dropped_ = 0;
   std::optional<std::pair<uint32_t, uint64_t>> scrub_cursor_;
+  uint64_t generation_ = 0;
 };
 
 // Path component validation: nonempty, no '/', and clients may not use the

@@ -28,7 +28,8 @@ Status SplitPath(std::string_view path, std::string* parent,
 LogService::LogService(TimeSource* clock, const LogServiceOptions& options)
     : clock_(clock),
       options_(options),
-      cache_(std::make_unique<BlockCache>(options.cache_blocks)) {
+      cache_(std::make_unique<BlockCache>(options.cache_blocks)),
+      next_checkpoint_block_(options.checkpoint_interval_blocks) {
   if (options_.sequence_id == 0) {
     options_.sequence_id = static_cast<uint64_t>(clock_->NowUnique()) | 1u;
   }
@@ -82,23 +83,52 @@ void LogService::MaybeWriteCheckpoint() {
   }
   const uint64_t staging = volume->writer()->staging_block();
   static Gauge* age = ObsRegistry().gauge("clio.index.checkpoint_age_blocks");
-  if (staging <
-      last_checkpoint_block_ + options_.checkpoint_interval_blocks) {
+  if (staging < next_checkpoint_block_) {
     age->Set(static_cast<int64_t>(staging - last_checkpoint_block_));
     return;
   }
-  auto state = volume->BuildCheckpointState();
-  if (!state.ok()) {
-    return;  // e.g. the index build hit device trouble; keep appending
-  }
-  const Bytes blob = state.value().Encode();
-  options_.nvram->StoreCheckpoint(blob);
-  last_checkpoint_block_ = staging;
-  age->Set(0);
+  static Counter* failures =
+      ObsRegistry().counter("clio.index.checkpoint_failures");
   static Counter* written =
       ObsRegistry().counter("clio.index.checkpoints_written");
   static Counter* bytes =
       ObsRegistry().counter("clio.index.checkpoint_bytes");
+  // Success or not, the next attempt waits a full interval: a failing
+  // index build must not rescan the volume on every append.
+  next_checkpoint_block_ = staging + options_.checkpoint_interval_blocks;
+  bool base = sidecar_base_bytes_ == 0;
+  auto record = volume->BuildCheckpointRecord(
+      base ? 1 : last_checkpoint_block_,
+      base || catalog_.generation() != sidecar_catalog_generation_);
+  Bytes blob;
+  if (record.ok()) {
+    blob = base ? record.value().Encode()
+                : record.value().Encode(sidecar_nodes_);
+    if (!base &&
+        sidecar_delta_bytes_ + blob.size() > sidecar_base_bytes_ / 4) {
+      base = true;  // compact: the deltas would outgrow a quarter base
+      record = volume->BuildCheckpointRecord(1, /*with_catalog=*/true);
+      if (record.ok()) {
+        blob = record.value().Encode();
+      }
+    }
+  }
+  if (!record.ok()) {
+    failures->Increment();
+    return;
+  }
+  if (base) {
+    options_.nvram->StoreCheckpoint(blob);
+    sidecar_base_bytes_ = blob.size();
+    sidecar_delta_bytes_ = 0;
+  } else {
+    options_.nvram->AppendCheckpoint(blob);
+    sidecar_delta_bytes_ += blob.size();
+  }
+  sidecar_catalog_generation_ = catalog_.generation();
+  sidecar_nodes_ = std::move(record.value().accumulator_nodes);
+  last_checkpoint_block_ = staging;
+  age->Set(0);
   written->Increment();
   bytes->Increment(blob.size());
 }
@@ -136,7 +166,7 @@ Result<std::unique_ptr<LogService>> LogService::Recover(
   // that fails to decode (torn battery RAM) is simply ignored and the
   // full-scan recovery runs.
   CheckpointState checkpoint;
-  const CheckpointState* checkpoint_ptr = nullptr;
+  CheckpointState* checkpoint_ptr = nullptr;
   if (options.nvram != nullptr && options.enable_extent_index &&
       options.nvram->has_checkpoint()) {
     auto decoded = CheckpointState::Decode(options.nvram->checkpoint());
@@ -183,8 +213,11 @@ Result<std::unique_ptr<LogService>> LogService::Recover(
       static Counter* restored =
           ObsRegistry().counter("clio.index.checkpoints_restored");
       restored->Increment();
-      // The restored coverage is as fresh as a just-written checkpoint.
+      // The restored coverage is as fresh as a just-written checkpoint;
+      // the next record starts a new base.
       service->last_checkpoint_block_ = checkpoint.covered_end;
+      service->next_checkpoint_block_ =
+          checkpoint.covered_end + options.checkpoint_interval_blocks;
     }
     service->ConfigureVolume(volume.get());
     service->volumes_.push_back(std::move(volume));
@@ -322,6 +355,8 @@ Status LogService::RollToNewVolume() {
     options_.nvram->ClearCheckpoint();
   }
   last_checkpoint_block_ = 0;
+  next_checkpoint_block_ = options_.checkpoint_interval_blocks;
+  sidecar_base_bytes_ = 0;
   devices_.push_back(std::move(device));
   volumes_.push_back(std::move(volume));
   volume_slots_.emplace_back(volumes_.back().get());

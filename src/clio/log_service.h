@@ -263,8 +263,10 @@ class LogService {
   // applies the extent-index configuration.
   void ConfigureVolume(LogVolume* volume);
   // Writes a checkpoint record to the NVRAM sidecar when enough blocks
-  // burned since the last one. Failures are swallowed: a checkpoint is an
-  // accelerator, never required for correctness.
+  // burned since the last attempt: a delta over the blocks since the
+  // previous record, or a fresh base once the deltas would outgrow a
+  // quarter of the base. Failures are counted and back off one interval:
+  // a checkpoint is an accelerator, never required for correctness.
   void MaybeWriteCheckpoint();
 
   TimeSource* clock_;
@@ -292,8 +294,18 @@ class LogService {
   // double-count.
   int64_t degraded_gauge_contrib_ = 0;
   void BumpDegradedGauge(int64_t delta);
-  // Staging block at the last checkpoint written for the current volume.
+  // Covered end of the newest checkpoint record for the current volume,
+  // and the staging block at which the next attempt is due (a failed
+  // attempt backs off a full interval too).
   uint64_t last_checkpoint_block_ = 0;
+  uint64_t next_checkpoint_block_ = 0;
+  // The sidecar as this service wrote it: the base's bytes (0 means the
+  // next record must be a base), the bytes of the deltas after it, and
+  // the catalog generation and pending nodes the newest record saw.
+  size_t sidecar_base_bytes_ = 0;
+  size_t sidecar_delta_bytes_ = 0;
+  uint64_t sidecar_catalog_generation_ = 0;
+  std::vector<AccumulatorNodeState> sidecar_nodes_;
   // Serializes on-demand mounting among shared-lock readers (VolumeForRead
   // misses); never held across a device read.
   mutable std::mutex mount_mu_;

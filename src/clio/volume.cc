@@ -133,7 +133,7 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
     WormDevice* device, BlockCache* cache, uint64_t cache_device_id,
     Catalog* catalog, TimeSource* clock, NvramTail* nvram, bool writable,
     uint32_t readahead_blocks, RecoveryReport* report, bool replay_catalog,
-    const CheckpointState* checkpoint) {
+    CheckpointState* checkpoint) {
   // Step 0: the volume header fixes geometry for everything below.
   Bytes header_block(device->block_size());
   CLIO_RETURN_IF_ERROR(device->ReadBlock(0, header_block));
@@ -217,7 +217,7 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
   bool from_checkpoint = false;
   if (checkpoint != nullptr && replay_catalog) {
     OpStats replay_stats;
-    auto restored = volume->TryRestoreFromCheckpoint(*checkpoint, end,
+    auto restored = volume->TryRestoreFromCheckpoint(checkpoint, end,
                                                      &accumulator,
                                                      &replay_stats);
     if (restored.ok() && restored.value()) {
@@ -481,22 +481,18 @@ Result<ParsedBlock> LogVolume::ScanBlock(uint64_t block, uint64_t limit,
   return ParsedBlock::Parse(std::move(image).value());
 }
 
-Result<bool> LogVolume::TryRestoreFromCheckpoint(const CheckpointState& ck,
+Result<bool> LogVolume::TryRestoreFromCheckpoint(CheckpointState* ck,
                                                  uint64_t end,
                                                  EntrymapAccumulator* acc,
                                                  OpStats* stats) {
-  if (ck.volume_index != header_.volume_index || ck.covered_end < 1 ||
-      ck.covered_end > end) {
+  if (ck->volume_index != header_.volume_index || ck->covered_end < 1 ||
+      ck->covered_end > end) {
     return false;  // foreign volume or coverage past the recovered end
-  }
-  auto index = ExtentIndex::Deserialize(ck.index_blob);
-  if (!index.ok() || index.value().covered_end() != ck.covered_end) {
-    return false;
   }
 
   // Catalog as of covered_end: the checkpoint carries the live catalog's
   // export records (same compaction that seeds a successor volume).
-  for (const Bytes& encoded : ck.catalog_records) {
+  for (const Bytes& encoded : ck->catalog_records) {
     auto record = CatalogRecord::Decode(encoded);
     if (!record.ok()) {
       return false;
@@ -504,8 +500,8 @@ Result<bool> LogVolume::TryRestoreFromCheckpoint(const CheckpointState& ck,
     CLIO_RETURN_IF_ERROR(catalog_->Apply(record.value()));
   }
   std::vector<EntrymapAccumulator::ExportedNode> nodes;
-  nodes.reserve(ck.accumulator_nodes.size());
-  for (const AccumulatorNodeState& n : ck.accumulator_nodes) {
+  nodes.reserve(ck->accumulator_nodes.size());
+  for (const AccumulatorNodeState& n : ck->accumulator_nodes) {
     EntrymapAccumulator::ExportedNode node;
     node.level = static_cast<int>(n.level);
     node.home = n.home;
@@ -514,7 +510,7 @@ Result<bool> LogVolume::TryRestoreFromCheckpoint(const CheckpointState& ck,
   }
   acc->ImportPending(nodes);
   recovered_max_timestamp_ =
-      std::max(recovered_max_timestamp_, ck.max_timestamp);
+      std::max(recovered_max_timestamp_, ck->max_timestamp);
 
   // Replay [covered_end, end) with the same rules the writer applied
   // live. Emission boundaries crossed by the replay position mean the
@@ -524,10 +520,10 @@ Result<bool> LogVolume::TryRestoreFromCheckpoint(const CheckpointState& ck,
   std::vector<uint64_t> last_home(geometry_.max_level() + 1, 0);
   for (int level = 1; level <= geometry_.max_level(); ++level) {
     uint64_t n = geometry_.PowN(level);
-    last_home[level] = ((ck.covered_end - 1) / n) * n;
+    last_home[level] = ((ck->covered_end - 1) / n) * n;
   }
-  auto idx = std::make_unique<ExtentIndex>(std::move(index).value());
-  for (uint64_t b = ck.covered_end; b < end; ++b) {
+  auto idx = std::make_unique<ExtentIndex>(std::move(ck->index));
+  for (uint64_t b = ck->covered_end; b < end; ++b) {
     for (int level = 1; level <= geometry_.max_level(); ++level) {
       uint64_t n = geometry_.PowN(level);
       uint64_t due = (b / n) * n;
@@ -633,7 +629,8 @@ Status LogVolume::EnsureExtentIndex() {
   return Status::Ok();
 }
 
-Result<CheckpointState> LogVolume::BuildCheckpointState() {
+Result<CheckpointRecord> LogVolume::BuildCheckpointRecord(uint64_t from,
+                                                          bool with_catalog) {
   if (writer_ == nullptr) {
     return FailedPrecondition("checkpoint requires a writable volume");
   }
@@ -643,24 +640,31 @@ Result<CheckpointState> LogVolume::BuildCheckpointState() {
     return FailedPrecondition(
         "extent index has not caught up with the writer");
   }
-  CheckpointState state;
-  state.volume_index = header_.volume_index;
-  state.covered_end = writer_->staging_block();
-  state.max_timestamp =
+  if (from < 1 || from > idx->covered_end()) {
+    return InvalidArgument("checkpoint range starts past the index");
+  }
+  CheckpointRecord record;
+  record.volume_index = header_.volume_index;
+  record.from = from;
+  record.covered_end = writer_->staging_block();
+  record.max_timestamp =
       std::max(recovered_max_timestamp_, writer_->last_issued_timestamp());
-  state.index_blob = idx->Serialize();
-  for (const EntrymapAccumulator::ExportedNode& n :
+  record.index_delta = idx->EncodeSince(from);
+  for (EntrymapAccumulator::ExportedNode& n :
        writer_->accumulator().ExportPending()) {
     AccumulatorNodeState node;
     node.level = static_cast<uint32_t>(n.level);
     node.home = n.home;
-    node.files = n.files;
-    state.accumulator_nodes.push_back(std::move(node));
+    node.files = std::move(n.files);
+    record.accumulator_nodes.push_back(std::move(node));
   }
-  for (const CatalogRecord& record : catalog_->ExportRecords()) {
-    state.catalog_records.push_back(record.Encode());
+  if (with_catalog) {
+    record.catalog_records.emplace();
+    for (const CatalogRecord& entry : catalog_->ExportRecords()) {
+      record.catalog_records->push_back(entry.Encode());
+    }
   }
-  return state;
+  return record;
 }
 
 const ExtentIndex* LogVolume::PlanningIndex(LogFileId id, uint64_t lo,

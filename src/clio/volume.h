@@ -89,11 +89,12 @@ class LogVolume {
   // catalog (exported forward at roll time), and mutating the shared
   // catalog would race with concurrent shared-lock readers.
   //
-  // `checkpoint` (if given) is a decoded NVRAM checkpoint record; when it
-  // matches this volume and its coverage is not past the recovered end,
-  // recovery restores catalog + accumulator + extent index from it and
-  // replays only [checkpoint->covered_end, end) instead of the full §3.4
-  // scan. A stale or unusable checkpoint silently falls back to the scan.
+  // `checkpoint` (if given) is the decoded NVRAM checkpoint sidecar; when
+  // it matches this volume and its coverage is not past the recovered
+  // end, recovery restores catalog + accumulator + extent index (moved
+  // out of `checkpoint`) from it and replays only
+  // [checkpoint->covered_end, end) instead of the full §3.4 scan. A stale
+  // or unusable checkpoint silently falls back to the scan.
   //
   // `readahead_blocks` is the volume's read-ahead depth, in force from the
   // start: recovery's contiguous scans (the checkpoint replay and the
@@ -104,7 +105,7 @@ class LogVolume {
       Catalog* catalog, TimeSource* clock, NvramTail* nvram, bool writable,
       uint32_t readahead_blocks, RecoveryReport* report,
       bool replay_catalog = true,
-      const CheckpointState* checkpoint = nullptr);
+      CheckpointState* checkpoint = nullptr);
 
   const VolumeHeader& header() const { return header_; }
   const EntrymapGeometry& geometry() const { return geometry_; }
@@ -205,10 +206,13 @@ class LogVolume {
                                                         : nullptr;
   }
 
-  // Snapshot of this volume's recovery state for a checkpoint record.
-  // Requires a writable volume whose index has caught up with the staging
-  // position.
-  Result<CheckpointState> BuildCheckpointState();
+  // Checkpoint record covering [from, staging block): the index's growth
+  // since `from` (from == 1 gives a base), the accumulator's pending
+  // nodes, and the catalog export when `with_catalog`. Costs O(files +
+  // delta) plus the catalog. Requires a writable volume whose index has
+  // caught up with the staging position.
+  Result<CheckpointRecord> BuildCheckpointRecord(uint64_t from,
+                                                 bool with_catalog);
 
   // The lane this volume's index and append metrics record into (never
   // null; the standalone lane until the owning service sets its own).
@@ -246,10 +250,11 @@ class LogVolume {
   Status ComputeRecoveredMaxTimestamp(OpStats* stats);
 
   // Checkpointed fast restart: restores catalog/accumulator/index state
-  // from `ck` and replays only [ck.covered_end, end). Returns false when
-  // the checkpoint does not apply to this volume (stale coverage, wrong
-  // volume, undecodable index blob) — the caller then runs the full scan.
-  Result<bool> TryRestoreFromCheckpoint(const CheckpointState& ck,
+  // from `ck` (taking its index) and replays only [ck->covered_end, end).
+  // Returns false when the checkpoint does not apply to this volume
+  // (stale coverage, wrong volume, undecodable catalog record) — the
+  // caller then runs the full scan.
+  Result<bool> TryRestoreFromCheckpoint(CheckpointState* ck,
                                         uint64_t end,
                                         EntrymapAccumulator* acc,
                                         OpStats* stats);

@@ -100,6 +100,10 @@ class FaultInjectingWormDevice : public WormDevice {
 
   WormDevice* base() { return base_.get(); }
 
+  // Swaps the fault policy, e.g. to fail reads only after a clean
+  // recovery. Call while no operation is in flight.
+  void set_policy(const FaultPolicy& policy) { policy_ = policy; }
+
   // Deterministically flips one bit of an already-burned block on the
   // media — the scrub tests' precision instrument (the per-mille knobs are
   // for chaos volume). Requires an in-memory base; the flipped block still

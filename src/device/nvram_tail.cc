@@ -25,6 +25,12 @@ void NvramTail::StoreCheckpoint(std::span<const std::byte> blob) {
   ++checkpoint_store_count_;
 }
 
+void NvramTail::AppendCheckpoint(std::span<const std::byte> record) {
+  checkpoint_.insert(checkpoint_.end(), record.begin(), record.end());
+  has_checkpoint_ = true;
+  ++checkpoint_store_count_;
+}
+
 void NvramTail::ClearCheckpoint() {
   has_checkpoint_ = false;
   checkpoint_.clear();

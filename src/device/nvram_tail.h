@@ -42,17 +42,23 @@ class NvramTail {
 
   // -- Checkpoint sidecar (DESIGN.md §17) --
   //
-  // A second, independent rewritable slot holding the volume's latest
-  // recovery checkpoint (src/index/checkpoint.h). It is not limited to
-  // one block: battery-backed RAM is sized in kilobytes-to-megabytes
-  // while the staged tail needs exactly one block, so the checkpoint
-  // gets the rest. The two slots have independent lifetimes — burning
-  // the tail clears only the tail slot; rolling to a new volume clears
-  // only the checkpoint.
+  // A second, independent rewritable slot holding the volume's recovery
+  // checkpoint (src/index/checkpoint.h): a base record followed by
+  // append-only delta records. StoreCheckpoint replaces the slot with a
+  // fresh base; AppendCheckpoint adds a delta after the records already
+  // there. The writer compacts into a new base before the deltas outgrow
+  // a quarter of the base, so the slot holds at most 1.25x one base
+  // record. It is not limited to one block: battery-backed RAM is sized
+  // in kilobytes-to-megabytes while the staged tail needs exactly one
+  // block, so the checkpoint gets the rest. The two slots have
+  // independent lifetimes — burning the tail clears only the tail slot;
+  // rolling to a new volume clears only the checkpoint.
   void StoreCheckpoint(std::span<const std::byte> blob);
+  void AppendCheckpoint(std::span<const std::byte> record);
   bool has_checkpoint() const { return has_checkpoint_; }
   std::span<const std::byte> checkpoint() const { return checkpoint_; }
   void ClearCheckpoint();
+  // Records written through either call.
   uint64_t checkpoint_store_count() const { return checkpoint_store_count_; }
 
  private:

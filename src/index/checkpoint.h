@@ -1,29 +1,41 @@
-// Checkpoint record: a point-in-time snapshot of one volume's recovery
-// state, rewritten periodically into the NVRAM sidecar slot
-// (src/device/nvram_tail.h) so restart replays a bounded suffix of the
-// volume instead of re-scanning it (DESIGN.md §17).
+// Checkpoint sidecar: one volume's recovery state, kept in the NVRAM
+// sidecar slot (src/device/nvram_tail.h) so restart replays a bounded
+// suffix of the volume instead of re-scanning it (DESIGN.md §17).
 //
-// The record carries everything LogVolume::Open otherwise reconstructs
-// by reading media:
-//  - the serialized extent index covering blocks [1, covered_end);
-//  - the entrymap accumulator's pending (not-yet-burned) nodes;
-//  - the catalog's export records as of covered_end;
-//  - the largest timestamp issued so far (for the uniqueness floor).
+// The sidecar is a log of framed records, each with its own length,
+// crc32c and covered block range [from, covered_end):
+//  - a BASE record (from == 1) covers the whole volume so far and always
+//    carries the catalog;
+//  - each DELTA record covers [previous covered_end, covered_end): the
+//    extent index's growth over that range, the accumulator's pending
+//    nodes (a node the previous record held lists only its changed
+//    files), and the catalog only when it changed.
+// The writer compacts into a fresh base once the deltas would exceed a
+// quarter of the base, so a checkpoint costs O(interval) on average and
+// the sidecar holds at most 1.25x the base.
 //
-// A checkpoint is advisory: any decode failure (bad magic, truncation,
-// checksum mismatch) or staleness mismatch (wrong volume, covered_end
-// past the recovered end-of-log) makes recovery fall back to the full
-// scan. The structs here are plain data so the codec lives below
-// clio_core; conversion to/from EntrymapAccumulator and CatalogRecord
-// happens in the volume layer.
+// Together the records carry everything LogVolume::Open otherwise
+// reconstructs by reading media: the extent index over [1, covered_end),
+// the entrymap accumulator's pending (not-yet-burned) nodes, the
+// catalog's export records, and the largest timestamp issued so far (for
+// the uniqueness floor).
+//
+// A checkpoint is advisory: any bad magic, version, length, checksum or
+// gap in any record discards the whole sidecar, and a staleness mismatch
+// (wrong volume, covered_end past the recovered end-of-log) makes
+// recovery fall back to the full scan. The structs here are plain data
+// so the codec lives below clio_core; conversion to/from
+// EntrymapAccumulator and CatalogRecord happens in the volume layer.
 #ifndef SRC_INDEX_CHECKPOINT_H_
 #define SRC_INDEX_CHECKPOINT_H_
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "src/clio/types.h"
+#include "src/index/extent_index.h"
 #include "src/util/bytes.h"
 #include "src/util/status.h"
 #include "src/util/time.h"
@@ -40,22 +52,41 @@ struct AccumulatorNodeState {
   bool operator==(const AccumulatorNodeState&) const = default;
 };
 
-struct CheckpointState {
+// One framed sidecar record; from == 1 makes it a base.
+struct CheckpointRecord {
   uint32_t volume_index = 0;
-  // First block NOT covered by this checkpoint (the writer's staging
-  // block when it was taken). Recovery replays [covered_end, end).
+  uint64_t from = 1;
+  // First block NOT covered (the writer's staging block when it was
+  // taken). Recovery replays [covered_end, end).
   uint64_t covered_end = 0;
   // Upper bound on every timestamp stamped into blocks below
   // covered_end; recovery floors the unique clock with it.
   Timestamp max_timestamp = 0;
-  Bytes index_blob;  // ExtentIndex::Serialize()
+  Bytes index_delta;  // ExtentIndex::EncodeSince(from)
   std::vector<AccumulatorNodeState> accumulator_nodes;
-  std::vector<Bytes> catalog_records;  // encoded CatalogRecords
+  // Encoded CatalogRecords: always in a base, in a delta only when the
+  // catalog changed since the previous record.
+  std::optional<std::vector<Bytes>> catalog_records;
 
-  bool operator==(const CheckpointState&) const = default;
+  // Frames the record. A pending node that `previous` (the previous
+  // record's set) also holds is written as a patch listing only the files
+  // whose bitmap changed, so the wide upper-level nodes cost a few bytes
+  // per delta. Decoding applies the patch to the previous record's node.
+  Bytes Encode(std::span<const AccumulatorNodeState> previous = {}) const;
+};
 
-  Bytes Encode() const;
-  static Result<CheckpointState> Decode(std::span<const std::byte> blob);
+// The sidecar decoded and merged: what a restart restores.
+struct CheckpointState {
+  uint32_t volume_index = 0;
+  uint64_t covered_end = 0;
+  Timestamp max_timestamp = 0;
+  ExtentIndex index;  // base + every delta
+  std::vector<AccumulatorNodeState> accumulator_nodes;  // newest record's
+  std::vector<Bytes> catalog_records;  // newest record carrying them
+
+  // Decodes a base followed by deltas, each starting where the previous
+  // one ended. Any damaged record fails the whole sidecar.
+  static Result<CheckpointState> Decode(std::span<const std::byte> sidecar);
 };
 
 }  // namespace clio

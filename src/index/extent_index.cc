@@ -1,6 +1,8 @@
 #include "src/index/extent_index.h"
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 
 #include "src/util/crc32c.h"
 
@@ -8,7 +10,7 @@ namespace clio {
 namespace {
 
 constexpr uint32_t kIndexMagic = 0xC110'1DE1;
-constexpr uint16_t kIndexVersion = 1;
+constexpr uint16_t kIndexVersion = 2;
 
 // The entrymap does not track the volume-sequence or entrymap logs
 // (src/clio/entrymap.h); the extent index mirrors that, so the linear
@@ -19,30 +21,74 @@ bool Tracked(LogFileId id) {
 
 // Unsigned LEB128. The serialized form is dominated by small deltas
 // (consecutive runs, consecutive timestamps), so varints keep checkpoint
-// records compact enough to rewrite into NVRAM frequently.
-void PutVarint(ByteWriter* w, uint64_t v) {
-  while (v >= 0x80) {
-    w->PutU8(static_cast<uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  w->PutU8(static_cast<uint8_t>(v));
-}
+// records compact enough to rewrite into NVRAM frequently. The writer
+// stages them in a local buffer and appends it in chunks: a compaction
+// encodes hundreds of thousands, and a push_back per byte costs more
+// than the varint.
+class VarintWriter {
+ public:
+  explicit VarintWriter(ByteWriter* out) : out_(out) {}
+  VarintWriter(const VarintWriter&) = delete;
+  VarintWriter& operator=(const VarintWriter&) = delete;
+  ~VarintWriter() { Flush(); }
 
-bool GetVarint(ByteReader* r, uint64_t* out) {
-  uint64_t v = 0;
-  for (int shift = 0; shift < 64; shift += 7) {
-    uint8_t byte = r->GetU8();
-    if (r->failed()) {
-      return false;
+  void Put(uint64_t v) {
+    if (static_cast<size_t>(buf_.end() - p_) < kMaxVarintBytes) {
+      Flush();
     }
-    v |= static_cast<uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) {
-      *out = v;
+    uint8_t* p = p_;
+    while (v >= 0x80) {
+      *p++ = static_cast<uint8_t>(v) | 0x80;
+      v >>= 7;
+    }
+    *p++ = static_cast<uint8_t>(v);
+    p_ = p;
+  }
+
+ private:
+  static constexpr size_t kMaxVarintBytes = 10;
+
+  void Flush() {
+    out_->PutBytes(std::as_bytes(std::span<const uint8_t>(buf_.data(), p_)));
+    p_ = buf_.data();
+  }
+
+  ByteWriter* out_;
+  std::array<uint8_t, 4096> buf_;
+  uint8_t* p_ = buf_.data();
+};
+
+// Reads varints straight off the bytes: a restart decodes hundreds of
+// thousands of them, nearly all one byte long.
+class VarintReader {
+ public:
+  explicit VarintReader(std::span<const std::byte> data)
+      : p_(reinterpret_cast<const uint8_t*>(data.data())),
+        end_(p_ + data.size()) {}
+
+  size_t remaining() const { return static_cast<size_t>(end_ - p_); }
+
+  bool Get(uint64_t* out) {
+    if (p_ != end_ && *p_ < 0x80) {
+      *out = *p_++;
       return true;
     }
+    uint64_t v = 0;
+    for (int shift = 0; shift < 64 && p_ != end_; shift += 7) {
+      const uint8_t byte = *p_++;
+      v |= static_cast<uint64_t>(byte & 0x7F) << shift;
+      if ((byte & 0x80) == 0) {
+        *out = v;
+        return true;
+      }
+    }
+    return false;
   }
-  return false;
-}
+
+ private:
+  const uint8_t* p_;
+  const uint8_t* end_;
+};
 
 uint64_t ZigZag(int64_t v) {
   return (static_cast<uint64_t>(v) << 1) ^ static_cast<uint64_t>(v >> 63);
@@ -52,11 +98,28 @@ int64_t UnZigZag(uint64_t v) {
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
 }
 
-// Capacity for a decoded vector of `n` elements that is about to grow: a
-// checkpoint restore replays the suffix past covered_end through
-// MarkBlock, and an exact-size vector would reallocate and copy on its
-// first append.
-uint64_t WithHeadroom(uint64_t n) { return n + n / 8 + 16; }
+// Makes room for `n` more decoded elements, for what the deltas still to
+// come are expected to add (`n` scaled by `follow` / `delta` bytes), and
+// headroom: a checkpoint restore replays the suffix past covered_end
+// through MarkBlock, and an exact-size vector would reallocate and copy
+// on its first append. `n` is bounded by the bytes left to decode and
+// `follow` by the caller's buffer, so a crafted count cannot reserve
+// more than the records could fill.
+template <typename T>
+void Reserve(std::vector<T>* v, uint64_t n, uint64_t follow, size_t delta) {
+  const uint64_t later = n == 0 ? 0 : n * follow / delta;
+  const uint64_t need = v->size() + n + later;
+  if (v->capacity() < need) {
+    v->reserve(need + need / 8 + 16);
+  }
+}
+
+// Ordering for bisecting the stamps, kept in increasing block order, at
+// a block.
+bool StampedBefore(const std::pair<uint64_t, Timestamp>& stamp,
+                   uint64_t block) {
+  return stamp.first < block;
+}
 
 }  // namespace
 
@@ -261,33 +324,8 @@ bool ExtentIndex::CoversAtLeast(const ExtentIndex& required) const {
 Bytes ExtentIndex::Serialize() const {
   Bytes body_bytes;
   ByteWriter body(&body_bytes);
-  PutVarint(&body, covered_end_);
-  PutVarint(&body, runs_.size());
-  for (const auto& [id, runs] : runs_) {
-    PutVarint(&body, id);
-    PutVarint(&body, runs.size());
-    uint64_t prev = 0;
-    for (const auto& [start, end] : runs) {
-      PutVarint(&body, start - prev);
-      PutVarint(&body, end - start);
-      prev = end;
-    }
-  }
-  PutVarint(&body, leading_ts_.size());
-  uint64_t prev_block = 0;
-  Timestamp prev_ts = 0;
-  for (const auto& [block, ts] : leading_ts_) {
-    PutVarint(&body, block - prev_block);
-    PutVarint(&body, ZigZag(ts - prev_ts));
-    prev_block = block;
-    prev_ts = ts;
-  }
-  PutVarint(&body, holes_.size());
-  uint64_t prev_hole = 0;
-  for (uint64_t hole : holes_) {
-    PutVarint(&body, hole - prev_hole);
-    prev_hole = hole;
-  }
+  VarintWriter(&body).Put(covered_end_);
+  EncodeSince(1, &body);
 
   Bytes out_bytes;
   ByteWriter out(&out_bytes);
@@ -307,76 +345,158 @@ Result<ExtentIndex> ExtentIndex::Deserialize(std::span<const std::byte> blob) {
   if (r.failed() || crc != Crc32c(blob.subspan(r.pos()))) {
     return Corrupt("extent index: checksum mismatch");
   }
-
-  ExtentIndex index;
+  const std::span<const std::byte> body = blob.subspan(r.pos());
+  VarintReader in(body);
   uint64_t covered_end = 0;
-  uint64_t file_count = 0;
-  if (!GetVarint(&r, &covered_end) || !GetVarint(&r, &file_count) ||
-      file_count > kMaxLogFileId + 1) {
+  if (!in.Get(&covered_end)) {
     return Corrupt("extent index: truncated header");
   }
-  index.covered_end_ = covered_end;
+  ExtentIndex index;
+  CLIO_RETURN_IF_ERROR(index.ApplyDelta(
+      covered_end, body.subspan(body.size() - in.remaining())));
+  return index;
+}
+
+Bytes ExtentIndex::EncodeSince(uint64_t from) const {
+  Bytes out;
+  ByteWriter w(&out);
+  EncodeSince(from, &w);
+  return out;
+}
+
+// Every position is a varint offset from the previous one, starting at
+// `from`; stamps are zigzag deltas starting at 0.
+void ExtentIndex::EncodeSince(uint64_t from, ByteWriter* writer) const {
+  VarintWriter out(writer);
+  uint64_t files = 0;
+  for (const auto& [id, runs] : runs_) {
+    files += !runs.empty() && runs.back().second > from;
+  }
+  out.Put(files);
+  for (const auto& [id, runs] : runs_) {
+    // Walk back from the tail: a delta encodes a few runs per file, and
+    // bisecting every file's whole list would touch O(files log runs)
+    // cold lines instead.
+    auto first = runs.end();
+    while (first != runs.begin() && std::prev(first)->second > from) {
+      --first;
+    }
+    if (first == runs.end()) {
+      continue;
+    }
+    out.Put(id);
+    out.Put(static_cast<uint64_t>(runs.end() - first));
+    uint64_t prev = from;
+    for (auto run = first; run != runs.end(); ++run) {
+      const uint64_t start = std::max(run->first, from);
+      out.Put(start - prev);
+      out.Put(run->second - start);
+      prev = run->second;
+    }
+  }
+  auto ts = std::lower_bound(leading_ts_.begin(), leading_ts_.end(), from,
+                             StampedBefore);
+  out.Put(static_cast<uint64_t>(leading_ts_.end() - ts));
+  uint64_t prev_block = from;
+  uint64_t prev_ts = 0;
+  for (; ts != leading_ts_.end(); ++ts) {
+    const uint64_t stamp = static_cast<uint64_t>(ts->second);
+    out.Put(ts->first - prev_block);
+    out.Put(ZigZag(static_cast<int64_t>(stamp - prev_ts)));
+    prev_block = ts->first;
+    prev_ts = stamp;
+  }
+  auto hole = std::lower_bound(holes_.begin(), holes_.end(), from);
+  out.Put(static_cast<uint64_t>(holes_.end() - hole));
+  uint64_t prev_hole = from;
+  for (; hole != holes_.end(); ++hole) {
+    out.Put(*hole - prev_hole);
+    prev_hole = *hole;
+  }
+}
+
+Status ExtentIndex::ApplyDelta(uint64_t to, std::span<const std::byte> delta,
+                               uint64_t bytes_to_follow) {
+  VarintReader in(delta);
+  const uint64_t from = covered_end_;
+  uint64_t file_count = 0;
+  if (to < from || !in.Get(&file_count) ||
+      file_count > in.remaining()) {
+    return Corrupt("extent index delta: bad header");
+  }
+  std::optional<LogFileId> prev_id;
   for (uint64_t f = 0; f < file_count; ++f) {
     uint64_t id = 0;
     uint64_t run_count = 0;
-    if (!GetVarint(&r, &id) || id > kMaxLogFileId ||
-        !GetVarint(&r, &run_count) || run_count > covered_end) {
-      return Corrupt("extent index: bad file record");
+    if (!in.Get(&id) || id > kMaxLogFileId ||
+        (prev_id.has_value() && id <= *prev_id) ||
+        !in.Get(&run_count) || run_count == 0 ||
+        run_count > in.remaining()) {
+      return Corrupt("extent index delta: bad file record");
     }
-    RunList runs;
-    runs.reserve(WithHeadroom(run_count));
-    uint64_t prev = 0;
+    prev_id = static_cast<LogFileId>(id);
+    RunList& runs = runs_[*prev_id];
+    Reserve(&runs, run_count, bytes_to_follow, delta.size());
+    uint64_t prev = from;
     for (uint64_t i = 0; i < run_count; ++i) {
       uint64_t gap = 0;
       uint64_t len = 0;
-      if (!GetVarint(&r, &gap) || !GetVarint(&r, &len) || len == 0) {
-        return Corrupt("extent index: bad run");
+      // Only the first run may touch `from`; later ones are separated
+      // by a gap, as MarkBlock leaves them.
+      if (!in.Get(&gap) || gap > to - prev || (i > 0 && gap == 0) ||
+          !in.Get(&len) || len == 0 || len > to - prev - gap) {
+        return Corrupt("extent index delta: bad run");
       }
-      uint64_t start = prev + gap;
-      runs.emplace_back(start, start + len);
+      const uint64_t start = prev + gap;
+      if (!runs.empty() && runs.back().second == start) {
+        runs.back().second = start + len;
+      } else {
+        runs.emplace_back(start, start + len);
+      }
       prev = start + len;
     }
-    index.runs_.emplace(static_cast<LogFileId>(id), std::move(runs));
   }
   uint64_t ts_count = 0;
-  if (!GetVarint(&r, &ts_count) || ts_count > covered_end) {
-    return Corrupt("extent index: bad timestamp vector");
+  if (!in.Get(&ts_count) || ts_count > in.remaining()) {
+    return Corrupt("extent index delta: bad timestamp vector");
   }
-  index.leading_ts_.reserve(WithHeadroom(ts_count));
-  index.prefix_max_ts_.reserve(WithHeadroom(ts_count));
-  uint64_t prev_block = 0;
-  Timestamp prev_ts = 0;
+  Reserve(&leading_ts_, ts_count, bytes_to_follow, delta.size());
+  Reserve(&prefix_max_ts_, ts_count, bytes_to_follow, delta.size());
+  uint64_t prev_block = from;
+  uint64_t prev_ts = 0;
   for (uint64_t i = 0; i < ts_count; ++i) {
     uint64_t block_delta = 0;
     uint64_t ts_delta = 0;
-    if (!GetVarint(&r, &block_delta) || !GetVarint(&r, &ts_delta)) {
-      return Corrupt("extent index: bad timestamp entry");
+    if (!in.Get(&block_delta) || block_delta >= to - prev_block ||
+        (i > 0 && block_delta == 0) || !in.Get(&ts_delta)) {
+      return Corrupt("extent index delta: bad timestamp entry");
     }
     prev_block += block_delta;
-    prev_ts += UnZigZag(ts_delta);
-    index.leading_ts_.emplace_back(prev_block, prev_ts);
-    index.prefix_max_ts_.push_back(
-        index.prefix_max_ts_.empty()
-            ? prev_ts
-            : std::max(index.prefix_max_ts_.back(), prev_ts));
+    prev_ts += static_cast<uint64_t>(UnZigZag(ts_delta));
+    const Timestamp stamp = static_cast<Timestamp>(prev_ts);
+    leading_ts_.emplace_back(prev_block, stamp);
+    prefix_max_ts_.push_back(prefix_max_ts_.empty()
+                                 ? stamp
+                                 : std::max(prefix_max_ts_.back(), stamp));
   }
   uint64_t hole_count = 0;
-  if (!GetVarint(&r, &hole_count) || hole_count > covered_end) {
-    return Corrupt("extent index: bad hole vector");
+  if (!in.Get(&hole_count) || hole_count > in.remaining()) {
+    return Corrupt("extent index delta: bad hole vector");
   }
-  uint64_t prev_hole = 0;
+  uint64_t prev_hole = from;
   for (uint64_t i = 0; i < hole_count; ++i) {
-    uint64_t delta = 0;
-    if (!GetVarint(&r, &delta)) {
-      return Corrupt("extent index: bad hole entry");
+    uint64_t gap = 0;
+    if (!in.Get(&gap) || gap >= to - prev_hole || (i > 0 && gap == 0)) {
+      return Corrupt("extent index delta: bad hole entry");
     }
-    prev_hole += delta;
-    index.holes_.push_back(prev_hole);
+    prev_hole += gap;
+    holes_.push_back(prev_hole);
   }
-  if (r.remaining() != 0) {
-    return Corrupt("extent index: trailing bytes");
+  if (in.remaining() != 0) {
+    return Corrupt("extent index delta: trailing bytes");
   }
-  return index;
+  covered_end_ = to;
+  return Status::Ok();
 }
 
 }  // namespace clio

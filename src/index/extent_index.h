@@ -102,17 +102,35 @@ class ExtentIndex {
   // entries invisible to the fast path.
   bool CoversAtLeast(const ExtentIndex& required) const;
 
-  // Stable binary form (varint-delta runs + crc32c); two equal indexes
-  // serialize byte-identically. Used by the checkpoint record and by the
-  // chaos suite's convergence check.
+  // Stable binary form (covered_end + EncodeSince(1) + crc32c); two
+  // equal indexes serialize byte-identically. Used by the chaos suite's
+  // convergence check.
   Bytes Serialize() const;
   static Result<ExtentIndex> Deserialize(std::span<const std::byte> blob);
+
+  // Delta codec of the checkpoint sidecar (src/index/checkpoint.h).
+  // Blocks burn once and in order, so the index only grows at its tail:
+  // EncodeSince(from) encodes what it holds over [from, covered_end()) —
+  // every file's runs clipped to that range, and the stamps and holes at
+  // or past `from` — in O(files + delta). ApplyDelta(to, delta) appends
+  // an encoding taken with from == covered_end() and moves covered_end()
+  // to `to`; a clipped run starting at `from` extends the file's last
+  // run when that run ends there, so base + deltas == the live index.
+  // Every decoded count is bounded by the bytes left. On error the index
+  // is partly applied and must be discarded. `bytes_to_follow` is the
+  // encoded size of the deltas the caller will apply after this one: the
+  // vectors reserve room for them in proportion, so a restore from a base
+  // and its deltas grows each vector once instead of copying it midway.
+  Bytes EncodeSince(uint64_t from) const;
+  Status ApplyDelta(uint64_t to, std::span<const std::byte> delta,
+                    uint64_t bytes_to_follow = 0);
 
  private:
   // Per id: disjoint, sorted half-open [start, end) block runs.
   using RunList = std::vector<std::pair<uint64_t, uint64_t>>;
 
   bool HoleIn(uint64_t lo, uint64_t hi) const;  // any hole in [lo, hi)?
+  void EncodeSince(uint64_t from, ByteWriter* writer) const;
 
   std::map<LogFileId, RunList> runs_;
   // One pair per stamped block, increasing in block. Timestamps are

@@ -25,6 +25,7 @@
 #include "src/device/memory_worm_device.h"
 #include "src/index/checkpoint.h"
 #include "src/index/extent_index.h"
+#include "src/util/crc32c.h"
 #include "tests/test_util.h"
 
 namespace clio {
@@ -154,44 +155,273 @@ TEST(ExtentIndex, SerializeRoundTripsAndDetectsDamage) {
   }
 }
 
-TEST(Checkpoint, StateRoundTripsAndDetectsDamage) {
-  CheckpointState state;
-  state.volume_index = 3;
-  state.covered_end = 99;
-  state.max_timestamp = 1'234'567;
-  ExtentIndex idx;
-  std::vector<LogFileId> ids = {5};
-  idx.MarkBlock(1, Timestamp{10}, ids);
-  idx.MarkBlock(2, Timestamp{20}, ids);
-  state.index_blob = idx.Serialize();
-  AccumulatorNodeState node;
-  node.level = 1;
-  node.home = 16;
-  node.files.emplace_back(5, ToBytes("\x03"));
-  state.accumulator_nodes.push_back(node);
-  state.catalog_records.push_back(ToBytes("record-bytes"));
+// Grows `idx` by `blocks` blocks of a random three-file workload: runs
+// that continue across calls, fragment-led timestamp dips, unstamped
+// blocks, skipped (invalidated) blocks and holes.
+void GrowRandomly(ExtentIndex* idx, Rng* rng, uint64_t blocks) {
+  const uint64_t end = idx->covered_end() + blocks;
+  while (idx->covered_end() < end) {
+    const uint64_t b = idx->covered_end();
+    switch (rng->Below(12)) {
+      case 0:
+        idx->AddHole(b);
+        idx->AdvanceCoveredEnd(b + 1);
+        break;
+      case 1:
+        idx->AdvanceCoveredEnd(b + 1);
+        break;
+      default: {
+        std::vector<LogFileId> ids;
+        if (rng->Chance(3, 4)) {
+          ids.push_back(5);
+        }
+        for (LogFileId id : {LogFileId{9}, LogFileId{300}}) {
+          if (rng->Chance(1, 3)) {
+            ids.push_back(id);
+          }
+        }
+        std::optional<Timestamp> ts;
+        if (!rng->Chance(1, 8)) {
+          ts = Timestamp{1'000'000} + static_cast<Timestamp>(b * 10) -
+               static_cast<Timestamp>(rng->Below(30));
+        }
+        idx->MarkBlock(b, ts, ids);
+      }
+    }
+  }
+}
 
-  Bytes blob = state.Encode();
+TEST(ExtentIndex, DeltasOverABaseEqualTheLiveIndex) {
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    ExtentIndex live;
+    GrowRandomly(&live, &rng, rng.Below(24));
+    ExtentIndex restored;
+    ASSERT_OK(restored.ApplyDelta(live.covered_end(), live.EncodeSince(1)));
+    EXPECT_TRUE(restored == live);
+    for (int k = 0; k < 8; ++k) {
+      const uint64_t from = live.covered_end();
+      GrowRandomly(&live, &rng, rng.Below(12));
+      ASSERT_OK(
+          restored.ApplyDelta(live.covered_end(), live.EncodeSince(from)));
+      ASSERT_TRUE(restored == live) << "delta " << k;
+    }
+    EXPECT_EQ(ToString(restored.Serialize()), ToString(live.Serialize()));
+    // A range ending before the index's coverage does not apply.
+    EXPECT_FALSE(
+        restored.ApplyDelta(restored.covered_end() - 1, Bytes{}).ok());
+  }
+}
+
+TEST(ExtentIndex, DeltaCostsTheIntervalNotTheVolume) {
+  Rng rng(7);
+  ExtentIndex live;
+  GrowRandomly(&live, &rng, 20'000);
+  const uint64_t from = live.covered_end();
+  GrowRandomly(&live, &rng, 64);
+  const size_t base = live.EncodeSince(1).size();
+  const size_t delta = live.EncodeSince(from).size();
+  EXPECT_GT(base, 50'000u);
+  // About 2 bytes per stamped block plus a few per run and per file.
+  EXPECT_LT(delta, 64u * 8);
+}
+
+// A sidecar as the service writes it: each delta's pending nodes patch
+// the previous record's.
+struct Sidecar {
+  ExtentIndex live;
+  std::vector<CheckpointRecord> records;
+  std::vector<size_t> ends;  // byte offset after each record
+  Bytes bytes;
+
+  void Add(CheckpointRecord record) {
+    Bytes framed = records.empty() || record.from == 1
+                       ? record.Encode()
+                       : record.Encode(records.back().accumulator_nodes);
+    bytes.insert(bytes.end(), framed.begin(), framed.end());
+    ends.push_back(bytes.size());
+    records.push_back(std::move(record));
+  }
+};
+
+Sidecar MakeSidecar(Rng* rng, int deltas) {
+  Sidecar out;
+  uint64_t from = 1;
+  for (int k = 0; k <= deltas; ++k) {
+    GrowRandomly(&out.live, rng, 1 + rng->Below(20));
+    CheckpointRecord record;
+    record.volume_index = 3;
+    record.from = from;
+    record.covered_end = out.live.covered_end();
+    record.max_timestamp = 1'234'567 + k;
+    record.index_delta = out.live.EncodeSince(from);
+    // A level-3 node that gains files and bits from record to record,
+    // and a level-1 node that is new in each record.
+    AccumulatorNodeState high;
+    high.level = 3;
+    if (k > 0) {
+      high = out.records.back().accumulator_nodes[0];
+    }
+    const LogFileId id = static_cast<LogFileId>(2 * rng->Below(8));
+    auto file = std::find_if(high.files.begin(), high.files.end(),
+                             [id](const auto& f) { return f.first >= id; });
+    if (file == high.files.end() || file->first != id) {
+      file = high.files.emplace(file, id, Bytes(2));
+    }
+    file->second[rng->Below(2)] |= std::byte{0x10};
+    AccumulatorNodeState low;
+    low.level = 1;
+    low.home = 16 * static_cast<uint64_t>(k);
+    low.files.emplace_back(5, ToBytes("\x03"));
+    record.accumulator_nodes = {high, low};
+    if (k == 0 || rng->Chance(1, 3)) {
+      record.catalog_records.emplace();
+      record.catalog_records->push_back(ToBytes("record-" +
+                                                std::to_string(k)));
+    }
+    from = record.covered_end;
+    out.Add(std::move(record));
+  }
+  return out;
+}
+
+TEST(Checkpoint, StateRoundTripsAndDetectsDamage) {
+  Rng rng(11);
+  Sidecar sidecar = MakeSidecar(&rng, /*deltas=*/3);
+  sidecar.records[1].catalog_records.reset();
+  sidecar.records[2].catalog_records = std::vector<Bytes>{ToBytes("newest")};
+  sidecar.records[3].catalog_records.reset();
+  Sidecar built;
+  for (const CheckpointRecord& record : sidecar.records) {
+    built.Add(record);
+  }
+  const Bytes& blob = built.bytes;
+
   ASSERT_OK_AND_ASSIGN(CheckpointState back, CheckpointState::Decode(blob));
   EXPECT_EQ(back.volume_index, 3u);
-  EXPECT_EQ(back.covered_end, 99u);
-  EXPECT_EQ(back.max_timestamp, 1'234'567);
-  EXPECT_EQ(ToString(back.index_blob), ToString(state.index_blob));
-  ASSERT_EQ(back.accumulator_nodes.size(), 1u);
-  EXPECT_EQ(back.accumulator_nodes[0].level, 1u);
-  EXPECT_EQ(back.accumulator_nodes[0].home, 16u);
+  EXPECT_EQ(back.covered_end, sidecar.live.covered_end());
+  EXPECT_EQ(back.max_timestamp, 1'234'567 + 3);
+  EXPECT_TRUE(back.index == sidecar.live);
+  EXPECT_EQ(back.accumulator_nodes, sidecar.records[3].accumulator_nodes);
   ASSERT_EQ(back.catalog_records.size(), 1u);
-  EXPECT_EQ(ToString(back.catalog_records[0]), "record-bytes");
+  EXPECT_EQ(ToString(back.catalog_records[0]), "newest");
+  // Nodes unchanged since the previous record are not repeated.
+  const CheckpointRecord& last = sidecar.records[3];
+  EXPECT_LT(last.Encode(sidecar.records[2].accumulator_nodes).size(),
+            last.Encode().size());
 
-  for (size_t i = 0; i < blob.size(); i += 11) {
+  // One flipped byte in any record discards the whole sidecar.
+  for (size_t i = 0; i < blob.size(); i += 3) {
     Bytes bad = blob;
     bad[i] ^= std::byte{0x80};
     EXPECT_FALSE(CheckpointState::Decode(bad).ok()) << "byte " << i;
   }
-  for (size_t len = 0; len < blob.size(); len += 9) {
-    EXPECT_FALSE(
-        CheckpointState::Decode(std::span(blob).subspan(0, len)).ok())
+  // A cut inside a record fails; a cut between records is a shorter,
+  // valid sidecar.
+  for (size_t len = 0; len < blob.size(); ++len) {
+    const bool boundary = std::find(built.ends.begin(), built.ends.end(),
+                                    len) != built.ends.end();
+    EXPECT_EQ(CheckpointState::Decode(std::span(blob).subspan(0, len)).ok(),
+              boundary)
         << "len " << len;
+  }
+}
+
+TEST(Checkpoint, GapsAndStrayRecordsDiscardTheSidecar) {
+  Rng rng(13);
+  Sidecar sidecar = MakeSidecar(&rng, /*deltas=*/2);
+  auto decodes = [](const std::vector<CheckpointRecord>& records) {
+    Sidecar s;
+    for (const CheckpointRecord& record : records) {
+      s.Add(record);
+    }
+    return CheckpointState::Decode(s.bytes).ok();
+  };
+  const std::vector<CheckpointRecord>& r = sidecar.records;
+  EXPECT_TRUE(decodes({r[0], r[1], r[2]}));
+  EXPECT_FALSE(decodes({}));
+  EXPECT_FALSE(decodes({r[1], r[2]}));        // no base
+  EXPECT_FALSE(decodes({r[0], r[2]}));        // gap
+  EXPECT_FALSE(decodes({r[0], r[1], r[1]}));  // replayed delta
+  EXPECT_FALSE(decodes({r[0], r[0]}));        // a second base
+  CheckpointRecord foreign = r[1];
+  foreign.volume_index = 4;
+  EXPECT_FALSE(decodes({r[0], foreign}));
+  CheckpointRecord no_catalog = r[0];
+  no_catalog.catalog_records.reset();
+  EXPECT_FALSE(decodes({no_catalog}));
+  // A delta patching a node the previous record does not hold.
+  CheckpointRecord bare = r[0];
+  bare.accumulator_nodes.clear();
+  Bytes patched = bare.Encode();
+  Bytes delta = r[1].Encode(r[0].accumulator_nodes);
+  patched.insert(patched.end(), delta.begin(), delta.end());
+  EXPECT_FALSE(CheckpointState::Decode(patched).ok());
+}
+
+// Seeded mutation loop over every checkpoint decoder: the framed sidecar
+// (base and delta records) and the serialized extent index. Each case
+// mutates bytes past the checksummed header, then recomputes the
+// checksums, so the damage reaches the parsers. A decoder may only return
+// a Status; under ASan/UBSan this also rules out overreads, overflow and
+// huge allocations driven by decoded counts.
+constexpr size_t kRecordHeader = 14;  // magic, version, length, crc
+constexpr size_t kRecordCrcAt = 10;
+constexpr size_t kIndexHeader = 10;  // magic, version, crc
+constexpr size_t kIndexCrcAt = 6;
+
+void Mutate(Rng* rng, Bytes* bytes, size_t lo, size_t hi) {
+  const int edits = 1 + static_cast<int>(rng->Below(4));
+  for (int e = 0; e < edits && lo < hi; ++e) {
+    const size_t at = lo + rng->Below(hi - lo);
+    switch (rng->Below(4)) {
+      case 0:
+        (*bytes)[at] ^= static_cast<std::byte>(1u << rng->Below(8));
+        break;
+      case 1:
+        (*bytes)[at] = std::byte{0xFF};  // long varints, huge counts
+        break;
+      case 2:
+        (*bytes)[at] = std::byte{0x00};
+        break;
+      default:
+        (*bytes)[at] = static_cast<std::byte>(rng->Below(256));
+    }
+  }
+}
+
+TEST(CheckpointFuzz, MutatedRecordsOnlyReturnErrors) {
+  for (uint64_t seed = 0; seed < 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    Sidecar sidecar = MakeSidecar(&rng, static_cast<int>(rng.Below(4)));
+    Bytes bytes = sidecar.bytes;
+    // Damage one record's body (or, sometimes, its length) and reseal it.
+    const size_t k = rng.Below(sidecar.ends.size());
+    const size_t at = k == 0 ? 0 : sidecar.ends[k - 1];
+    const size_t end = sidecar.ends[k];
+    Mutate(&rng, &bytes, at + kRecordHeader, end);
+    size_t len = end - at - kRecordHeader;
+    if (rng.Chance(1, 8)) {
+      len = rng.Below(bytes.size() - at - kRecordHeader + 1);
+      StoreU32(bytes, at + 6, static_cast<uint32_t>(len));
+    }
+    StoreU32(bytes, at + kRecordCrcAt,
+             Crc32c(std::span(bytes).subspan(at + kRecordHeader, len)));
+    auto state = CheckpointState::Decode(bytes);
+    if (state.ok()) {
+      EXPECT_GE(state.value().covered_end, 1u);
+    }
+
+    Bytes index = sidecar.live.Serialize();
+    Mutate(&rng, &index, kIndexHeader, index.size());
+    StoreU32(index, kIndexCrcAt,
+             Crc32c(std::span(index).subspan(kIndexHeader)));
+    auto decoded = ExtentIndex::Deserialize(index);
+    if (decoded.ok()) {
+      EXPECT_GE(decoded.value().covered_end(), 1u);
+    }
   }
 }
 

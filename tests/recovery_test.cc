@@ -13,6 +13,7 @@
 #include "src/device/memory_worm_device.h"
 #include "src/device/nvram_tail.h"
 #include "src/index/checkpoint.h"
+#include "src/obs/metrics.h"
 #include "tests/test_util.h"
 
 namespace clio {
@@ -435,6 +436,137 @@ TEST(Recovery, TruncatedCheckpointFallsBackToFullScan) {
   RecoveryReport report = rig.Crash();
   EXPECT_FALSE(report.restored_checkpoint);
   EXPECT_EQ(ReadAll(rig.service.get(), "/wal"), wrote);
+}
+
+// Unsigned LEB128, the integer encoding of an extent index delta.
+void PutVarint(Bytes* out, uint64_t v) {
+  for (; v >= 0x80; v >>= 7) {
+    out->push_back(static_cast<std::byte>(v | 0x80));
+  }
+  out->push_back(static_cast<std::byte>(v));
+}
+
+// A sidecar whose checksums hold but whose counts claim far more elements
+// than the record has bytes (2^39 runs, stamps or holes over a 2^40-block
+// range, in a few bytes) must fail to decode and fall back to the full
+// scan instead of reserving memory for the claim.
+TEST(Recovery, CraftedCheckpointCountsFallBackToFullScan) {
+  NvramTail nvram(512);
+  auto rig = CrashRig::Make(/*block_size=*/512, /*capacity=*/4096,
+                            /*degree=*/8, &nvram,
+                            /*checkpoint_interval=*/16);
+  ASSERT_OK(rig.service->CreateLogFile("/wal").status());
+  WriteOptions forced;
+  forced.force = true;
+  Rng rng(53);
+  std::vector<std::string> wrote;
+  for (int i = 0; i < 150; ++i) {
+    std::string data = "e" + std::to_string(i) +
+                       ToString(RandomPayload(&rng, 80));
+    wrote.push_back(data);
+    ASSERT_OK(rig.service->Append("/wal", AsBytes(data), forced).status());
+  }
+  ASSERT_OK_AND_ASSIGN(CheckpointState real,
+                       CheckpointState::Decode(nvram.checkpoint()));
+  constexpr uint64_t kClaim = uint64_t{1} << 39;
+  // Index deltas of 20 bytes: one file with kClaim runs; no files and
+  // kClaim leading stamps; no files, no stamps and kClaim holes.
+  std::vector<std::vector<uint64_t>> claims = {
+      {1, kFirstClientLogId, kClaim}, {0, kClaim}, {0, 0, kClaim}};
+  for (const std::vector<uint64_t>& claim : claims) {
+    Bytes delta;
+    for (uint64_t v : claim) {
+      PutVarint(&delta, v);
+    }
+    delta.resize(20, std::byte{0x01});
+    CheckpointRecord crafted;
+    crafted.volume_index = real.volume_index;
+    crafted.covered_end = uint64_t{1} << 40;
+    crafted.index_delta = delta;
+    crafted.catalog_records.emplace();
+    nvram.StoreCheckpoint(crafted.Encode());
+    EXPECT_FALSE(CheckpointState::Decode(nvram.checkpoint()).ok());
+    RecoveryReport report = rig.Crash();
+    EXPECT_FALSE(report.restored_checkpoint);
+    EXPECT_EQ(ReadAll(rig.service.get(), "/wal"), wrote);
+  }
+}
+
+// After a full-scan restart the extent index is built lazily, so the
+// first checkpoint attempt scans the volume. When that scan keeps failing
+// on the device, the next attempt must wait a full interval rather than
+// rescan on every append: each failed attempt costs one device read (its
+// first read fails), so K appends cost at most ceil(K / interval) + 1.
+TEST(Recovery, FailedCheckpointBacksOffAnInterval) {
+  constexpr uint64_t kInterval = 8;
+  constexpr uint64_t kAppends = 96;
+  MemoryWormOptions dev;
+  dev.block_size = 512;
+  dev.capacity_blocks = 4096;
+  MemoryWormDevice media(dev);
+  SimulatedClock clock(1'000'000, 7);
+  LogServiceOptions options;
+  options.entrymap_degree = 8;
+  options.cache_blocks = 8;  // the index scan must go to the device
+  options.checkpoint_interval_blocks = kInterval;
+  Rng rng(59);
+  WriteOptions plain;
+  {
+    auto created = LogService::Create(
+        std::make_unique<testing::BorrowedDevice>(&media), &clock, options);
+    ASSERT_OK(created.status());
+    ASSERT_OK(created.value()->CreateLogFile("/w").status());
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_OK(created.value()
+                    ->Append("/w", RandomPayload(&rng, 300), plain)
+                    .status());
+    }
+    ASSERT_OK(created.value()->Force());
+  }  // crash with no sidecar: recovery runs the full scan
+
+  NvramTail nvram(dev.block_size);
+  options.nvram = &nvram;
+  std::vector<std::unique_ptr<WormDevice>> devices;
+  auto faulty = std::make_unique<FaultInjectingWormDevice>(
+      std::make_unique<testing::BorrowedDevice>(&media), FaultPolicy{},
+      /*seed=*/61);
+  FaultInjectingWormDevice* device = faulty.get();
+  devices.push_back(std::move(faulty));
+  RecoveryReport report;
+  ASSERT_OK_AND_ASSIGN(
+      auto service,
+      LogService::Recover(std::move(devices), &clock, options, &report));
+  ASSERT_FALSE(report.restored_checkpoint);
+
+  FaultPolicy failing_reads;
+  failing_reads.transient_read_failure_per_mille = 1000;
+  device->set_policy(failing_reads);
+  Counter* failures = ObsRegistry().counter("clio.index.checkpoint_failures");
+  const uint64_t failures_before = failures->value();
+  const uint64_t reads_before = device->stats().reads.load();
+  const uint64_t staging_before =
+      service->current_volume()->writer()->staging_block();
+  for (uint64_t i = 0; i < kAppends; ++i) {
+    ASSERT_OK(
+        service->Append("/w", RandomPayload(&rng, 300), plain).status());
+  }
+  // Entries fragment across blocks, so each append burns at most one
+  // block; enough burn here for several due attempts.
+  ASSERT_GE(service->current_volume()->writer()->staging_block(),
+            staging_before + kAppends / 2);
+  const uint64_t reads = device->stats().reads.load() - reads_before;
+  EXPECT_GE(reads, 1u);
+  EXPECT_LE(reads, (kAppends + kInterval - 1) / kInterval + 1);
+  EXPECT_GE(failures->value() - failures_before, 1u);
+  EXPECT_FALSE(nvram.has_checkpoint());
+
+  // Once the device reads again, the next due attempt builds and writes.
+  device->set_policy(FaultPolicy{});
+  for (uint64_t i = 0; i < 2 * kInterval; ++i) {
+    ASSERT_OK(
+        service->Append("/w", RandomPayload(&rng, 300), plain).status());
+  }
+  EXPECT_TRUE(nvram.has_checkpoint());
 }
 
 // A crash that strands a fragment chain whose base entry has a compact
