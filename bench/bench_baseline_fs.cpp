@@ -27,7 +27,7 @@ void TailReadDepth() {
   std::printf("\n(a) blocks touched to read 1 KB at the tail of a growing "
               "file (1 KB blocks)\n");
   MemoryRewritableDevice disk(1024, 1 << 18);
-  BlockCache cache(64);
+  BlockCache cache(64, disk.block_size());
   auto fs = UnixFs::Format(&disk, &cache, 1, {.inode_count = 64});
   BENCH_CHECK_OK(fs.status());
   auto ino = fs.value()->CreateFile("/grow");
@@ -65,7 +65,7 @@ void ExtentFragmentation() {
   std::printf("\n(b) extents consumed by two logs growing in an "
               "interleaved fashion (ExtentFs)\n");
   MemoryRewritableDevice disk(1024, 1 << 16);
-  BlockCache cache(64);
+  BlockCache cache(64, disk.block_size());
   auto fs = ExtentFs::Format(&disk, &cache, 2, {});
   BENCH_CHECK_OK(fs.status());
   auto a = fs.value()->Create("log-a");

@@ -82,13 +82,13 @@ void MeasuredTable() {
   std::printf("-----------------------------+------------+---------------"
               "\n");
   for (const Config& config : configs) {
-    BlockCache cache(config.blocks);
-    Rng rng(11);
     Bytes block(64, std::byte{0});
+    BlockCache cache(config.blocks, static_cast<uint32_t>(block.size()));
+    Rng rng(11);
     for (int i = 0; i < 100000; ++i) {
       uint64_t b = SkewedBlock(&rng, universe);
-      if (cache.Lookup({0, b}) == nullptr) {
-        cache.Insert({0, b}, Bytes(block));
+      if (!cache.Lookup({0, b})) {
+        cache.Admit({0, b}, block);
       }
     }
     double hit = cache.stats().HitRatio();

@@ -131,7 +131,7 @@ void BM_BlockParse(benchmark::State& state) {
                                      : HeaderVersion::kCompact,
                      4, FillPayload(&rng, 30), 1000);
   }
-  auto image = std::make_shared<const Bytes>(builder.Finish());
+  const BlockImage image = BlockImage::Copy(builder.Finish());
   for (auto _ : state) {
     auto parsed = ParsedBlock::Parse(image);
     BENCH_CHECK_OK(parsed.status());

@@ -99,7 +99,7 @@ int main(int argc, char** argv) {
   CHECK_OK(device.status());
 
   RealTimeSource clock;
-  BlockCache cache(4096);
+  BlockCache cache(4096, block_size);
   Catalog catalog;
   RecoveryReport recovery;
   auto volume = LogVolume::Open(device.value().get(), &cache, 0, &catalog,

@@ -176,11 +176,11 @@ Result<ParsedEntry> ParseEntryRecord(std::span<const std::byte> record) {
   return entry;
 }
 
-Result<ParsedBlock> ParsedBlock::Parse(std::shared_ptr<const Bytes> block) {
-  if (block == nullptr || block->size() < kMinBlockSize) {
+Result<ParsedBlock> ParsedBlock::Parse(BlockImage block) {
+  if (block.size() < kMinBlockSize) {
     return Corrupt("short or missing block image");
   }
-  std::span<const std::byte> b(*block);
+  const std::span<const std::byte> b = block.bytes();
   const uint32_t bs = static_cast<uint32_t>(b.size());
   if (IsAllOnes(b)) {
     return Invalidated("block burned to all 1s");

@@ -24,7 +24,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -147,7 +146,7 @@ class ParsedBlock {
   // Validates magic and CRC and decodes every entry.
   //  - all-1s block          -> kInvalidated
   //  - bad magic/CRC/framing -> kCorrupt
-  static Result<ParsedBlock> Parse(std::shared_ptr<const Bytes> block);
+  static Result<ParsedBlock> Parse(BlockImage block);
 
   const std::vector<ParsedEntry>& entries() const { return entries_; }
   uint16_t flags() const { return flags_; }
@@ -177,10 +176,10 @@ class ParsedBlock {
   // blocks; nullopt for v1 (unchained) blocks.
   std::optional<uint64_t> chain_tag() const { return chain_tag_; }
   uint16_t used_bytes() const { return used_; }
-  const Bytes& image() const { return *image_; }
-  // The shared block image, for zero-copy payload segments that must keep
+  std::span<const std::byte> image() const { return image_.bytes(); }
+  // The block image itself, for zero-copy payload segments that must keep
   // the bytes alive past this ParsedBlock (see PayloadSegment).
-  const std::shared_ptr<const Bytes>& shared_image() const { return image_; }
+  const BlockImage& shared_image() const { return image_; }
 
   // Timestamp of the block's first entry. The writer guarantees the first
   // entry of every block is timestamped (§2.1), so this is present for any
@@ -188,7 +187,7 @@ class ParsedBlock {
   std::optional<Timestamp> FirstTimestamp() const;
 
  private:
-  std::shared_ptr<const Bytes> image_;
+  BlockImage image_;
   std::vector<ParsedEntry> entries_;
   uint16_t flags_ = 0;
   uint16_t used_ = 0;

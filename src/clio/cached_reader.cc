@@ -1,48 +1,57 @@
 #include "src/clio/cached_reader.h"
 
 #include <algorithm>
-#include <utility>
+#include <memory>
 
 #include "src/obs/metrics.h"
 
 namespace clio {
+namespace {
 
-Result<std::shared_ptr<const Bytes>> CachedBlockReader::Fetch(
-    uint64_t block, OpStats* stats) {
+// The calling thread's read-pass buffer, grown on demand and never
+// zero-filled: every pass overwrites what it reads.
+std::span<std::byte> PassBuffer(size_t bytes) {
+  thread_local std::unique_ptr<std::byte[]> buffer;
+  thread_local size_t capacity = 0;
+  if (capacity < bytes) {
+    buffer = std::make_unique_for_overwrite<std::byte[]>(bytes);
+    capacity = bytes;
+  }
+  return {buffer.get(), bytes};
+}
+
+}  // namespace
+
+Result<BlockImage> CachedBlockReader::Fetch(uint64_t block, OpStats* stats) {
   if (stats != nullptr) {
     ++stats->blocks_read;
   }
-  if (cache_ != nullptr) {
-    auto hit = cache_->Lookup({cache_device_id_, block});
-    if (hit != nullptr) {
-      if (stats != nullptr) {
-        ++stats->cache_hits;
-      }
-      return hit;
+  const BlockCache::Key key{cache_device_id_, block};
+  if (BlockImage hit = cache_->Lookup(key)) {
+    if (stats != nullptr) {
+      ++stats->cache_hits;
     }
+    return hit;
   }
   if (stats != nullptr) {
     ++stats->device_reads;
   }
-  Bytes image(device_->block_size());
-  CLIO_RETURN_IF_ERROR(device_->ReadBlock(block, image));
-  if (cache_ != nullptr) {
-    return cache_->Insert({cache_device_id_, block}, std::move(image));
-  }
-  return std::make_shared<const Bytes>(std::move(image));
+  return cache_->Fill(key, device_->block_size(),
+                      [&](std::span<std::byte> frame) {
+                        return device_->ReadBlock(block, frame);
+                      });
 }
 
-Result<std::shared_ptr<const Bytes>> CachedBlockReader::FetchSequential(
+Result<BlockImage> CachedBlockReader::FetchSequential(
     uint64_t block, uint64_t limit, uint32_t readahead, OpStats* stats,
     Counter* readahead_counter) {
-  if (cache_ == nullptr || readahead == 0 || limit <= block + 1) {
+  if (readahead == 0 || limit <= block + 1) {
     return Fetch(block, stats);
   }
   if (stats != nullptr) {
     ++stats->blocks_read;
   }
-  auto hit = cache_->Lookup({cache_device_id_, block});
-  if (hit != nullptr) {
+  if (BlockImage hit = cache_->Lookup({cache_device_id_, block})) {
     if (stats != nullptr) {
       ++stats->cache_hits;
     }
@@ -54,7 +63,7 @@ Result<std::shared_ptr<const Bytes>> CachedBlockReader::FetchSequential(
   const uint32_t block_bytes = device_->block_size();
   const uint64_t count =
       std::min<uint64_t>(static_cast<uint64_t>(readahead) + 1, limit - block);
-  Bytes run(count * block_bytes);
+  std::span<std::byte> run = PassBuffer(count * block_bytes);
   auto got = device_->ReadBlocks(block, count, run);
   if (!got.ok()) {
     return got.status();  // the demanded block itself failed to read
@@ -64,42 +73,22 @@ Result<std::shared_ptr<const Bytes>> CachedBlockReader::FetchSequential(
   if (readahead_counter == nullptr) {
     readahead_counter = readahead_blocks;
   }
-  std::shared_ptr<const Bytes> demanded;
-  for (uint64_t i = 0; i < got.value(); ++i) {
-    Bytes image(run.begin() + i * block_bytes,
-                run.begin() + (i + 1) * block_bytes);
-    auto cached = cache_->Insert({cache_device_id_, block + i},
-                                 std::move(image));
-    if (i == 0) {
-      demanded = std::move(cached);
-    } else {
-      readahead_counter->Increment();
-    }
+  BlockImage demanded =
+      cache_->Insert({cache_device_id_, block}, run.first(block_bytes));
+  for (uint64_t i = 1; i < got.value(); ++i) {
+    cache_->Admit({cache_device_id_, block + i},
+                  run.subspan(i * block_bytes, block_bytes));
+    readahead_counter->Increment();
   }
   return demanded;
 }
 
-std::shared_ptr<void> CachedBlockReader::Pin(uint64_t block) {
-  if (cache_ == nullptr) {
-    return nullptr;
-  }
-  BlockCache::PinLease lease = cache_->Pin({cache_device_id_, block});
-  if (!lease) {
-    return nullptr;
-  }
-  return std::make_shared<BlockCache::PinLease>(std::move(lease));
-}
-
-void CachedBlockReader::Put(uint64_t block, Bytes image) {
-  if (cache_ != nullptr) {
-    cache_->Insert({cache_device_id_, block}, std::move(image));
-  }
+void CachedBlockReader::Put(uint64_t block, std::span<const std::byte> image) {
+  cache_->Admit({cache_device_id_, block}, image);
 }
 
 void CachedBlockReader::Evict(uint64_t block) {
-  if (cache_ != nullptr) {
-    cache_->Erase({cache_device_id_, block});
-  }
+  cache_->Erase({cache_device_id_, block});
 }
 
 }  // namespace clio

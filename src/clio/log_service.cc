@@ -1,12 +1,47 @@
 #include "src/clio/log_service.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <mutex>
 #include <shared_mutex>
 #include <utility>
 
 namespace clio {
 namespace {
+
+// A failed rwlock call leaves the service lock unusable; stop at once.
+void CheckRw(int rc, const char* what) {
+  if (rc != 0) {
+    std::fprintf(stderr, "ServiceLock: %s: %s\n", what, std::strerror(rc));
+    std::abort();
+  }
+}
+
+#ifndef NDEBUG
+// Service locks the calling thread holds, to catch a re-acquisition.
+thread_local std::vector<const ServiceLock*> held_service_locks;
+#endif
+
+void NoteAcquire([[maybe_unused]] const ServiceLock* lock) {
+#ifndef NDEBUG
+  assert(std::find(held_service_locks.begin(), held_service_locks.end(),
+                   lock) == held_service_locks.end() &&
+         "a thread re-took a LogService lock it already holds");
+  held_service_locks.push_back(lock);
+#endif
+}
+
+void NoteRelease([[maybe_unused]] const ServiceLock* lock) {
+#ifndef NDEBUG
+  auto it = std::find(held_service_locks.begin(), held_service_locks.end(),
+                      lock);
+  assert(it != held_service_locks.end());
+  held_service_locks.erase(it);
+#endif
+}
 
 constexpr uint32_t kReadBit = 0400;
 constexpr uint32_t kWriteBit = 0200;
@@ -25,10 +60,40 @@ Status SplitPath(std::string_view path, std::string* parent,
 
 }  // namespace
 
-LogService::LogService(TimeSource* clock, const LogServiceOptions& options)
+ServiceLock::ServiceLock() {
+  pthread_rwlockattr_t attr;
+  CheckRw(pthread_rwlockattr_init(&attr), "attr init");
+  CheckRw(pthread_rwlockattr_setkind_np(
+              &attr, PTHREAD_RWLOCK_PREFER_WRITER_NONRECURSIVE_NP),
+          "attr setkind");
+  CheckRw(pthread_rwlock_init(&rw_, &attr), "init");
+  pthread_rwlockattr_destroy(&attr);
+}
+
+ServiceLock::~ServiceLock() { pthread_rwlock_destroy(&rw_); }
+
+void ServiceLock::lock() {
+  NoteAcquire(this);
+  CheckRw(pthread_rwlock_wrlock(&rw_), "wrlock");
+}
+
+void ServiceLock::unlock() {
+  NoteRelease(this);
+  CheckRw(pthread_rwlock_unlock(&rw_), "unlock");
+}
+
+void ServiceLock::lock_shared() {
+  NoteAcquire(this);
+  CheckRw(pthread_rwlock_rdlock(&rw_), "rdlock");
+}
+
+void ServiceLock::unlock_shared() { unlock(); }
+
+LogService::LogService(TimeSource* clock, const LogServiceOptions& options,
+                       uint32_t block_bytes)
     : clock_(clock),
       options_(options),
-      cache_(std::make_unique<BlockCache>(options.cache_blocks)),
+      cache_(std::make_unique<BlockCache>(options.cache_blocks, block_bytes)),
       next_checkpoint_block_(options.checkpoint_interval_blocks) {
   if (options_.sequence_id == 0) {
     options_.sequence_id = static_cast<uint64_t>(clock_->NowUnique()) | 1u;
@@ -136,7 +201,8 @@ void LogService::MaybeWriteCheckpoint() {
 Result<std::unique_ptr<LogService>> LogService::Create(
     std::unique_ptr<WormDevice> first_device, TimeSource* clock,
     const LogServiceOptions& options) {
-  std::unique_ptr<LogService> service(new LogService(clock, options));
+  std::unique_ptr<LogService> service(
+      new LogService(clock, options, first_device->block_size()));
   LogVolume::FormatOptions format;
   format.entrymap_degree = service->options_.entrymap_degree;
   format.sequence_id = service->options_.sequence_id;
@@ -161,7 +227,8 @@ Result<std::unique_ptr<LogService>> LogService::Recover(
   if (devices.empty()) {
     return InvalidArgument("recover requires at least one volume device");
   }
-  std::unique_ptr<LogService> service(new LogService(clock, options));
+  std::unique_ptr<LogService> service(
+      new LogService(clock, options, devices.front()->block_size()));
   // The NVRAM sidecar may hold a checkpoint for the newest volume; a blob
   // that fails to decode (torn battery RAM) is simply ignored and the
   // full-scan recovery runs.

@@ -8,6 +8,8 @@
 #ifndef SRC_CLIO_LOG_SERVICE_H_
 #define SRC_CLIO_LOG_SERVICE_H_
 
+#include <pthread.h>
+
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -15,7 +17,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -67,6 +68,29 @@ using VolumeMounter =
     std::function<Result<std::unique_ptr<WormDevice>>(uint32_t volume_index)>;
 
 class LogReader;
+
+// The service's reader/writer lock (see LogService's Concurrency notes).
+// It prefers writers: once a writer waits, new readers queue behind it, so
+// a stream of overlapping reads cannot starve appends. The price is that a
+// thread must never take the lock again while holding it, shared or not:
+// its second acquisition would wait on the writer that waits on the first.
+// Debug builds assert this. Meets SharedMutex for std::shared_lock and
+// std::unique_lock.
+class ServiceLock {
+ public:
+  ServiceLock();
+  ~ServiceLock();
+  ServiceLock(const ServiceLock&) = delete;
+  ServiceLock& operator=(const ServiceLock&) = delete;
+
+  void lock();
+  void unlock();
+  void lock_shared();
+  void unlock_shared();
+
+ private:
+  pthread_rwlock_t rw_;
+};
 
 class LogService {
  public:
@@ -193,7 +217,8 @@ class LogService {
   // member, force once, promote the dedup stamps that force covered).
   // Move-only; destroying it releases the lock. The lock is not recursive,
   // so the holder calls only the handle and the unsynchronized accessors
-  // below, never the service's other methods.
+  // below, never the service's other methods. The same holds for the
+  // volume factory and mounter callbacks, which run under the lock.
   class WriteHandle {
    public:
     Result<AppendResult> Append(std::string_view path,
@@ -207,7 +232,7 @@ class LogService {
         : service_(service), lock_(service->mu_) {}
 
     LogService* service_;
-    std::unique_lock<std::shared_mutex> lock_;
+    std::unique_lock<ServiceLock> lock_;
   };
   WriteHandle LockForWrite() { return WriteHandle(this); }
 
@@ -240,7 +265,10 @@ class LogService {
  private:
   friend class LogReader;
 
-  LogService(TimeSource* clock, const LogServiceOptions& options);
+  // The buffer pool's frames are `block_bytes`, the first volume's block
+  // size (a successor of another size reads uncached).
+  LogService(TimeSource* clock, const LogServiceOptions& options,
+             uint32_t block_bytes);
 
   // Unlocked bodies of public calls; the caller holds mu_.
   Result<AppendResult> AppendLocked(LogFileId id,
@@ -309,7 +337,7 @@ class LogService {
   // Serializes on-demand mounting among shared-lock readers (VolumeForRead
   // misses); never held across a device read.
   mutable std::mutex mount_mu_;
-  mutable std::shared_mutex mu_;  // the service lock (see Concurrency)
+  mutable ServiceLock mu_;  // the service lock (see Concurrency)
 };
 
 // Cross-volume reader for one log file. Iterates the sequence's volumes in

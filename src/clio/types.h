@@ -3,10 +3,10 @@
 #define SRC_CLIO_TYPES_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 
+#include "src/cache/block_image.h"
 #include "src/util/bytes.h"
 #include "src/util/time.h"
 
@@ -92,18 +92,16 @@ struct EntryPosition {
 // One contiguous slice of an entry's payload, referencing the block image
 // it was parsed from instead of copying it (DESIGN.md §16). `image` keeps
 // the (immutable, write-once) block bytes alive for as long as the segment
-// exists; `pin` optionally holds a cache-residency lease (a type-erased
-// BlockCache::PinLease) so the block also stays cached until the segment
-// is consumed. A non-fragmented entry has one segment; each continuation
-// fragment adds one.
+// exists, and pins their cache frame: the block stays cached until the
+// segment is consumed. A non-fragmented entry has one segment; each
+// continuation fragment adds one.
 struct PayloadSegment {
-  std::shared_ptr<const Bytes> image;
+  BlockImage image;
   uint32_t offset = 0;
   uint32_t length = 0;
-  std::shared_ptr<void> pin;
 
   std::span<const std::byte> view() const {
-    return std::span<const std::byte>(*image).subspan(offset, length);
+    return image.bytes().subspan(offset, length);
   }
 };
 

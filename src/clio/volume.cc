@@ -260,8 +260,7 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
     staged_copy.assign(nvram->data().begin(), nvram->data().end());
     staged = &staged_copy;
     // The staged image may contain catalog records (e.g. a forced create).
-    auto parsed = ParsedBlock::Parse(
-        std::make_shared<const Bytes>(staged_copy));
+    auto parsed = ParsedBlock::Parse(BlockImage::Copy(staged_copy));
     if (parsed.ok()) {
       for (const ParsedEntry& e : parsed.value().entries()) {
         if (e.logfile_id == kCatalogLogId && !e.is_fragment()) {
@@ -736,16 +735,14 @@ Result<ParsedBlock> LogVolume::GetBlock(uint64_t block, OpStats* stats,
 
 namespace {
 
-// Segment describing `span` within the (shared) image it points into,
-// pinned in the cache while the segment lives (best effort).
+// Segment describing `span` within the image it points into; the
+// segment's image keeps the block's frame cached while it lives.
 PayloadSegment SegmentFor(const ParsedBlock& parsed,
-                          std::span<const std::byte> span, uint64_t block,
-                          CachedBlockReader* blocks) {
+                          std::span<const std::byte> span) {
   PayloadSegment segment;
   segment.image = parsed.shared_image();
-  segment.offset = static_cast<uint32_t>(span.data() - segment.image->data());
+  segment.offset = static_cast<uint32_t>(span.data() - segment.image.data());
   segment.length = static_cast<uint32_t>(span.size());
-  segment.pin = blocks->Pin(block);
   return segment;
 }
 
@@ -759,7 +756,7 @@ Result<Bytes> LogVolume::AssembleEntryPayload(
   Bytes out;
   if (segments != nullptr) {
     if (!base.payload.empty()) {
-      segments->push_back(SegmentFor(parsed, base.payload, block, &blocks_));
+      segments->push_back(SegmentFor(parsed, base.payload));
     }
   } else {
     out.assign(base.payload.begin(), base.payload.end());
@@ -790,8 +787,7 @@ Result<Bytes> LogVolume::AssembleEntryPayload(
       if (e.is_fragment() && e.logfile_id == base.logfile_id) {
         if (segments != nullptr) {
           if (!e.payload.empty()) {
-            segments->push_back(
-                SegmentFor(next.value(), e.payload, b, &blocks_));
+            segments->push_back(SegmentFor(next.value(), e.payload));
           }
         } else {
           out.insert(out.end(), e.payload.begin(), e.payload.end());

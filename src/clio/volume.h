@@ -229,8 +229,8 @@ class LogVolume {
   //
   // When `segments` is non-null the payload is returned by REFERENCE
   // instead: one PayloadSegment per fragment, each holding the parsed
-  // block's image (shared, immutable) plus a best-effort cache pin, and
-  // the returned flat Bytes stays empty (DESIGN.md §16). Callers choose
+  // block's image (shared, immutable; holding it pins the cache frame),
+  // and the returned flat Bytes stays empty (DESIGN.md §16). Callers choose
   // exactly one representation.
   Result<Bytes> AssembleEntryPayload(uint64_t block, const ParsedBlock& parsed,
                                      size_t entry_index, OpStats* stats,

@@ -82,7 +82,7 @@ Status LogVolumeWriter::Restore(uint64_t next_block,
     // Re-stage the partial tail block preserved in NVRAM across the crash.
     CLIO_ASSIGN_OR_RETURN(
         ParsedBlock parsed,
-        ParsedBlock::Parse(std::make_shared<const Bytes>(*staged_image)));
+        ParsedBlock::Parse(BlockImage::Copy(*staged_image)));
     builder_ = NewBuilder();
     builder_->SetFlags(parsed.flags());
     for (const ParsedEntry& e : parsed.entries()) {
@@ -302,7 +302,7 @@ Status LogVolumeWriter::BurnBuilder() {
         // comes from the builder's records, which are the image's.
         chain_tag_ = AdvanceChainTag(*chain_tag_, ChainBlockCommit(*builder_));
       }
-      blocks_->Put(actual, std::move(image));
+      blocks_->Put(actual, image);
       staging_block_ = actual + 1;
       builder_.reset();
       pending_mark_ids_.clear();
@@ -536,11 +536,11 @@ bool LogVolumeWriter::AlmostFull(size_t payload_size) const {
   return staging_block_ + needed_blocks >= capacity;
 }
 
-std::shared_ptr<const Bytes> LogVolumeWriter::StagedImage() const {
+BlockImage LogVolumeWriter::StagedImage() const {
   if (builder_ == nullptr || builder_->empty()) {
-    return nullptr;
+    return BlockImage();
   }
-  return std::make_shared<const Bytes>(builder_->Finish());
+  return BlockImage::Copy(builder_->Finish());
 }
 
 }  // namespace clio

@@ -131,7 +131,7 @@ class LogVolumeWriter {
     return builder_ != nullptr && !builder_->empty();
   }
   // Current image of the staged (partial) tail block, for live readers.
-  std::shared_ptr<const Bytes> StagedImage() const;
+  BlockImage StagedImage() const;
 
   const EntrymapAccumulator& accumulator() const { return accumulator_; }
   const SpaceAccounting& space() const { return space_; }

@@ -141,13 +141,18 @@ void ExtentIndex::MarkBlock(uint64_t block,
     }
   }
   if (leading_timestamp.has_value()) {
-    leading_ts_.emplace_back(block, *leading_timestamp);
-    prefix_max_ts_.push_back(prefix_max_ts_.empty()
-                                 ? *leading_timestamp
-                                 : std::max(prefix_max_ts_.back(),
-                                            *leading_timestamp));
+    AddStamp(block, *leading_timestamp);
   }
   covered_end_ = block + 1;
+}
+
+void ExtentIndex::AddStamp(uint64_t block, Timestamp stamp) {
+  leading_ts_.emplace_back(block, stamp);
+  // Earlier stamps at or above this one stop being suffix minima.
+  while (!suffix_min_ts_.empty() && suffix_min_ts_.back().second >= stamp) {
+    suffix_min_ts_.pop_back();
+  }
+  suffix_min_ts_.emplace_back(block, stamp);
 }
 
 void ExtentIndex::AdvanceCoveredEnd(uint64_t end) {
@@ -226,23 +231,16 @@ ExtentIndex::Lookup ExtentIndex::LastBlockAtOrBefore(Timestamp t) const {
   // Every entry in a block has effective timestamp >= the block's leading
   // stamp (later entries are stamped later; a fragment inherits its base,
   // the block's minimum), so the seek target is exactly the LAST block
-  // whose leading stamp is <= t. Leading stamps are non-monotone where
-  // fragment-led blocks dip, so bisect the monotone prefix-max shadow —
-  // below it every block qualifies — then sweep the (short, dip-only)
-  // remainder for later qualifiers.
-  size_t base = static_cast<size_t>(
-      std::upper_bound(prefix_max_ts_.begin(), prefix_max_ts_.end(), t) -
-      prefix_max_ts_.begin());
-  std::optional<uint64_t> answer;
-  if (base > 0) {
-    answer = leading_ts_[base - 1].first;
+  // whose leading stamp is <= t. Every later block stamps above t, so that
+  // block is a suffix minimum, and the suffix minima increase in stamp:
+  // it is the last of them at or below t, found by bisection.
+  auto after = std::upper_bound(
+      suffix_min_ts_.begin(), suffix_min_ts_.end(), t,
+      [](Timestamp target, const Stamp& s) { return target < s.second; });
+  if (after == suffix_min_ts_.begin()) {
+    return Lookup{true, std::nullopt};
   }
-  for (size_t j = base; j < leading_ts_.size(); ++j) {
-    if (leading_ts_[j].second <= t) {
-      answer = leading_ts_[j].first;
-    }
-  }
-  return Lookup{true, answer};
+  return Lookup{true, std::prev(after)->first};
 }
 
 size_t ExtentIndex::bytes() const {
@@ -251,8 +249,7 @@ size_t ExtentIndex::bytes() const {
     total += sizeof(id) + sizeof(RunList) +
              runs.size() * sizeof(std::pair<uint64_t, uint64_t>);
   }
-  total += leading_ts_.size() * sizeof(std::pair<uint64_t, Timestamp>);
-  total += prefix_max_ts_.size() * sizeof(Timestamp);
+  total += (leading_ts_.size() + suffix_min_ts_.size()) * sizeof(Stamp);
   total += holes_.size() * sizeof(uint64_t);
   return total;
 }
@@ -266,7 +263,7 @@ uint64_t ExtentIndex::run_count() const {
 }
 
 bool ExtentIndex::operator==(const ExtentIndex& other) const {
-  // prefix_max_ts_ is derived from leading_ts_, so it needs no comparing.
+  // suffix_min_ts_ is derived from leading_ts_, so it needs no comparing.
   return covered_end_ == other.covered_end_ && runs_ == other.runs_ &&
          leading_ts_ == other.leading_ts_ && holes_ == other.holes_;
 }
@@ -461,7 +458,7 @@ Status ExtentIndex::ApplyDelta(uint64_t to, std::span<const std::byte> delta,
     return Corrupt("extent index delta: bad timestamp vector");
   }
   Reserve(&leading_ts_, ts_count, bytes_to_follow, delta.size());
-  Reserve(&prefix_max_ts_, ts_count, bytes_to_follow, delta.size());
+  Reserve(&suffix_min_ts_, ts_count, bytes_to_follow, delta.size());
   uint64_t prev_block = from;
   uint64_t prev_ts = 0;
   for (uint64_t i = 0; i < ts_count; ++i) {
@@ -473,11 +470,7 @@ Status ExtentIndex::ApplyDelta(uint64_t to, std::span<const std::byte> delta,
     }
     prev_block += block_delta;
     prev_ts += static_cast<uint64_t>(UnZigZag(ts_delta));
-    const Timestamp stamp = static_cast<Timestamp>(prev_ts);
-    leading_ts_.emplace_back(prev_block, stamp);
-    prefix_max_ts_.push_back(prefix_max_ts_.empty()
-                                 ? stamp
-                                 : std::max(prefix_max_ts_.back(), stamp));
+    AddStamp(prev_block, static_cast<Timestamp>(prev_ts));
   }
   uint64_t hole_count = 0;
   if (!in.Get(&hole_count) || hole_count > in.remaining()) {

@@ -129,16 +129,22 @@ class ExtentIndex {
   // Per id: disjoint, sorted half-open [start, end) block runs.
   using RunList = std::vector<std::pair<uint64_t, uint64_t>>;
 
+  using Stamp = std::pair<uint64_t, Timestamp>;  // (block, leading stamp)
+
   bool HoleIn(uint64_t lo, uint64_t hi) const;  // any hole in [lo, hi)?
   void EncodeSince(uint64_t from, ByteWriter* writer) const;
+  void AddStamp(uint64_t block, Timestamp stamp);
 
   std::map<LogFileId, RunList> runs_;
   // One pair per stamped block, increasing in block. Timestamps are
   // non-monotone where fragment-led blocks dip (their leading stamp is
-  // the base entry's); prefix_max_ts_[i] = max stamp over [0, i] is the
-  // monotone shadow LastBlockAtOrBefore bisects.
-  std::vector<std::pair<uint64_t, Timestamp>> leading_ts_;
-  std::vector<Timestamp> prefix_max_ts_;
+  // the base entry's) or the clock stepped back.
+  std::vector<Stamp> leading_ts_;
+  // The suffix minima of leading_ts_: every stamp strictly below all later
+  // ones, in block order, so their stamps increase. The last block with a
+  // stamp <= t is always one of them, which LastBlockAtOrBefore bisects.
+  // Derived from leading_ts_; never serialized or compared.
+  std::vector<Stamp> suffix_min_ts_;
   std::vector<uint64_t> holes_;  // sorted
   uint64_t covered_end_ = 1;
 };

@@ -111,16 +111,16 @@ Result<Bytes> DecodeReplyBody(std::span<const std::byte> body);
 //
 // A WireMessage is a reply body held as a sequence of slices: owned bytes
 // (status prefix, record metadata) interleaved with borrowed views into
-// block images held alive by shared_ptr and kept cache-resident by pin
-// leases. The event-loop server flushes one with writev(), so borrowed
+// block images, whose frames the slices hold cached until the flush.
+// The event-loop server flushes one with writev(), so borrowed
 // payload bytes go from the block image straight to the socket without an
 // intermediate copy. Flatten() produces the byte-identical contiguous
 // form; every transport-visible encoding decision lives in the encoders
 // below, never in the slicing.
 struct WireSlice {
-  Bytes owned;         // used when ref.image == nullptr
-  PayloadSegment ref;  // borrowed view (+ pin) otherwise
-  bool borrowed() const { return ref.image != nullptr; }
+  Bytes owned;         // used when ref.image is empty
+  PayloadSegment ref;  // borrowed view otherwise
+  bool borrowed() const { return static_cast<bool>(ref.image); }
   std::span<const std::byte> view() const {
     return borrowed() ? ref.view() : std::span<const std::byte>(owned);
   }

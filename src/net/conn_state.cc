@@ -136,8 +136,8 @@ ConnState::FlushOutcome ConnState::FlushStep() {
       }
     }
   }
-  // Fully flushed: releasing the message drops the slices' pin leases and
-  // image references.
+  // Fully flushed: releasing the message drops the slices' block images,
+  // which unpins their frames.
   out_ = WireMessage();
   head_out_.clear();
   head_sent_ = 0;

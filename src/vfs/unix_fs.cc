@@ -245,18 +245,17 @@ Result<Bytes> UnixFs::ReadBlockCached(uint32_t block, VfsOpStats* stats) const {
     ++stats->blocks_read;
   }
   if (cache_ != nullptr) {
-    auto hit = cache_->Lookup({cache_device_id_, block});
-    if (hit != nullptr) {
+    if (BlockImage hit = cache_->Lookup({cache_device_id_, block})) {
       if (stats != nullptr) {
         ++stats->cache_hits;
       }
-      return *hit;
+      return Bytes(hit.bytes().begin(), hit.bytes().end());
     }
   }
   Bytes image(block_size_);
   CLIO_RETURN_IF_ERROR(device_->ReadBlock(block, image));
   if (cache_ != nullptr) {
-    cache_->Insert({cache_device_id_, block}, Bytes(image));
+    cache_->Admit({cache_device_id_, block}, image);
   }
   return image;
 }
@@ -269,7 +268,7 @@ Status UnixFs::WriteBlockThrough(uint32_t block,
   }
   CLIO_RETURN_IF_ERROR(device_->WriteBlock(block, data));
   if (cache_ != nullptr) {
-    cache_->Replace({cache_device_id_, block}, Bytes(data.begin(), data.end()));
+    cache_->Replace({cache_device_id_, block}, data);
   }
   return Status::Ok();
 }

@@ -15,7 +15,7 @@ using testing::ServiceFixture;
 struct Rig {
   ServiceFixture fx = ServiceFixture::Make();
   MemoryRewritableDevice disk{1024, 1 << 14};
-  BlockCache cache{256};
+  BlockCache cache{256, disk.block_size()};
   std::unique_ptr<UnixFs> fs;
 
   Rig() {

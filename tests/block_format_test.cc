@@ -8,9 +8,7 @@
 namespace clio {
 namespace {
 
-std::shared_ptr<const Bytes> Shared(Bytes b) {
-  return std::make_shared<const Bytes>(std::move(b));
-}
+BlockImage Shared(const Bytes& b) { return BlockImage::Copy(b); }
 
 TEST(BlockBuilder, EmptyBlockRoundTrips) {
   BlockBuilder builder(512);

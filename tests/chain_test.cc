@@ -43,7 +43,7 @@ bool ForgePayloadByte(MemoryWormDevice* media, LogService* service,
   if (victim == nullptr) {
     return false;
   }
-  Bytes forged = parsed->image();
+  Bytes forged(parsed->image().begin(), parsed->image().end());
   size_t off = static_cast<size_t>(victim->payload.data() -
                                    parsed->image().data());
   forged[off] ^= std::byte{0x01};
@@ -314,7 +314,7 @@ TEST(Chain, V1FootersStillParseUnchained) {
   v1.AddEntry(HeaderVersion::kTimestamped, 7,
               Bytes(20, std::byte{0x5A}), /*ts=*/42);
   auto v1_parsed = ParsedBlock::Parse(
-      std::make_shared<const Bytes>(v1.Finish()));
+      BlockImage::Copy(v1.Finish()));
   ASSERT_OK(v1_parsed.status());
   EXPECT_FALSE(v1_parsed->chain_tag().has_value());
   ASSERT_EQ(v1_parsed->entries().size(), 1u);
@@ -323,7 +323,7 @@ TEST(Chain, V1FootersStillParseUnchained) {
   v2.AddEntry(HeaderVersion::kTimestamped, 7,
               Bytes(20, std::byte{0x5A}), /*ts=*/42);
   auto v2_parsed = ParsedBlock::Parse(
-      std::make_shared<const Bytes>(v2.Finish()));
+      BlockImage::Copy(v2.Finish()));
   ASSERT_OK(v2_parsed.status());
   ASSERT_TRUE(v2_parsed->chain_tag().has_value());
   EXPECT_EQ(*v2_parsed->chain_tag(), 0xDEADBEEFCAFEF00Dull);
@@ -403,7 +403,7 @@ TEST(Chain, BuilderCommitMatchesTheParsedImage) {
     }
     ASSERT_OK_AND_ASSIGN(
         ParsedBlock parsed,
-        ParsedBlock::Parse(std::make_shared<const Bytes>(builder.Finish())));
+        ParsedBlock::Parse(BlockImage::Copy(builder.Finish())));
     ASSERT_EQ(ChainBlockCommit(builder), ChainBlockCommit(parsed))
         << "trial " << trial << ", " << builder.entry_count() << " entries";
   }

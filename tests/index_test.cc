@@ -120,6 +120,81 @@ TEST(ExtentIndex, TimestampSearchResolvesFragmentDips) {
   EXPECT_FALSE(hit.block.has_value());
 }
 
+// Last block with a leading stamp <= t, by brute force over the marks.
+std::optional<uint64_t> LastAtOrBeforeBrute(
+    const std::vector<std::pair<uint64_t, Timestamp>>& stamps, Timestamp t) {
+  std::optional<uint64_t> answer;
+  for (const auto& [block, stamp] : stamps) {
+    if (stamp <= t) {
+      answer = block;
+    }
+  }
+  return answer;
+}
+
+TEST(ExtentIndex, TimestampSearchMatchesBruteForceUnderClockRegressions) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    ExtentIndex live;
+    ExtentIndex restored;  // base + deltas, as a checkpoint restart builds
+    std::vector<std::pair<uint64_t, Timestamp>> stamps;
+    const std::vector<LogFileId> ids = {7};
+    Timestamp clock = 1000;
+    uint64_t block = 1;
+    uint64_t checkpointed = 1;
+    for (int i = 0; i < 600; ++i, ++block) {
+      clock += static_cast<Timestamp>(rng.Below(50));
+      Timestamp stamp = clock;
+      switch (rng.Below(10)) {
+        case 0:  // a fragment-led block dips to an earlier base stamp
+          stamp = clock - static_cast<Timestamp>(rng.Below(400));
+          break;
+        case 1:  // the clock itself steps back
+          clock -= static_cast<Timestamp>(rng.Below(300));
+          stamp = clock;
+          break;
+        case 2:  // an unstamped (defensive-parse) block
+          live.MarkBlock(block, std::nullopt, ids);
+          continue;
+        default:
+          break;
+      }
+      live.MarkBlock(block, stamp, ids);
+      stamps.emplace_back(block, stamp);
+      if (rng.Below(50) == 0) {
+        ASSERT_OK(restored.ApplyDelta(live.covered_end(),
+                                      live.EncodeSince(checkpointed)));
+        checkpointed = live.covered_end();
+      }
+    }
+    ASSERT_OK(restored.ApplyDelta(live.covered_end(),
+                                  live.EncodeSince(checkpointed)));
+    ASSERT_OK_AND_ASSIGN(ExtentIndex reloaded,
+                         ExtentIndex::Deserialize(live.Serialize()));
+    Timestamp lowest = stamps.front().second;
+    Timestamp highest = lowest;
+    for (const auto& [b, stamp] : stamps) {
+      lowest = std::min(lowest, stamp);
+      highest = std::max(highest, stamp);
+    }
+    for (int q = 0; q < 400; ++q) {
+      Timestamp t = lowest - 50 + static_cast<Timestamp>(rng.Below(
+                                      static_cast<uint64_t>(highest - lowest) + 100));
+      if (q % 4 == 0) {  // probe exact stamps and their neighbours too
+        t = stamps[rng.Below(stamps.size())].second +
+            static_cast<Timestamp>(rng.Below(3)) - 1;
+      }
+      const std::optional<uint64_t> want = LastAtOrBeforeBrute(stamps, t);
+      for (const ExtentIndex* idx : {&live, &restored, &reloaded}) {
+        ExtentIndex::Lookup hit = idx->LastBlockAtOrBefore(t);
+        ASSERT_TRUE(hit.authoritative);
+        ASSERT_EQ(hit.block, want) << "t=" << t;
+      }
+    }
+  }
+}
+
 TEST(ExtentIndex, SerializeRoundTripsAndDetectsDamage) {
   ExtentIndex idx;
   const LogFileId a = 7;

@@ -71,10 +71,9 @@ void TailReader(uint16_t port, bool batched, std::atomic<bool>* failed) {
         batched ? reader.Next() : (*client)->ReadNext(*handle);
     ASSERT_TRUE(entry.ok()) << entry.status().ToString();
     if (!entry->has_value()) {
-      // Caught up with the writer: back off before re-polling. Tailing
-      // MUST NOT spin — a pthread rwlock prefers readers, so 8 re-polling
-      // shared holders would starve the writer's exclusive acquisition
-      // indefinitely (DESIGN.md §12).
+      // Caught up with the writer: pause before re-polling, to spare the
+      // CPU (the service lock prefers writers, so spinning would not
+      // starve the writer; ForcedAppendsFinishUnderSpinningReaders).
       std::this_thread::sleep_for(std::chrono::microseconds(500));
       continue;
     }
@@ -145,12 +144,9 @@ TEST(ReadConcurrency, EightTailingReadersRaceOneWriter) {
 // Same race through the service API directly (no sockets): the service
 // takes its lock per call, shared for each reader call and exclusive for
 // each append (DESIGN.md §12). Each reader runs a FIXED number of
-// verification passes rather than waiting to observe the final entry: a
-// reader-preferring rwlock gives no forward-progress guarantee to the
-// writer while reader calls overlap, so a "wait until I see everything"
-// loop could outlive any CI timeout. Prefix consistency and cursor
-// monotonicity are asserted per pass; completeness is asserted by a final
-// scan after the writer finishes.
+// verification passes; prefix consistency and cursor monotonicity are
+// asserted per pass, and completeness by a final scan after the writer
+// finishes.
 TEST(ReadConcurrency, SharedLockReadersSeeConsistentPrefixes) {
   ServiceFixture fx = ServiceFixture::Make();
   LogService* service = fx.service.get();
@@ -199,8 +195,7 @@ TEST(ReadConcurrency, SharedLockReadersSeeConsistentPrefixes) {
           }
           seen_floor = seq;
         }
-        // Idle between passes, giving the writer's exclusive acquisitions
-        // a window.
+        // Idle between passes, so passes see different prefixes.
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
     });
@@ -222,8 +217,6 @@ TEST(ReadConcurrency, SharedLockReadersSeeConsistentPrefixes) {
     }
   });
 
-  // Readers first: the writer may be starved while passes overlap, and
-  // only drains once the readers stop reading.
   for (auto& t : readers) {
     t.join();
   }
@@ -242,6 +235,70 @@ TEST(ReadConcurrency, SharedLockReadersSeeConsistentPrefixes) {
   auto end = (*reader)->Next();
   ASSERT_TRUE(end.ok());
   EXPECT_FALSE(end->has_value());
+}
+
+// Writer progress under spinning readers (DESIGN.md §12): 16 threads
+// re-poll the end of the log in a tight loop, with no back-off, for about
+// a second, so their shared holds overlap back to back. The service lock
+// prefers writers, so every forced append meanwhile must finish within a
+// fixed bound; under a reader-preferring lock the first one waits until
+// the readers stop.
+TEST(ReadConcurrency, ForcedAppendsFinishUnderSpinningReaders) {
+  constexpr int kSpinners = 16;
+  constexpr auto kSpin = std::chrono::seconds(1);
+  constexpr auto kBound = std::chrono::milliseconds(250);
+  ServiceFixture fx = ServiceFixture::Make();
+  LogService* service = fx.service.get();
+  ASSERT_TRUE(service->CreateLogFile(kPath).ok());
+
+  const auto deadline = std::chrono::steady_clock::now() + kSpin;
+  std::atomic<int> spinning{0};
+  std::atomic<bool> failed{false};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < kSpinners; ++r) {
+    readers.emplace_back([&] {
+      auto reader = service->OpenReader(kPath);
+      if (!reader.ok()) {
+        failed.store(true);
+        return;
+      }
+      spinning.fetch_add(1);
+      while (std::chrono::steady_clock::now() < deadline) {
+        if (!(*reader)->Next().ok()) {
+          failed.store(true);
+          return;
+        }
+      }
+    });
+  }
+  while (spinning.load() < kSpinners && !failed.load()) {
+    std::this_thread::yield();
+  }
+
+  WriteOptions opts;
+  opts.timestamped = true;
+  opts.force = true;
+  int appends = 0;
+  auto worst = std::chrono::steady_clock::duration::zero();
+  while (std::chrono::steady_clock::now() < deadline && !failed.load()) {
+    const auto start = std::chrono::steady_clock::now();
+    auto appended = service->Append(kPath, PayloadFor(appends), opts);
+    worst = std::max(worst, std::chrono::steady_clock::now() - start);
+    if (!appended.ok()) {
+      ADD_FAILURE() << appended.status().ToString();
+      break;
+    }
+    ++appends;
+  }
+  for (auto& t : readers) {
+    t.join();
+  }
+  EXPECT_FALSE(failed.load());
+  EXPECT_GT(appends, 1);
+  EXPECT_LT(worst, kBound)
+      << "a forced append waited "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(worst).count()
+      << " ms behind spinning readers (" << appends << " appends)";
 }
 
 std::string WriterPath(int writer, int file) {

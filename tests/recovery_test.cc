@@ -593,7 +593,7 @@ TEST(Recovery, StrandedCompactChainKeepsTimeSearchWorking) {
     if (last == 0 || !rig.devices[0]->ReadBlock(last, image).ok()) {
       return false;
     }
-    auto parsed = ParsedBlock::Parse(std::make_shared<const Bytes>(image));
+    auto parsed = ParsedBlock::Parse(BlockImage::Copy(image));
     return parsed.ok() && parsed->last_entry_continues() &&
            !parsed->entries().empty() &&
            parsed->entries().back().logfile_id != kEntrymapLogId &&

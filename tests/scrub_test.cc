@@ -197,7 +197,7 @@ TEST(Scrub, ChainMismatchConvictsTheForgedBlock) {
     }
     for (const ParsedEntry& e : parsed->entries()) {
       if (!e.payload.empty()) {
-        Bytes forged = parsed->image();
+        Bytes forged(parsed->image().begin(), parsed->image().end());
         size_t off = static_cast<size_t>(e.payload.data() -
                                          parsed->image().data());
         forged[off] ^= std::byte{0x01};

@@ -147,7 +147,7 @@ TEST(Sequence, CatalogSeedMakesSuccessorSelfDescribing) {
       std::make_unique<BorrowedDevice>(rig.devices.back().get()));
   // The last device's volume index is > 0, so full Recover() rejects it as
   // a sequence; open the volume directly instead.
-  BlockCache cache(256);
+  BlockCache cache(256, rig.devices.back()->block_size());
   Catalog catalog;
   auto volume =
       LogVolume::Open(rig.devices.back().get(), &cache, 0, &catalog, &clock,

@@ -17,7 +17,7 @@ using testing::RandomPayload;
 
 TEST(UnixFs, CreateWriteReadRoundTrip) {
   MemoryRewritableDevice device(1024, 1 << 14);
-  BlockCache cache(256);
+  BlockCache cache(256, device.block_size());
   ASSERT_OK_AND_ASSIGN(auto fs, UnixFs::Format(&device, &cache, 1, {}));
   ASSERT_OK_AND_ASSIGN(uint32_t ino, fs->CreateFile("/hello.txt"));
   ASSERT_OK(fs->Write(ino, 0, AsBytes("hello, unix fs")));
@@ -29,7 +29,7 @@ TEST(UnixFs, CreateWriteReadRoundTrip) {
 
 TEST(UnixFs, DirectoriesNestAndList) {
   MemoryRewritableDevice device(1024, 1 << 14);
-  BlockCache cache(256);
+  BlockCache cache(256, device.block_size());
   ASSERT_OK_AND_ASSIGN(auto fs, UnixFs::Format(&device, &cache, 1, {}));
   ASSERT_OK(fs->Mkdir("/var").status());
   ASSERT_OK(fs->Mkdir("/var/log").status());
@@ -44,7 +44,7 @@ TEST(UnixFs, DirectoriesNestAndList) {
 
 TEST(UnixFs, LargeFileSpansIndirectBlocks) {
   MemoryRewritableDevice device(1024, 1 << 14);
-  BlockCache cache(256);
+  BlockCache cache(256, device.block_size());
   ASSERT_OK_AND_ASSIGN(auto fs, UnixFs::Format(&device, &cache, 1, {}));
   ASSERT_OK_AND_ASSIGN(uint32_t ino, fs->CreateFile("/big"));
   Rng rng(9);
@@ -61,7 +61,7 @@ TEST(UnixFs, LargeFileSpansIndirectBlocks) {
 
 TEST(UnixFs, AppendGrowsFile) {
   MemoryRewritableDevice device(1024, 1 << 14);
-  BlockCache cache(256);
+  BlockCache cache(256, device.block_size());
   ASSERT_OK_AND_ASSIGN(auto fs, UnixFs::Format(&device, &cache, 1, {}));
   ASSERT_OK_AND_ASSIGN(uint32_t ino, fs->CreateFile("/log"));
   for (int i = 0; i < 100; ++i) {
@@ -78,7 +78,7 @@ TEST(UnixFs, TailReadCostGrowsWithFileDepth) {
   // The paper's §1 claim: blocks at the tail of a large growing file become
   // increasingly expensive to reach (indirect chain depth).
   MemoryRewritableDevice device(1024, 1 << 16);
-  BlockCache cache(16);
+  BlockCache cache(16, device.block_size());
   ASSERT_OK_AND_ASSIGN(auto fs, UnixFs::Format(&device, &cache, 1, {}));
   ASSERT_OK_AND_ASSIGN(uint32_t ino, fs->CreateFile("/grow"));
   ASSERT_OK_AND_ASSIGN(uint64_t direct_cost, fs->BlocksToRead(ino, 0, 1024));
@@ -95,7 +95,7 @@ TEST(UnixFs, TailReadCostGrowsWithFileDepth) {
 
 TEST(UnixFs, RemoveFreesBlocks) {
   MemoryRewritableDevice device(1024, 1 << 14);
-  BlockCache cache(256);
+  BlockCache cache(256, device.block_size());
   ASSERT_OK_AND_ASSIGN(auto fs, UnixFs::Format(&device, &cache, 1, {}));
   uint64_t before = fs->free_blocks();
   ASSERT_OK_AND_ASSIGN(uint32_t ino, fs->CreateFile("/temp"));
@@ -110,7 +110,7 @@ TEST(UnixFs, RemoveFreesBlocks) {
 
 TEST(UnixFs, MountSeesExistingData) {
   MemoryRewritableDevice device(1024, 1 << 14);
-  BlockCache cache(256);
+  BlockCache cache(256, device.block_size());
   {
     ASSERT_OK_AND_ASSIGN(auto fs, UnixFs::Format(&device, &cache, 1, {}));
     ASSERT_OK_AND_ASSIGN(uint32_t ino, fs->CreateFile("/persist"));
@@ -125,7 +125,7 @@ TEST(UnixFs, MountSeesExistingData) {
 
 TEST(ExtentFs, CreateAppendRead) {
   MemoryRewritableDevice device(1024, 1 << 14);
-  BlockCache cache(256);
+  BlockCache cache(256, device.block_size());
   ASSERT_OK_AND_ASSIGN(auto fs, ExtentFs::Format(&device, &cache, 2, {}));
   ASSERT_OK_AND_ASSIGN(uint32_t id, fs->Create("journal"));
   ASSERT_OK(fs->Append(id, AsBytes("first record ")));
@@ -138,7 +138,7 @@ TEST(ExtentFs, CreateAppendRead) {
 
 TEST(ExtentFs, SoloGrowthStaysContiguous) {
   MemoryRewritableDevice device(1024, 1 << 14);
-  BlockCache cache(256);
+  BlockCache cache(256, device.block_size());
   ASSERT_OK_AND_ASSIGN(auto fs, ExtentFs::Format(&device, &cache, 2, {}));
   ASSERT_OK_AND_ASSIGN(uint32_t id, fs->Create("only"));
   Rng rng(4);
@@ -153,7 +153,7 @@ TEST(ExtentFs, InterleavedGrowthFragments) {
   // The paper's §1 claim: each addition to a slowly growing file can
   // allocate a discontiguous extent when other files grow in between.
   MemoryRewritableDevice device(1024, 1 << 14);
-  BlockCache cache(256);
+  BlockCache cache(256, device.block_size());
   ASSERT_OK_AND_ASSIGN(auto fs, ExtentFs::Format(&device, &cache, 2, {}));
   ASSERT_OK_AND_ASSIGN(uint32_t a, fs->Create("log-a"));
   ASSERT_OK_AND_ASSIGN(uint32_t b, fs->Create("log-b"));
@@ -170,7 +170,7 @@ TEST(ExtentFs, InterleavedGrowthFragments) {
 
 TEST(ExtentFs, MountSeesExistingData) {
   MemoryRewritableDevice device(1024, 1 << 14);
-  BlockCache cache(256);
+  BlockCache cache(256, device.block_size());
   {
     ASSERT_OK_AND_ASSIGN(auto fs, ExtentFs::Format(&device, &cache, 2, {}));
     ASSERT_OK_AND_ASSIGN(uint32_t id, fs->Create("persist"));
@@ -187,7 +187,7 @@ TEST(ExtentFs, ExtentBudgetExhaustionSurfaces) {
   // With tiny blocks the per-file extent list overflows under heavy
   // interleaving — the design's documented failure mode.
   MemoryRewritableDevice device(256, 1 << 14);
-  BlockCache cache(64);
+  BlockCache cache(64, device.block_size());
   ASSERT_OK_AND_ASSIGN(auto fs, ExtentFs::Format(&device, &cache, 2, {}));
   ASSERT_OK_AND_ASSIGN(uint32_t a, fs->Create("a"));
   ASSERT_OK_AND_ASSIGN(uint32_t b, fs->Create("b"));
