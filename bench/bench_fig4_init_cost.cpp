@@ -207,7 +207,7 @@ void MeasureCheckpointRestart(BenchReport* report) {
   double time_ratio = scan_us > 0 ? ckpt_us / scan_us : 0.0;
   double read_ratio = scan_reads > 0 ? ckpt_reads / scan_reads : 0.0;
   const double replay_passes =
-      static_cast<double>(ckpt_rep.tail_scan_device_reads);
+      static_cast<double>(ckpt_rep.device_passes.replay);
   const double replay_blocks =
       static_cast<double>(ckpt_rep.checkpoint_replay_blocks);
   if (replay_blocks == 0) {
@@ -231,16 +231,29 @@ void MeasureCheckpointRestart(BenchReport* report) {
               "replay_passes_per_block: %.3f (%.0f passes) "
               "(CI ceilings: 1.0 / 0.5 / 0.1)\n",
               time_ratio, read_ratio, passes_per_block, replay_passes);
+  auto ledger = [](const char* cell, const RecoveryReport::Passes& p) {
+    std::printf("%s restart passes: %" PRIu64 " (head %" PRIu64
+                ", end probes %" PRIu64 ", tail %" PRIu64 ", walk %" PRIu64
+                ", replay %" PRIu64 ")\n",
+                cell, p.total(), p.head, p.end_probes, p.tail, p.walk,
+                p.replay);
+  };
+  ledger("full scan", scan_rep.device_passes);
+  ledger("checkpoint", ckpt_rep.device_passes);
 
   report->AddMean("full_scan", 1, scan_us);
   report->AddCounter("full_scan", "tail_scan_blocks",
                      static_cast<double>(scan_rep.tail_scan_blocks));
   report->AddCounter("full_scan", "device_reads", scan_reads);
+  report->AddCounter("full_scan", "restart_passes",
+                     static_cast<double>(scan_rep.device_passes.total()));
   report->AddMean("checkpoint_restart", 1, ckpt_us);
   report->AddCounter("checkpoint_restart", "replay_blocks",
                      static_cast<double>(ckpt_rep.checkpoint_replay_blocks));
   report->AddCounter("checkpoint_restart", "device_reads", ckpt_reads);
   report->AddCounter("checkpoint_restart", "replay_passes", replay_passes);
+  report->AddCounter("checkpoint_restart", "restart_passes",
+                     static_cast<double>(ckpt_rep.device_passes.total()));
   report->AddCounter("summary", "restart_vs_scan_ratio", time_ratio);
   report->AddCounter("summary", "recovery_read_ratio", read_ratio);
   report->AddCounter("summary", "replay_passes_per_block", passes_per_block);

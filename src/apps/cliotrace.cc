@@ -144,6 +144,8 @@ void PrintStats(const clio::StatsSnapshot& stats) {
               stats.counter("clio.index.misses"),
               stats.counter("clio.index.rebuilds"),
               stats.counter("clio.index.rebuild_readahead_blocks"));
+  std::printf("  recovery: device passes %" PRIu64 "\n",
+              stats.counter("clio.recovery.device_passes"));
   std::printf("  checkpoints: written %" PRIu64 "  restored %" PRIu64
               "  bytes %" PRIu64 "  age %" PRId64 " blocks\n",
               stats.counter("clio.index.checkpoints_written"),

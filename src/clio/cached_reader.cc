@@ -83,6 +83,24 @@ Result<BlockImage> CachedBlockReader::FetchSequential(
   return demanded;
 }
 
+Result<std::span<const std::byte>> CachedBlockReader::ReadRun(
+    uint64_t first, uint64_t count, uint64_t cache_below) {
+  const uint32_t block_bytes = device_->block_size();
+  std::span<std::byte> run = PassBuffer(count * block_bytes);
+  uint64_t got = 1;
+  if (count == 1) {
+    CLIO_RETURN_IF_ERROR(device_->ReadBlock(first, run));
+  } else {
+    CLIO_ASSIGN_OR_RETURN(got, device_->ReadBlocks(first, count, run));
+  }
+  for (uint64_t b = std::max<uint64_t>(first, 1);
+       b < std::min(first + got, cache_below); ++b) {
+    cache_->Admit({cache_device_id_, b},
+                  run.subspan((b - first) * block_bytes, block_bytes));
+  }
+  return std::span<const std::byte>(run.first(got * block_bytes));
+}
+
 void CachedBlockReader::Put(uint64_t block, std::span<const std::byte> image) {
   cache_->Admit({cache_device_id_, block}, image);
 }

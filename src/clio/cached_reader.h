@@ -45,6 +45,16 @@ class CachedBlockReader {
                                      uint32_t readahead, OpStats* stats,
                                      Counter* readahead_counter = nullptr);
 
+  // One planned device pass for recovery's read plan (DESIGN.md §17):
+  // reads [first, first + count) (ReadBlock when count is 1), stopping at
+  // the first block that fails, and admits the blocks read in
+  // [max(first, 1), cache_below) into the cache. Returns the blocks read,
+  // in the calling thread's pass buffer (valid until its next pass); an
+  // error only if `first` itself failed. Charges no stats or counters:
+  // the caller keeps the pass ledger.
+  Result<std::span<const std::byte>> ReadRun(uint64_t first, uint64_t count,
+                                             uint64_t cache_below);
+
   // Caches a freshly burned block image (write path keeps the cache warm,
   // mirroring the paper's observation that recent data is read from cache).
   void Put(uint64_t block, std::span<const std::byte> image);

@@ -223,7 +223,8 @@ Result<std::unique_ptr<LogService>> LogService::Create(
 
 Result<std::unique_ptr<LogService>> LogService::Recover(
     std::vector<std::unique_ptr<WormDevice>> devices, TimeSource* clock,
-    const LogServiceOptions& options, RecoveryReport* report) {
+    const LogServiceOptions& options, RecoveryReport* report,
+    std::optional<uint32_t> lane) {
   if (devices.empty()) {
     return InvalidArgument("recover requires at least one volume device");
   }
@@ -243,6 +244,7 @@ Result<std::unique_ptr<LogService>> LogService::Recover(
     }
   }
   uint64_t sequence_id = 0;
+  RecoveryReport::Passes passes;
   for (size_t i = 0; i < devices.size(); ++i) {
     bool writable = i + 1 == devices.size();
     RecoveryReport volume_report;
@@ -265,16 +267,17 @@ Result<std::unique_ptr<LogService>> LogService::Recover(
       return Corrupt("volume " + std::to_string(i) +
                      " belongs to a different volume sequence");
     }
+    passes += volume_report.device_passes;
     if (report != nullptr) {
       report->end_location_reads += volume_report.end_location_reads;
       report->tail_scan_blocks += volume_report.tail_scan_blocks;
-      report->tail_scan_device_reads += volume_report.tail_scan_device_reads;
       report->catalog_replay_blocks += volume_report.catalog_replay_blocks;
       report->invalidated_blocks += volume_report.invalidated_blocks;
       report->restored_nvram_tail |= volume_report.restored_nvram_tail;
       report->restored_checkpoint |= volume_report.restored_checkpoint;
       report->checkpoint_replay_blocks +=
           volume_report.checkpoint_replay_blocks;
+      report->device_passes += volume_report.device_passes;
     }
     if (volume_report.restored_checkpoint) {
       static Counter* restored =
@@ -291,6 +294,9 @@ Result<std::unique_ptr<LogService>> LogService::Recover(
     service->volume_slots_.emplace_back(service->volumes_.back().get());
     service->devices_.push_back(std::move(devices[i]));
   }
+  ObsRegistry()
+      .counter(LaneMetricName("clio.recovery.device_passes", lane))
+      ->Increment(passes.total());
   // Timestamps must stay unique across the reboot (§2.1): floor the clock
   // at the largest timestamp found on media.
   Timestamp max_ts = 0;

@@ -100,10 +100,14 @@ class LogService {
       const LogServiceOptions& options);
 
   // Re-opens an existing sequence after a crash or restart. `devices` must
-  // hold the sequence's volumes in order. Runs the §2.3.1 recovery on each.
+  // hold the sequence's volumes in order. Runs the §2.3.1 recovery on each
+  // and records its device passes into clio.recovery.device_passes on
+  // `lane` (LaneMetricName): the partition a PartitionedLogService will
+  // assign the service, nullopt for a standalone one.
   static Result<std::unique_ptr<LogService>> Recover(
       std::vector<std::unique_ptr<WormDevice>> devices, TimeSource* clock,
-      const LogServiceOptions& options, RecoveryReport* report);
+      const LogServiceOptions& options, RecoveryReport* report,
+      std::optional<uint32_t> lane = std::nullopt);
 
   ~LogService();
 

@@ -23,6 +23,14 @@ bool AnyBitSet(const Bytes& bitmap) {
                      [](std::byte b) { return b != std::byte{0}; });
 }
 
+// Read-ahead of bulk internal reads (index rebuild, recovery), kept apart
+// from the demand path's clio.cache.readahead_blocks.
+Counter* RebuildReadaheadCounter() {
+  static Counter* counter =
+      ObsRegistry().counter("clio.index.rebuild_readahead_blocks");
+  return counter;
+}
+
 }  // namespace
 
 LogVolume::LogVolume(WormDevice* device, BlockCache* cache,
@@ -82,18 +90,23 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Format(
   return volume;
 }
 
-Result<uint64_t> LogVolume::LocateEnd(WormDevice* device, OpStats* stats) {
-  Bytes scratch(device->block_size());
+Result<uint64_t> LogVolume::LocateEnd(uint64_t head_end, uint64_t* examined,
+                                      RecoveryReport::Passes* passes) {
+  const uint64_t capacity = device_->capacity_blocks();
+  const uint64_t window = uint64_t{readahead_blocks_} + 1;
+  // One pass: the blocks of [first, first + count) read before the first
+  // one that failed.
+  auto run = [&](uint64_t first, uint64_t count, uint64_t cache_below) {
+    auto read = blocks_.ReadRun(first, count, cache_below);
+    return read.ok() ? read.value().size() / device_->block_size() : 0;
+  };
   auto written = [&](uint64_t index) {
-    if (stats != nullptr) {
-      ++stats->blocks_read;
-      ++stats->device_reads;
-    }
-    Status st = device->ReadBlock(index, scratch);
-    return st.ok();
+    ++*examined;
+    ++passes->end_probes;
+    return run(index, 1, /*cache_below=*/0) == 1;
   };
   uint64_t lo;
-  auto query = device->QueryEnd();
+  auto query = device_->QueryEnd();
   if (query.ok()) {
     // Trust but verify: a device end query may under-report (the paper
     // only promises the end "can be found"; the search below is the
@@ -103,10 +116,11 @@ Result<uint64_t> LogVolume::LocateEnd(WormDevice* device, OpStats* stats) {
     lo = query.value();
   } else {
     // Binary search for the first never-written block (§2.3.1: "binary
-    // search is used", §3.4: cost log2 V).
+    // search is used", §3.4: cost log2 V), finishing with one pass over
+    // its last window of candidates.
     lo = 0;
-    uint64_t hi = device->capacity_blocks();
-    while (lo < hi) {
+    uint64_t hi = capacity;
+    while (hi - lo > window) {
       uint64_t mid = lo + (hi - lo) / 2;
       if (written(mid)) {
         lo = mid + 1;
@@ -114,17 +128,46 @@ Result<uint64_t> LogVolume::LocateEnd(WormDevice* device, OpStats* stats) {
         hi = mid;
       }
     }
+    if (lo < hi) {
+      ++passes->end_probes;
+      const uint64_t got = run(lo, hi - lo, /*cache_below=*/0);
+      *examined += std::min(got + 1, hi - lo);
+      lo += got;
+    }
+  }
+  // The tail pass: [lo - W, lo] in one read, caching what lies below lo
+  // (the header pass already holds [1, head_end)). It ends exactly at lo
+  // when lo is unwritten, which makes it end probe 0.
+  uint64_t end = lo;
+  int probe = 0;
+  const uint64_t first =
+      std::max(lo > readahead_blocks_ ? lo - readahead_blocks_ : 0,
+               std::min(head_end, lo));
+  const uint64_t count = std::min(lo + 1, capacity) - first;
+  if (count > 0) {
+    ++passes->tail;
+    const uint64_t reached = first + run(first, count, /*cache_below=*/lo);
+    if (reached >= lo && lo < capacity) {
+      ++*examined;
+      probe = 1;  // probe 0 failed at lo
+      if (reached > lo) {
+        end = lo + 1;  // probe 0 found lo written
+        probe = 0;
+      }
+    }
   }
   // Wild writes may have deposited readable garbage just past the frontier;
   // absorb nearby islands so they end up inside the recovered region.
-  uint64_t end = lo;
-  for (int probe = 0; probe < kMaxDisplacementProbes &&
-                      end + probe < device->capacity_blocks();
-       ++probe) {
+  for (; probe < kMaxDisplacementProbes && end + probe < capacity; ++probe) {
     if (written(end + probe)) {
       end = end + probe + 1;
       probe = -1;  // restart the window after the island
     }
+  }
+  // A header-pass block the probes then failed to read (a transient
+  // fault) lies past the end: it must not stay cached.
+  for (uint64_t b = end; b < head_end; ++b) {
+    blocks_.Evict(b);
   }
   return end;
 }
@@ -134,34 +177,48 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
     Catalog* catalog, TimeSource* clock, NvramTail* nvram, bool writable,
     uint32_t readahead_blocks, RecoveryReport* report, bool replay_catalog,
     CheckpointState* checkpoint) {
-  // Step 0: the volume header fixes geometry for everything below.
-  Bytes header_block(device->block_size());
-  CLIO_RETURN_IF_ERROR(device->ReadBlock(0, header_block));
+  // Step 0: the volume header fixes geometry for everything below. Its
+  // pass also reads [1, W] into the cache: the catalog walk starts at
+  // block 1, and the first entrymap nodes sit there.
+  RecoveryReport::Passes passes;
+  passes.head = 1;
+  CachedBlockReader head_reader(device, cache, cache_device_id);
+  CLIO_ASSIGN_OR_RETURN(
+      std::span<const std::byte> head,
+      head_reader.ReadRun(
+          0,
+          std::clamp<uint64_t>(device->capacity_blocks(), 1,
+                               uint64_t{readahead_blocks} + 1),
+          /*cache_below=*/UINT64_MAX));
+  const uint64_t head_end = head.size() / device->block_size();
+  Bytes header_block(head.begin(), head.begin() + device->block_size());
   CLIO_ASSIGN_OR_RETURN(VolumeHeader header,
                         VolumeHeader::Decode(header_block));
 
   std::unique_ptr<LogVolume> volume(new LogVolume(
       device, cache, cache_device_id, catalog, clock, header,
       readahead_blocks));
+  volume->recovering_ = true;
 
   // Step 1: locate the end of the written portion.
-  OpStats end_stats;
-  CLIO_ASSIGN_OR_RETURN(uint64_t end, LocateEnd(device, &end_stats));
+  uint64_t examined = 0;
+  CLIO_ASSIGN_OR_RETURN(uint64_t end,
+                        volume->LocateEnd(head_end, &examined, &passes));
   if (end == 0) {
     return Corrupt("volume has a header but reports no written blocks");
   }
   volume->end_block_ = end;
   if (report != nullptr) {
-    report->end_location_reads = end_stats.blocks_read;
+    report->end_location_reads = examined;
   }
 
   // Step 1b: a crash can leave torn garbage in the trailing blocks;
   // invalidate such blocks so every reader skips them (§2.3.2).
+  OpStats checks;
   std::vector<uint64_t> torn;
   for (uint64_t b = end; b > 1 && end - b < kMaxDisplacementProbes;) {
     --b;
-    OpStats ignore;
-    auto parsed = volume->GetBlock(b, &ignore);
+    auto parsed = volume->GetBlock(b, &checks);
     if (parsed.ok() ||
         parsed.status().code() == StatusCode::kInvalidated) {
       break;
@@ -177,8 +234,7 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
   // Step 1c: was the volume sealed? (Look at the last parseable block.)
   for (uint64_t b = end; b > 1 && end - b < kMaxDisplacementProbes;) {
     --b;
-    OpStats ignore;
-    auto parsed = volume->GetBlock(b, &ignore);
+    auto parsed = volume->GetBlock(b, &checks);
     if (parsed.ok()) {
       volume->sealed_ = parsed.value().volume_sealed();
       break;
@@ -196,8 +252,7 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
     std::optional<uint64_t> acc;
     for (uint64_t b = end; b > 1 && !acc.has_value();) {
       --b;
-      OpStats ignore;
-      auto parsed = volume->GetBlock(b, &ignore);
+      auto parsed = volume->GetBlock(b, &checks);
       if (parsed.ok() && parsed.value().chain_tag().has_value()) {
         acc = AdvanceChainTag(*parsed.value().chain_tag(),
                               ChainBlockCommit(parsed.value()));
@@ -205,6 +260,7 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
     }
     volume->chain_head_tag_ = acc.value_or(volume->chain_seed_);
   }
+  passes.walk += checks.device_reads;
 
   // Steps 2 + 3: catalog replay and entrymap-tail reconstruction — from
   // the NVRAM checkpoint when one applies (replay only the suffix past
@@ -220,13 +276,13 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
     auto restored = volume->TryRestoreFromCheckpoint(checkpoint, end,
                                                      &accumulator,
                                                      &replay_stats);
+    passes.replay += replay_stats.device_reads;
     if (restored.ok() && restored.value()) {
       from_checkpoint = true;
       if (report != nullptr) {
         report->restored_checkpoint = true;
         report->checkpoint_replay_blocks = end - checkpoint->covered_end;
         report->tail_scan_blocks = replay_stats.blocks_read;
-        report->tail_scan_device_reads = replay_stats.device_reads;
       }
     } else {
       // A partial restore may have imported pending nodes; start over.
@@ -246,10 +302,15 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
         volume->RebuildAccumulator(&accumulator, &tail_stats));
     if (report != nullptr) {
       report->tail_scan_blocks = tail_stats.blocks_read;
-      report->tail_scan_device_reads = tail_stats.device_reads;
     }
     OpStats ts_stats;
     CLIO_RETURN_IF_ERROR(volume->ComputeRecoveredMaxTimestamp(&ts_stats));
+    passes.walk += catalog_stats.device_reads + ts_stats.device_reads;
+    passes.replay += tail_stats.device_reads;
+  }
+  volume->recovering_ = false;
+  if (report != nullptr) {
+    report->device_passes = passes;
   }
 
   // Step 4: restore the NVRAM-staged tail block, if it is current.
@@ -470,10 +531,8 @@ Result<ParsedBlock> LogVolume::ScanBlock(uint64_t block, uint64_t limit,
   if (catalog_->IsQuarantined(header_.volume_index, block)) {
     return Corrupt("quarantined block " + std::to_string(block));
   }
-  static Counter* rebuild_readahead =
-      ObsRegistry().counter("clio.index.rebuild_readahead_blocks");
   auto image = blocks_.FetchSequential(block, limit, readahead_blocks_, stats,
-                                       rebuild_readahead);
+                                       RebuildReadaheadCounter());
   if (!image.ok()) {
     return image.status();
   }
@@ -715,18 +774,23 @@ Result<ParsedBlock> LogVolume::GetBlock(uint64_t block, OpStats* stats,
   // memory above and unburned blocks would fail the device read. The
   // index ends the pass at the scanned file's last block in the window,
   // so blocks holding only other files are not read (DESIGN.md §12).
+  // During recovery every miss reads the whole window: the walk's
+  // entrymap nodes and catalog blocks lie ahead of it (DESIGN.md §17).
   uint64_t limit = block + 1;
-  if (scanned.has_value() && readahead_blocks_ > 0) {
+  if ((scanned.has_value() || recovering_) && readahead_blocks_ > 0) {
     limit = std::min<uint64_t>(block + readahead_blocks_ + 1, end_block());
-    if (const ExtentIndex* idx = PlanningIndex(*scanned, block, limit)) {
+    const ExtentIndex* idx =
+        scanned.has_value() ? PlanningIndex(*scanned, block, limit) : nullptr;
+    if (idx != nullptr) {
       ExtentIndex::Lookup last = idx->PrevBlockWith(*scanned, limit);
       if (last.authoritative) {
         limit = std::max(last.block.value_or(block), block) + 1;
       }
     }
   }
-  auto image =
-      blocks_.FetchSequential(block, limit, readahead_blocks_, stats);
+  auto image = blocks_.FetchSequential(
+      block, limit, readahead_blocks_, stats,
+      recovering_ ? RebuildReadaheadCounter() : nullptr);
   if (!image.ok()) {
     return image.status();
   }

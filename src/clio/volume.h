@@ -15,8 +15,10 @@
 //  - Open() performs the §2.3.1/§3.4 recovery: locate the end of the
 //    written portion (device query, else binary search), replay the catalog
 //    log, reconstruct the un-logged tail of the entrymap accumulators, and
-//    restore any NVRAM-staged tail block. Its contiguous scans read in
-//    read-ahead passes, so a restart costs device passes, not blocks.
+//    restore any NVRAM-staged tail block. It reads by plan: one pass for
+//    the header window, one for the tail window, the end probes, and
+//    read-ahead passes for the rest, so a restart costs device passes,
+//    not blocks (DESIGN.md §17).
 //
 // Entrymap information is treated as what the paper says it is — a
 // redundant cache: a missing or displaced entrymap entry degrades searches
@@ -50,11 +52,10 @@ namespace clio {
 
 // What Open() did, for the Figure-4 initialization experiments.
 struct RecoveryReport {
-  uint64_t end_location_reads = 0;   // step 1: finding the written end
+  // Step 1: blocks examined while finding the written end (the binary
+  // search, when the device cannot report its end, plus the end probes).
+  uint64_t end_location_reads = 0;
   uint64_t tail_scan_blocks = 0;     // step 2: entrymap reconstruction
-  // Device passes step 2 (or the checkpoint replay) took: with read-ahead
-  // one pass fetches up to readahead_blocks + 1 contiguous blocks.
-  uint64_t tail_scan_device_reads = 0;
   uint64_t catalog_replay_blocks = 0;  // step 3 (approximate: via OpStats)
   uint64_t invalidated_blocks = 0;   // trailing garbage burned to 1s
   bool restored_nvram_tail = false;
@@ -62,6 +63,29 @@ struct RecoveryReport {
   // accepted and only [checkpoint.covered_end, end) was replayed.
   bool restored_checkpoint = false;
   uint64_t checkpoint_replay_blocks = 0;
+
+  // Every device read call Open made, failed probes included, by step of
+  // the read plan (DESIGN.md §17). A restart costs passes, not blocks.
+  struct Passes {
+    uint64_t head = 0;        // the header window [0, W]
+    uint64_t end_probes = 0;  // binary search and the end probes past `lo`
+    uint64_t tail = 0;        // the tail window, which is end probe 0
+    uint64_t walk = 0;        // tail checks, catalog walk, max timestamp
+    // Step 2, the entrymap tail rebuild, or the checkpoint replay (an
+    // abandoned one included): up to W + 1 contiguous blocks per pass.
+    uint64_t replay = 0;
+
+    uint64_t total() const { return head + end_probes + tail + walk + replay; }
+    Passes& operator+=(const Passes& o) {
+      head += o.head;
+      end_probes += o.end_probes;
+      tail += o.tail;
+      walk += o.walk;
+      replay += o.replay;
+      return *this;
+    }
+  };
+  Passes device_passes;
 };
 
 class LogVolume {
@@ -96,10 +120,12 @@ class LogVolume {
   // [checkpoint->covered_end, end) instead of the full §3.4 scan. A stale
   // or unusable checkpoint silently falls back to the scan.
   //
-  // `readahead_blocks` is the volume's read-ahead depth, in force from the
-  // start: recovery's contiguous scans (the checkpoint replay and the
-  // level-1 tail scan) read up to readahead_blocks + 1 blocks per device
-  // pass, never past the recovered end. 0 reads one block per pass.
+  // `readahead_blocks` (W) is the volume's read-ahead depth, in force from
+  // the start, and recovery reads by plan with it (DESIGN.md §17): the
+  // header pass reads [0, W], the end search's tail pass reads
+  // [lo - W, lo] where lo is the device's reported end, and every other
+  // recovery fetch that misses the cache reads up to W + 1 blocks ahead,
+  // never past the recovered end. 0 reads one block per pass.
   static Result<std::unique_ptr<LogVolume>> Open(
       WormDevice* device, BlockCache* cache, uint64_t cache_device_id,
       Catalog* catalog, TimeSource* clock, NvramTail* nvram, bool writable,
@@ -243,8 +269,11 @@ class LogVolume {
             Catalog* catalog, TimeSource* clock, const VolumeHeader& header,
             uint32_t readahead_blocks);
 
-  // Recovery steps (§3.4).
-  static Result<uint64_t> LocateEnd(WormDevice* device, OpStats* stats);
+  // Recovery steps (§3.4). LocateEnd finds the written end after the
+  // header pass cached [1, head_end); it reports the blocks it examined
+  // and its passes.
+  Result<uint64_t> LocateEnd(uint64_t head_end, uint64_t* examined,
+                             RecoveryReport::Passes* passes);
   Status ReplayCatalog(OpStats* stats);
   Status RebuildAccumulator(EntrymapAccumulator* acc, OpStats* stats);
   Status ComputeRecoveredMaxTimestamp(OpStats* stats);
@@ -321,6 +350,8 @@ class LogVolume {
   bool accumulator_ready_ = false;
   uint64_t end_block_ = 1;  // burned end for read-only volumes
   const uint32_t readahead_blocks_;
+  // Set while Open() runs: a cache miss then reads ahead like a scan.
+  bool recovering_ = false;
   bool sealed_ = false;
   Timestamp recovered_max_timestamp_ = 0;
   std::optional<uint64_t> chain_head_tag_;  // read-only chained volumes

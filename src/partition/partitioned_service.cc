@@ -71,7 +71,8 @@ Result<std::unique_ptr<PartitionedLogService>> PartitionedLogService::Recover(
     RecoveryReport report;
     CLIO_ASSIGN_OR_RETURN(
         auto part,
-        LogService::Recover(std::move(devices[p]), clock, o, &report));
+        LogService::Recover(std::move(devices[p]), clock, o, &report,
+                            /*lane=*/static_cast<uint32_t>(p)));
     if (reports != nullptr) {
       reports->push_back(report);
     }

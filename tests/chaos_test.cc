@@ -117,11 +117,39 @@ FaultPolicy FlakyMediaPolicy() {
 // staged-not-durable dedup state.
 FaultPolicy PowerCutPolicy() {
   FaultPolicy policy;
-  // Low enough that a serving window trips it even when instrumentation
-  // (TSan) slows the append rate to a crawl.
+  // A power-cut generation serves until the cut has tripped
+  // (ServeGeneration); a low count keeps that wait short when
+  // instrumentation (TSan) slows the append rate to a crawl.
   policy.power_cut_after_appends = 6;
   policy.torn_write_at_power_cut = true;
   return policy;
+}
+
+// Serves one generation for at least 40 ms, reviving every injector whose
+// scheduled power cut trips. A power-cut generation serves on until its
+// cut has tripped and been revived, so a slow (sanitized) build cannot end
+// the window before the cut; the cap only bounds a generation that never
+// trips, which the caller then reports. Returns the revives.
+uint64_t ServeGeneration(
+    const std::vector<FaultInjectingWormDevice*>& injectors,
+    bool await_power_cut) {
+  const auto start = std::chrono::steady_clock::now();
+  uint64_t revives = 0;
+  for (;;) {
+    const auto served = std::chrono::steady_clock::now() - start;
+    if (served >= std::chrono::seconds(20) ||
+        (served >= std::chrono::milliseconds(40) &&
+         (!await_power_cut || revives > 0))) {
+      return revives;
+    }
+    for (FaultInjectingWormDevice* injector : injectors) {
+      if (injector != nullptr && injector->powered_off()) {
+        injector->Revive();
+        ++revives;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+  }
 }
 
 class ChaosTest : public ::testing::Test {
@@ -346,18 +374,16 @@ TEST_F(ChaosTest, CrashRestartLoopKeepsAckedAppendsExactlyOnce) {
                        &entries_read);
 
   uint64_t revives = 0;
+  bool power_cut = false;  // the serving generation runs PowerCutPolicy
+  int power_cut_generations = 0;
+  int tripped_generations = 0;
   for (int iteration = 0; iteration < kIterations; ++iteration) {
-    // Serve under the iteration's fault policy for a window, reviving the
-    // device whenever a scheduled power cut trips.
-    auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(40);
-    while (std::chrono::steady_clock::now() < deadline) {
-      if (injector_ != nullptr && injector_->powered_off()) {
-        injector_->Revive();
-        ++revives;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(3));
-    }
+    // Serve under the iteration's fault policy, reviving the device
+    // whenever a scheduled power cut trips.
+    const uint64_t revived = ServeGeneration({injector_}, power_cut);
+    revives += revived;
+    power_cut_generations += power_cut;
+    tripped_generations += power_cut && revived > 0;
 
     KillServer();
     // Snapshot AFTER the kill: the server is down, so no new acks can
@@ -367,6 +393,7 @@ TEST_F(ChaosTest, CrashRestartLoopKeepsAckedAppendsExactlyOnce) {
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
 
     const int mode = (iteration + 1) % 3;
+    power_cut = mode == 2;
     StartGeneration(mode == 1   ? FlakyMediaPolicy()
                     : mode == 2 ? PowerCutPolicy()
                                 : CleanPolicy(),
@@ -385,11 +412,13 @@ TEST_F(ChaosTest, CrashRestartLoopKeepsAckedAppendsExactlyOnce) {
   AuditMedia(acked, kIterations);
 
   // The harness really exercised what it claims: traffic flowed, crashes
-  // happened every iteration, the reader made progress, and at least one
-  // scheduled power cut tripped and was ridden through.
+  // happened every iteration, the reader made progress, and the scheduled
+  // power cut tripped and was ridden through in every power-cut generation.
   EXPECT_GT(acked.size(), 100u);
   EXPECT_GT(entries_read.load(), 0u);
-  EXPECT_GE(revives, 1u);
+  EXPECT_GT(power_cut_generations, 0);
+  EXPECT_EQ(tripped_generations, power_cut_generations);
+  EXPECT_GE(revives, static_cast<uint64_t>(power_cut_generations));
   // Failures are legal (an outage can outlast a retry budget) but should
   // be the exception, not the rule.
   EXPECT_LT(append_failures.load(), acked.size());
@@ -730,24 +759,21 @@ TEST_F(PartitionedChaosTest, RotatingPartitionFaultsKeepAcksExactlyOnce) {
                        &entries_read);
 
   uint64_t revives = 0;
+  bool power_cut = false;  // the faulty partition runs PowerCutPolicy
+  int power_cut_generations = 0;
+  int tripped_generations = 0;
   for (int iteration = 0; iteration < kIterations; ++iteration) {
-    auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(40);
-    while (std::chrono::steady_clock::now() < deadline) {
-      for (FaultInjectingWormDevice* injector : injectors_) {
-        if (injector != nullptr && injector->powered_off()) {
-          injector->Revive();
-          ++revives;
-        }
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(3));
-    }
+    const uint64_t revived = ServeGeneration(injectors_, power_cut);
+    revives += revived;
+    power_cut_generations += power_cut;
+    tripped_generations += power_cut && revived > 0;
 
     KillServer();
     AuditMedia(journal.Snapshot(), iteration);
     ASSERT_FALSE(::testing::Test::HasFatalFailure());
 
     const int mode = (iteration + 1) % 3;
+    power_cut = mode == 2;
     StartGeneration(mode == 1   ? FlakyMediaPolicy()
                     : mode == 2 ? PowerCutPolicy()
                                 : CleanPolicy(),
@@ -767,7 +793,9 @@ TEST_F(PartitionedChaosTest, RotatingPartitionFaultsKeepAcksExactlyOnce) {
 
   EXPECT_GT(acked.size(), 100u);
   EXPECT_GT(entries_read.load(), 0u);
-  EXPECT_GE(revives, 1u);
+  EXPECT_GT(power_cut_generations, 0);
+  EXPECT_EQ(tripped_generations, power_cut_generations);
+  EXPECT_GE(revives, static_cast<uint64_t>(power_cut_generations));
   EXPECT_LT(append_failures.load(), acked.size());
 }
 

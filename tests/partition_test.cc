@@ -306,8 +306,18 @@ TEST(PartitionedService, RecoveryRebuildsRoutesAndData) {
   fx.Crash();
 
   std::vector<RecoveryReport> reports;
+  const StatsSnapshot before = ObsRegistry().Snapshot();
   ASSERT_OK_AND_ASSIGN(auto recovered, fx.Recover(&reports));
   EXPECT_EQ(reports.size(), 3u);
+  // Each partition's restart passes record once, into its own lane.
+  const StatsSnapshot after = ObsRegistry().Snapshot();
+  for (uint32_t p = 0; p < reports.size(); ++p) {
+    const std::string lane = LaneMetricName("clio.recovery.device_passes", p);
+    EXPECT_GT(reports[p].device_passes.total(), 0u);
+    EXPECT_EQ(after.counter(lane) - before.counter(lane),
+              reports[p].device_passes.total())
+        << lane;
+  }
   // Routes come back from the catalogs — including the mirrored ancestor's
   // original home.
   EXPECT_EQ(recovered->RouteOf("/mail"), std::optional<uint32_t>(0));

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -712,11 +713,11 @@ TEST(Recovery, CheckpointReplayReadsInPassesAndRecoversTheSameState) {
   EXPECT_EQ(on.report.invalidated_blocks, 1u);
 
   // At the default depth each pass fetches up to depth + 1 blocks.
-  EXPECT_LE(on.report.tail_scan_device_reads, (r + depth) / (depth + 1) + 1);
+  EXPECT_LE(on.report.device_passes.replay, (r + depth) / (depth + 1) + 1);
   // With read-ahead off every block is its own pass, except three: the
   // quarantined block is never read, and the torn-tail and seal checks
   // that run before the replay left the last two blocks in the cache.
-  EXPECT_EQ(off.report.tail_scan_device_reads, r - 3);
+  EXPECT_EQ(off.report.device_passes.replay, r - 3);
 
   // Same report block counts.
   EXPECT_EQ(on.report.end_location_reads, off.report.end_location_reads);
@@ -786,6 +787,237 @@ TEST(Recovery, CheckpointReplayReadsInPassesAndRecoversTheSameState) {
     }
   }
   EXPECT_GT(failed_reads, 0);  // some read crossed the quarantined block
+}
+
+// -- Restart by read plan (DESIGN.md §17) --
+
+// One device read call: ReadBlock(first) has count 1.
+struct ReadCall {
+  uint64_t first = 0;
+  uint64_t count = 0;
+  bool operator==(const ReadCall&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const ReadCall& c) {
+  return os << "[" << c.first << "+" << c.count << "]";
+}
+
+// A borrowed device that logs every read call into `calls`. ReadBlocks is
+// one call, as on a device whose pass is one seek. QueryEnd reports
+// `end_shortfall` blocks short, or is unsupported when `query_end` is off.
+class PassLogDevice : public testing::BorrowedDevice {
+ public:
+  PassLogDevice(MemoryWormDevice* media, std::vector<ReadCall>* calls,
+                bool query_end, uint64_t end_shortfall)
+      : BorrowedDevice(media),
+        media_(media),
+        calls_(calls),
+        query_end_(query_end),
+        end_shortfall_(end_shortfall) {}
+
+  Status ReadBlock(uint64_t i, std::span<std::byte> out) override {
+    calls_->push_back({i, 1});
+    return media_->ReadBlock(i, out);
+  }
+  Result<uint64_t> ReadBlocks(uint64_t first, uint64_t count,
+                              std::span<std::byte> out) override {
+    calls_->push_back({first, count});
+    return media_->ReadBlocks(first, count, out);
+  }
+  Result<uint64_t> QueryEnd() override {
+    if (!query_end_) {
+      return Unimplemented("no end query");
+    }
+    CLIO_ASSIGN_OR_RETURN(uint64_t end, media_->QueryEnd());
+    return end - std::min(end, end_shortfall_);
+  }
+
+ private:
+  MemoryWormDevice* media_;
+  std::vector<ReadCall>* calls_;
+  bool query_end_;
+  uint64_t end_shortfall_;
+};
+
+// The `commit` shape: 1 KiB blocks, degree 16, no NVRAM, so every forced
+// append burns its own block; appends stop once `end` blocks are burned.
+struct PlanRig {
+  std::unique_ptr<MemoryWormDevice> media;
+  SimulatedClock clock{1'000'000, 7};
+  LogServiceOptions options;
+  std::vector<std::string> wrote;
+
+  explicit PlanRig(uint64_t end) {
+    MemoryWormOptions dev;
+    dev.block_size = 1024;
+    dev.capacity_blocks = 4096;
+    media = std::make_unique<MemoryWormDevice>(dev);
+    auto service = LogService::Create(
+        std::make_unique<testing::BorrowedDevice>(media.get()), &clock,
+        options);
+    EXPECT_OK(service.status());
+    EXPECT_OK(service.value()->CreateLogFile("/c").status());
+    WriteOptions forced;
+    forced.force = true;
+    while (media->frontier() < end) {
+      wrote.push_back("e" + std::to_string(wrote.size()));
+      EXPECT_OK(
+          service.value()->Append("/c", AsBytes(wrote.back()), forced)
+              .status());
+    }
+    EXPECT_EQ(media->frontier(), end);
+  }
+
+  // Recovers at read-ahead depth `readahead`, logging Open's read calls.
+  std::unique_ptr<LogService> Recover(uint32_t readahead,
+                                      std::vector<ReadCall>* calls,
+                                      RecoveryReport* report,
+                                      bool query_end = true,
+                                      uint64_t end_shortfall = 0) {
+    LogServiceOptions o = options;
+    o.readahead_blocks = readahead;
+    std::vector<std::unique_ptr<WormDevice>> devices;
+    devices.push_back(std::make_unique<PassLogDevice>(
+        media.get(), calls, query_end, end_shortfall));
+    auto recovered = LogService::Recover(std::move(devices), &clock, o,
+                                         report);
+    EXPECT_OK(recovered.status());
+    return recovered.ok() ? std::move(recovered).value() : nullptr;
+  }
+};
+
+TEST(RestartPlan, CommitShapedVolumeRestartsInEighteenPasses) {
+  PlanRig rig(101);
+  const uint32_t depth = LogServiceOptions{}.readahead_blocks;
+  ASSERT_EQ(depth, 32u);
+  std::vector<ReadCall> calls;
+  RecoveryReport report;
+  Counter* recorded = ObsRegistry().counter("clio.recovery.device_passes");
+  const uint64_t recorded_before = recorded->value();
+  auto service = rig.Recover(depth, &calls, &report);
+  ASSERT_NE(service, nullptr);
+  EXPECT_EQ(recorded->value() - recorded_before, 18u);
+  // Head [0, 33); tail [69, 101] stopping at 101 (end probe 0); probes
+  // 102..116; one walk pass from entrymap node 48 covers 48, 64 and 80.
+  std::vector<ReadCall> want = {{0, 33}, {69, 33}};
+  for (uint64_t b = 102; b <= 116; ++b) {
+    want.push_back({b, 1});
+  }
+  want.push_back({48, 33});
+  EXPECT_EQ(calls, want);
+  EXPECT_EQ(report.device_passes.head, 1u);
+  EXPECT_EQ(report.device_passes.tail, 1u);
+  EXPECT_EQ(report.device_passes.end_probes, 15u);
+  EXPECT_EQ(report.device_passes.walk, 1u);
+  EXPECT_EQ(report.device_passes.replay, 0u);
+  EXPECT_EQ(report.device_passes.total(), 18u);
+  EXPECT_EQ(report.end_location_reads, 16u);  // blocks past the end
+  EXPECT_EQ(ReadAll(service.get(), "/c"), rig.wrote);
+}
+
+// At depth 0 the plan degenerates to one block per call, in exactly the
+// order recovery read before the plan existed.
+TEST(RestartPlan, DepthZeroKeepsTheBlockByBlockSequence) {
+  PlanRig rig(101);
+  std::vector<ReadCall> calls;
+  RecoveryReport report;
+  auto service = rig.Recover(/*readahead=*/0, &calls, &report);
+  ASSERT_NE(service, nullptr);
+  std::vector<ReadCall> want = {{0, 1}};
+  for (uint64_t b = 101; b <= 116; ++b) {
+    want.push_back({b, 1});  // end probes, 101 first
+  }
+  // The torn-tail check at 100; the catalog walk's entrymap nodes 16..96
+  // and block 1; the walk's unindexed tail 97..99.
+  for (uint64_t b : {100, 16, 1, 32, 48, 64, 80, 96, 97, 98, 99}) {
+    want.push_back({b, 1});
+  }
+  EXPECT_EQ(calls, want);
+  EXPECT_EQ(report.device_passes.total(), 28u);
+  EXPECT_EQ(report.device_passes.total(), calls.size());
+  EXPECT_EQ(report.end_location_reads, 16u);
+  EXPECT_EQ(ReadAll(service.get(), "/c"), rig.wrote);
+}
+
+// Wild writes just past the end are still absorbed with the tail pass
+// standing in for end probe 0, at the far edge of the probe window too.
+// The end query reports the frontier, so only the probes find the island.
+// Recovery invalidates the gap, so every case starts from fresh media.
+TEST(RestartPlan, IslandsPastTheEndAreAbsorbed) {
+  for (uint64_t offset : {1u, 15u}) {
+    for (uint32_t depth : {32u, 0u}) {
+      SCOPED_TRACE("island at end + " + std::to_string(offset) +
+                   ", depth " + std::to_string(depth));
+      PlanRig rig(101);
+      Rng rng(offset);
+      rig.media->Scribble(101 + offset, RandomPayload(&rng, 1024));
+      std::vector<ReadCall> calls;
+      RecoveryReport report;
+      auto service = rig.Recover(depth, &calls, &report, /*query_end=*/true,
+                                 /*end_shortfall=*/offset + 1);
+      ASSERT_NE(service, nullptr);
+      EXPECT_EQ(service->current_volume()->end_block(), 101 + offset + 1);
+      // The island and the gap before it, up to the torn-tail window.
+      EXPECT_EQ(report.invalidated_blocks, std::min<uint64_t>(offset + 1, 16));
+      EXPECT_EQ(report.device_passes.total(), calls.size());
+      EXPECT_EQ(ReadAll(service.get(), "/c"), rig.wrote);
+    }
+  }
+}
+
+// A QueryEnd that under-reports by 1..8 blocks, on media whose end is
+// followed by a 3-block gap and an island, recovers the end the binary
+// search recovers. Each recovery starts from fresh media.
+TEST(RestartPlan, ShortEndQueryAcrossAGapMatchesBinarySearch) {
+  auto recover = [](bool query_end, uint64_t shortfall,
+                    RecoveryReport* report) {
+    PlanRig rig(101);
+    Rng rng(7);
+    rig.media->Scribble(104, RandomPayload(&rng, 1024));
+    std::vector<ReadCall> calls;
+    auto service = rig.Recover(32, &calls, report, query_end, shortfall);
+    if (service == nullptr) {
+      return uint64_t{0};
+    }
+    EXPECT_EQ(report->device_passes.total(), calls.size());
+    EXPECT_EQ(ReadAll(service.get(), "/c"), rig.wrote);
+    return service->current_volume()->end_block();
+  };
+  RecoveryReport searched;
+  const uint64_t end = recover(/*query_end=*/false, 0, &searched);
+  EXPECT_EQ(end, 105u);
+  EXPECT_EQ(searched.invalidated_blocks, 4u);  // 101..103 and the island
+  for (uint64_t shortfall = 1; shortfall <= 8; ++shortfall) {
+    SCOPED_TRACE("end query short by " + std::to_string(shortfall));
+    RecoveryReport report;
+    EXPECT_EQ(recover(/*query_end=*/true, shortfall, &report), end);
+    EXPECT_EQ(report.invalidated_blocks, searched.invalidated_blocks);
+  }
+}
+
+// A torn block read by the tail pass is invalidated on media and dropped
+// from the cache: later reads see the invalidated block, never the torn
+// bytes the pass cached.
+TEST(RestartPlan, TornTailBlockIsNeverServedFromTheTailPass) {
+  PlanRig rig(101);
+  Rng rng(11);
+  rig.media->Scribble(101, RandomPayload(&rng, 1024));
+  std::vector<ReadCall> calls;
+  RecoveryReport report;
+  auto service = rig.Recover(32, &calls, &report);
+  ASSERT_NE(service, nullptr);
+  EXPECT_EQ(report.invalidated_blocks, 1u);
+  EXPECT_EQ(rig.media->BlockState(101), WormBlockState::kInvalidated);
+  EXPECT_EQ(calls[1], (ReadCall{70, 33}));  // the tail pass read it
+  OpStats stats;
+  auto torn = service->current_volume()->GetBlock(101, &stats);
+  EXPECT_EQ(torn.status().code(), StatusCode::kInvalidated);
+  EXPECT_EQ(ReadAll(service.get(), "/c"), rig.wrote);
+  WriteOptions forced;
+  forced.force = true;
+  ASSERT_OK(service->Append("/c", AsBytes("after"), forced).status());
+  rig.wrote.push_back("after");
+  EXPECT_EQ(ReadAll(service.get(), "/c"), rig.wrote);
 }
 
 // Checkpoints written in one volume must not leak into its successor: a
