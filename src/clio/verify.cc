@@ -1,11 +1,10 @@
 #include "src/clio/verify.h"
 
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
-#include "src/clio/chain.h"
+#include "src/clio/volume_walk.h"
 #include "src/index/extent_index.h"
 
 namespace clio {
@@ -24,10 +23,11 @@ Result<VerifyReport> VerifyVolume(LogVolume* volume) {
   const uint64_t end = volume->end_including_staged();
   const Catalog* catalog = volume->catalog();
 
-  // Pass 1: walk every block; build per-block membership sets and index
-  // every entrymap node by its logical (level, home) regardless of where it
-  // physically lives (displacement is legal, §2.3.2).
-  std::map<uint64_t, std::set<LogFileId>> members_of;  // block -> log files
+  // Pass 1: walk every block; mark its memberships into the nodes the
+  // writer would build and index every entrymap node by its logical
+  // (level, home) regardless of where it physically lives (displacement is
+  // legal, §2.3.2).
+  EntrymapAccumulator expected_nodes(&geometry);
   std::map<std::pair<int, uint64_t>, EntrymapPayload> nodes;
   std::optional<Timestamp> last_leading_ts;
   bool pending_continue = false;
@@ -35,62 +35,52 @@ Result<VerifyReport> VerifyVolume(LogVolume* volume) {
 
   // Hash-chain walk (chained volumes): replay the writer's accumulator from
   // the header seed and check every valid block's stored tag against it.
-  // Any gap desyncs the walk: a burn-retry garbage block never advanced
-  // the chain, but a post-burn invalidation or an unreadable (corrupt /
-  // quarantined) block DID advance it when burned, and the two are
-  // indistinguishable from the media — so the walk resynchronizes from the
-  // next valid block's stored tag instead of blaming every survivor.
-  const bool chained = volume->header().chained();
-  uint64_t chain_acc = volume->chain_seed();
-  bool chain_synced = chained;
+  std::optional<uint64_t> seed;
+  if (volume->header().chained()) {
+    seed = volume->chain_seed();
+  }
+  ChainCheck chain(seed, /*from_seed=*/true);
 
   // Extent-index replica: rebuild what the RAM index must contain from the
-  // same walk, using the writer's classification rules — invalidated blocks
-  // advance coverage silently (the writer never marked them), unreadable
-  // blocks become holes. Compared against the live index after the walk.
+  // same walk, by the writer's rule. Compared against the live index after
+  // the walk.
   const uint64_t burned_end = volume->end_block();
   ExtentIndex expected_index;
 
-  for (uint64_t b = 1; b < end; ++b) {
+  auto visit = [&](const WalkedBlock& w) {
+    const uint64_t b = w.block;
     ++report.blocks_total;
-    OpStats stats;
-    auto parsed = volume->GetBlock(b, &stats);
-    if (!parsed.ok()) {
-      if (parsed.status().code() == StatusCode::kInvalidated) {
-        ++report.blocks_invalidated;
-      } else {
-        ++report.blocks_corrupt;
-        if (b < burned_end) {
-          expected_index.AddHole(b);
-        }
-      }
-      if (b < burned_end) {
-        expected_index.AdvanceCoveredEnd(b + 1);
-      }
-      chain_synced = false;  // can't check across a gap (see above)
-      continue;  // an invalid block legitimately breaks a fragment chain
+    std::vector<LogFileId> ids = BlockMarkIds(*catalog, w);
+    if (b < burned_end) {
+      IndexBlock(&expected_index, w, ids);
     }
-    ++report.blocks_valid;
-    const ParsedBlock& block = parsed.value();
-
-    if (chained) {
-      if (!block.chain_tag().has_value()) {
+    const uint64_t expected_tag = chain.tag();
+    switch (chain.Feed(w)) {
+      case ChainCheck::Verdict::kUnchained:
         report.chain_mismatches.push_back(
             "block " + std::to_string(b) +
             " carries a v1 footer inside a chained volume");
-        chain_synced = false;
-      } else {
-        if (chain_synced && *block.chain_tag() != chain_acc) {
-          report.chain_mismatches.push_back(
-              "block " + std::to_string(b) + " stores chain tag " +
-              std::to_string(*block.chain_tag()) + " but the chain expects " +
-              std::to_string(chain_acc));
-        }
-        // Resynchronize from the stored tag so one break is reported once.
-        chain_acc = AdvanceChainTag(*block.chain_tag(), ChainBlockCommit(block));
-        chain_synced = true;
-      }
+        break;
+      case ChainCheck::Verdict::kMismatch:
+        report.chain_mismatches.push_back(
+            "block " + std::to_string(b) + " stores chain tag " +
+            std::to_string(*w.parsed->chain_tag()) + " but the chain expects " +
+            std::to_string(expected_tag));
+        break;
+      case ChainCheck::Verdict::kOk:
+        break;
     }
+    if (w.kind == BlockKind::kInvalidated) {
+      ++report.blocks_invalidated;
+    } else if (w.kind == BlockKind::kGarbage) {
+      ++report.blocks_corrupt;
+      report.corrupt_blocks.push_back(b);
+    }
+    if (!w.parsed.has_value()) {
+      return Status::Ok();  // an invalid block legitimately breaks a chain
+    }
+    ++report.blocks_valid;
+    const ParsedBlock& block = *w.parsed;
 
     if (pending_continue) {
       bool satisfied = false;
@@ -126,22 +116,13 @@ Result<VerifyReport> VerifyVolume(LogVolume* volume) {
       last_leading_ts = leading;
     }
 
+    if (!ids.empty()) {
+      expected_nodes.Mark(b, ids);
+    }
     for (const ParsedEntry& e : block.entries()) {
       ++report.entries_total;
       if (e.is_fragment()) {
         ++report.fragments_total;
-      }
-      for (LogFileId id : catalog->SelfAndAncestors(e.logfile_id)) {
-        if (EntrymapTracks(id)) {
-          members_of[b].insert(id);
-        }
-      }
-      for (LogFileId extra : e.extra_ids) {
-        for (LogFileId id : catalog->SelfAndAncestors(extra)) {
-          if (EntrymapTracks(id)) {
-            members_of[b].insert(id);
-          }
-        }
       }
       if (e.logfile_id == kEntrymapLogId && !e.is_fragment()) {
         auto payload = EntrymapPayload::Decode(e.payload,
@@ -162,19 +143,19 @@ Result<VerifyReport> VerifyVolume(LogVolume* volume) {
         ++report.catalog_records;
       }
     }
-    if (b < burned_end) {
-      std::vector<LogFileId> ids;
-      auto it = members_of.find(b);
-      if (it != members_of.end()) {
-        ids.assign(it->second.begin(), it->second.end());
-      }
-      expected_index.MarkBlock(b, block.FirstTimestamp(), ids);
-    }
     if (block.last_entry_continues()) {
       pending_continue = true;
       continue_from = b;
     }
-  }
+    return Status::Ok();
+  };
+  auto read = [&](uint64_t b) {
+    OpStats stats;
+    return volume->GetBlock(b, &stats);
+  };
+  // A transient read is no verdict on the block: the error comes back
+  // instead of a corrupt count.
+  CLIO_RETURN_IF_ERROR(VolumeWalk(1, end).Run(read, visit));
 
   // Extent-index cross-check: only meaningful when the live index claims
   // authority over the whole burned prefix (a partially built or disabled
@@ -201,17 +182,18 @@ Result<VerifyReport> VerifyVolume(LogVolume* volume) {
   // (an O(1) shortcut, src/clio/volume.cc); the full walk from the seed
   // must land on the same value. Only comparable when the walk stayed
   // synced and covered exactly the burned blocks (no staged tail).
-  if (chained && chain_synced && end == volume->end_block() &&
+  if (chain.synced() && end == volume->end_block() &&
       volume->chain_head_tag().has_value() &&
-      chain_acc != *volume->chain_head_tag()) {
+      chain.tag() != *volume->chain_head_tag()) {
     report.chain_mismatches.push_back(
         "recovered chain head " + std::to_string(*volume->chain_head_tag()) +
-        " != walked chain head " + std::to_string(chain_acc));
+        " != walked chain head " + std::to_string(chain.tag()));
   }
 
-  // Pass 2: recompute every stored node's bitmaps from the blocks it
-  // covers and compare. A set bit without entries is stale (tolerable); an
-  // entry without its bit is invisible to tree searches (a defect).
+  // Pass 2: compare every stored node's bitmaps with the node the writer's
+  // accumulator builds from the walked blocks. A set bit without entries is
+  // stale (tolerable); an entry without its bit is invisible to tree
+  // searches (a defect).
   for (const auto& [key, node] : nodes) {
     const auto& [level, home] = key;
     if (level < 1 || level > geometry.max_level() ||
@@ -221,40 +203,22 @@ Result<VerifyReport> VerifyVolume(LogVolume* volume) {
                                   std::to_string(home));
       continue;
     }
-    uint64_t group_start = home - geometry.PowN(level);
-    uint64_t sub = geometry.PowN(level - 1);
-    // expected[id] bitmap.
-    std::map<LogFileId, std::vector<bool>> expected;
-    for (uint32_t bit = 0; bit < geometry.degree(); ++bit) {
-      uint64_t lo = group_start + bit * sub;
-      for (uint64_t b = lo; b < lo + sub && b < end; ++b) {
-        auto it = members_of.find(b);
-        if (it == members_of.end()) {
-          continue;
-        }
-        for (LogFileId id : it->second) {
-          auto& bits = expected[id];
-          bits.resize(geometry.degree(), false);
-          bits[bit] = true;
-        }
-      }
-    }
-    for (const auto& [id, bits] : expected) {
+    for (LogFileId id : expected_nodes.MarkedIds(level, home)) {
+      const Bytes want = expected_nodes.BitmapOf(level, home, id);
       const EntrymapPayload::PerFile* stored = node.Find(id);
       for (uint32_t bit = 0; bit < geometry.degree(); ++bit) {
-        bool want = bits[bit];
-        bool have = stored != nullptr &&
-                    EntrymapPayload::TestBit(stored->bitmap, bit);
-        if (want && !have) {
+        if (EntrymapPayload::TestBit(want, bit) &&
+            (stored == nullptr ||
+             !EntrymapPayload::TestBit(stored->bitmap, bit))) {
           report.missing_bits.push_back(Describe(level, home, id, bit));
         }
       }
     }
     for (const auto& f : node.files) {
-      auto it = expected.find(f.id);
+      const Bytes want = expected_nodes.BitmapOf(level, home, f.id);
       for (uint32_t bit = 0; bit < geometry.degree(); ++bit) {
         if (EntrymapPayload::TestBit(f.bitmap, bit) &&
-            (it == expected.end() || !it->second[bit])) {
+            !EntrymapPayload::TestBit(want, bit)) {
           report.stale_bits.push_back(Describe(level, home, f.id, bit));
         }
       }

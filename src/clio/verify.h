@@ -38,6 +38,7 @@ struct VerifyReport {
   uint64_t blocks_valid = 0;
   uint64_t blocks_invalidated = 0;
   uint64_t blocks_corrupt = 0;
+  std::vector<uint64_t> corrupt_blocks;  // the garbage blocks, in order
   uint64_t entries_total = 0;
   uint64_t fragments_total = 0;
   uint64_t entrymap_nodes = 0;
@@ -68,6 +69,8 @@ struct VerifyReport {
 // Verifies an opened volume. Stale bits are tolerated (the entrymap is a
 // conservative cache; displacement and invalidation legitimately leave
 // them); missing bits, broken chains and time regressions are defects.
+// The walk classifies blocks as every other volume walk does
+// (src/clio/volume_walk.h); a transient read returns its error.
 Result<VerifyReport> VerifyVolume(LogVolume* volume);
 
 }  // namespace clio

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "src/clio/chain.h"
+#include "src/clio/volume_walk.h"
 #include "src/obs/metrics.h"
 
 namespace clio {
@@ -213,53 +214,62 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
   }
 
   // Step 1b: a crash can leave torn garbage in the trailing blocks;
-  // invalidate such blocks so every reader skips them (§2.3.2).
+  // invalidate such blocks so every reader skips them (§2.3.2). Only
+  // garbage: a transient read fails the restart, since the block may hold
+  // forced entries.
   OpStats checks;
+  auto get = [&](uint64_t b) { return volume->GetBlock(b, &checks); };
   std::vector<uint64_t> torn;
-  for (uint64_t b = end; b > 1 && end - b < kMaxDisplacementProbes;) {
-    --b;
-    auto parsed = volume->GetBlock(b, &checks);
-    if (parsed.ok() ||
-        parsed.status().code() == StatusCode::kInvalidated) {
-      break;
+  VolumeWalk tail = VolumeWalk::Backward(end, kMaxDisplacementProbes);
+  auto invalidate = [&](const WalkedBlock& w) {
+    if (w.kind != BlockKind::kGarbage) {
+      tail.Stop();
+      return Status::Ok();
     }
-    CLIO_RETURN_IF_ERROR(device->InvalidateBlock(b));
-    volume->blocks_.Evict(b);
-    torn.push_back(b);
-  }
+    torn.push_back(w.block);
+    volume->blocks_.Evict(w.block);
+    return device->InvalidateBlock(w.block);
+  };
+  CLIO_RETURN_IF_ERROR(tail.Run(get, invalidate));
   if (report != nullptr) {
     report->invalidated_blocks = torn.size();
   }
 
-  // Step 1c: was the volume sealed? (Look at the last parseable block.)
-  for (uint64_t b = end; b > 1 && end - b < kMaxDisplacementProbes;) {
-    --b;
-    auto parsed = volume->GetBlock(b, &checks);
-    if (parsed.ok()) {
-      volume->sealed_ = parsed.value().volume_sealed();
-      break;
-    }
-  }
-
-  // Step 1d: recover the chain accumulator (chained volumes only). Each
-  // valid block stores the accumulated tag over all valid blocks BEFORE
-  // it, so the tag after the last valid block is its stored tag advanced
-  // by its own commit — O(1) plus the invalidated tail, no full rescan
-  // (a periodic scrub pass re-walks from the seed and would expose a
-  // forged prefix this shortcut trusts).
+  // Steps 1c and 1d, back from the last valid block: was the volume
+  // sealed, its newest timestamp, and the chain accumulator (chained
+  // volumes only). Each valid block stores the accumulated tag over all
+  // valid blocks BEFORE it, so the tag after the last valid block is its
+  // stored tag advanced by its own commit — O(1) plus the invalidated
+  // tail, no full rescan (a periodic scrub pass re-walks from the seed and
+  // would expose a forged prefix this shortcut trusts).
   volume->chain_seed_ = ChainSeed(header_block);
   if (header.chained()) {
-    std::optional<uint64_t> acc;
-    for (uint64_t b = end; b > 1 && !acc.has_value();) {
-      --b;
-      auto parsed = volume->GetBlock(b, &checks);
-      if (parsed.ok() && parsed.value().chain_tag().has_value()) {
-        acc = AdvanceChainTag(*parsed.value().chain_tag(),
-                              ChainBlockCommit(parsed.value()));
-      }
-    }
-    volume->chain_head_tag_ = acc.value_or(volume->chain_seed_);
+    volume->chain_head_tag_ = volume->chain_seed_;
   }
+  bool seen_valid = false;
+  bool stamped = false;
+  bool tagged = !header.chained();
+  VolumeWalk back = VolumeWalk::Backward(end, end);
+  auto last_valid = [&](const WalkedBlock& w) {
+    if (!w.parsed.has_value()) {
+      return Status::Ok();
+    }
+    if (!seen_valid) {
+      volume->sealed_ = w.parsed->volume_sealed();
+      seen_valid = true;
+    }
+    stamped = stamped || volume->NoteTimestamps(*w.parsed);
+    if (!tagged && w.parsed->chain_tag().has_value()) {
+      const Sha256Digest commit = ChainBlockCommit(*w.parsed);
+      volume->chain_head_tag_ = AdvanceChainTag(*w.parsed->chain_tag(), commit);
+      tagged = true;
+    }
+    if (stamped && tagged) {
+      back.Stop();
+    }
+    return Status::Ok();
+  };
+  CLIO_RETURN_IF_ERROR(back.Run(get, last_valid));
   passes.walk += checks.device_reads;
 
   // Steps 2 + 3: catalog replay and entrymap-tail reconstruction — from
@@ -277,16 +287,12 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
                                                      &accumulator,
                                                      &replay_stats);
     passes.replay += replay_stats.device_reads;
-    if (restored.ok() && restored.value()) {
-      from_checkpoint = true;
-      if (report != nullptr) {
-        report->restored_checkpoint = true;
-        report->checkpoint_replay_blocks = end - checkpoint->covered_end;
-        report->tail_scan_blocks = replay_stats.blocks_read;
-      }
-    } else {
-      // A partial restore may have imported pending nodes; start over.
-      accumulator = EntrymapAccumulator(&volume->geometry_);
+    CLIO_RETURN_IF_ERROR(restored.status());
+    from_checkpoint = restored.value();
+    if (from_checkpoint && report != nullptr) {
+      report->restored_checkpoint = true;
+      report->checkpoint_replay_blocks = end - checkpoint->covered_end;
+      report->tail_scan_blocks = replay_stats.blocks_read;
     }
   }
   if (!from_checkpoint) {
@@ -303,9 +309,7 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
     if (report != nullptr) {
       report->tail_scan_blocks = tail_stats.blocks_read;
     }
-    OpStats ts_stats;
-    CLIO_RETURN_IF_ERROR(volume->ComputeRecoveredMaxTimestamp(&ts_stats));
-    passes.walk += catalog_stats.device_reads + ts_stats.device_reads;
+    passes.walk += catalog_stats.device_reads;
     passes.replay += tail_stats.device_reads;
   }
   volume->recovering_ = false;
@@ -323,18 +327,8 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
     // The staged image may contain catalog records (e.g. a forced create).
     auto parsed = ParsedBlock::Parse(BlockImage::Copy(staged_copy));
     if (parsed.ok()) {
-      for (const ParsedEntry& e : parsed.value().entries()) {
-        if (e.logfile_id == kCatalogLogId && !e.is_fragment()) {
-          auto record = CatalogRecord::Decode(e.payload);
-          if (record.ok()) {
-            CLIO_RETURN_IF_ERROR(catalog->Apply(record.value()));
-          }
-        }
-        if (e.timestamp.has_value()) {
-          volume->recovered_max_timestamp_ = std::max(
-              volume->recovered_max_timestamp_, *e.timestamp);
-        }
-      }
+      CLIO_RETURN_IF_ERROR(
+          volume->ApplyBlockRecords(end, parsed.value(), nullptr));
     } else {
       staged = nullptr;  // NVRAM content unusable
     }
@@ -365,36 +359,53 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
   return volume;
 }
 
+bool LogVolume::NoteTimestamps(const ParsedBlock& parsed) {
+  bool stamped = false;
+  for (const ParsedEntry& e : parsed.entries()) {
+    if (e.timestamp.has_value()) {
+      recovered_max_timestamp_ =
+          std::max(recovered_max_timestamp_, *e.timestamp);
+      stamped = true;
+    }
+  }
+  return stamped;
+}
+
+Status LogVolume::ApplyBlockRecords(uint64_t block, const ParsedBlock& parsed,
+                                    OpStats* stats) {
+  NoteTimestamps(parsed);
+  for (size_t i = 0; i < parsed.entries().size(); ++i) {
+    const ParsedEntry& e = parsed.entries()[i];
+    if (e.logfile_id != kCatalogLogId || e.is_fragment()) {
+      continue;
+    }
+    bool truncated = false;
+    auto payload = AssembleEntryPayload(block, parsed, i, stats, &truncated);
+    CLIO_RETURN_IF_ERROR(payload.status());
+    // Data in corrupted blocks is assumed lost (§2.3.2).
+    auto record = CatalogRecord::Decode(payload.value());
+    if (!truncated && record.ok()) {
+      CLIO_RETURN_IF_ERROR(catalog_->Apply(record.value()));
+    }
+  }
+  return Status::Ok();
+}
+
 Status LogVolume::ReplayCatalog(OpStats* stats) {
-  uint64_t pos = 1;
-  while (true) {
+  auto get = [&](uint64_t b) { return GetBlock(b, stats); };
+  auto apply = [&](const WalkedBlock& w) {
+    if (!w.parsed.has_value()) {
+      return Status::Ok();
+    }
+    return ApplyBlockRecords(w.block, *w.parsed, stats);
+  };
+  for (uint64_t pos = 1;;) {
     CLIO_ASSIGN_OR_RETURN(std::optional<uint64_t> next,
                           NextBlockWith(kCatalogLogId, pos, stats));
     if (!next.has_value()) {
       return Status::Ok();
     }
-    auto parsed = GetBlock(*next, stats);
-    if (parsed.ok()) {
-      for (size_t i = 0; i < parsed.value().entries().size(); ++i) {
-        const ParsedEntry& e = parsed.value().entries()[i];
-        if (e.logfile_id != kCatalogLogId || e.is_fragment()) {
-          continue;
-        }
-        bool truncated = false;
-        CLIO_ASSIGN_OR_RETURN(
-            Bytes payload,
-            AssembleEntryPayload(*next, parsed.value(), i, stats,
-                                 &truncated));
-        if (truncated) {
-          continue;  // data in corrupted blocks is assumed lost (§2.3.2)
-        }
-        auto record = CatalogRecord::Decode(payload);
-        if (!record.ok()) {
-          continue;
-        }
-        CLIO_RETURN_IF_ERROR(catalog_->Apply(record.value()));
-      }
-    }
+    CLIO_RETURN_IF_ERROR(VolumeWalk(*next, *next + 1).Run(get, apply));
     pos = *next + 1;
   }
 }
@@ -405,33 +416,25 @@ Status LogVolume::RebuildAccumulator(EntrymapAccumulator* acc,
   if (end <= 1) {
     return Status::Ok();
   }
-  const uint16_t n = geometry_.degree();
+  auto get = [&](uint64_t b) { return GetBlock(b, stats); };
+  // Sets a walked block's bit in the level-`level` node at `home`.
+  auto set_bits = [&](const WalkedBlock& w, int level, uint64_t home,
+                      uint32_t bit) {
+    for (LogFileId id : BlockMarkIds(*catalog_, w)) {
+      acc->SetBit(level, home, id, bit);
+    }
+    return Status::Ok();
+  };
 
   // Level 1: scan the blocks since the last written level-1 home, a
   // contiguous run read in read-ahead passes.
-  uint64_t h1 = ((end - 1) / n) * n;
-  for (uint64_t b = std::max<uint64_t>(h1, 1); b < end; ++b) {
-    auto parsed = ScanBlock(b, end, stats);
-    if (!parsed.ok()) {
-      continue;  // invalidated / torn blocks contribute nothing
-    }
-    for (const ParsedEntry& e : parsed.value().entries()) {
-      for (LogFileId id : catalog_->SelfAndAncestors(e.logfile_id)) {
-        if (EntrymapTracks(id)) {
-          acc->SetBit(1, geometry_.HomeFor(b, 1), id,
-                      geometry_.SubgroupOf(b, 1));
-        }
-      }
-      for (LogFileId extra : e.extra_ids) {
-        for (LogFileId id : catalog_->SelfAndAncestors(extra)) {
-          if (EntrymapTracks(id)) {
-            acc->SetBit(1, geometry_.HomeFor(b, 1), id,
-                        geometry_.SubgroupOf(b, 1));
-          }
-        }
-      }
-    }
-  }
+  const uint64_t h1 = ((end - 1) / geometry_.degree()) * geometry_.degree();
+  auto level1 = [&](const WalkedBlock& w) {
+    return set_bits(w, 1, geometry_.HomeFor(w.block, 1),
+                    geometry_.SubgroupOf(w.block, 1));
+  };
+  VolumeWalk since_home(std::max<uint64_t>(h1, 1), end);
+  CLIO_RETURN_IF_ERROR(since_home.Run(BulkRead(end, stats), level1));
 
   // Levels 2..k: fold in the level-(l-1) entrymap entries written since the
   // last level-l home, then the open level-(l-1) group itself.
@@ -454,29 +457,13 @@ Status LogVolume::RebuildAccumulator(EntrymapAccumulator* acc,
       // The node was never written (a garbage write displaced its home and
       // the crash hit before re-emission): recompute its contribution from
       // the blocks it covers, so the next higher-level node stays complete.
-      uint32_t bit = geometry_.SubgroupOf(h - step, level);
-      uint64_t node_home = geometry_.HomeFor(h - step, level);
-      for (uint64_t b = std::max<uint64_t>(h - step, 1);
-           b < h && b < end; ++b) {
-        auto parsed = GetBlock(b, stats);
-        if (!parsed.ok()) {
-          continue;
-        }
-        for (const ParsedEntry& e : parsed.value().entries()) {
-          for (LogFileId id : catalog_->SelfAndAncestors(e.logfile_id)) {
-            if (EntrymapTracks(id)) {
-              acc->SetBit(level, node_home, id, bit);
-            }
-          }
-          for (LogFileId extra : e.extra_ids) {
-            for (LogFileId id : catalog_->SelfAndAncestors(extra)) {
-              if (EntrymapTracks(id)) {
-                acc->SetBit(level, node_home, id, bit);
-              }
-            }
-          }
-        }
-      }
+      const uint32_t bit = geometry_.SubgroupOf(h - step, level);
+      const uint64_t node_home = geometry_.HomeFor(h - step, level);
+      auto synthesize = [&](const WalkedBlock& w) {
+        return set_bits(w, level, node_home, bit);
+      };
+      VolumeWalk covered(std::max<uint64_t>(h - step, 1), std::min(h, end));
+      CLIO_RETURN_IF_ERROR(covered.Run(get, synthesize));
     }
     for (LogFileId id : acc->MarkedIds(level - 1,
                                         geometry_.HomeFor(hlm1, level - 1))) {
@@ -487,56 +474,27 @@ Status LogVolume::RebuildAccumulator(EntrymapAccumulator* acc,
   return Status::Ok();
 }
 
-Status LogVolume::ComputeRecoveredMaxTimestamp(OpStats* stats) {
-  for (uint64_t b = end_block_; b > 1 && end_block_ - b < 64;) {
-    --b;
-    auto parsed = GetBlock(b, stats);
-    if (!parsed.ok()) {
-      continue;
-    }
-    Timestamp max_ts = 0;
-    for (const ParsedEntry& e : parsed.value().entries()) {
-      if (e.timestamp.has_value()) {
-        max_ts = std::max(max_ts, *e.timestamp);
-      }
-    }
-    if (max_ts != 0) {
-      recovered_max_timestamp_ = std::max(recovered_max_timestamp_, max_ts);
-      return Status::Ok();
-    }
-  }
-  return Status::Ok();
-}
-
-std::vector<LogFileId> LogVolume::BlockMarkIds(const ParsedBlock& parsed)
-    const {
-  std::vector<LogFileId> ids;
-  for (const ParsedEntry& e : parsed.entries()) {
-    for (LogFileId id : catalog_->SelfAndAncestors(e.logfile_id)) {
-      ids.push_back(id);
-    }
-    for (LogFileId extra : e.extra_ids) {
-      for (LogFileId id : catalog_->SelfAndAncestors(extra)) {
-        ids.push_back(id);
-      }
-    }
-  }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
-}
-
 Result<ParsedBlock> LogVolume::ScanBlock(uint64_t block, uint64_t limit,
-                                         OpStats* stats) {
+                                         OpStats* stats, Counter* readahead) {
+  // Degraded mode: a block the scrubber quarantined is known-corrupt; fail
+  // fast with its address instead of re-reading and re-parsing garbage.
   if (catalog_->IsQuarantined(header_.volume_index, block)) {
-    return Corrupt("quarantined block " + std::to_string(block));
+    return Corrupt("quarantined block " + std::to_string(block) +
+                   " (volume " + std::to_string(header_.volume_index) +
+                   ", chain position " + std::to_string(block) + ")");
   }
   auto image = blocks_.FetchSequential(block, limit, readahead_blocks_, stats,
-                                       RebuildReadaheadCounter());
+                                       readahead);
   if (!image.ok()) {
     return image.status();
   }
   return ParsedBlock::Parse(std::move(image).value());
+}
+
+VolumeWalk::ReadFn LogVolume::BulkRead(uint64_t limit, OpStats* stats) {
+  return [this, limit, stats](uint64_t b) {
+    return ScanBlock(b, limit, stats, RebuildReadaheadCounter());
+  };
 }
 
 Result<bool> LogVolume::TryRestoreFromCheckpoint(CheckpointState* ck,
@@ -552,10 +510,9 @@ Result<bool> LogVolume::TryRestoreFromCheckpoint(CheckpointState* ck,
   // export records (same compaction that seeds a successor volume).
   for (const Bytes& encoded : ck->catalog_records) {
     auto record = CatalogRecord::Decode(encoded);
-    if (!record.ok()) {
+    if (!record.ok() || !catalog_->Apply(record.value()).ok()) {
       return false;
     }
-    CLIO_RETURN_IF_ERROR(catalog_->Apply(record.value()));
   }
   std::vector<EntrymapAccumulator::ExportedNode> nodes;
   nodes.reserve(ck->accumulator_nodes.size());
@@ -581,53 +538,29 @@ Result<bool> LogVolume::TryRestoreFromCheckpoint(CheckpointState* ck,
     last_home[level] = ((ck->covered_end - 1) / n) * n;
   }
   auto idx = std::make_unique<ExtentIndex>(std::move(ck->index));
-  for (uint64_t b = ck->covered_end; b < end; ++b) {
+  auto replay = [&](const WalkedBlock& w) -> Status {
     for (int level = 1; level <= geometry_.max_level(); ++level) {
       uint64_t n = geometry_.PowN(level);
-      uint64_t due = (b / n) * n;
+      uint64_t due = (w.block / n) * n;
       if (due > last_home[level]) {
         acc->Take(level, due);
         last_home[level] = due;
       }
     }
-    auto parsed = ScanBlock(b, end, stats);
-    if (!parsed.ok()) {
-      if (parsed.status().code() == StatusCode::kCorrupt) {
-        idx->AddHole(b);
-      }
-      idx->AdvanceCoveredEnd(b + 1);
-      continue;
-    }
     // Catalog records burned after the checkpoint: apply before computing
     // memberships so new sublogs' ancestor chains resolve.
-    for (size_t i = 0; i < parsed.value().entries().size(); ++i) {
-      const ParsedEntry& e = parsed.value().entries()[i];
-      if (e.logfile_id != kCatalogLogId || e.is_fragment()) {
-        continue;
-      }
-      bool truncated = false;
-      auto payload =
-          AssembleEntryPayload(b, parsed.value(), i, stats, &truncated);
-      if (!payload.ok() || truncated) {
-        continue;
-      }
-      auto record = CatalogRecord::Decode(payload.value());
-      if (record.ok()) {
-        CLIO_RETURN_IF_ERROR(catalog_->Apply(record.value()));
-      }
+    if (w.parsed.has_value()) {
+      CLIO_RETURN_IF_ERROR(ApplyBlockRecords(w.block, *w.parsed, stats));
     }
-    for (const ParsedEntry& e : parsed.value().entries()) {
-      if (e.timestamp.has_value()) {
-        recovered_max_timestamp_ =
-            std::max(recovered_max_timestamp_, *e.timestamp);
-      }
-    }
-    std::vector<LogFileId> ids = BlockMarkIds(parsed.value());
+    std::vector<LogFileId> ids = BlockMarkIds(*catalog_, w);
     if (!ids.empty()) {
-      acc->Mark(b, ids);
+      acc->Mark(w.block, ids);
     }
-    idx->MarkBlock(b, parsed.value().FirstTimestamp(), ids);
-  }
+    IndexBlock(idx.get(), w, ids);
+    return Status::Ok();
+  };
+  VolumeWalk suffix(ck->covered_end, end);
+  CLIO_RETURN_IF_ERROR(suffix.Run(BulkRead(end, stats), replay));
   index_ = std::move(idx);
   index_enabled_ = true;
   index_ready_.store(true, std::memory_order_release);
@@ -660,24 +593,13 @@ Status LogVolume::EnsureExtentIndex() {
   auto idx = std::make_unique<ExtentIndex>();
   const uint64_t limit = end_block();
   OpStats stats;
-  for (uint64_t b = 1; b < limit; ++b) {
-    auto parsed = ScanBlock(b, limit, &stats);
-    if (!parsed.ok()) {
-      switch (parsed.status().code()) {
-        case StatusCode::kInvalidated:
-          break;  // the writer skipped it too: not a hole
-        case StatusCode::kCorrupt:
-          idx->AddHole(b);
-          break;
-        default:
-          return parsed.status();  // device trouble: leave the index off
-      }
-      idx->AdvanceCoveredEnd(b + 1);
-      continue;
-    }
-    idx->MarkBlock(b, parsed.value().FirstTimestamp(),
-                   BlockMarkIds(parsed.value()));
-  }
+  auto index_block = [&](const WalkedBlock& w) {
+    IndexBlock(idx.get(), w, BlockMarkIds(*catalog_, w));
+    return Status::Ok();
+  };
+  // A transient read leaves the index off: the next locate tries again.
+  VolumeWalk burned(1, limit);
+  CLIO_RETURN_IF_ERROR(burned.Run(BulkRead(limit, &stats), index_block));
   if (writer_ != nullptr && idx->covered_end() == writer_->staging_block()) {
     writer_->set_extent_index(idx.get());
   }
@@ -763,13 +685,6 @@ Result<ParsedBlock> LogVolume::GetBlock(uint64_t block, OpStats* stats,
     return NotWritten("block " + std::to_string(block) +
                       " is past the written end");
   }
-  // Degraded mode: a block the scrubber quarantined is known-corrupt; fail
-  // fast with its address instead of re-reading and re-parsing garbage.
-  if (catalog_->IsQuarantined(header_.volume_index, block)) {
-    return Corrupt("quarantined block " + std::to_string(block) +
-                   " (volume " + std::to_string(header_.volume_index) +
-                   ", chain position " + std::to_string(block) + ")");
-  }
   // Readahead never crosses end_block(): the staging block is served from
   // memory above and unburned blocks would fail the device read. The
   // index ends the pass at the scanned file's last block in the window,
@@ -788,13 +703,8 @@ Result<ParsedBlock> LogVolume::GetBlock(uint64_t block, OpStats* stats,
       }
     }
   }
-  auto image = blocks_.FetchSequential(
-      block, limit, readahead_blocks_, stats,
-      recovering_ ? RebuildReadaheadCounter() : nullptr);
-  if (!image.ok()) {
-    return image.status();
-  }
-  return ParsedBlock::Parse(std::move(image).value());
+  return ScanBlock(block, limit, stats,
+                   recovering_ ? RebuildReadaheadCounter() : nullptr);
 }
 
 namespace {
@@ -900,23 +810,20 @@ const EntrymapAccumulator& LogVolume::LiveAccumulator() const {
 
 Result<std::optional<EntrymapPayload>> LogVolume::FetchEntrymap(
     int level, uint64_t home, OpStats* stats) {
-  const uint64_t limit = end_including_staged();
+  // The node can sit a few blocks past its home, displaced past invalid
+  // and garbage blocks (§2.3.2), and its chunks can spill into the blocks
+  // after it.
   std::optional<EntrymapPayload> merged;
-  uint64_t pos = home;
-  for (int probes = 0; pos < limit && probes < kMaxDisplacementProbes;
-       ++probes) {
-    auto parsed = GetBlock(pos, stats);
-    if (!parsed.ok()) {
-      if (parsed.status().code() == StatusCode::kInvalidated ||
-          parsed.status().code() == StatusCode::kCorrupt) {
-        ++pos;  // the entrymap entry was displaced past this block (§2.3.2)
-        continue;
-      }
-      return std::optional<EntrymapPayload>(std::nullopt);
+  const uint64_t limit = end_including_staged();
+  VolumeWalk window(home, std::min(limit, home + kMaxDisplacementProbes));
+  auto get = [&](uint64_t b) { return GetBlock(b, stats); };
+  auto collect = [&](const WalkedBlock& w) {
+    if (!w.parsed.has_value()) {
+      return Status::Ok();
     }
     bool found_here = false;
     bool passed_home = false;
-    for (const ParsedEntry& e : parsed.value().entries()) {
+    for (const ParsedEntry& e : w.parsed->entries()) {
       if (e.logfile_id != kEntrymapLogId || e.is_fragment() ||
           e.payload.empty()) {
         continue;
@@ -949,23 +856,18 @@ Result<std::optional<EntrymapPayload>> LogVolume::FetchEntrymap(
         }
       }
     }
-    if (merged.has_value()) {
-      if (found_here && parsed.value().entrymap_continues()) {
-        ++pos;  // chunks spill into the next block
-        continue;
-      }
-      return merged;
+    // Done once the chunks stop, or when a later home's node appears
+    // before ours: ours was never written.
+    if (merged.has_value() ? !(found_here && w.parsed->entrymap_continues())
+                           : passed_home) {
+      window.Stop();
     }
-    if (passed_home) {
-      // Some later home's node already appears: ours was never written.
-      return std::optional<EntrymapPayload>(std::nullopt);
-    }
-    // The node can sit a few blocks past its home (displaced landing after
-    // a garbage write, §2.3.2); keep probing within the window.
-    ++pos;
+    return Status::Ok();
+  };
+  if (!window.Run(get, collect).ok()) {
+    return std::optional<EntrymapPayload>();  // unreadable: info missing
   }
-  return merged.has_value() ? Result<std::optional<EntrymapPayload>>(merged)
-                            : std::optional<EntrymapPayload>(std::nullopt);
+  return merged;
 }
 
 Result<Bytes> LogVolume::GroupBitmap(LogFileId id, int level, uint64_t home,

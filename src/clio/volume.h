@@ -41,6 +41,7 @@
 #include "src/clio/entrymap.h"
 #include "src/clio/types.h"
 #include "src/clio/volume_header.h"
+#include "src/clio/volume_walk.h"
 #include "src/clio/volume_writer.h"
 #include "src/device/block_device.h"
 #include "src/device/nvram_tail.h"
@@ -276,29 +277,37 @@ class LogVolume {
                              RecoveryReport::Passes* passes);
   Status ReplayCatalog(OpStats* stats);
   Status RebuildAccumulator(EntrymapAccumulator* acc, OpStats* stats);
-  Status ComputeRecoveredMaxTimestamp(OpStats* stats);
 
   // Checkpointed fast restart: restores catalog/accumulator/index state
   // from `ck` (taking its index) and replays only [ck->covered_end, end).
   // Returns false when the checkpoint does not apply to this volume
-  // (stale coverage, wrong volume, undecodable catalog record) — the
-  // caller then runs the full scan.
+  // (stale coverage, wrong volume, a catalog record that does not decode
+  // or apply) — the caller then runs the full scan. An error (a transient
+  // read) fails the restart.
   Result<bool> TryRestoreFromCheckpoint(CheckpointState* ck,
                                         uint64_t end,
                                         EntrymapAccumulator* acc,
                                         OpStats* stats);
 
-  // Quarantine-aware sequential fetch+parse for bulk internal scans
-  // (index rebuild, checkpoint replay, level-1 tail scan): a miss reads up
-  // to readahead_blocks() + 1 blocks below `limit` in one device pass.
-  // Readahead charges the clio.index.rebuild_readahead_blocks counter, not
-  // the demand-path clio.cache.readahead_blocks.
-  Result<ParsedBlock> ScanBlock(uint64_t block, uint64_t limit,
-                                OpStats* stats);
+  // Raises recovered_max_timestamp() to the block's entry stamps; false
+  // when it has none.
+  bool NoteTimestamps(const ParsedBlock& parsed);
+  // Recovery's view of one block read from `block`: notes its stamps and
+  // applies its catalog records (the catalog walk, the checkpoint replay
+  // and the NVRAM-staged tail).
+  Status ApplyBlockRecords(uint64_t block, const ParsedBlock& parsed,
+                           OpStats* stats);
 
-  // The block's tracked-membership set, exactly as the writer fed it to
-  // the accumulator and extent index at burn time (sorted, deduplicated).
-  std::vector<LogFileId> BlockMarkIds(const ParsedBlock& parsed) const;
+  // Quarantine-aware fetch+parse of a burned block: a miss reads up to
+  // readahead_blocks() + 1 blocks below `limit` in one device pass,
+  // charged to `readahead` (null: the demand path's
+  // clio.cache.readahead_blocks). GetBlock reads through it.
+  Result<ParsedBlock> ScanBlock(uint64_t block, uint64_t limit,
+                                OpStats* stats, Counter* readahead);
+  // The bulk walks' read (index rebuild, checkpoint replay, level-1 tail
+  // scan): ScanBlock below `limit`, charged to
+  // clio.index.rebuild_readahead_blocks.
+  VolumeWalk::ReadFn BulkRead(uint64_t limit, OpStats* stats);
 
   // The entrymap entry (merged chunks) for (level, home), following
   // displacement past invalidated blocks. nullopt = info missing.

@@ -1,0 +1,121 @@
+#include "src/clio/volume_walk.h"
+
+#include <utility>
+
+#include "src/clio/chain.h"
+#include "src/clio/entrymap.h"
+
+namespace clio {
+namespace {
+
+BlockKind KindOf(StatusCode code) {
+  switch (code) {
+    case StatusCode::kOk:
+      return BlockKind::kValid;
+    case StatusCode::kInvalidated:
+      return BlockKind::kInvalidated;
+    case StatusCode::kCorrupt:
+    case StatusCode::kNotWritten:
+    case StatusCode::kFailedPrecondition:
+      return BlockKind::kGarbage;
+    default:
+      return BlockKind::kTransient;
+  }
+}
+
+}  // namespace
+
+VolumeWalk VolumeWalk::Backward(uint64_t end, uint64_t depth) {
+  VolumeWalk walk(end - 1, end - 1);
+  walk.stop_ = end - 1 > depth ? end - 1 - depth : 0;
+  walk.step_ = UINT64_MAX;
+  return walk;
+}
+
+Status VolumeWalk::Run(const ReadFn& read, const VisitFn& visit,
+                       uint64_t budget) {
+  for (; !done() && budget > 0; --budget) {
+    Result<ParsedBlock> got = read(next_);
+    const StatusCode code = got.status().code();
+    if (code == StatusCode::kOutOfRange) {
+      stop_ = next_;  // past the burned end
+      break;
+    }
+    const bool quarantined = code == StatusCode::kFailedPrecondition;
+    WalkedBlock block{next_, KindOf(code), quarantined, std::nullopt};
+    if (block.kind == BlockKind::kTransient) {
+      return got.status();
+    }
+    if (got.ok()) {
+      block.parsed = std::move(got).value();
+    }
+    CLIO_RETURN_IF_ERROR(visit(block));
+    next_ += step_;
+  }
+  return Status::Ok();
+}
+
+WalkedBlock VolumeWalk::Skip() {
+  WalkedBlock block{next_, BlockKind::kTransient, false, std::nullopt};
+  next_ += step_;
+  return block;
+}
+
+ChainCheck::Verdict ChainCheck::Feed(const WalkedBlock& block) {
+  if (!chained_) {
+    return Verdict::kOk;
+  }
+  if (!block.parsed.has_value()) {
+    synced_ = false;
+    return Verdict::kOk;
+  }
+  const std::optional<uint64_t> stored = block.parsed->chain_tag();
+  if (!stored.has_value()) {
+    synced_ = false;
+    return Verdict::kUnchained;
+  }
+  const bool mismatch = synced_ && *stored != tag_;
+  convicted_ = last_valid_.value_or(block.block);
+  tag_ = AdvanceChainTag(*stored, ChainBlockCommit(*block.parsed));
+  synced_ = true;
+  last_valid_ = block.block;
+  return mismatch ? Verdict::kMismatch : Verdict::kOk;
+}
+
+std::vector<LogFileId> BlockMarkIds(const Catalog& catalog,
+                                    const WalkedBlock& block) {
+  std::vector<LogFileId> ids;
+  if (!block.parsed.has_value()) {
+    return ids;
+  }
+  auto add = [&](LogFileId member) {
+    for (LogFileId id : catalog.SelfAndAncestors(member)) {
+      if (EntrymapTracks(id)) {
+        ids.push_back(id);
+      }
+    }
+  };
+  for (const ParsedEntry& e : block.parsed->entries()) {
+    add(e.logfile_id);
+    for (LogFileId extra : e.extra_ids) {
+      add(extra);
+    }
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  return ids;
+}
+
+void IndexBlock(ExtentIndex* index, const WalkedBlock& block,
+                std::span<const LogFileId> ids) {
+  if (block.parsed.has_value()) {
+    index->MarkBlock(block.block, block.parsed->FirstTimestamp(), ids);
+    return;
+  }
+  if (block.kind == BlockKind::kGarbage) {
+    index->AddHole(block.block);
+  }
+  index->AdvanceCoveredEnd(block.block + 1);
+}
+
+}  // namespace clio

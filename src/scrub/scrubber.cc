@@ -4,7 +4,7 @@
 #include <chrono>
 #include <utility>
 
-#include "src/clio/chain.h"
+#include "src/clio/volume_walk.h"
 #include "src/obs/metrics.h"
 
 namespace clio {
@@ -17,6 +17,11 @@ Counter* ScrubCounter(const std::string& name,
                       std::optional<uint32_t> lane = std::nullopt) {
   return ObsRegistry().counter(LaneMetricName("clio.scrub." + name, lane));
 }
+
+// Transient-read retries per block, the probes backing off exponentially.
+constexpr int kMaxReadRetries = 4;
+constexpr uint64_t kRetryBackoffMs = 5;
+constexpr uint64_t kRetryBackoffCapMs = 100;
 
 }  // namespace
 
@@ -124,118 +129,82 @@ bool Scrubber::ScrubVolume(uint32_t volume_index, uint64_t from,
     // must not force a mount.
     return seed.status().code() != StatusCode::kOutOfRange;
   }
-  const bool chained = seed->has_value();
-  uint64_t acc = seed->value_or(0);
-  // A mid-pass resume starts desynced and adopts the first valid block's
-  // stored tag (same resync rule the offline verifier uses); a from-seed
-  // pass checks every link including the first.
-  bool synced = chained && !resumed;
-
-  uint64_t prev_valid = 0;
-  bool have_prev_valid = false;
+  // A from-seed pass checks every link including the first; a mid-pass
+  // resume adopts the first valid block's stored tag.
+  ChainCheck chain(seed.value(), /*from_seed=*/!resumed);
   uint64_t since_persist = 0;
-  uint64_t since_pace = 0;
+  auto visit = [&](const WalkedBlock& w) {
+    ++stats->blocks_scanned;
+    scanned->Increment();
+    const ChainCheck::Verdict verdict = chain.Feed(w);
+    if ((w.kind == BlockKind::kGarbage && !w.quarantined) ||
+        verdict == ChainCheck::Verdict::kUnchained) {
+      // A v1 footer inside a chained volume is as damning as a CRC
+      // failure: the block was not burned by this volume's writer.
+      ++stats->corrupt_blocks;
+      corrupt->Increment();
+      Quarantine(volume_index, w.block, stats);
+    } else if (verdict == ChainCheck::Verdict::kMismatch) {
+      ++stats->chain_mismatches;
+      mismatches->Increment();
+      Quarantine(volume_index, chain.convicted(), stats);
+    }
+    if (++since_persist >= options_.cursor_persist_blocks) {
+      since_persist = 0;
+      PersistCursor(volume_index, w.block + 1);
+    }
+    return Status::Ok();
+  };
+  auto probe = [&](uint64_t b) {
+    return service_->ProbeBlock(volume_index, b);
+  };
 
-  for (uint64_t b = std::max<uint64_t>(from, 1);; ++b) {
+  // The walk ends at the burned end, where ProbeBlock answers kOutOfRange.
+  VolumeWalk walk(std::max<uint64_t>(from, 1), VolumeWalk::kUnbounded);
+  uint64_t budget = options_.blocks_per_tick;
+  int attempt = 0;
+  uint64_t backoff = kRetryBackoffMs;
+  while (!walk.done()) {
     // Pacing: between chunks, sleep an interval (on the background thread)
     // so appends and readers get the device.
-    if (since_pace >= options_.blocks_per_tick) {
-      since_pace = 0;
+    if (budget == 0) {
+      budget = options_.blocks_per_tick;
       bool paced_sleep = false;
       {
         std::lock_guard<std::mutex> lock(wake_mu_);
         if (stop_requested_) {
-          PersistCursor(volume_index, b);
+          PersistCursor(volume_index, walk.next());
           return true;
         }
         paced_sleep = running_;
       }
       if (paced_sleep && !SleepFor(options_.interval_ms)) {
-        PersistCursor(volume_index, b);
+        PersistCursor(volume_index, walk.next());
         return true;
       }
     }
-    ++since_pace;
-
-    // The probe's verdict (see LogService::ProbeBlock): kOk, or why the
-    // block yields no commit.
-    StatusCode probe = StatusCode::kOutOfRange;
-    std::optional<uint64_t> tag;
-    Sha256Digest commit{};
-    uint64_t backoff = options_.retry_backoff_ms;
-    for (int attempt = 0; attempt <= options_.max_read_retries; ++attempt) {
-      auto parsed = service_->ProbeBlock(volume_index, b);
-      probe = parsed.status().code();
-      if (parsed.ok()) {
-        tag = parsed.value().chain_tag();
-        if (chained) {
-          commit = ChainBlockCommit(parsed.value());
-        }
-      }
-      if (probe != StatusCode::kUnavailable) {
-        break;
-      }
-      ++stats->retries;
-      retries->Increment();
-      if (attempt == options_.max_read_retries || !SleepFor(backoff)) {
-        break;  // still transient: skip, never quarantine
-      }
-      backoff = std::min(backoff * 2, options_.retry_backoff_cap_ms);
+    const uint64_t at = walk.next();
+    const Status read = walk.Run(probe, visit, budget);
+    if (walk.next() != at) {
+      budget -= walk.next() - at;
+      attempt = 0;
+      backoff = kRetryBackoffMs;
     }
-
-    if (probe == StatusCode::kOutOfRange) {
-      break;  // reached the burned end (or lost the volume)
+    if (read.ok()) {
+      continue;
     }
-    ++stats->blocks_scanned;
-    scanned->Increment();
-
-    switch (probe) {
-      case StatusCode::kOk:
-        if (chained) {
-          if (!tag.has_value()) {
-            // A v1 footer inside a chained volume is as damning as a CRC
-            // failure: the block was not burned by this volume's writer.
-            ++stats->corrupt_blocks;
-            corrupt->Increment();
-            Quarantine(volume_index, b, stats);
-            synced = false;
-          } else {
-            if (synced && *tag != acc) {
-              // The stored tag covers the blocks BEFORE b, so a mismatch
-              // convicts the last valid block we accepted — its commit
-              // fed the accumulator. With no prior valid block the first
-              // link itself is forged.
-              ++stats->chain_mismatches;
-              mismatches->Increment();
-              Quarantine(volume_index,
-                         have_prev_valid ? prev_valid : b, stats);
-            }
-            acc = AdvanceChainTag(*tag, commit);
-            synced = true;
-            prev_valid = b;
-            have_prev_valid = true;
-          }
-        }
-        break;
-      case StatusCode::kInvalidated:
-      case StatusCode::kUnavailable:         // transient: never convict
-      case StatusCode::kFailedPrecondition:  // quarantined already
-        // None of these yields a commit to advance with; re-sync at the
-        // next valid block (see src/clio/verify.cc for why invalidated
-        // blocks also desync).
-        synced = false;
-        break;
-      default:  // kCorrupt: fails validation
-        ++stats->corrupt_blocks;
-        corrupt->Increment();
-        Quarantine(volume_index, b, stats);
-        synced = false;
-        break;
-    }
-
-    if (++since_persist >= options_.cursor_persist_blocks) {
-      since_persist = 0;
-      PersistCursor(volume_index, b + 1);
+    // A transient read: back off and probe the same block again. Once the
+    // retries run out, skip it without a verdict.
+    ++stats->retries;
+    retries->Increment();
+    if (attempt == kMaxReadRetries || !SleepFor(backoff)) {
+      (void)visit(walk.Skip());
+      --budget;
+      attempt = 0;
+      backoff = kRetryBackoffMs;
+    } else {
+      ++attempt;
+      backoff = std::min(backoff * 2, kRetryBackoffCapMs);
     }
   }
   return true;

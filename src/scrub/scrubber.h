@@ -44,9 +44,6 @@ struct ScrubOptions {
   uint64_t interval_ms = 25;         // sleep between ticks
   uint64_t blocks_per_tick = 64;     // blocks scanned between sleeps
   uint64_t cursor_persist_blocks = 512;  // persist progress every N blocks
-  int max_read_retries = 4;          // transient-fault retries per block
-  uint64_t retry_backoff_ms = 5;     // initial backoff, doubling up to...
-  uint64_t retry_backoff_cap_ms = 100;
   int max_busy_yields = 8;           // ticks yielded to appends in a row
 };
 

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/clio/log_service.h"
+#include "src/clio/verify.h"
 #include "src/device/fault_injection.h"
 #include "src/device/memory_worm_device.h"
 #include "src/device/nvram_tail.h"
@@ -115,6 +116,113 @@ std::vector<std::string> ReadAll(LogService* service,
     out.push_back(ToString(record.value()->payload));
   }
   return out;
+}
+
+// Restarts the rig's volume through a device whose first `failures` reads
+// of block `flaky` fail. That restart must fail with kUnavailable; once
+// the fault has passed, a second restart recovers. (A restart that
+// succeeds despite the fault is kept, so the caller sees what it lost.)
+RecoveryReport RestartThroughTransientReads(CrashRig* rig, uint64_t flaky,
+                                            int failures) {
+  rig->service.reset();
+  MemoryWormDevice* media = rig->devices[0].get();
+  auto device = std::make_unique<testing::FlakyBlockDevice>(media);
+  device->FailReads(flaky, failures);
+  std::vector<std::unique_ptr<WormDevice>> devices;
+  devices.push_back(std::move(device));
+  RecoveryReport report;
+  auto recovered = LogService::Recover(std::move(devices), rig->clock.get(),
+                                       rig->options, &report);
+  EXPECT_EQ(recovered.status().code(), StatusCode::kUnavailable);
+  if (recovered.ok()) {
+    rig->service = std::move(recovered).value();
+    return report;
+  }
+  return rig->Crash();
+}
+
+// A transient read of the last burned block at restart is no verdict on
+// the block: it holds a forced entry, so recovery fails instead of
+// invalidating it as torn.
+TEST(Recovery, TransientReadAtRestartNeverInvalidatesABurnedBlock) {
+  auto rig = CrashRig::Make();
+  ASSERT_OK(rig.service->CreateLogFile("/c").status());
+  WriteOptions forced;
+  forced.force = true;
+  std::vector<std::string> wrote;
+  for (int i = 0; i < 30; ++i) {
+    wrote.push_back("e" + std::to_string(i));
+    ASSERT_OK(
+        rig.service->Append("/c", AsBytes(wrote.back()), forced).status());
+  }
+  const uint64_t last = rig.devices[0]->frontier() - 1;
+  // The head pass, the tail pass and the torn-tail check each read it.
+  RestartThroughTransientReads(&rig, last, 3);
+  EXPECT_EQ(rig.devices[0]->BlockState(last), WormBlockState::kWritten);
+  EXPECT_EQ(ReadAll(rig.service.get(), "/c"), wrote);
+}
+
+// Neither the checkpoint replay nor the full scan's entrymap rebuild may
+// take a block it could not read for an empty one: the restart fails,
+// and the one after it recovers every entry and entrymap bit.
+TEST(Recovery, TransientReadDuringReplayFailsTheRestart) {
+  for (bool checkpointed : {true, false}) {
+    SCOPED_TRACE(checkpointed ? "checkpoint replay" : "full scan");
+    NvramTail nvram(512);
+    auto rig = CrashRig::Make(/*block_size=*/512, /*capacity=*/4096,
+                              /*degree=*/8, checkpointed ? &nvram : nullptr,
+                              /*checkpoint_interval=*/256);
+    ASSERT_OK(rig.service->CreateLogFile("/wal").status());
+    WriteOptions forced;
+    forced.force = true;
+    Rng rng(47);
+    std::vector<std::string> wrote;
+    auto append = [&] {
+      wrote.push_back("r" + std::to_string(wrote.size()) +
+                      ToString(RandomPayload(&rng, 90)));
+      auto result = rig.service->Append("/wal", AsBytes(wrote.back()), forced);
+      return result.status();
+    };
+    MemoryWormDevice* media = rig.devices[0].get();
+    uint64_t flaky = 0;
+    int failures = 0;
+    if (checkpointed) {
+      while (!nvram.has_checkpoint()) {
+        ASSERT_OK(append());
+      }
+      auto ck = CheckpointState::Decode(nvram.checkpoint());
+      ASSERT_OK(ck.status());
+      while (media->frontier() < ck->covered_end + 48) {
+        ASSERT_OK(append());
+      }
+      // Below the tail pass: the replay's first pass stops at it, then
+      // the replay reads it alone.
+      flaky = ck->covered_end + 2;
+      failures = 2;
+    } else {
+      while (media->frontier() < 300 || (media->frontier() - 1) % 8 != 5) {
+        ASSERT_OK(append());
+      }
+      // In the last, open level-1 group: the tail pass stops at it, then
+      // the catalog walk and the level-1 rebuild each read it alone.
+      flaky = media->frontier() - 5;
+      failures = 3;
+    }
+    RecoveryReport report = RestartThroughTransientReads(&rig, flaky, failures);
+    EXPECT_EQ(report.restored_checkpoint, checkpointed);
+    EXPECT_EQ(ReadAll(rig.service.get(), "/wal"), wrote);
+    // Burn past the flaky block's level-1 home: the node written there
+    // must carry its bits.
+    LogVolume* volume = rig.service->current_volume();
+    while (media->frontier() <= volume->geometry().HomeFor(flaky, 1)) {
+      ASSERT_OK(append());
+    }
+    ASSERT_OK_AND_ASSIGN(VerifyReport verify, VerifyVolume(volume));
+    EXPECT_EQ(verify.missing_bits.size(), 0u);
+    EXPECT_EQ(verify.index_mismatches.size(), 0u);
+    EXPECT_TRUE(verify.clean());
+    EXPECT_EQ(ReadAll(rig.service.get(), "/wal"), wrote);
+  }
 }
 
 TEST(Recovery, ForcedDataSurvivesCrash) {

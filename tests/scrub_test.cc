@@ -12,6 +12,7 @@
 
 #include "src/clio/chain.h"
 #include "src/clio/log_service.h"
+#include "src/clio/verify.h"
 #include "src/device/fault_injection.h"
 #include "src/util/crc32c.h"
 #include "tests/test_util.h"
@@ -32,7 +33,8 @@ struct FaultFixture {
   std::unique_ptr<LogService> service;
 
   static FaultFixture Make(uint32_t block_size = 512,
-                           uint64_t capacity_blocks = 8192) {
+                           uint64_t capacity_blocks = 8192,
+                           bool enable_extent_index = true) {
     FaultFixture fx;
     MemoryWormOptions dev_options;
     dev_options.block_size = block_size;
@@ -43,6 +45,7 @@ struct FaultFixture {
     fx.device = device.get();
     LogServiceOptions options;
     options.entrymap_degree = 8;
+    options.enable_extent_index = enable_extent_index;
     auto service =
         LogService::Create(std::move(device), fx.clock.get(), options);
     EXPECT_TRUE(service.ok()) << service.status().ToString();
@@ -352,6 +355,134 @@ TEST(Scrub, BackgroundThreadScansUnderConcurrentAppends) {
   ASSERT_OK_AND_ASSIGN(Scrubber::PassStats stats, scrubber.RunOnce());
   EXPECT_EQ(stats.corrupt_blocks, 0u);
   EXPECT_EQ(stats.chain_mismatches, 0u);
+}
+
+// A transient read is no verdict on the block: the scrubber probes the
+// same block again after a backoff, and once its retries run out it skips
+// the block without convicting it; VerifyVolume returns the error.
+TEST(Scrub, TransientReadsAreNeverAVerdict) {
+  MemoryWormOptions dev;
+  dev.block_size = 512;
+  dev.capacity_blocks = 8192;
+  MemoryWormDevice media(dev);
+  SimulatedClock clock(1'000'000, 7);
+  auto device = std::make_unique<testing::FlakyBlockDevice>(&media);
+  testing::FlakyBlockDevice* flaky = device.get();
+  LogServiceOptions options;
+  options.entrymap_degree = 8;
+  auto created = LogService::Create(std::move(device), &clock, options);
+  ASSERT_OK(created.status());
+  std::unique_ptr<LogService> service = std::move(created).value();
+  ASSERT_OK(service->CreateLogFile("/a").status());
+  Rng rng(25);
+  WriteOptions forced;
+  forced.force = true;
+  for (int i = 0; i < 20; ++i) {
+    ASSERT_OK(service->Append("/a", RandomPayload(&rng, 80), forced).status());
+  }
+  const uint64_t burned = service->current_volume()->end_block() - 1;
+  constexpr uint64_t kBlock = 5;
+  Scrubber scrubber(service.get(), ScrubOptions{});
+  // Two failures: the third probe reads the block, and the chain holds.
+  // Five: the fourth retry fails too, and the block is skipped.
+  for (int failures : {2, 5}) {
+    SCOPED_TRACE(std::to_string(failures) + " failed reads");
+    service->cache().Erase({0, kBlock});
+    flaky->FailReads(kBlock, failures);
+    ASSERT_OK_AND_ASSIGN(Scrubber::PassStats stats, scrubber.RunOnce());
+    EXPECT_EQ(stats.retries, static_cast<uint64_t>(failures));
+    EXPECT_EQ(stats.blocks_scanned, burned);
+    EXPECT_EQ(stats.corrupt_blocks, 0u);
+    EXPECT_EQ(stats.chain_mismatches, 0u);
+    EXPECT_EQ(stats.quarantined, 0u);
+  }
+  EXPECT_FALSE(service->degraded());
+  service->cache().Erase({0, kBlock});
+  flaky->FailReads(kBlock, 1);
+  auto verified = VerifyVolume(service->current_volume());
+  EXPECT_EQ(verified.status().code(), StatusCode::kUnavailable);
+}
+
+// VerifyVolume and the scrubber walk a volume with one classification and
+// one chain accumulator, so on damaged media they convict the same
+// corrupt blocks and count the same chain breaks, and an index rebuilt by
+// the same walk passes verify's index check. Seeded; nightly CI runs ten
+// times the seeds through CLIO_CHAOS_ITERATIONS (tests/test_util.h).
+TEST(Scrub, VerifyAndScrubAgreeOnDamagedMedia) {
+  constexpr uint32_t kBlockSize = 512;
+  uint64_t mismatches_seen = 0;
+  for (int seed = 0; seed < testing::ScaledByChaos(20); ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    // The index starts off, so EnsureExtentIndex builds it by a walk.
+    auto fx = FaultFixture::Make(kBlockSize, /*capacity_blocks=*/8192,
+                                 /*enable_extent_index=*/false);
+    ASSERT_OK(fx.service->CreateLogFile("/a").status());
+    ASSERT_OK(fx.service->CreateLogFile("/b").status());
+    Rng rng(seed);
+    WriteOptions forced;
+    forced.force = true;
+    for (int i = 0; i < 80; ++i) {
+      const char* path = rng.Chance(1, 2) ? "/a" : "/b";
+      const Bytes payload = RandomPayload(&rng, rng.Range(20, 300));
+      ASSERT_OK(fx.service->Append(path, payload, forced).status());
+    }
+    LogVolume* volume = fx.service->current_volume();
+    auto* media = dynamic_cast<MemoryWormDevice*>(fx.device->base());
+    ASSERT_NE(media, nullptr);
+
+    // Damage distinct blocks below the last two: only verify compares the
+    // walked chain head with the recovered one, so the tail stays intact.
+    std::vector<uint64_t> victims;
+    for (uint64_t b = 1; b + 2 < volume->end_block(); ++b) {
+      victims.push_back(b);
+    }
+    for (size_t i = victims.size(); i > 1; --i) {
+      std::swap(victims[i - 1], victims[rng.Below(i)]);
+    }
+    size_t used = 0;
+    for (uint64_t n = rng.Range(1, 3); n > 0; --n) {
+      const uint64_t bit = rng.Below(8 * kBlockSize);
+      ASSERT_OK(fx.device->FlipBitOnMedia(victims[used++], bit));
+    }
+    for (uint64_t n = rng.Range(1, 2); n > 0; --n) {
+      ASSERT_OK(fx.device->InvalidateBlock(victims[used++]));
+    }
+    // Re-tag one block: a forged chain tag under a recomputed CRC parses.
+    Bytes image(kBlockSize);
+    ASSERT_OK(media->ReadBlock(victims[used], image));
+    image[kBlockSize - 14] ^= std::byte{0x01};
+    const std::span<const std::byte> covered(image.data(), kBlockSize - 4);
+    StoreU32(image, kBlockSize - 4, Crc32c(covered));
+    media->Scribble(victims[used++], image);
+    for (size_t i = 0; i < used; ++i) {
+      fx.service->cache().Erase({0, victims[i]});
+    }
+
+    ASSERT_OK_AND_ASSIGN(VerifyReport verify, VerifyVolume(volume));
+    Scrubber scrubber(fx.service.get(), ScrubOptions{});
+    ASSERT_OK_AND_ASSIGN(Scrubber::PassStats scrub, scrubber.RunOnce());
+    // The scrubber's corrupt verdicts are the quarantined blocks that do
+    // not parse: a chain conviction quarantines one that does.
+    std::vector<uint64_t> corrupt_verdicts;
+    for (const auto& [v, b] : fx.service->catalog().quarantined()) {
+      Bytes raw(kBlockSize);
+      ASSERT_OK(media->ReadBlock(b, raw));
+      if (!ParsedBlock::Parse(BlockImage::Copy(raw)).ok()) {
+        corrupt_verdicts.push_back(b);
+      }
+    }
+    EXPECT_EQ(verify.corrupt_blocks, corrupt_verdicts);
+    EXPECT_EQ(scrub.corrupt_blocks, verify.blocks_corrupt);
+    EXPECT_EQ(scrub.chain_mismatches, verify.chain_mismatches.size());
+    mismatches_seen += scrub.chain_mismatches;
+
+    volume->EnableExtentIndex();
+    ASSERT_OK(volume->EnsureExtentIndex());
+    ASSERT_OK_AND_ASSIGN(VerifyReport rebuilt, VerifyVolume(volume));
+    EXPECT_TRUE(rebuilt.index_checked);
+    EXPECT_EQ(rebuilt.index_mismatches.size(), 0u);
+  }
+  EXPECT_GT(mismatches_seen, 0u);  // the re-tagged blocks broke the chain
 }
 
 }  // namespace

@@ -89,6 +89,31 @@ class BorrowedDevice : public WormDevice {
   WormDevice* base_;
 };
 
+// A borrowed device whose next reads of one block fail the way a
+// transient fault does (kUnavailable); every other read goes through.
+class FlakyBlockDevice : public BorrowedDevice {
+ public:
+  using BorrowedDevice::BorrowedDevice;
+
+  // The next `failures` reads of `block` fail.
+  void FailReads(uint64_t block, int failures) {
+    flaky_ = block;
+    failures_ = failures;
+  }
+
+  Status ReadBlock(uint64_t i, std::span<std::byte> out) override {
+    if (i == flaky_ && failures_ > 0) {
+      --failures_;
+      return Unavailable("transient read of block " + std::to_string(i));
+    }
+    return BorrowedDevice::ReadBlock(i, out);
+  }
+
+ private:
+  uint64_t flaky_ = 0;
+  int failures_ = 0;
+};
+
 // Random printable payload of the given size.
 inline Bytes RandomPayload(Rng* rng, size_t size) {
   Bytes out(size);
