@@ -48,6 +48,9 @@ class Borrowed : public WormDevice {
   WormBlockState BlockState(uint64_t i) const override {
     return base_->BlockState(i);
   }
+  bool serves_one_call_at_a_time() const override {
+    return base_->serves_one_call_at_a_time();
+  }
   const DeviceStats& stats() const override { return base_->stats(); }
   void ResetStats() override { base_->ResetStats(); }
 

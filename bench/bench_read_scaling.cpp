@@ -68,6 +68,8 @@ class SlowReadDevice : public WormDevice {
   WormBlockState BlockState(uint64_t i) const override {
     return base_->BlockState(i);
   }
+  // Passes sleep with no lock held: concurrent misses overlap.
+  bool serves_one_call_at_a_time() const override { return false; }
   const DeviceStats& stats() const override { return base_->stats(); }
   void ResetStats() override { base_->ResetStats(); }
 

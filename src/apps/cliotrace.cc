@@ -146,6 +146,11 @@ void PrintStats(const clio::StatsSnapshot& stats) {
               stats.counter("clio.index.rebuild_readahead_blocks"));
   std::printf("  recovery: device passes %" PRIu64 "\n",
               stats.counter("clio.recovery.device_passes"));
+  const auto wait = stats.histogram("clio.device.queue_wait_us")
+                        .value_or(clio::HistogramSnapshot{});
+  std::printf("  device queue wait: calls %" PRIu64
+              "  mean %.1f us  p99 %.0f us\n",
+              wait.count, wait.Mean(), wait.p99());
   std::printf("  checkpoints: written %" PRIu64 "  restored %" PRIu64
               "  bytes %" PRIu64 "  age %" PRId64 " blocks\n",
               stats.counter("clio.index.checkpoints_written"),

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
+#include "src/clio/volume_writer.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 
 namespace clio {
 namespace {
@@ -22,7 +25,96 @@ std::span<std::byte> PassBuffer(size_t bytes) {
 
 }  // namespace
 
-Result<BlockImage> CachedBlockReader::Fetch(uint64_t block, OpStats* stats) {
+// A queued call, on its caller's stack until the I/O thread marks it done.
+struct CachedBlockReader::Waiter {
+  const std::function<void()>* call;
+  uint64_t trace_id;
+  uint64_t submitted_us;
+  Histogram* wait_us;
+  bool done = false;
+  std::condition_variable woken{};
+};
+
+CachedBlockReader::CachedBlockReader(WormDevice* device, BlockCache* cache,
+                                     uint64_t cache_device_id)
+    : device_(device),
+      cache_(cache),
+      cache_device_id_(cache_device_id),
+      lane_metrics_(VolumeLaneMetrics::Standalone()),
+      one_at_a_time_(device->serves_one_call_at_a_time()) {}
+
+CachedBlockReader::~CachedBlockReader() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  work_.notify_one();
+  if (io_.joinable()) {
+    io_.join();
+  }
+}
+
+template <typename Io>
+auto CachedBlockReader::Submit(const Io& io) -> decltype(io()) {
+  std::optional<decltype(io())> result;
+  Run([&] { result.emplace(io()); });
+  return *std::move(result);
+}
+
+void CachedBlockReader::Run(const std::function<void()>& call) {
+  Histogram* wait_us = lane_metrics_->queue_wait_us;
+  if (!one_at_a_time_) {  // calls overlap: each caller goes itself
+    wait_us->Record(0);
+    call();
+    return;
+  }
+  std::unique_lock<std::mutex> lock(mu_);
+  if (!busy_ && pending_.empty()) {
+    busy_ = true;
+    lock.unlock();
+    wait_us->Record(0);
+    call();
+    lock.lock();
+    busy_ = false;
+    if (!pending_.empty()) {
+      work_.notify_one();
+    }
+    return;
+  }
+  Waiter waiter{&call, CurrentTraceId(), TraceNowUs(), wait_us};
+  pending_.push_back(&waiter);
+  if (!io_.joinable()) {
+    io_ = std::thread([this] { Drain(); });
+  }
+  waiter.woken.wait(lock, [&] { return waiter.done; });
+}
+
+void CachedBlockReader::Drain() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    work_.wait(lock, [&] { return stop_ || (!busy_ && !pending_.empty()); });
+    if (stop_) {
+      return;
+    }
+    Waiter* waiter = pending_.front();
+    pending_.pop_front();
+    busy_ = true;
+    lock.unlock();
+    waiter->wait_us->Record(TraceNowUs() - waiter->submitted_us);
+    {
+      ScopedTraceContext trace(waiter->trace_id);
+      (*waiter->call)();
+    }
+    lock.lock();
+    busy_ = false;
+    waiter->done = true;
+    waiter->woken.notify_one();
+  }
+}
+
+Result<BlockImage> CachedBlockReader::FetchSequential(
+    uint64_t block, uint64_t limit, uint32_t readahead, OpStats* stats,
+    Counter* readahead_counter) {
   if (stats != nullptr) {
     ++stats->blocks_read;
   }
@@ -36,46 +128,24 @@ Result<BlockImage> CachedBlockReader::Fetch(uint64_t block, OpStats* stats) {
   if (stats != nullptr) {
     ++stats->device_reads;
   }
-  return cache_->Fill(key, device_->block_size(),
-                      [&](std::span<std::byte> frame) {
-                        return device_->ReadBlock(block, frame);
-                      });
-}
-
-Result<BlockImage> CachedBlockReader::FetchSequential(
-    uint64_t block, uint64_t limit, uint32_t readahead, OpStats* stats,
-    Counter* readahead_counter) {
-  if (readahead == 0 || limit <= block + 1) {
-    return Fetch(block, stats);
-  }
-  if (stats != nullptr) {
-    ++stats->blocks_read;
-  }
-  if (BlockImage hit = cache_->Lookup({cache_device_id_, block})) {
-    if (stats != nullptr) {
-      ++stats->cache_hits;
-    }
-    return hit;
-  }
-  if (stats != nullptr) {
-    ++stats->device_reads;
-  }
   const uint32_t block_bytes = device_->block_size();
-  const uint64_t count =
-      std::min<uint64_t>(static_cast<uint64_t>(readahead) + 1, limit - block);
-  std::span<std::byte> run = PassBuffer(count * block_bytes);
-  auto got = device_->ReadBlocks(block, count, run);
-  if (!got.ok()) {
-    return got.status();  // the demanded block itself failed to read
+  if (readahead == 0 || limit <= block + 1) {
+    return cache_->Fill(key, block_bytes, [&](std::span<std::byte> frame) {
+      return Submit([&] { return device_->ReadBlock(block, frame); });
+    });
   }
+  // The demanded block itself must read; the pass may stop short after it.
+  CLIO_ASSIGN_OR_RETURN(
+      std::span<const std::byte> run,
+      ReadRun(block, std::min<uint64_t>(uint64_t{readahead} + 1, limit - block),
+              /*cache_below=*/0));
   static Counter* readahead_blocks =
       ObsRegistry().counter("clio.cache.readahead_blocks");
   if (readahead_counter == nullptr) {
     readahead_counter = readahead_blocks;
   }
-  BlockImage demanded =
-      cache_->Insert({cache_device_id_, block}, run.first(block_bytes));
-  for (uint64_t i = 1; i < got.value(); ++i) {
+  BlockImage demanded = cache_->Insert(key, run.first(block_bytes));
+  for (uint64_t i = 1; i < run.size() / block_bytes; ++i) {
     cache_->Admit({cache_device_id_, block + i},
                   run.subspan(i * block_bytes, block_bytes));
     readahead_counter->Increment();
@@ -89,9 +159,11 @@ Result<std::span<const std::byte>> CachedBlockReader::ReadRun(
   std::span<std::byte> run = PassBuffer(count * block_bytes);
   uint64_t got = 1;
   if (count == 1) {
-    CLIO_RETURN_IF_ERROR(device_->ReadBlock(first, run));
+    CLIO_RETURN_IF_ERROR(
+        Submit([&] { return device_->ReadBlock(first, run); }));
   } else {
-    CLIO_ASSIGN_OR_RETURN(got, device_->ReadBlocks(first, count, run));
+    CLIO_ASSIGN_OR_RETURN(
+        got, Submit([&] { return device_->ReadBlocks(first, count, run); }));
   }
   for (uint64_t b = std::max<uint64_t>(first, 1);
        b < std::min(first + got, cache_below); ++b) {
@@ -101,8 +173,19 @@ Result<std::span<const std::byte>> CachedBlockReader::ReadRun(
   return std::span<const std::byte>(run.first(got * block_bytes));
 }
 
-void CachedBlockReader::Put(uint64_t block, std::span<const std::byte> image) {
-  cache_->Admit({cache_device_id_, block}, image);
+Result<uint64_t> CachedBlockReader::Burn(std::span<const std::byte> image) {
+  Result<uint64_t> burned = Submit([&] { return device_->AppendBlock(image); });
+  if (burned.ok()) {
+    cache_->Admit({cache_device_id_, burned.value()}, image);
+  }
+  return burned;
+}
+
+Status CachedBlockReader::Invalidate(uint64_t block) {
+  Status invalidated =
+      Submit([&] { return device_->InvalidateBlock(block); });
+  Evict(block);
+  return invalidated;
 }
 
 void CachedBlockReader::Evict(uint64_t block) {

@@ -26,9 +26,14 @@ bool VolumeCursor::Matches(const ParsedEntry& e) const {
 // from data, so they tolerate it), but a QUARANTINED block is a recorded
 // verdict — the scrubber proved this block once held real entries and is
 // now rotten. Scans that need it fail fast with the quarantine status
-// instead of silently dropping entries (DESIGN.md §15 degraded mode).
+// instead of silently dropping entries (DESIGN.md §15 degraded mode). A
+// transient read is no verdict on the block: it fails too, and a retry
+// reads the block again.
 Status VolumeCursor::TolerateBlockFailure(uint64_t block,
                                           const Status& failure) const {
+  if (failure.code() == StatusCode::kUnavailable) {
+    return failure;
+  }
   Catalog* catalog = volume_->catalog();
   if (catalog != nullptr &&
       catalog->IsQuarantined(volume_->header().volume_index, block)) {
@@ -230,19 +235,20 @@ Result<bool> VolumeCursor::SeekToTime(Timestamp t, OpStats* stats) {
       return true;
     }
   }
-  auto parsed = volume_->GetBlock(*block, stats);
-  if (!parsed.ok()) {
+  CLIO_ASSIGN_OR_RETURN(std::optional<ParsedBlock> parsed,
+                        ValidBlock(volume_->GetBlock(*block, stats)));
+  if (!parsed.has_value()) {
     state_ = State::kAtStart;
     return false;
   }
   // Gap after the last entry (of any log file) with effective ts <= t;
   // entries are written in timestamp order, so scan from the back.
-  const auto& entries = parsed.value().entries();
+  const auto& entries = parsed->entries();
   state_ = State::kPositioned;
   block_ = *block;
   index_ = 0;
   for (size_t i = entries.size(); i > 0; --i) {
-    auto [ts, exact] = EffectiveTimestamp(parsed.value(), i - 1);
+    auto [ts, exact] = EffectiveTimestamp(*parsed, i - 1);
     (void)exact;
     if (ts <= t) {
       index_ = i;

@@ -227,8 +227,7 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
       return Status::Ok();
     }
     torn.push_back(w.block);
-    volume->blocks_.Evict(w.block);
-    return device->InvalidateBlock(w.block);
+    return volume->blocks_.Invalidate(w.block);
   };
   CLIO_RETURN_IF_ERROR(tail.Run(get, invalidate));
   if (report != nullptr) {
@@ -904,8 +903,9 @@ Result<Bytes> LogVolume::GroupBitmap(LogFileId id, int level, uint64_t home,
     bool any = false;
     if (level == 1) {
       if (sub_lo >= 1) {
-        auto parsed = GetBlock(sub_lo, stats);
-        any = parsed.ok() && BlockHas(parsed.value(), id);
+        CLIO_ASSIGN_OR_RETURN(std::optional<ParsedBlock> parsed,
+                              ValidBlock(GetBlock(sub_lo, stats)));
+        any = parsed.has_value() && BlockHas(*parsed, id);
       }
     } else {
       CLIO_ASSIGN_OR_RETURN(Bytes sub,
@@ -967,31 +967,19 @@ Result<std::optional<uint64_t>> LogVolume::DescendLowest(LogFileId id,
   return std::optional<uint64_t>(std::nullopt);
 }
 
-Result<std::optional<uint64_t>> LogVolume::LinearPrev(LogFileId id,
-                                                      uint64_t before,
+Result<std::optional<uint64_t>> LogVolume::LinearFind(LogFileId id,
+                                                      VolumeWalk walk,
                                                       OpStats* stats) {
-  uint64_t limit = std::min(before, end_including_staged());
-  for (uint64_t b = limit; b > 1;) {
-    --b;
-    auto parsed = GetBlock(b, stats);
-    if (parsed.ok() && BlockHas(parsed.value(), id)) {
-      return std::optional<uint64_t>(b);
+  std::optional<uint64_t> found;
+  auto get = [&](uint64_t b) { return GetBlock(b, stats); };
+  CLIO_RETURN_IF_ERROR(walk.Run(get, [&](const WalkedBlock& w) {
+    if (w.parsed.has_value() && BlockHas(*w.parsed, id)) {
+      found = w.block;
+      walk.Stop();
     }
-  }
-  return std::optional<uint64_t>(std::nullopt);
-}
-
-Result<std::optional<uint64_t>> LogVolume::LinearNext(LogFileId id,
-                                                      uint64_t from,
-                                                      uint64_t limit,
-                                                      OpStats* stats) {
-  for (uint64_t b = std::max<uint64_t>(from, 1); b < limit; ++b) {
-    auto parsed = GetBlock(b, stats);
-    if (parsed.ok() && BlockHas(parsed.value(), id)) {
-      return std::optional<uint64_t>(b);
-    }
-  }
-  return std::optional<uint64_t>(std::nullopt);
+    return Status::Ok();
+  }));
+  return found;
 }
 
 Result<std::optional<uint64_t>> LogVolume::PrevBlockWith(LogFileId id,
@@ -1005,7 +993,7 @@ Result<std::optional<uint64_t>> LogVolume::PrevBlockWith(LogFileId id,
   // The volume sequence log is every block, and the entrymap log is found
   // by position, not by itself; both scan linearly.
   if (id == kVolumeSeqLogId || id == kEntrymapLogId) {
-    return LinearPrev(id, before, stats);
+    return LinearFind(id, VolumeWalk::Backward(before, before), stats);
   }
 
   // The staged tail block is the nearest candidate if it qualifies.
@@ -1090,7 +1078,7 @@ Result<std::optional<uint64_t>> LogVolume::NextBlockWith(LogFileId id,
     return std::optional<uint64_t>(std::nullopt);
   }
   if (id == kVolumeSeqLogId || id == kEntrymapLogId) {
-    return LinearNext(id, from, staged_limit, stats);
+    return LinearFind(id, VolumeWalk(from, staged_limit), stats);
   }
 
   const uint64_t limit = end_block();
@@ -1204,13 +1192,14 @@ Result<std::optional<uint64_t>> LogVolume::FindBlockByTime(Timestamp t,
         break;
       }
     }
-    // Probe forward past unparseable blocks for a leading timestamp.
+    // Probe forward past skipped blocks for a leading timestamp.
     uint64_t probe = mid;
     std::optional<Timestamp> ts;
     while (probe < hi) {
-      auto parsed = GetBlock(probe, stats);
-      if (parsed.ok()) {
-        ts = parsed.value().FirstTimestamp();
+      CLIO_ASSIGN_OR_RETURN(std::optional<ParsedBlock> parsed,
+                            ValidBlock(GetBlock(probe, stats)));
+      if (parsed.has_value()) {
+        ts = parsed->FirstTimestamp();
         if (ts.has_value()) {
           break;
         }

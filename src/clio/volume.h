@@ -245,6 +245,7 @@ class LogVolume {
   // null; the standalone lane until the owning service sets its own).
   void set_lane_metrics(const VolumeLaneMetrics* metrics) {
     lane_metrics_ = metrics;
+    blocks_.set_lane_metrics(metrics);
     if (writer_ != nullptr) {
       writer_->set_lane_metrics(metrics);
     }
@@ -329,12 +330,10 @@ class LogVolume {
   Result<std::optional<uint64_t>> DescendLowest(LogFileId id, int level,
                                                 uint64_t lo, OpStats* stats);
 
-  // Linear variants used for the volume sequence log / entrymap log and as
-  // the last-resort fallback.
-  Result<std::optional<uint64_t>> LinearPrev(LogFileId id, uint64_t before,
+  // The first block of `walk` holding `id`: the linear scan of the
+  // volume sequence log and the entrymap log.
+  Result<std::optional<uint64_t>> LinearFind(LogFileId id, VolumeWalk walk,
                                              OpStats* stats);
-  Result<std::optional<uint64_t>> LinearNext(LogFileId id, uint64_t from,
-                                             uint64_t limit, OpStats* stats);
 
   // Does this parsed block contain an entry belonging to log file `id`?
   bool BlockHas(const ParsedBlock& block, LogFileId id) const;

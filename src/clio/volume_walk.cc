@@ -25,6 +25,16 @@ BlockKind KindOf(StatusCode code) {
 
 }  // namespace
 
+Result<std::optional<ParsedBlock>> ValidBlock(Result<ParsedBlock> read) {
+  if (read.ok()) {
+    return std::optional<ParsedBlock>(std::move(read).value());
+  }
+  if (read.status().code() == StatusCode::kUnavailable) {
+    return read.status();
+  }
+  return std::optional<ParsedBlock>();
+}
+
 VolumeWalk VolumeWalk::Backward(uint64_t end, uint64_t depth) {
   VolumeWalk walk(end - 1, end - 1);
   walk.stop_ = end - 1 > depth ? end - 1 - depth : 0;

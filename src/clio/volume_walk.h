@@ -40,6 +40,12 @@ enum class BlockKind : uint8_t {
   kTransient,
 };
 
+// One read outside a walk: the block when valid, the read's error when
+// it is kUnavailable (transient: a retry reads the block again), else
+// nullopt, a block readers skip. A single read has no range to end, so
+// kOutOfRange is skipped too, as the search fallbacks always did.
+Result<std::optional<ParsedBlock>> ValidBlock(Result<ParsedBlock> read);
+
 struct WalkedBlock {
   uint64_t block = 0;
   BlockKind kind = BlockKind::kTransient;

@@ -37,7 +37,9 @@ VolumeLaneMetrics::VolumeLaneMetrics(std::optional<uint32_t> lane)
       index_hits(
           ObsRegistry().counter(LaneMetricName("clio.index.hits", lane))),
       index_misses(
-          ObsRegistry().counter(LaneMetricName("clio.index.misses", lane))) {}
+          ObsRegistry().counter(LaneMetricName("clio.index.misses", lane))),
+      queue_wait_us(ObsRegistry().histogram(
+          LaneMetricName("clio.device.queue_wait_us", lane))) {}
 
 const VolumeLaneMetrics* VolumeLaneMetrics::Standalone() {
   static const VolumeLaneMetrics* standalone = new VolumeLaneMetrics();
@@ -254,7 +256,7 @@ Status LogVolumeWriter::BurnBuilder() {
   // should tell.
   for (int attempt = 0; attempt < kMaxBurnAttempts; ++attempt) {
     StageTimer span(nullptr, TraceStage::kBurn);
-    auto result = blocks_->device()->AppendBlock(image);
+    auto result = blocks_->Burn(image);
     if (result.ok()) {
       uint64_t actual = result.value();
       // If the burn landed past where the write head should have been,
@@ -266,8 +268,7 @@ Status LogVolumeWriter::BurnBuilder() {
       for (uint64_t skipped = staging_block_; skipped < actual; ++skipped) {
         if (blocks_->device()->BlockState(skipped) !=
             WormBlockState::kInvalidated) {
-          CLIO_RETURN_IF_ERROR(blocks_->device()->InvalidateBlock(skipped));
-          blocks_->Evict(skipped);
+          CLIO_RETURN_IF_ERROR(blocks_->Invalidate(skipped));
           ++space_.invalidated_blocks;
           static Counter* bad = ObsRegistry().counter("clio.volume.bad_blocks");
           bad->Increment();
@@ -302,7 +303,6 @@ Status LogVolumeWriter::BurnBuilder() {
         // comes from the builder's records, which are the image's.
         chain_tag_ = AdvanceChainTag(*chain_tag_, ChainBlockCommit(*builder_));
       }
-      blocks_->Put(actual, image);
       staging_block_ = actual + 1;
       builder_.reset();
       pending_mark_ids_.clear();
@@ -324,8 +324,7 @@ Status LogVolumeWriter::BurnBuilder() {
     if (end.ok() && end.value() > staging_block_) {
       bad = end.value() - 1;
     }
-    CLIO_RETURN_IF_ERROR(blocks_->device()->InvalidateBlock(bad));
-    blocks_->Evict(bad);
+    CLIO_RETURN_IF_ERROR(blocks_->Invalidate(bad));
     ++space_.invalidated_blocks;
     static Counter* bad_blocks =
         ObsRegistry().counter("clio.volume.bad_blocks");

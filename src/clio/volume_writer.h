@@ -76,6 +76,8 @@ struct VolumeLaneMetrics {
   Histogram* append_us = nullptr;
   Counter* index_hits = nullptr;
   Counter* index_misses = nullptr;
+  // Submit to start of each device call, 0 when it ran inline (§12).
+  Histogram* queue_wait_us = nullptr;
 };
 
 class LogVolumeWriter {

@@ -124,6 +124,11 @@ class WormDevice {
   // Introspection for tests and the recovery path's fallback search.
   virtual WormBlockState BlockState(uint64_t index) const = 0;
 
+  // True if the device serves one call at a time, as a one-head drive
+  // does (§3.3): the volume then runs concurrent calls back to back from
+  // a queue (DESIGN.md §12). A device whose calls overlap answers false.
+  virtual bool serves_one_call_at_a_time() const { return true; }
+
   virtual const DeviceStats& stats() const = 0;
   virtual void ResetStats() = 0;
 };

@@ -91,6 +91,9 @@ class FaultInjectingWormDevice : public WormDevice {
   WormBlockState BlockState(uint64_t index) const override {
     return base_->BlockState(index);
   }
+  bool serves_one_call_at_a_time() const override {
+    return base_->serves_one_call_at_a_time();
+  }
 
   // Reported stats are the base device's counters plus the operations the
   // injector failed before they reached the base (so injected faults are

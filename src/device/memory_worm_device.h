@@ -37,6 +37,8 @@ class MemoryWormDevice : public WormDevice {
   Status InvalidateBlock(uint64_t index) override;
   Result<uint64_t> QueryEnd() override;
   WormBlockState BlockState(uint64_t index) const override;
+  // Reads are memory copies; concurrent ones overlap.
+  bool serves_one_call_at_a_time() const override { return false; }
 
   const DeviceStats& stats() const override { return stats_; }
   void ResetStats() override { stats_.Reset(); }

@@ -1,6 +1,7 @@
 // LogVolume internals: entrymap fetch displacement, the synthesize-from-
 // lower-levels fallback, entrymap node chunking, time search over damaged
-// regions, fragment-chain truncation, and the linear scan paths.
+// regions, fragment-chain truncation, the linear scan paths, and the
+// search fallbacks' handling of a transient read.
 #include "src/clio/volume.h"
 
 #include <gtest/gtest.h>
@@ -18,10 +19,12 @@ struct VolumeRig {
   std::unique_ptr<SimulatedClock> clock =
       std::make_unique<SimulatedClock>(1'000'000, 7);
   std::unique_ptr<MemoryWormDevice> media;
+  testing::FlakyBlockDevice* flaky = nullptr;  // owned by the service
   std::unique_ptr<LogService> service;
 
   static VolumeRig Make(uint32_t block_size, uint16_t degree,
-                        uint64_t capacity = 1 << 14) {
+                        uint64_t capacity = 1 << 14,
+                        bool extent_index = true) {
     VolumeRig rig;
     MemoryWormOptions dev;
     dev.block_size = block_size;
@@ -29,9 +32,11 @@ struct VolumeRig {
     rig.media = std::make_unique<MemoryWormDevice>(dev);
     LogServiceOptions options;
     options.entrymap_degree = degree;
-    auto service = LogService::Create(
-        std::make_unique<testing::BorrowedDevice>(rig.media.get()),
-        rig.clock.get(), options);
+    options.enable_extent_index = extent_index;
+    auto device = std::make_unique<testing::FlakyBlockDevice>(rig.media.get());
+    rig.flaky = device.get();
+    auto service =
+        LogService::Create(std::move(device), rig.clock.get(), options);
     EXPECT_TRUE(service.ok()) << service.status().ToString();
     rig.service = std::move(service).value();
     return rig;
@@ -210,6 +215,90 @@ TEST(VolumeInternals, TimeSearchSkipsInvalidatedBlocks) {
   ASSERT_OK_AND_ASSIGN(ParsedBlock parsed, volume->GetBlock(*block, &stats));
   ASSERT_TRUE(parsed.FirstTimestamp().has_value());
   EXPECT_LE(*parsed.FirstTimestamp(), stamps[30]);
+}
+
+// A transient read is no verdict on a block (DESIGN.md §15): the time
+// bisection must fail the seek rather than probe past the block, and the
+// retry must land on the entry. Skipping it would put the gap before an
+// earlier block, and Prev would lose the entry.
+TEST(VolumeInternals, TimeSeekFailsOnATransientProbeThenFindsTheEntry) {
+  auto rig = VolumeRig::Make(512, 8, 1 << 14, /*extent_index=*/false);
+  ASSERT_OK(rig.service->CreateLogFile("/t").status());
+  WriteOptions forced;
+  forced.force = true;
+  forced.timestamped = true;
+  std::vector<AppendResult> appended;
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_OK_AND_ASSIGN(
+        AppendResult r,
+        rig.service->Append("/t", AsBytes("e" + std::to_string(i)), forced));
+    appended.push_back(r);
+  }
+  const AppendResult& target = appended[30];
+  rig.service->cache().Clear();
+  rig.flaky->FailReads(target.position.block, 1);
+  ASSERT_OK_AND_ASSIGN(auto reader, rig.service->OpenReader("/t"));
+  EXPECT_EQ(reader->SeekToTime(target.timestamp).code(),
+            StatusCode::kUnavailable);
+  ASSERT_OK(reader->SeekToTime(target.timestamp));
+  ASSERT_OK_AND_ASSIGN(auto prev, reader->Prev());
+  ASSERT_TRUE(prev.has_value());
+  EXPECT_EQ(ToString(prev->payload), "e30");
+}
+
+// The same for Next across groups whose entrymap homes were invalidated:
+// the level-1 bitmap is synthesized from the blocks, and a block it
+// cannot read fails the call instead of reading as "no entry here".
+TEST(VolumeInternals, NextFailsOnATransientReadBehindAnInvalidatedHome) {
+  auto rig = VolumeRig::Make(512, 8, 1 << 14, /*extent_index=*/false);
+  ASSERT_OK(rig.service->CreateLogFile("/rare").status());
+  ASSERT_OK(rig.service->CreateLogFile("/noise").status());
+  WriteOptions forced;
+  forced.force = true;
+  Rng rng(3);
+  auto noise = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      ASSERT_OK(rig.service->Append("/noise", RandomPayload(&rng, 60), forced)
+                    .status());
+    }
+  };
+  ASSERT_OK(rig.service->Append("/rare", AsBytes("first"), forced).status());
+  noise(100);
+  ASSERT_OK_AND_ASSIGN(
+      AppendResult second,
+      rig.service->Append("/rare", AsBytes("second"), forced));
+  noise(20);
+  const uint64_t needle = second.position.block;
+  LogVolume* volume = rig.service->current_volume();
+  for (uint64_t b = 8; b < volume->end_block(); b += 8) {
+    ASSERT_NE(b, needle);
+    ASSERT_OK(rig.media->InvalidateBlock(b));
+  }
+  rig.service->cache().Clear();
+  ASSERT_OK_AND_ASSIGN(auto reader, rig.service->OpenReader("/rare"));
+  ASSERT_OK_AND_ASSIGN(auto first, reader->Next());
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(ToString(first->payload), "first");
+  rig.flaky->FailReads(needle, 1);
+  EXPECT_EQ(reader->Next().status().code(), StatusCode::kUnavailable);
+  ASSERT_OK_AND_ASSIGN(auto retried, reader->Next());
+  ASSERT_TRUE(retried.has_value());
+  EXPECT_EQ(ToString(retried->payload), "second");
+}
+
+// Outside a walk only kUnavailable fails a search: every other answer,
+// kOutOfRange and kInvalidArgument included, is a block readers skip.
+TEST(VolumeInternals, OneReadFailsOnlyWhenTransient) {
+  for (StatusCode code :
+       {StatusCode::kOutOfRange, StatusCode::kInvalidArgument,
+        StatusCode::kNotWritten, StatusCode::kCorrupt,
+        StatusCode::kInvalidated, StatusCode::kFailedPrecondition}) {
+    auto read = ValidBlock(Status(code, "read"));
+    ASSERT_OK(read.status());
+    EXPECT_FALSE(read.value().has_value()) << StatusCodeName(code);
+  }
+  EXPECT_EQ(ValidBlock(Unavailable("read")).status().code(),
+            StatusCode::kUnavailable);
 }
 
 TEST(VolumeInternals, GetBlockRejectsHeaderAndUnwritten) {
