@@ -15,6 +15,7 @@
 
 #include <cinttypes>
 
+#include "src/device/borrowed_device.h"
 #include "src/device/memory_worm_device.h"
 
 namespace clio {
@@ -26,36 +27,6 @@ struct Row {
   uint64_t read_examined = 0;
   uint64_t init_blocks = 0;
   double space_per_entry = 0;
-};
-
-class Borrowed : public WormDevice {
- public:
-  explicit Borrowed(WormDevice* base) : base_(base) {}
-  uint32_t block_size() const override { return base_->block_size(); }
-  uint64_t capacity_blocks() const override {
-    return base_->capacity_blocks();
-  }
-  Status ReadBlock(uint64_t i, std::span<std::byte> out) override {
-    return base_->ReadBlock(i, out);
-  }
-  Result<uint64_t> AppendBlock(std::span<const std::byte> d) override {
-    return base_->AppendBlock(d);
-  }
-  Status InvalidateBlock(uint64_t i) override {
-    return base_->InvalidateBlock(i);
-  }
-  Result<uint64_t> QueryEnd() override { return base_->QueryEnd(); }
-  WormBlockState BlockState(uint64_t i) const override {
-    return base_->BlockState(i);
-  }
-  bool serves_one_call_at_a_time() const override {
-    return base_->serves_one_call_at_a_time();
-  }
-  const DeviceStats& stats() const override { return base_->stats(); }
-  void ResetStats() override { base_->ResetStats(); }
-
- private:
-  WormDevice* base_;
 };
 
 Row Measure(uint16_t degree) {
@@ -73,7 +44,7 @@ Row Measure(uint16_t degree) {
 
   uint64_t needle_block = 0;
   {
-    auto service = LogService::Create(std::make_unique<Borrowed>(&media),
+    auto service = LogService::Create(std::make_unique<BorrowedDevice>(&media),
                                       &clock, options);
     BENCH_CHECK_OK(service.status());
     LogService* s = service.value().get();
@@ -101,7 +72,7 @@ Row Measure(uint16_t degree) {
   }
   {
     std::vector<std::unique_ptr<WormDevice>> devices;
-    devices.push_back(std::make_unique<Borrowed>(&media));
+    devices.push_back(std::make_unique<BorrowedDevice>(&media));
     RecoveryReport report;
     auto recovered = LogService::Recover(std::move(devices), &clock, options,
                                          &report);

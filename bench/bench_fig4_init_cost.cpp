@@ -13,6 +13,7 @@
 #include <cmath>
 #include <vector>
 
+#include "src/device/borrowed_device.h"
 #include "src/device/memory_worm_device.h"
 #include "src/device/nvram_tail.h"
 #include "src/obs/metrics.h"
@@ -53,36 +54,6 @@ void PrintTheory() {
 // Runs a real recovery against a b-block volume and reports the tail-scan
 // block count. Uses an owned media device + borrowed views so the service
 // can be destroyed and recovered.
-class Borrowed : public WormDevice {
- public:
-  explicit Borrowed(WormDevice* base) : base_(base) {}
-  uint32_t block_size() const override { return base_->block_size(); }
-  uint64_t capacity_blocks() const override {
-    return base_->capacity_blocks();
-  }
-  Status ReadBlock(uint64_t i, std::span<std::byte> out) override {
-    return base_->ReadBlock(i, out);
-  }
-  Result<uint64_t> AppendBlock(std::span<const std::byte> d) override {
-    return base_->AppendBlock(d);
-  }
-  Status InvalidateBlock(uint64_t i) override {
-    return base_->InvalidateBlock(i);
-  }
-  Result<uint64_t> QueryEnd() override { return base_->QueryEnd(); }
-  WormBlockState BlockState(uint64_t i) const override {
-    return base_->BlockState(i);
-  }
-  bool serves_one_call_at_a_time() const override {
-    return base_->serves_one_call_at_a_time();
-  }
-  const DeviceStats& stats() const override { return base_->stats(); }
-  void ResetStats() override { base_->ResetStats(); }
-
- private:
-  WormDevice* base_;
-};
-
 void Measure(uint16_t degree, const std::vector<uint64_t>& sizes) {
   std::printf("\nmeasured recovery, N=%u:\n", degree);
   std::printf("%-10s | %-18s | %-10s | %-14s | %s\n", "b (blocks)",
@@ -99,8 +70,8 @@ void Measure(uint16_t degree, const std::vector<uint64_t>& sizes) {
     options.entrymap_degree = degree;
     options.cache_blocks = 1024;
     {
-      auto service = LogService::Create(std::make_unique<Borrowed>(&media),
-                                        &clock, options);
+      auto service = LogService::Create(
+          std::make_unique<BorrowedDevice>(&media), &clock, options);
       BENCH_CHECK_OK(service.status());
       BENCH_CHECK_OK(service.value()->CreateLogFile("/w").status());
       Rng rng(degree);
@@ -114,7 +85,7 @@ void Measure(uint16_t degree, const std::vector<uint64_t>& sizes) {
       // Crash: the service dies without sealing.
     }
     std::vector<std::unique_ptr<WormDevice>> devices;
-    devices.push_back(std::make_unique<Borrowed>(&media));
+    devices.push_back(std::make_unique<BorrowedDevice>(&media));
     RecoveryReport report;
     auto recovered =
         LogService::Recover(std::move(devices), &clock, options, &report);
@@ -153,7 +124,7 @@ void MeasureCheckpointRestart(BenchReport* report) {
   options.cache_blocks = 1024;
   options.nvram = &nvram;
   {
-    auto service = LogService::Create(std::make_unique<Borrowed>(&media),
+    auto service = LogService::Create(std::make_unique<BorrowedDevice>(&media),
                                       &clock, options);
     BENCH_CHECK_OK(service.status());
     BENCH_CHECK_OK(service.value()->CreateLogFile("/w").status());
@@ -176,7 +147,7 @@ void MeasureCheckpointRestart(BenchReport* report) {
     double best_us = 0;
     for (int r = 0; r < reps; ++r) {
       std::vector<std::unique_ptr<WormDevice>> devices;
-      devices.push_back(std::make_unique<Borrowed>(&media));
+      devices.push_back(std::make_unique<BorrowedDevice>(&media));
       uint64_t reads_before = media.stats().reads.load();
       auto start = std::chrono::steady_clock::now();
       RecoveryReport rep;
@@ -279,7 +250,7 @@ double CheckpointBytesPerCheckpoint(uint64_t target) {
   SimulatedClock clock(1'000'000, 11);
   LogServiceOptions options;
   options.nvram = &nvram;
-  auto service = LogService::Create(std::make_unique<Borrowed>(&media),
+  auto service = LogService::Create(std::make_unique<BorrowedDevice>(&media),
                                     &clock, options);
   BENCH_CHECK_OK(service.status());
   std::vector<LogFileId> files;

@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/device/borrowed_device.h"
 #include "src/net/net_client.h"
 #include "src/net/net_server.h"
 #include "src/obs/trace.h"
@@ -39,37 +40,19 @@ namespace {
 // A WORM device whose block burns take real wall-clock time. The in-memory
 // device is too fast to show force economics; this decorator stands in for
 // the durable-media cost (NVMe fsync ~0.5 ms; the paper's disk, ~20 ms).
-class SlowBurnDevice : public WormDevice {
+class SlowBurnDevice : public BorrowedDevice {
  public:
   SlowBurnDevice(std::unique_ptr<WormDevice> base, uint64_t burn_us)
-      : base_(std::move(base)), burn_us_(burn_us) {}
+      : BorrowedDevice(base.get()), owned_(std::move(base)),
+        burn_us_(burn_us) {}
 
-  uint32_t block_size() const override { return base_->block_size(); }
-  uint64_t capacity_blocks() const override {
-    return base_->capacity_blocks();
-  }
-  Status ReadBlock(uint64_t i, std::span<std::byte> out) override {
-    return base_->ReadBlock(i, out);
-  }
   Result<uint64_t> AppendBlock(std::span<const std::byte> data) override {
     std::this_thread::sleep_for(std::chrono::microseconds(burn_us_));
-    return base_->AppendBlock(data);
+    return BorrowedDevice::AppendBlock(data);
   }
-  Status InvalidateBlock(uint64_t i) override {
-    return base_->InvalidateBlock(i);
-  }
-  Result<uint64_t> QueryEnd() override { return base_->QueryEnd(); }
-  WormBlockState BlockState(uint64_t i) const override {
-    return base_->BlockState(i);
-  }
-  bool serves_one_call_at_a_time() const override {
-    return base_->serves_one_call_at_a_time();
-  }
-  const DeviceStats& stats() const override { return base_->stats(); }
-  void ResetStats() override { base_->ResetStats(); }
 
  private:
-  std::unique_ptr<WormDevice> base_;
+  std::unique_ptr<WormDevice> owned_;
   const uint64_t burn_us_;
 };
 

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "src/device/borrowed_device.h"
 #include "src/net/net_client.h"
 #include "src/net/net_server.h"
 #include "src/obs/metrics.h"
@@ -35,48 +36,33 @@ namespace {
 // M+1 blocks costs the same as a single-block miss — the physical model
 // (optical seek dominates transfer) that motivates prefetching. Burns stay
 // fast: this bench measures the read path. Every block read is counted.
-class SlowReadDevice : public WormDevice {
+class SlowReadDevice : public BorrowedDevice {
  public:
   SlowReadDevice(std::unique_ptr<WormDevice> base, uint64_t seek_us)
-      : base_(std::move(base)), seek_us_(seek_us) {}
+      : BorrowedDevice(base.get()), owned_(std::move(base)),
+        seek_us_(seek_us) {}
 
-  uint32_t block_size() const override { return base_->block_size(); }
-  uint64_t capacity_blocks() const override {
-    return base_->capacity_blocks();
-  }
   Status ReadBlock(uint64_t i, std::span<std::byte> out) override {
     std::this_thread::sleep_for(std::chrono::microseconds(seek_us_));
     blocks_read_.fetch_add(1);
-    return base_->ReadBlock(i, out);
+    return BorrowedDevice::ReadBlock(i, out);
   }
   Result<uint64_t> ReadBlocks(uint64_t first, uint64_t count,
                               std::span<std::byte> out) override {
     std::this_thread::sleep_for(std::chrono::microseconds(seek_us_));
-    auto got = base_->ReadBlocks(first, count, out);
+    auto got = BorrowedDevice::ReadBlocks(first, count, out);
     if (got.ok()) {
       blocks_read_.fetch_add(got.value());
     }
     return got;
   }
-  Result<uint64_t> AppendBlock(std::span<const std::byte> data) override {
-    return base_->AppendBlock(data);
-  }
-  Status InvalidateBlock(uint64_t i) override {
-    return base_->InvalidateBlock(i);
-  }
-  Result<uint64_t> QueryEnd() override { return base_->QueryEnd(); }
-  WormBlockState BlockState(uint64_t i) const override {
-    return base_->BlockState(i);
-  }
   // Passes sleep with no lock held: concurrent misses overlap.
   bool serves_one_call_at_a_time() const override { return false; }
-  const DeviceStats& stats() const override { return base_->stats(); }
-  void ResetStats() override { base_->ResetStats(); }
 
   uint64_t blocks_read() const { return blocks_read_.load(); }
 
  private:
-  std::unique_ptr<WormDevice> base_;
+  std::unique_ptr<WormDevice> owned_;
   const uint64_t seek_us_;
   std::atomic<uint64_t> blocks_read_{0};
 };

@@ -223,13 +223,12 @@ std::vector<LogFileId> EntrymapAccumulator::MarkedIds(int level,
 
 void EntrymapAccumulator::Clear() { pending_.clear(); }
 
-std::vector<EntrymapAccumulator::ExportedNode>
-EntrymapAccumulator::ExportPending() const {
-  std::vector<ExportedNode> nodes;
+std::vector<AccumulatorNodeState> EntrymapAccumulator::ExportPending() const {
+  std::vector<AccumulatorNodeState> nodes;
   nodes.reserve(pending_.size());
   for (const auto& [key, node] : pending_) {
-    ExportedNode out;
-    out.level = key.first;
+    AccumulatorNodeState out;
+    out.level = static_cast<uint32_t>(key.first);
     out.home = key.second;
     out.files.reserve(node.ids.size());
     for (size_t i = 0; i < node.ids.size(); ++i) {
@@ -242,10 +241,10 @@ EntrymapAccumulator::ExportPending() const {
 }
 
 void EntrymapAccumulator::ImportPending(
-    const std::vector<ExportedNode>& nodes) {
+    std::span<const AccumulatorNodeState> nodes) {
   pending_.clear();
-  for (const ExportedNode& in : nodes) {
-    Node& node = pending_[{in.level, in.home}];
+  for (const AccumulatorNodeState& in : nodes) {
+    Node& node = pending_[{static_cast<int>(in.level), in.home}];
     for (const auto& [id, bitmap] : in.files) {
       // A later duplicate replaces an earlier one; a bitmap of the wrong
       // width is cut or zero-filled to the geometry's.

@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "src/clio/types.h"
+#include "src/index/checkpoint.h"
 #include "src/util/status.h"
 
 namespace clio {
@@ -143,17 +144,12 @@ class EntrymapAccumulator {
 
   void Clear();
 
-  // Snapshot / restore of the pending state, for the recovery checkpoint
-  // (src/index/checkpoint.h). Export returns every pending node in
+  // Snapshot / restore of the pending state, in the recovery checkpoint's
+  // form (src/index/checkpoint.h). Export returns every pending node in
   // (level, home) order with its per-file bitmaps; Import replaces the
   // current pending state with a previously exported snapshot.
-  struct ExportedNode {
-    int level = 0;
-    uint64_t home = 0;
-    std::vector<std::pair<LogFileId, Bytes>> files;
-  };
-  std::vector<ExportedNode> ExportPending() const;
-  void ImportPending(const std::vector<ExportedNode>& nodes);
+  std::vector<AccumulatorNodeState> ExportPending() const;
+  void ImportPending(std::span<const AccumulatorNodeState> nodes);
 
  private:
   // One pending node, flat: the marked log files in ascending order and

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "src/clio/chain.h"
-#include "src/clio/volume_walk.h"
 #include "src/obs/metrics.h"
 
 namespace clio {
@@ -317,22 +316,18 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
   }
 
   // Step 4: restore the NVRAM-staged tail block, if it is current.
-  const Bytes* staged = nullptr;
-  Bytes staged_copy;
+  // The staged image may contain catalog records (e.g. a forced create);
+  // one that does not parse is unusable.
+  std::optional<ParsedBlock> staged;
   if (writable && nvram != nullptr && nvram->has_data() &&
       nvram->block_index() == end) {
-    staged_copy.assign(nvram->data().begin(), nvram->data().end());
-    staged = &staged_copy;
-    // The staged image may contain catalog records (e.g. a forced create).
-    auto parsed = ParsedBlock::Parse(BlockImage::Copy(staged_copy));
+    auto parsed = ParsedBlock::Parse(BlockImage::Copy(nvram->data()));
     if (parsed.ok()) {
-      CLIO_RETURN_IF_ERROR(
-          volume->ApplyBlockRecords(end, parsed.value(), nullptr));
-    } else {
-      staged = nullptr;  // NVRAM content unusable
+      CLIO_RETURN_IF_ERROR(volume->ApplyBlockRecords(end, *parsed, nullptr));
+      staged = std::move(parsed).value();
     }
     if (report != nullptr) {
-      report->restored_nvram_tail = staged != nullptr;
+      report->restored_nvram_tail = staged.has_value();
     }
   }
 
@@ -341,7 +336,8 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
     volume->writer_ = std::make_unique<LogVolumeWriter>(
         &volume->blocks_, header, &volume->geometry_, catalog, clock, nvram);
     CLIO_RETURN_IF_ERROR(
-        volume->writer_->Restore(end, std::move(accumulator), staged,
+        volume->writer_->Restore(end, std::move(accumulator),
+                                 staged.has_value() ? &*staged : nullptr,
                                  volume->chain_head_tag_));
     for (uint64_t bad : torn) {
       volume->writer_->NoteBadBlock(bad);
@@ -513,16 +509,7 @@ Result<bool> LogVolume::TryRestoreFromCheckpoint(CheckpointState* ck,
       return false;
     }
   }
-  std::vector<EntrymapAccumulator::ExportedNode> nodes;
-  nodes.reserve(ck->accumulator_nodes.size());
-  for (const AccumulatorNodeState& n : ck->accumulator_nodes) {
-    EntrymapAccumulator::ExportedNode node;
-    node.level = static_cast<int>(n.level);
-    node.home = n.home;
-    node.files = n.files;
-    nodes.push_back(std::move(node));
-  }
-  acc->ImportPending(nodes);
+  acc->ImportPending(ck->accumulator_nodes);
   recovered_max_timestamp_ =
       std::max(recovered_max_timestamp_, ck->max_timestamp);
 
@@ -613,9 +600,8 @@ Result<CheckpointRecord> LogVolume::BuildCheckpointRecord(uint64_t from,
   if (writer_ == nullptr) {
     return FailedPrecondition("checkpoint requires a writable volume");
   }
-  CLIO_RETURN_IF_ERROR(EnsureExtentIndex());
-  const ExtentIndex* idx = extent_index();
-  if (idx == nullptr || idx->covered_end() != writer_->staging_block()) {
+  const ExtentIndex* idx = CoveringIndex(/*build=*/true);
+  if (idx == nullptr) {
     return FailedPrecondition(
         "extent index has not caught up with the writer");
   }
@@ -629,14 +615,7 @@ Result<CheckpointRecord> LogVolume::BuildCheckpointRecord(uint64_t from,
   record.max_timestamp =
       std::max(recovered_max_timestamp_, writer_->last_issued_timestamp());
   record.index_delta = idx->EncodeSince(from);
-  for (EntrymapAccumulator::ExportedNode& n :
-       writer_->accumulator().ExportPending()) {
-    AccumulatorNodeState node;
-    node.level = static_cast<uint32_t>(n.level);
-    node.home = n.home;
-    node.files = std::move(n.files);
-    record.accumulator_nodes.push_back(std::move(node));
-  }
+  record.accumulator_nodes = writer_->accumulator().ExportPending();
   if (with_catalog) {
     record.catalog_records.emplace();
     for (const CatalogRecord& entry : catalog_->ExportRecords()) {
@@ -646,14 +625,21 @@ Result<CheckpointRecord> LogVolume::BuildCheckpointRecord(uint64_t from,
   return record;
 }
 
+const ExtentIndex* LogVolume::CoveringIndex(bool build) {
+  if (build && !EnsureExtentIndex().ok()) {
+    return nullptr;
+  }
+  const ExtentIndex* idx = extent_index();
+  return idx != nullptr && idx->covered_end() == end_block() ? idx : nullptr;
+}
+
 const ExtentIndex* LogVolume::PlanningIndex(LogFileId id, uint64_t lo,
-                                            uint64_t hi) const {
+                                            uint64_t hi) {
   if (id == kVolumeSeqLogId || id == kEntrymapLogId) {
     return nullptr;  // untracked: the index holds no runs for them
   }
-  const ExtentIndex* idx = extent_index();
-  if (idx == nullptr || idx->covered_end() != end_block() ||
-      hi > end_block()) {
+  const ExtentIndex* idx = CoveringIndex(/*build=*/false);
+  if (idx == nullptr || hi > end_block()) {
     return nullptr;
   }
   // The index records burn-time memberships; a block quarantined since
@@ -706,76 +692,52 @@ Result<ParsedBlock> LogVolume::GetBlock(uint64_t block, OpStats* stats,
                    recovering_ ? RebuildReadaheadCounter() : nullptr);
 }
 
-namespace {
-
-// Segment describing `span` within the image it points into; the
-// segment's image keeps the block's frame cached while it lives.
-PayloadSegment SegmentFor(const ParsedBlock& parsed,
-                          std::span<const std::byte> span) {
-  PayloadSegment segment;
-  segment.image = parsed.shared_image();
-  segment.offset = static_cast<uint32_t>(span.data() - segment.image.data());
-  segment.length = static_cast<uint32_t>(span.size());
-  return segment;
-}
-
-}  // namespace
-
 Result<Bytes> LogVolume::AssembleEntryPayload(
     uint64_t block, const ParsedBlock& parsed, size_t entry_index,
     OpStats* stats, bool* truncated, std::vector<PayloadSegment>* segments) {
   *truncated = false;
-  const ParsedEntry& base = parsed.entries()[entry_index];
   Bytes out;
-  if (segments != nullptr) {
-    if (!base.payload.empty()) {
-      segments->push_back(SegmentFor(parsed, base.payload));
+  // A segment's image keeps its block's frame cached while it lives.
+  auto add = [&](const ParsedBlock& from, std::span<const std::byte> payload) {
+    if (segments == nullptr) {
+      out.insert(out.end(), payload.begin(), payload.end());
+    } else if (!payload.empty()) {
+      const BlockImage& image = from.shared_image();
+      segments->push_back(
+          {image, static_cast<uint32_t>(payload.data() - image.data()),
+           static_cast<uint32_t>(payload.size())});
     }
-  } else {
-    out.assign(base.payload.begin(), base.payload.end());
+  };
+  add(parsed, parsed.entries()[entry_index].payload);
+  std::optional<FragmentChain> chain;
+  if (entry_index + 1 == parsed.entries().size()) {
+    chain = FragmentChain::From(block, parsed);
   }
-  bool continues = entry_index + 1 == parsed.entries().size() &&
-                   parsed.last_entry_continues();
-  uint64_t b = block;
-  while (continues) {
-    ++b;
-    if (b >= end_including_staged()) {
-      *truncated = true;
-      return out;
-    }
-    auto next = GetBlock(b, stats);
-    if (!next.ok()) {
-      if (next.status().code() == StatusCode::kInvalidated ||
-          next.status().code() == StatusCode::kCorrupt) {
-        *truncated = true;  // the middle of the entry was lost
-        return out;
-      }
-      return next.status();
-    }
-    // The continuation is the first fragment entry of this log file in the
-    // block (entrymap entries may precede it in a home block).
-    bool found = false;
-    for (size_t i = 0; i < next.value().entries().size(); ++i) {
-      const ParsedEntry& e = next.value().entries()[i];
-      if (e.is_fragment() && e.logfile_id == base.logfile_id) {
-        if (segments != nullptr) {
-          if (!e.payload.empty()) {
-            segments->push_back(SegmentFor(next.value(), e.payload));
-          }
-        } else {
-          out.insert(out.end(), e.payload.begin(), e.payload.end());
-        }
-        continues = i + 1 == next.value().entries().size() &&
-                    next.value().last_entry_continues();
-        found = true;
+  if (!chain.has_value()) {
+    return out;
+  }
+  VolumeWalk walk(block + 1, end_including_staged());
+  auto get = [&](uint64_t b) { return GetBlock(b, stats); };
+  auto follow = [&](const WalkedBlock& w) {
+    switch (chain->Feed(w)) {
+      case FragmentChain::Step::kPass:
+        return Status::Ok();
+      case FragmentChain::Step::kBroken:
         break;
-      }
+      case FragmentChain::Step::kFragment:
+        add(*w.parsed, chain->fragment().payload);
+        if (chain->open()) {
+          return Status::Ok();
+        }
+        break;
     }
-    if (!found && !next.value().passes_chain_through()) {
-      *truncated = true;
-      return out;
-    }
-  }
+    walk.Stop();
+    return Status::Ok();
+  };
+  CLIO_RETURN_IF_ERROR(walk.Run(get, follow));
+  // Open still: the chain broke, or the range ended before its last
+  // fragment.
+  *truncated = chain->open();
   return out;
 }
 
@@ -880,14 +842,12 @@ Result<Bytes> LogVolume::GroupBitmap(LogFileId id, int level, uint64_t home,
       return f != nullptr ? f->bitmap : EmptyBitmap(geometry_.bitmap_bytes());
     }
     // Missing: synthesize below.
-  } else {
-    if (accumulator_ready_) {
-      // Not on media: the node (if any) is pending in the accumulator,
-      // keyed by its home block.
-      Bytes bitmap = LiveAccumulator().BitmapOf(level, home, id);
-      return bitmap.empty() ? EmptyBitmap(geometry_.bitmap_bytes()) : bitmap;
-    }
-    // During recovery replay the accumulator does not exist yet; synthesize.
+  } else if (accumulator_ready_) {
+    // Not on media: the node (if any) is pending in the accumulator, keyed
+    // by its home block. (During recovery replay the accumulator does not
+    // exist yet; synthesize.)
+    Bytes bitmap = LiveAccumulator().BitmapOf(level, home, id);
+    return bitmap.empty() ? EmptyBitmap(geometry_.bitmap_bytes()) : bitmap;
   }
 
   // Fallback (§2.3.2): assume the entrymap entry is absent and search the
@@ -919,46 +879,23 @@ Result<Bytes> LogVolume::GroupBitmap(LogFileId id, int level, uint64_t home,
   return bitmap;
 }
 
-Result<std::optional<uint64_t>> LogVolume::DescendHighest(LogFileId id,
-                                                          int level,
-                                                          uint64_t lo,
-                                                          OpStats* stats) {
+Result<std::optional<uint64_t>> LogVolume::Descend(LogFileId id, int level,
+                                                   uint64_t lo, bool highest,
+                                                   OpStats* stats) {
   if (level == 0) {
     return std::optional<uint64_t>(lo >= 1 ? std::optional<uint64_t>(lo)
                                            : std::nullopt);
   }
   CLIO_ASSIGN_OR_RETURN(
       Bytes bitmap, GroupBitmap(id, level, lo + geometry_.PowN(level), stats));
-  uint64_t step = geometry_.PowN(level - 1);
-  for (uint32_t bit = geometry_.degree(); bit > 0; --bit) {
-    if (EntrymapPayload::TestBit(bitmap, bit - 1)) {
-      CLIO_ASSIGN_OR_RETURN(
-          std::optional<uint64_t> r,
-          DescendHighest(id, level - 1, lo + (bit - 1) * step, stats));
-      if (r.has_value()) {
-        return r;
-      }
-    }
-  }
-  return std::optional<uint64_t>(std::nullopt);
-}
-
-Result<std::optional<uint64_t>> LogVolume::DescendLowest(LogFileId id,
-                                                         int level,
-                                                         uint64_t lo,
-                                                         OpStats* stats) {
-  if (level == 0) {
-    return std::optional<uint64_t>(lo >= 1 ? std::optional<uint64_t>(lo)
-                                           : std::nullopt);
-  }
-  CLIO_ASSIGN_OR_RETURN(
-      Bytes bitmap, GroupBitmap(id, level, lo + geometry_.PowN(level), stats));
-  uint64_t step = geometry_.PowN(level - 1);
-  for (uint32_t bit = 0; bit < geometry_.degree(); ++bit) {
+  const uint64_t step = geometry_.PowN(level - 1);
+  const uint32_t n = geometry_.degree();
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint32_t bit = highest ? n - 1 - i : i;
     if (EntrymapPayload::TestBit(bitmap, bit)) {
       CLIO_ASSIGN_OR_RETURN(
           std::optional<uint64_t> r,
-          DescendLowest(id, level - 1, lo + bit * step, stats));
+          Descend(id, level - 1, lo + bit * step, highest, stats));
       if (r.has_value()) {
         return r;
       }
@@ -1014,17 +951,15 @@ Result<std::optional<uint64_t>> LogVolume::PrevBlockWith(LogFileId id,
   // zero device reads; non-authoritative answers (a hole overlaps the
   // range) fall through to the entrymap walk, the source of truth.
   if (index_enabled_) {
-    Status built = EnsureExtentIndex();
-    const ExtentIndex* idx = built.ok() ? extent_index() : nullptr;
-    ExtentIndex::Lookup hit;
-    if (idx != nullptr && idx->covered_end() == end_block()) {
-      hit = idx->PrevBlockWith(id, limit);
-    }
+    const ExtentIndex* idx = CoveringIndex(/*build=*/true);
+    const ExtentIndex::Lookup hit =
+        idx != nullptr ? idx->PrevBlockWith(id, limit) : ExtentIndex::Lookup{};
+    (hit.authoritative ? lane_metrics_->index_hits
+                       : lane_metrics_->index_misses)
+        ->Increment();
     if (hit.authoritative) {
-      lane_metrics_->index_hits->Increment();
       return hit.block;
     }
-    lane_metrics_->index_misses->Increment();
   }
   const uint16_t n = geometry_.degree();
 
@@ -1057,8 +992,9 @@ Result<std::optional<uint64_t>> LogVolume::PrevBlockWith(LogFileId id,
     std::optional<uint32_t> bit = EntrymapPayload::HighestSetBelow(bm, excl);
     while (bit.has_value()) {
       uint64_t sub_lo = hl - geometry_.PowN(level) + *bit * step;
-      CLIO_ASSIGN_OR_RETURN(std::optional<uint64_t> r,
-                            DescendHighest(id, level - 1, sub_lo, stats));
+      CLIO_ASSIGN_OR_RETURN(
+          std::optional<uint64_t> r,
+          Descend(id, level - 1, sub_lo, /*highest=*/true, stats));
       if (r.has_value()) {
         return r;
       }
@@ -1088,20 +1024,17 @@ Result<std::optional<uint64_t>> LogVolume::NextBlockWith(LogFileId id,
   // RAM fast path over the burned range; an authoritative "none" still
   // falls through to the staged-tail check below.
   if (search_burned && index_enabled_) {
-    Status built = EnsureExtentIndex();
-    const ExtentIndex* idx = built.ok() ? extent_index() : nullptr;
-    ExtentIndex::Lookup hit;
-    if (idx != nullptr && idx->covered_end() == limit) {
-      hit = idx->NextBlockWith(id, from);
-    }
+    const ExtentIndex* idx = CoveringIndex(/*build=*/true);
+    const ExtentIndex::Lookup hit =
+        idx != nullptr ? idx->NextBlockWith(id, from) : ExtentIndex::Lookup{};
+    (hit.authoritative ? lane_metrics_->index_hits
+                       : lane_metrics_->index_misses)
+        ->Increment();
     if (hit.authoritative) {
-      lane_metrics_->index_hits->Increment();
       if (hit.block.has_value()) {
         return hit.block;
       }
       search_burned = false;
-    } else {
-      lane_metrics_->index_misses->Increment();
     }
   }
   if (search_burned) {
@@ -1125,8 +1058,9 @@ Result<std::optional<uint64_t>> LogVolume::NextBlockWith(LogFileId id,
         if (sub_lo >= limit) {
           break;
         }
-        CLIO_ASSIGN_OR_RETURN(std::optional<uint64_t> r,
-                              DescendLowest(id, level - 1, sub_lo, stats));
+        CLIO_ASSIGN_OR_RETURN(
+            std::optional<uint64_t> r,
+            Descend(id, level - 1, sub_lo, /*highest=*/false, stats));
         if (r.has_value()) {
           return r;
         }
@@ -1159,24 +1093,23 @@ Result<std::optional<uint64_t>> LogVolume::FindBlockByTime(Timestamp t,
   // timestamp) vector answers for the burned range. Any scan hole makes
   // the timestamp vector non-authoritative and the bisection below runs.
   if (index_enabled_) {
-    Status built = EnsureExtentIndex();
-    const ExtentIndex* idx = built.ok() ? extent_index() : nullptr;
-    if (idx != nullptr && idx->covered_end() == end_block()) {
+    const ExtentIndex* idx = CoveringIndex(/*build=*/true);
+    ExtentIndex::Lookup hit;
+    if (idx != nullptr) {
       std::optional<Timestamp> staged_ts =
           writer_ != nullptr && writer_->has_staged_entries()
               ? writer_->staged_leading_timestamp()
               : std::nullopt;
-      if (staged_ts.has_value() && *staged_ts <= t) {
-        lane_metrics_->index_hits->Increment();
-        return std::optional<uint64_t>(writer_->staging_block());
-      }
-      ExtentIndex::Lookup hit = idx->LastBlockAtOrBefore(t);
-      if (hit.authoritative) {
-        lane_metrics_->index_hits->Increment();
-        return hit.block;
-      }
+      hit = staged_ts.has_value() && *staged_ts <= t
+                ? ExtentIndex::Lookup{true, writer_->staging_block()}
+                : idx->LastBlockAtOrBefore(t);
     }
-    lane_metrics_->index_misses->Increment();
+    (hit.authoritative ? lane_metrics_->index_hits
+                       : lane_metrics_->index_misses)
+        ->Increment();
+    if (hit.authoritative) {
+      return hit.block;
+    }
   }
   uint64_t lo = 1;
   uint64_t hi = limit;

@@ -193,8 +193,7 @@ class LogVolume {
   // entrymap log), and no block of the range is quarantined. nullptr
   // means read as if there were no index. Holes in the range still make
   // the index's own lookups non-authoritative.
-  const ExtentIndex* PlanningIndex(LogFileId id, uint64_t lo,
-                                   uint64_t hi) const;
+  const ExtentIndex* PlanningIndex(LogFileId id, uint64_t lo, uint64_t hi);
 
   // Nearest block strictly before `before_block` containing entries of
   // `id` (or of a sublog of `id`); nullopt if none on this volume.
@@ -251,9 +250,13 @@ class LogVolume {
     }
   }
 
+  // Membership test including kMulti extra memberships (§2.1).
+  bool EntryBelongsTo(const ParsedEntry& e, LogFileId id) const;
+
   // Full payload of entry `entry_index` of `parsed` (which was read from
-  // `block`), following its fragment chain into subsequent blocks. Sets
-  // *truncated if part of the chain was lost to corruption.
+  // `block`), following its fragment chain into subsequent blocks across
+  // the skipped blocks a chain may cross (FragmentChain). Sets *truncated
+  // if the chain breaks or runs past the end; a transient read fails.
   //
   // When `segments` is non-null the payload is returned by REFERENCE
   // instead: one PayloadSegment per fragment, each holding the parsed
@@ -278,6 +281,12 @@ class LogVolume {
                              RecoveryReport::Passes* passes);
   Status ReplayCatalog(OpStats* stats);
   Status RebuildAccumulator(EntrymapAccumulator* acc, OpStats* stats);
+
+  // The one gate between a search, a read plan or a checkpoint and the
+  // extent index: the index when it is built and covers every burned
+  // block, else nullptr (the entrymap and the media rule). `build` first
+  // builds it if enabled; a failed build reads as absent.
+  const ExtentIndex* CoveringIndex(bool build);
 
   // Checkpointed fast restart: restores catalog/accumulator/index state
   // from `ck` (taking its index) and replays only [ck->covered_end, end).
@@ -322,13 +331,12 @@ class LogVolume {
   Result<Bytes> GroupBitmap(LogFileId id, int level, uint64_t home,
                             OpStats* stats);
 
-  // Highest/lowest block holding `id` within the aligned closed group
-  // [lo, lo + N^level); level 0 means `lo` itself (certified by the caller's
-  // bitmap bit).
-  Result<std::optional<uint64_t>> DescendHighest(LogFileId id, int level,
-                                                 uint64_t lo, OpStats* stats);
-  Result<std::optional<uint64_t>> DescendLowest(LogFileId id, int level,
-                                                uint64_t lo, OpStats* stats);
+  // Highest (else lowest) block holding `id` within the aligned closed
+  // group [lo, lo + N^level); level 0 means `lo` itself (certified by the
+  // caller's bitmap bit).
+  Result<std::optional<uint64_t>> Descend(LogFileId id, int level,
+                                          uint64_t lo, bool highest,
+                                          OpStats* stats);
 
   // The first block of `walk` holding `id`: the linear scan of the
   // volume sequence log and the entrymap log.
@@ -337,13 +345,6 @@ class LogVolume {
 
   // Does this parsed block contain an entry belonging to log file `id`?
   bool BlockHas(const ParsedBlock& block, LogFileId id) const;
-
- public:
-  // Membership test including kMulti extra memberships (§2.1).
-  bool EntryBelongsTo(const ParsedEntry& e, LogFileId id) const;
-
- private:
-
   const EntrymapAccumulator& LiveAccumulator() const;
 
   WormDevice* device_;

@@ -55,9 +55,18 @@ struct SpaceAccounting {
   uint64_t forced_partial_burns = 0;
   uint64_t invalidated_blocks = 0;
 
-  uint64_t TotalBurned() const {
-    return client_payload_bytes + client_header_bytes + entrymap_bytes +
-           catalog_bytes + badblock_bytes + padding_bytes + footer_bytes;
+  SpaceAccounting& operator+=(const SpaceAccounting& s) {
+    client_payload_bytes += s.client_payload_bytes;
+    client_header_bytes += s.client_header_bytes;
+    entrymap_bytes += s.entrymap_bytes;
+    catalog_bytes += s.catalog_bytes;
+    badblock_bytes += s.badblock_bytes;
+    padding_bytes += s.padding_bytes;
+    footer_bytes += s.footer_bytes;
+    blocks_burned += s.blocks_burned;
+    forced_partial_burns += s.forced_partial_burns;
+    invalidated_blocks += s.invalidated_blocks;
+    return *this;
   }
 };
 
@@ -93,13 +102,13 @@ class LogVolumeWriter {
 
   // Positions the writer: `next_block` is where the next burn will land
   // (1 for a fresh volume, the recovered end otherwise); `accumulator`
-  // carries the open-group bitmaps (empty for fresh). If `staged_image` is
-  // a valid block image recovered from NVRAM, its entries are re-staged.
+  // carries the open-group bitmaps (empty for fresh). The entries of
+  // `staged`, a block recovered from NVRAM, are re-staged.
   // On a chained (v2) volume `chain_tag` is the accumulated tag over every
   // valid block below `next_block` (the seed for a fresh volume); nullopt
   // keeps the writer unchained for v1 volumes.
   Status Restore(uint64_t next_block, EntrymapAccumulator accumulator,
-                 const Bytes* staged_image,
+                 const ParsedBlock* staged,
                  std::optional<uint64_t> chain_tag = std::nullopt);
 
   // Appends one entry to `id`. Returns the server timestamp assigned to the
@@ -176,17 +185,19 @@ class LogVolumeWriter {
   // volume is chained, a plain v1 builder otherwise.
   std::unique_ptr<BlockBuilder> NewBuilder() const;
   Status OpenBuilder();  // starts a block; emits due entrymap entries
-  // OpenBuilder for the block after one flagged last-entry-continues: an
-  // entrymap node that overflows this block burns it entrymap-only with
-  // the chain kept open, as the fragment loop's fcap == 0 path does.
-  Status OpenBuilderInChain();
   Status BurnBuilder();
   // Emits the level-`level` entrymap node homed at `home` into the current
   // builder (possibly spilling across blocks).
   Status EmitEntrymapNode(int level, uint64_t home);
   void AccountClientEntry(LogFileId id, HeaderVersion v, size_t payload_size);
-  Status AppendInternal(LogFileId id, std::span<const std::byte> payload);
+  // Adds `id` and its ancestors to the open block's membership set.
+  void MarkPending(LogFileId id);
   Status DrainBadBlockRecords();
+  // Burns the open block, if any, flagged last-entry-continues, and opens
+  // the chain's next block with room for a fragment of `min_payload`
+  // bytes. An entrymap node that fills a block opened in the chain burns
+  // it entrymap-only with the chain kept open (a pass-through block).
+  Status OpenFragmentBlock(uint32_t min_payload);
   // Stages a zero-length terminator fragment when a crash left the burned
   // log ending in a dangling last-entry-continues flag (see Restore).
   Status SealStrandedChain();
@@ -211,7 +222,7 @@ class LogVolumeWriter {
   std::deque<uint64_t> pending_bad_blocks_;
   bool draining_bad_blocks_ = false;
   bool sealed_ = false;
-  bool chain_open_ = false;  // inside OpenBuilderInChain
+  bool chain_open_ = false;  // opening a block inside OpenFragmentBlock
 
   SpaceAccounting space_;
   uint64_t entrymap_upkeep_calls_ = 0;

@@ -179,7 +179,7 @@ class ChaosTest : public ::testing::Test {
   void StartGeneration(const FaultPolicy& policy, uint64_t seed,
                        bool scrub = false) {
     auto injector = std::make_unique<FaultInjectingWormDevice>(
-        std::make_unique<testing::BorrowedDevice>(media_.get()), policy,
+        std::make_unique<BorrowedDevice>(media_.get()), policy,
         seed);
     injector_ = injector.get();
     if (!created_) {
@@ -229,7 +229,7 @@ class ChaosTest : public ::testing::Test {
   void AuditMedia(const std::vector<std::string>& acked, int iteration) {
     SCOPED_TRACE("audit after iteration " + std::to_string(iteration));
     std::vector<std::unique_ptr<WormDevice>> devices;
-    devices.push_back(std::make_unique<testing::BorrowedDevice>(media_.get()));
+    devices.push_back(std::make_unique<BorrowedDevice>(media_.get()));
     RecoveryReport recovery;
     auto service = LogService::Recover(std::move(devices), &clock_,
                                        ServiceOptions(), &recovery);
@@ -519,7 +519,7 @@ TEST_F(ChaosTest, BitRotIsQuarantinedWhileTheServiceKeepsServing) {
                    std::to_string(iteration));
       std::vector<std::unique_ptr<WormDevice>> devices;
       devices.push_back(
-          std::make_unique<testing::BorrowedDevice>(media_.get()));
+          std::make_unique<BorrowedDevice>(media_.get()));
       RecoveryReport recovery;
       auto service = LogService::Recover(std::move(devices), &clock_,
                                          ServiceOptions(), &recovery);
@@ -606,7 +606,7 @@ class PartitionedChaosTest : public ::testing::Test {
     injectors_.assign(kChaosPartitions, nullptr);
     auto injector_for = [&](uint32_t p) {
       auto injector = std::make_unique<FaultInjectingWormDevice>(
-          std::make_unique<testing::BorrowedDevice>(media_[p].get()),
+          std::make_unique<BorrowedDevice>(media_[p].get()),
           p == faulty ? policy : FaultPolicy{}, seed + p);
       injectors_[p] = injector.get();
       return injector;
@@ -667,7 +667,7 @@ class PartitionedChaosTest : public ::testing::Test {
     std::vector<std::vector<std::unique_ptr<WormDevice>>> chains;
     for (auto& media : media_) {
       std::vector<std::unique_ptr<WormDevice>> chain;
-      chain.push_back(std::make_unique<testing::BorrowedDevice>(media.get()));
+      chain.push_back(std::make_unique<BorrowedDevice>(media.get()));
       chains.push_back(std::move(chain));
     }
     auto service = PartitionedLogService::Recover(std::move(chains), &clock_,
@@ -828,7 +828,7 @@ TEST(CheckpointChaosTest, KillsAroundCheckpointsConvergeByteForByte) {
   options.checkpoint_interval_blocks = 8;
 
   auto created = LogService::Create(
-      std::make_unique<testing::BorrowedDevice>(&media), &clock, options);
+      std::make_unique<BorrowedDevice>(&media), &clock, options);
   ASSERT_OK(created.status());
   std::unique_ptr<LogService> service = std::move(created).value();
   const std::vector<std::string> paths = {"/ck0", "/ck1"};
@@ -877,7 +877,7 @@ TEST(CheckpointChaosTest, KillsAroundCheckpointsConvergeByteForByte) {
     // the NVRAM sidecar survive.
     service.reset();
     std::vector<std::unique_ptr<WormDevice>> devices;
-    devices.push_back(std::make_unique<testing::BorrowedDevice>(&media));
+    devices.push_back(std::make_unique<BorrowedDevice>(&media));
     RecoveryReport report;
     auto recovered =
         LogService::Recover(std::move(devices), &clock, options, &report);
@@ -898,7 +898,7 @@ TEST(CheckpointChaosTest, KillsAroundCheckpointsConvergeByteForByte) {
       scan_options.checkpoint_interval_blocks = 0;
       std::vector<std::unique_ptr<WormDevice>> scan_devices;
       scan_devices.push_back(
-          std::make_unique<testing::BorrowedDevice>(&media));
+          std::make_unique<BorrowedDevice>(&media));
       auto scanned = LogService::Recover(std::move(scan_devices), &clock,
                                          scan_options, nullptr);
       ASSERT_OK(scanned.status());

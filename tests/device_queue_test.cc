@@ -55,7 +55,7 @@ bool HoldsPattern(uint64_t first, std::span<const std::byte> bytes) {
 // counts calls that entered while another was still on the device. One
 // block can be gated: its next read waits until Open(). It reports that
 // it serves one call at a time unless told its calls overlap.
-class RecordingDevice : public testing::BorrowedDevice {
+class RecordingDevice : public BorrowedDevice {
  public:
   struct Call {
     uint64_t block;
@@ -64,20 +64,20 @@ class RecordingDevice : public testing::BorrowedDevice {
   };
 
   explicit RecordingDevice(WormDevice* media, bool one_at_a_time = true)
-      : BorrowedDevice(media), media_(media), one_at_a_time_(one_at_a_time) {}
+      : BorrowedDevice(media), one_at_a_time_(one_at_a_time) {}
 
   bool serves_one_call_at_a_time() const override { return one_at_a_time_; }
 
   Status ReadBlock(uint64_t i, std::span<std::byte> out) override {
     Enter(i);
-    Status read = media_->ReadBlock(i, out);
+    Status read = BorrowedDevice::ReadBlock(i, out);
     --in_flight_;
     return read;
   }
   Result<uint64_t> ReadBlocks(uint64_t first, uint64_t count,
                               std::span<std::byte> out) override {
     Enter(first);
-    Result<uint64_t> read = media_->ReadBlocks(first, count, out);
+    Result<uint64_t> read = BorrowedDevice::ReadBlocks(first, count, out);
     --in_flight_;
     return read;
   }
@@ -124,7 +124,6 @@ class RecordingDevice : public testing::BorrowedDevice {
     }
   }
 
-  WormDevice* media_;
   const bool one_at_a_time_;
   std::atomic<int> in_flight_{0};
   std::atomic<int> overlaps_{0};

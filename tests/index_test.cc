@@ -31,7 +31,6 @@
 namespace clio {
 namespace {
 
-using testing::BorrowedDevice;
 using testing::RandomPayload;
 
 // -- ExtentIndex unit tests --
@@ -746,18 +745,13 @@ class PassRecorder : public BorrowedDevice {
  public:
   using BorrowedDevice::BorrowedDevice;
   Status ReadBlock(uint64_t i, std::span<std::byte> out) override {
-    if (!in_pass_) {
-      passes.emplace_back(i, 1);
-    }
+    passes.emplace_back(i, 1);
     return BorrowedDevice::ReadBlock(i, out);
   }
   Result<uint64_t> ReadBlocks(uint64_t first, uint64_t count,
                               std::span<std::byte> out) override {
     passes.emplace_back(first, count);
-    in_pass_ = true;  // the base splits the pass into ReadBlock calls
-    auto got = BorrowedDevice::ReadBlocks(first, count, out);
-    in_pass_ = false;
-    return got;
+    return BorrowedDevice::ReadBlocks(first, count, out);
   }
   uint64_t blocks() const {
     uint64_t total = 0;
@@ -768,9 +762,6 @@ class PassRecorder : public BorrowedDevice {
   }
 
   std::vector<std::pair<uint64_t, uint64_t>> passes;
-
- private:
-  bool in_pass_ = false;
 };
 
 // Smaller than every PlannedReadRig volume, so scans miss.

@@ -138,7 +138,7 @@ TEST(MultiMembership, ExtraMembershipsSurviveRecoveryViaNvram) {
   LogFileId b_id = kNoLogFileId;
   {
     auto service = LogService::Create(
-        std::make_unique<testing::BorrowedDevice>(&media), &clock, options);
+        std::make_unique<BorrowedDevice>(&media), &clock, options);
     ASSERT_TRUE(service.ok());
     ASSERT_OK(service.value()->CreateLogFile("/a").status());
     ASSERT_OK_AND_ASSIGN(b_id, service.value()->CreateLogFile("/b"));
@@ -149,7 +149,7 @@ TEST(MultiMembership, ExtraMembershipsSurviveRecoveryViaNvram) {
                   .status());
   }
   std::vector<std::unique_ptr<WormDevice>> devices;
-  devices.push_back(std::make_unique<testing::BorrowedDevice>(&media));
+  devices.push_back(std::make_unique<BorrowedDevice>(&media));
   ASSERT_OK_AND_ASSIGN(auto recovered,
                        LogService::Recover(std::move(devices), &clock,
                                            options, nullptr));

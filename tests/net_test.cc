@@ -1190,7 +1190,7 @@ class NetRestartTest : public ::testing::Test {
     dev_options.capacity_blocks = 4096;
     media_ = std::make_unique<MemoryWormDevice>(dev_options);
     auto service = LogService::Create(
-        std::make_unique<testing::BorrowedDevice>(media_.get()), &clock_,
+        std::make_unique<BorrowedDevice>(media_.get()), &clock_,
         ServiceOptions());
     ASSERT_OK(service.status());
     service_ = std::move(service).value();
@@ -1230,7 +1230,7 @@ class NetRestartTest : public ::testing::Test {
     service_.reset();
     std::vector<std::unique_ptr<WormDevice>> devices;
     devices.push_back(
-        std::make_unique<testing::BorrowedDevice>(media_.get()));
+        std::make_unique<BorrowedDevice>(media_.get()));
     RecoveryReport report;
     auto service = LogService::Recover(std::move(devices), &clock_,
                                        ServiceOptions(), &report);

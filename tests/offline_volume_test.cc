@@ -9,7 +9,6 @@
 namespace clio {
 namespace {
 
-using testing::BorrowedDevice;
 using testing::RandomPayload;
 
 struct ArchiveRig {

@@ -23,7 +23,6 @@
 namespace clio {
 namespace {
 
-using testing::BorrowedDevice;
 
 // ---------------------------------------------------------------------------
 // Router (unit)

@@ -24,7 +24,6 @@
 namespace clio {
 namespace {
 
-using testing::BorrowedDevice;
 using testing::RandomPayload;
 
 struct Params {

@@ -71,37 +71,6 @@ struct CrashRig {
     service = std::move(recovered).value();
     return report;
   }
-
-  // A WormDevice view that does not own the underlying device.
-  class BorrowedDevice : public WormDevice {
-   public:
-    explicit BorrowedDevice(MemoryWormDevice* base) : base_(base) {}
-    uint32_t block_size() const override { return base_->block_size(); }
-    uint64_t capacity_blocks() const override {
-      return base_->capacity_blocks();
-    }
-    Status ReadBlock(uint64_t i, std::span<std::byte> out) override {
-      return base_->ReadBlock(i, out);
-    }
-    Result<uint64_t> AppendBlock(std::span<const std::byte> d) override {
-      return base_->AppendBlock(d);
-    }
-    Status InvalidateBlock(uint64_t i) override {
-      return base_->InvalidateBlock(i);
-    }
-    Result<uint64_t> QueryEnd() override { return base_->QueryEnd(); }
-    WormBlockState BlockState(uint64_t i) const override {
-      return base_->BlockState(i);
-    }
-    bool serves_one_call_at_a_time() const override {
-      return base_->serves_one_call_at_a_time();
-    }
-    const DeviceStats& stats() const override { return base_->stats(); }
-    void ResetStats() override { base_->ResetStats(); }
-
-   private:
-    MemoryWormDevice* base_;
-  };
 };
 
 std::vector<std::string> ReadAll(LogService* service,
@@ -373,7 +342,7 @@ TEST(Recovery, MultiVolumeSequenceRecovers) {
       [devices, dev](uint32_t) -> Result<std::unique_ptr<WormDevice>> {
         devices->push_back(std::make_unique<MemoryWormDevice>(dev));
         return std::unique_ptr<WormDevice>(
-            new CrashRig::BorrowedDevice(devices->back().get()));
+            new BorrowedDevice(devices->back().get()));
       });
   ASSERT_OK(rig.service->CreateLogFile("/big").status());
   WriteOptions forced;
@@ -429,7 +398,7 @@ TEST(Recovery, BinarySearchEndLocationWorks) {
   options.entrymap_degree = 8;
   // The service gets a borrowed view so the media outlives the "crash".
   auto service = LogService::Create(
-      std::unique_ptr<WormDevice>(new CrashRig::BorrowedDevice(real.get())),
+      std::unique_ptr<WormDevice>(new BorrowedDevice(real.get())),
       &clock, options);
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   ASSERT_OK(service.value()->CreateLogFile("/x").status());
@@ -445,7 +414,7 @@ TEST(Recovery, BinarySearchEndLocationWorks) {
   RecoveryReport report;
   std::vector<std::unique_ptr<WormDevice>> devices;
   devices.push_back(std::unique_ptr<WormDevice>(
-      new CrashRig::BorrowedDevice(real.get())));
+      new BorrowedDevice(real.get())));
   auto recovered = LogService::Recover(std::move(devices), &clock, options,
                                        &report);
   ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
@@ -625,7 +594,7 @@ TEST(Recovery, FailedCheckpointBacksOffAnInterval) {
   WriteOptions plain;
   {
     auto created = LogService::Create(
-        std::make_unique<testing::BorrowedDevice>(&media), &clock, options);
+        std::make_unique<BorrowedDevice>(&media), &clock, options);
     ASSERT_OK(created.status());
     ASSERT_OK(created.value()->CreateLogFile("/w").status());
     for (int i = 0; i < 100; ++i) {
@@ -640,7 +609,7 @@ TEST(Recovery, FailedCheckpointBacksOffAnInterval) {
   options.nvram = &nvram;
   std::vector<std::unique_ptr<WormDevice>> devices;
   auto faulty = std::make_unique<FaultInjectingWormDevice>(
-      std::make_unique<testing::BorrowedDevice>(&media), FaultPolicy{},
+      std::make_unique<BorrowedDevice>(&media), FaultPolicy{},
       /*seed=*/61);
   FaultInjectingWormDevice* device = faulty.get();
   devices.push_back(std::move(faulty));
@@ -706,9 +675,7 @@ TEST(Recovery, StrandedCompactChainKeepsTimeSearchWorking) {
       return false;
     }
     auto parsed = ParsedBlock::Parse(BlockImage::Copy(image));
-    return parsed.ok() && parsed->last_entry_continues() &&
-           !parsed->entries().empty() &&
-           parsed->entries().back().logfile_id != kEntrymapLogId &&
+    return parsed.ok() && FragmentChain::From(last, *parsed).has_value() &&
            !parsed->entries().back().timestamp.has_value();
   };
   while (stamps.size() < 20 || !stranded_compact()) {
@@ -916,35 +883,33 @@ std::ostream& operator<<(std::ostream& os, const ReadCall& c) {
 // A borrowed device that logs every read call into `calls`. ReadBlocks is
 // one call, as on a device whose pass is one seek. QueryEnd reports
 // `end_shortfall` blocks short, or is unsupported when `query_end` is off.
-class PassLogDevice : public testing::BorrowedDevice {
+class PassLogDevice : public BorrowedDevice {
  public:
   PassLogDevice(MemoryWormDevice* media, std::vector<ReadCall>* calls,
                 bool query_end, uint64_t end_shortfall)
       : BorrowedDevice(media),
-        media_(media),
         calls_(calls),
         query_end_(query_end),
         end_shortfall_(end_shortfall) {}
 
   Status ReadBlock(uint64_t i, std::span<std::byte> out) override {
     calls_->push_back({i, 1});
-    return media_->ReadBlock(i, out);
+    return BorrowedDevice::ReadBlock(i, out);
   }
   Result<uint64_t> ReadBlocks(uint64_t first, uint64_t count,
                               std::span<std::byte> out) override {
     calls_->push_back({first, count});
-    return media_->ReadBlocks(first, count, out);
+    return BorrowedDevice::ReadBlocks(first, count, out);
   }
   Result<uint64_t> QueryEnd() override {
     if (!query_end_) {
       return Unimplemented("no end query");
     }
-    CLIO_ASSIGN_OR_RETURN(uint64_t end, media_->QueryEnd());
+    CLIO_ASSIGN_OR_RETURN(uint64_t end, BorrowedDevice::QueryEnd());
     return end - std::min(end, end_shortfall_);
   }
 
  private:
-  MemoryWormDevice* media_;
   std::vector<ReadCall>* calls_;
   bool query_end_;
   uint64_t end_shortfall_;
@@ -964,7 +929,7 @@ struct PlanRig {
     dev.capacity_blocks = 4096;
     media = std::make_unique<MemoryWormDevice>(dev);
     auto service = LogService::Create(
-        std::make_unique<testing::BorrowedDevice>(media.get()), &clock,
+        std::make_unique<BorrowedDevice>(media.get()), &clock,
         options);
     EXPECT_OK(service.status());
     EXPECT_OK(service.value()->CreateLogFile("/c").status());
@@ -1146,7 +1111,7 @@ TEST(Recovery, RolloverClearsTheCheckpoint) {
       [devices, dev](uint32_t) -> Result<std::unique_ptr<WormDevice>> {
         devices->push_back(std::make_unique<MemoryWormDevice>(dev));
         return std::unique_ptr<WormDevice>(
-            new CrashRig::BorrowedDevice(devices->back().get()));
+            new BorrowedDevice(devices->back().get()));
       });
   ASSERT_OK(rig.service->CreateLogFile("/big").status());
   WriteOptions forced;

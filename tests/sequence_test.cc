@@ -14,7 +14,6 @@
 namespace clio {
 namespace {
 
-using testing::BorrowedDevice;
 using testing::RandomPayload;
 
 struct SeqRig {

@@ -21,7 +21,6 @@
 namespace clio {
 namespace {
 
-using testing::BorrowedDevice;
 using testing::RandomPayload;
 using testing::ServiceFixture;
 

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "src/clio/log_service.h"
+#include "src/device/borrowed_device.h"
 #include "src/device/memory_worm_device.h"
 #include "src/util/rng.h"
 #include "src/util/time.h"
@@ -60,38 +61,6 @@ inline int ScaledByChaos(int base) {
                           24);
 }
 
-// A WormDevice view that does not own the underlying device; lets a test
-// destroy the service ("crash") while the media survives.
-class BorrowedDevice : public WormDevice {
- public:
-  explicit BorrowedDevice(WormDevice* base) : base_(base) {}
-  uint32_t block_size() const override { return base_->block_size(); }
-  uint64_t capacity_blocks() const override {
-    return base_->capacity_blocks();
-  }
-  Status ReadBlock(uint64_t i, std::span<std::byte> out) override {
-    return base_->ReadBlock(i, out);
-  }
-  Result<uint64_t> AppendBlock(std::span<const std::byte> d) override {
-    return base_->AppendBlock(d);
-  }
-  Status InvalidateBlock(uint64_t i) override {
-    return base_->InvalidateBlock(i);
-  }
-  Result<uint64_t> QueryEnd() override { return base_->QueryEnd(); }
-  WormBlockState BlockState(uint64_t i) const override {
-    return base_->BlockState(i);
-  }
-  bool serves_one_call_at_a_time() const override {
-    return base_->serves_one_call_at_a_time();
-  }
-  const DeviceStats& stats() const override { return base_->stats(); }
-  void ResetStats() override { base_->ResetStats(); }
-
- private:
-  WormDevice* base_;
-};
-
 // A borrowed device whose next reads of one block fail the way a
 // transient fault does (kUnavailable); every other read goes through.
 class FlakyBlockDevice : public BorrowedDevice {
@@ -111,10 +80,39 @@ class FlakyBlockDevice : public BorrowedDevice {
     }
     return BorrowedDevice::ReadBlock(i, out);
   }
+  // A read pass reads block by block here, so the flaky block fails it.
+  Result<uint64_t> ReadBlocks(uint64_t first, uint64_t count,
+                              std::span<std::byte> out) override {
+    return WormDevice::ReadBlocks(first, count, out);
+  }
 
  private:
   uint64_t flaky_ = 0;
   int failures_ = 0;
+};
+
+// A borrowed device that turns one chosen burn into garbage: the block
+// holds junk and the burn fails, as a wild write does (§2.3.2). The writer
+// invalidates that block and burns the same image past it.
+class GarbageBurnDevice : public BorrowedDevice {
+ public:
+  using BorrowedDevice::BorrowedDevice;
+
+  // The `n`th burn from now (1 = the next one) turns to garbage.
+  void GarbageOnBurn(int n) { countdown_ = n; }
+  bool fired() const { return countdown_ == 0; }
+
+  Result<uint64_t> AppendBlock(std::span<const std::byte> d) override {
+    if (countdown_ > 0 && --countdown_ == 0) {
+      const Bytes junk(d.size(), std::byte{0x5A});
+      CLIO_RETURN_IF_ERROR(BorrowedDevice::AppendBlock(junk).status());
+      return Unavailable("garbage burn");
+    }
+    return BorrowedDevice::AppendBlock(d);
+  }
+
+ private:
+  int countdown_ = -1;
 };
 
 // Random printable payload of the given size.

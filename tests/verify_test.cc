@@ -126,7 +126,7 @@ TEST(Verify, CorruptBlockMakesTheReportUnclean) {
   options.entrymap_degree = 8;
   ASSERT_OK_AND_ASSIGN(
       auto service,
-      LogService::Create(std::make_unique<testing::BorrowedDevice>(&media),
+      LogService::Create(std::make_unique<BorrowedDevice>(&media),
                          &clock, options));
   ASSERT_OK(service->CreateLogFile("/a").status());
   Rng rng(5);
@@ -159,7 +159,7 @@ TEST(Verify, InvalidatedDataBlockLeavesStaleBitsOnly) {
   options.entrymap_degree = 8;
   ASSERT_OK_AND_ASSIGN(
       auto service,
-      LogService::Create(std::make_unique<testing::BorrowedDevice>(&media),
+      LogService::Create(std::make_unique<BorrowedDevice>(&media),
                          &clock, options));
   ASSERT_OK(service->CreateLogFile("/a").status());
   Rng rng(4);
