@@ -144,8 +144,18 @@ void PrintStats(const clio::StatsSnapshot& stats) {
               stats.counter("clio.index.misses"),
               stats.counter("clio.index.rebuilds"),
               stats.counter("clio.index.rebuild_readahead_blocks"));
-  std::printf("  recovery: device passes %" PRIu64 "\n",
-              stats.counter("clio.recovery.device_passes"));
+  // The restart step ledger: mean microseconds per restart.
+  auto step_mean = [&](const char* name) {
+    return stats.histogram(name).value_or(clio::HistogramSnapshot{}).Mean();
+  };
+  std::printf("  recovery: device passes %" PRIu64
+              "  decode %.0f us  decode wait %.0f us  locate %.0f us"
+              "  replay %.0f us\n",
+              stats.counter("clio.recovery.device_passes"),
+              step_mean("clio.recovery.decode_us"),
+              step_mean("clio.recovery.decode_wait_us"),
+              step_mean("clio.recovery.locate_us"),
+              step_mean("clio.recovery.replay_us"));
   const auto wait = stats.histogram("clio.device.queue_wait_us")
                         .value_or(clio::HistogramSnapshot{});
   std::printf("  device queue wait: calls %" PRIu64

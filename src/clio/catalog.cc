@@ -283,10 +283,6 @@ Status Catalog::Apply(const CatalogRecord& record) {
   return Corrupt("unknown catalog op");
 }
 
-bool Catalog::Exists(LogFileId id) const {
-  return id <= kMaxLogFileId && table_[id].has_value();
-}
-
 Result<LogFileInfo> Catalog::Info(LogFileId id) const {
   if (!Exists(id)) {
     return NotFound("no such log file id");
@@ -344,26 +340,13 @@ Result<std::string> Catalog::PathOf(LogFileId id) const {
   return path;
 }
 
-std::vector<LogFileId> Catalog::SelfAndAncestors(LogFileId id) const {
-  std::vector<LogFileId> chain;
-  LogFileId cur = id;
-  while (Exists(cur)) {
-    chain.push_back(cur);
-    if (cur == kVolumeSeqLogId) {
-      break;
-    }
-    cur = table_[cur]->parent;
-  }
-  return chain;
-}
-
 bool Catalog::IsWithin(LogFileId descendant, LogFileId ancestor) const {
-  for (LogFileId id : SelfAndAncestors(descendant)) {
-    if (id == ancestor) {
-      return true;
-    }
-  }
-  return false;
+  bool within = false;
+  VisitSelfAndAncestors(descendant, [&](LogFileId id) {
+    within = id == ancestor;
+    return !within;
+  });
+  return within;
 }
 
 std::map<std::string, LogFileId> Catalog::Children(LogFileId id) const {

@@ -98,7 +98,9 @@ class Catalog {
 
   // -- Lookup. --
 
-  bool Exists(LogFileId id) const;
+  bool Exists(LogFileId id) const {
+    return id <= kMaxLogFileId && table_[id].has_value();
+  }
   Result<LogFileInfo> Info(LogFileId id) const;
 
   // Resolves an absolute path ("/", "/mail", "/mail/smith").
@@ -107,10 +109,18 @@ class Catalog {
   // Full path of a log file, for diagnostics.
   Result<std::string> PathOf(LogFileId id) const;
 
-  // `id` itself followed by its ancestors up to and including the root
-  // volume sequence log. These are the log files an entry written to `id`
-  // is a member of (§2.1).
-  std::vector<LogFileId> SelfAndAncestors(LogFileId id) const;
+  // Calls visit(id) on `id` itself, then on its ancestors up to and
+  // including the root volume sequence log, until visit returns false or
+  // the chain ends. These are the log files an entry written to `id` is a
+  // member of (§2.1).
+  template <typename Visit>
+  void VisitSelfAndAncestors(LogFileId id, Visit visit) const {
+    for (LogFileId cur = id; Exists(cur); cur = table_[cur]->parent) {
+      if (!visit(cur) || cur == kVolumeSeqLogId) {
+        return;
+      }
+    }
+  }
 
   // True if `descendant` == `ancestor` or lies below it in the hierarchy.
   bool IsWithin(LogFileId descendant, LogFileId ancestor) const;

@@ -125,6 +125,47 @@ std::span<std::byte> EntrymapAccumulator::BitmapIn(Node& node,
   return std::span<std::byte>(node.bitmaps).subspan(i * width, width);
 }
 
+size_t EntrymapAccumulator::SlotIn(int level, uint64_t home, Node& node,
+                                   LogFileId id) {
+  const size_t width = geometry_->bitmap_bytes();
+  if (id > kMaxLogFileId) {
+    // Not a catalog id, so no slot: search.
+    DropCursor(level, home);
+    return static_cast<size_t>(BitmapIn(node, id).data() -
+                               node.bitmaps.data()) /
+           width;
+  }
+  MarkCursor& cursor = cursors_[level - 1];
+  auto place = [&](size_t from) {
+    for (size_t i = from; i < node.ids.size(); ++i) {
+      if (node.ids[i] <= kMaxLogFileId) {
+        cursor.slot[node.ids[i]] = static_cast<uint16_t>(i + 1);
+      }
+    }
+  };
+  if (cursor.home != home) {
+    cursor.slot.assign(kMaxLogFileId + 1, 0);
+    place(0);
+    cursor.home = home;
+  }
+  if (cursor.slot[id] != 0) {
+    return cursor.slot[id] - 1u;
+  }
+  auto it = std::lower_bound(node.ids.begin(), node.ids.end(), id);
+  const size_t at = static_cast<size_t>(it - node.ids.begin());
+  node.ids.insert(it, id);
+  node.bitmaps.insert(node.bitmaps.begin() + at * width, width, std::byte{0});
+  place(at);  // the ids after the new one moved up one place
+  return at;
+}
+
+void EntrymapAccumulator::DropCursor(int level, uint64_t home) {
+  if (static_cast<size_t>(level) <= cursors_.size() &&
+      cursors_[level - 1].home == home) {
+    cursors_[level - 1].home.reset();
+  }
+}
+
 std::span<const std::byte> EntrymapAccumulator::BitmapAt(const Node& node,
                                                          size_t i) const {
   const size_t width = geometry_->bitmap_bytes();
@@ -143,6 +184,7 @@ bool AnySet(std::span<const std::byte> bitmap) {
 void EntrymapAccumulator::SetBit(int level, uint64_t home, LogFileId id,
                                  uint32_t bit) {
   assert(level >= 1 && level <= geometry_->max_level());
+  DropCursor(level, home);
   BitmapIn(pending_[{level, home}], id)[bit / 8] |=
       static_cast<std::byte>(1u << (bit % 8));
 }
@@ -151,20 +193,24 @@ void EntrymapAccumulator::Mark(uint64_t block,
                                std::span<const LogFileId> ids) {
   static Counter* marks = ObsRegistry().counter("clio.entrymap.marks");
   marks->Increment();
+  const size_t width = geometry_->bitmap_bytes();
+  cursors_.resize(geometry_->max_level());
   for (int level = 1; level <= geometry_->max_level(); ++level) {
     const uint32_t bit = geometry_->SubgroupOf(block, level);
     const std::byte mask = static_cast<std::byte>(1u << (bit % 8));
     // One node lookup per level; the node is created only once a tracked
     // id marks it, so untracked ids leave no empty node behind.
+    const uint64_t home = geometry_->HomeFor(block, level);
     Node* node = nullptr;
     for (LogFileId id : ids) {
       if (!EntrymapTracks(id)) {
         continue;
       }
       if (node == nullptr) {
-        node = &pending_[{level, geometry_->HomeFor(block, level)}];
+        node = &pending_[{level, home}];
       }
-      BitmapIn(*node, id)[bit / 8] |= mask;
+      const size_t i = SlotIn(level, home, *node, id);
+      node->bitmaps[i * width + bit / 8] |= mask;
     }
   }
 }
@@ -185,6 +231,7 @@ EntrymapPayload EntrymapAccumulator::Take(int level, uint64_t home) {
       }
     }
     pending_.erase(it);
+    DropCursor(level, home);
   }
   return payload;
 }
@@ -221,7 +268,10 @@ std::vector<LogFileId> EntrymapAccumulator::MarkedIds(int level,
   return ids;
 }
 
-void EntrymapAccumulator::Clear() { pending_.clear(); }
+void EntrymapAccumulator::Clear() {
+  cursors_.clear();
+  pending_.clear();
+}
 
 std::vector<AccumulatorNodeState> EntrymapAccumulator::ExportPending() const {
   std::vector<AccumulatorNodeState> nodes;
@@ -242,6 +292,7 @@ std::vector<AccumulatorNodeState> EntrymapAccumulator::ExportPending() const {
 
 void EntrymapAccumulator::ImportPending(
     std::span<const AccumulatorNodeState> nodes) {
+  cursors_.clear();
   pending_.clear();
   for (const AccumulatorNodeState& in : nodes) {
     Node& node = pending_[{static_cast<int>(in.level), in.home}];

@@ -160,13 +160,28 @@ class EntrymapAccumulator {
     Bytes bitmaps;
   };
 
+  // The node a level last marked, with each id's index in it: a mark
+  // then finds a bitmap without searching the node. slot[id] is 1 + the
+  // index of `id` in the node's ids, 0 when absent. Only Mark keeps the
+  // slots current; every other change to the node drops the cursor.
+  struct MarkCursor {
+    std::optional<uint64_t> home;  // the node's, while the slots hold
+    std::vector<uint16_t> slot;
+  };
+
   // The bitmap of `id` in `node`, created all-zero if absent.
   std::span<std::byte> BitmapIn(Node& node, LogFileId id) const;
   // The bitmap of the node's i-th id.
   std::span<const std::byte> BitmapAt(const Node& node, size_t i) const;
+  // Mark's lookup: the index of `id` in the level-`level` node homed at
+  // `home`, inserted if absent.
+  size_t SlotIn(int level, uint64_t home, Node& node, LogFileId id);
+  // Forgets the level's cursor if it is on the node homed at `home`.
+  void DropCursor(int level, uint64_t home);
 
   const EntrymapGeometry* geometry_;
   std::map<std::pair<int, uint64_t>, Node> pending_;  // by (level, home)
+  std::vector<MarkCursor> cursors_;                   // by level, from 1
 };
 
 }  // namespace clio

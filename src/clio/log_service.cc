@@ -7,6 +7,7 @@
 #include <cstring>
 #include <mutex>
 #include <shared_mutex>
+#include <thread>
 #include <utility>
 
 namespace clio {
@@ -230,71 +231,103 @@ Result<std::unique_ptr<LogService>> LogService::Recover(
   }
   std::unique_ptr<LogService> service(
       new LogService(clock, options, devices.front()->block_size()));
-  // The NVRAM sidecar may hold a checkpoint for the newest volume; a blob
-  // that fails to decode (torn battery RAM) is simply ignored and the
+  // The NVRAM sidecar may hold a checkpoint for the newest volume; only
+  // the writable volume consumes it, at step 2 of its Open. A blob that
+  // fails to decode (torn battery RAM) is simply ignored and the
   // full-scan recovery runs.
-  std::optional<CheckpointState> checkpoint;
+  std::optional<PendingCheckpoint> checkpoint;
   if (options.nvram != nullptr && options.enable_extent_index &&
       options.nvram->has_checkpoint()) {
-    auto decoded = CheckpointState::Decode(options.nvram->checkpoint());
-    if (decoded.ok()) {
-      checkpoint = std::move(decoded).value();
-    }
+    checkpoint.emplace();
   }
   uint64_t sequence_id = 0;
-  RecoveryReport::Passes passes;
-  for (size_t i = 0; i < devices.size(); ++i) {
-    bool writable = i + 1 == devices.size();
-    RecoveryReport volume_report;
-    CLIO_ASSIGN_OR_RETURN(
-        auto volume,
-        LogVolume::Open(devices[i].get(), service->cache_.get(),
-                        /*cache_device_id=*/i, &service->catalog_, clock,
-                        writable ? options.nvram : nullptr, writable,
-                        service->options_.readahead_blocks, &volume_report,
-                        /*replay_catalog=*/true,
-                        writable && checkpoint ? &*checkpoint : nullptr));
-    if (volume->header().volume_index != i) {
-      return Corrupt("volume " + std::to_string(i) +
-                     " carries wrong sequence position");
+  RecoveryReport total;  // summed over the volumes
+  auto open_volumes = [&]() -> Status {
+    for (size_t i = 0; i < devices.size(); ++i) {
+      bool writable = i + 1 == devices.size();
+      RecoveryReport volume_report;
+      CLIO_ASSIGN_OR_RETURN(
+          auto volume,
+          LogVolume::Open(devices[i].get(), service->cache_.get(),
+                          /*cache_device_id=*/i, &service->catalog_, clock,
+                          writable ? options.nvram : nullptr, writable,
+                          service->options_.readahead_blocks, &volume_report,
+                          /*replay_catalog=*/true,
+                          writable && checkpoint ? &*checkpoint : nullptr));
+      if (volume->header().volume_index != i) {
+        return Corrupt("volume " + std::to_string(i) +
+                       " carries wrong sequence position");
+      }
+      if (i == 0) {
+        sequence_id = volume->header().sequence_id;
+        service->options_.sequence_id = sequence_id;
+      } else if (volume->header().sequence_id != sequence_id) {
+        return Corrupt("volume " + std::to_string(i) +
+                       " belongs to a different volume sequence");
+      }
+      total.end_location_reads += volume_report.end_location_reads;
+      total.tail_scan_blocks += volume_report.tail_scan_blocks;
+      total.catalog_replay_blocks += volume_report.catalog_replay_blocks;
+      total.invalidated_blocks += volume_report.invalidated_blocks;
+      total.restored_nvram_tail |= volume_report.restored_nvram_tail;
+      total.restored_checkpoint |= volume_report.restored_checkpoint;
+      total.checkpoint_replay_blocks += volume_report.checkpoint_replay_blocks;
+      total.device_passes += volume_report.device_passes;
+      total.step_us.decode_wait += volume_report.step_us.decode_wait;
+      total.step_us.locate += volume_report.step_us.locate;
+      total.step_us.replay += volume_report.step_us.replay;
+      if (volume_report.restored_checkpoint) {
+        static Counter* restored =
+            ObsRegistry().counter("clio.index.checkpoints_restored");
+        restored->Increment();
+        // The restored coverage is as fresh as a just-written checkpoint;
+        // the next record starts a new base.
+        const uint64_t covered_end = checkpoint->JoinState()->covered_end;
+        service->last_checkpoint_block_ = covered_end;
+        service->next_checkpoint_block_ =
+            covered_end + options.checkpoint_interval_blocks;
+      }
+      service->ConfigureVolume(volume.get());
+      service->volumes_.push_back(std::move(volume));
+      service->volume_slots_.emplace_back(service->volumes_.back().get());
+      service->devices_.push_back(std::move(devices[i]));
     }
-    if (i == 0) {
-      sequence_id = volume->header().sequence_id;
-      service->options_.sequence_id = sequence_id;
-    } else if (volume->header().sequence_id != sequence_id) {
-      return Corrupt("volume " + std::to_string(i) +
-                     " belongs to a different volume sequence");
-    }
-    passes += volume_report.device_passes;
-    if (report != nullptr) {
-      report->end_location_reads += volume_report.end_location_reads;
-      report->tail_scan_blocks += volume_report.tail_scan_blocks;
-      report->catalog_replay_blocks += volume_report.catalog_replay_blocks;
-      report->invalidated_blocks += volume_report.invalidated_blocks;
-      report->restored_nvram_tail |= volume_report.restored_nvram_tail;
-      report->restored_checkpoint |= volume_report.restored_checkpoint;
-      report->checkpoint_replay_blocks +=
-          volume_report.checkpoint_replay_blocks;
-      report->device_passes += volume_report.device_passes;
-    }
-    if (volume_report.restored_checkpoint) {
-      static Counter* restored =
-          ObsRegistry().counter("clio.index.checkpoints_restored");
-      restored->Increment();
-      // The restored coverage is as fresh as a just-written checkpoint;
-      // the next record starts a new base.
-      service->last_checkpoint_block_ = checkpoint->covered_end;
-      service->next_checkpoint_block_ =
-          checkpoint->covered_end + options.checkpoint_interval_blocks;
-    }
-    service->ConfigureVolume(volume.get());
-    service->volumes_.push_back(std::move(volume));
-    service->volume_slots_.emplace_back(service->volumes_.back().get());
-    service->devices_.push_back(std::move(devices[i]));
+    return Status::Ok();
+  };
+  if (checkpoint.has_value()) {
+    // Overlap the decode with the drive (DESIGN.md §17): a helper thread
+    // opens the volumes while this one decodes, and the writable volume's
+    // Open waits for the decoded records at step 2 and for the index
+    // after its replay. The decoded state is allocated here, by the
+    // thread that keeps the service: allocated on the helper, it would
+    // stay in the helper's malloc arena after the service is gone.
+    // Nothing writes the sidecar before the decode ends.
+    Status opened;
+    std::thread opener([&] { opened = open_volumes(); });
+    checkpoint->Decode(options.nvram->checkpoint());
+    opener.join();
+    CLIO_RETURN_IF_ERROR(opened);
+    total.step_us.decode = checkpoint->decode_us();
+  } else {
+    CLIO_RETURN_IF_ERROR(open_volumes());
   }
   ObsRegistry()
       .counter(LaneMetricName("clio.recovery.device_passes", lane))
-      ->Increment(passes.total());
+      ->Increment(total.device_passes.total());
+  // The step ledger, once per restart; the decode pair only when a
+  // sidecar decode ran.
+  auto record = [&](std::string_view name, uint64_t us) {
+    ObsRegistry().histogram(LaneMetricName(name, lane))->Record(us);
+  };
+  if (checkpoint.has_value()) {
+    record("clio.recovery.decode_us", total.step_us.decode);
+    record("clio.recovery.decode_wait_us", total.step_us.decode_wait);
+  }
+  record("clio.recovery.locate_us", total.step_us.locate);
+  record("clio.recovery.replay_us", total.step_us.replay);
+  if (report != nullptr) {
+    *report = total;
+  }
   // Timestamps must stay unique across the reboot (§2.1): floor the clock
   // at the largest timestamp found on media.
   Timestamp max_ts = 0;

@@ -55,10 +55,11 @@ Result<VerifyReport> VerifyVolume(LogVolume* volume) {
   const uint64_t burned_end = volume->end_block();
   ExtentIndex expected_index;
 
+  std::vector<LogFileId> ids;
   auto visit = [&](const WalkedBlock& w) {
     const uint64_t b = w.block;
     ++report.blocks_total;
-    std::vector<LogFileId> ids = BlockMarkIds(*catalog, w);
+    BlockMarkIds(*catalog, w, &ids);
     if (b < burned_end) {
       IndexBlock(&expected_index, w, ids);
     }
@@ -83,6 +84,9 @@ Result<VerifyReport> VerifyVolume(LogVolume* volume) {
       if (step == FragmentChain::Step::kBroken) {
         broken("breaks before block " + std::to_string(b));
       } else if (!fragments->open()) {
+        if (fragments->sealed()) {
+          report.sealed_chain_blocks.push_back(fragments->base_block());
+        }
         fragments.reset();
       }
     }

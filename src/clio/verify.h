@@ -57,6 +57,10 @@ struct VerifyReport {
   // Unsatisfied continues-flags, each naming the entry's block first.
   std::vector<std::string> broken_chains;
   std::vector<uint64_t> broken_chain_blocks;  // each one's entry block
+  // Entries a crash cut short and restart sealed (FragmentChain::sealed),
+  // by entry block. They read back truncated, but the media is whole: not
+  // damage.
+  std::vector<uint64_t> sealed_chain_blocks;
   std::vector<std::string> time_regressions;
   std::vector<std::string> chain_mismatches;  // hash-chain violations (§15)
   std::vector<std::string> index_mismatches;  // extent-index drift (§17)

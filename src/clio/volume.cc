@@ -6,6 +6,7 @@
 
 #include "src/clio/chain.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 
 namespace clio {
 namespace {
@@ -176,7 +177,10 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
     WormDevice* device, BlockCache* cache, uint64_t cache_device_id,
     Catalog* catalog, TimeSource* clock, NvramTail* nvram, bool writable,
     uint32_t readahead_blocks, RecoveryReport* report, bool replay_catalog,
-    CheckpointState* checkpoint) {
+    PendingCheckpoint* checkpoint) {
+  RecoveryReport::StepMicros step_us;
+  const uint64_t locate_start = TraceNowUs();
+
   // Step 0: the volume header fixes geometry for everything below. Its
   // pass also reads [1, W] into the cache: the catalog walk starts at
   // block 1, and the first entrymap nodes sit there.
@@ -208,6 +212,7 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
     return Corrupt("volume has a header but reports no written blocks");
   }
   volume->end_block_ = end;
+  step_us.locate = TraceNowUs() - locate_start;
   if (report != nullptr) {
     report->end_location_reads = examined;
   }
@@ -279,17 +284,18 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
   // accumulator would have supplied.
   EntrymapAccumulator accumulator(&volume->geometry_);
   bool from_checkpoint = false;
+  const uint64_t replay_start = TraceNowUs();
   if (checkpoint != nullptr && replay_catalog) {
     OpStats replay_stats;
-    auto restored = volume->TryRestoreFromCheckpoint(checkpoint, end,
-                                                     &accumulator,
-                                                     &replay_stats);
+    auto restored = volume->TryRestoreFromCheckpoint(
+        checkpoint, end, &accumulator, &replay_stats, &step_us.decode_wait);
     passes.replay += replay_stats.device_reads;
     CLIO_RETURN_IF_ERROR(restored.status());
     from_checkpoint = restored.value();
     if (from_checkpoint && report != nullptr) {
       report->restored_checkpoint = true;
-      report->checkpoint_replay_blocks = end - checkpoint->covered_end;
+      report->checkpoint_replay_blocks =
+          end - checkpoint->JoinState()->covered_end;
       report->tail_scan_blocks = replay_stats.blocks_read;
     }
   }
@@ -311,8 +317,10 @@ Result<std::unique_ptr<LogVolume>> LogVolume::Open(
     passes.replay += tail_stats.device_reads;
   }
   volume->recovering_ = false;
+  step_us.replay = TraceNowUs() - replay_start - step_us.decode_wait;
   if (report != nullptr) {
     report->device_passes = passes;
+    report->step_us = step_us;
   }
 
   // Step 4: restore the NVRAM-staged tail block, if it is current.
@@ -413,9 +421,11 @@ Status LogVolume::RebuildAccumulator(EntrymapAccumulator* acc,
   }
   auto get = [&](uint64_t b) { return GetBlock(b, stats); };
   // Sets a walked block's bit in the level-`level` node at `home`.
+  std::vector<LogFileId> ids;
   auto set_bits = [&](const WalkedBlock& w, int level, uint64_t home,
                       uint32_t bit) {
-    for (LogFileId id : BlockMarkIds(*catalog_, w)) {
+    BlockMarkIds(*catalog_, w, &ids);
+    for (LogFileId id : ids) {
       acc->SetBit(level, home, id, bit);
     }
     return Status::Ok();
@@ -492,13 +502,22 @@ VolumeWalk::ReadFn LogVolume::BulkRead(uint64_t limit, OpStats* stats) {
   };
 }
 
-Result<bool> LogVolume::TryRestoreFromCheckpoint(CheckpointState* ck,
+Result<bool> LogVolume::TryRestoreFromCheckpoint(PendingCheckpoint* pending,
                                                  uint64_t end,
                                                  EntrymapAccumulator* acc,
-                                                 OpStats* stats) {
-  if (ck->volume_index != header_.volume_index || ck->covered_end < 1 ||
-      ck->covered_end > end) {
-    return false;  // foreign volume or coverage past the recovered end
+                                                 OpStats* stats,
+                                                 uint64_t* wait_us) {
+  auto join = [&](auto part) {
+    const uint64_t start = TraceNowUs();
+    auto* joined = part();
+    *wait_us += TraceNowUs() - start;
+    return joined;
+  };
+  const CheckpointState* ck = join([&] { return pending->JoinState(); });
+  if (ck == nullptr || ck->volume_index != header_.volume_index ||
+      ck->covered_end < 1 || ck->covered_end > end) {
+    // Undecodable, a foreign volume, or coverage past the recovered end.
+    return false;
   }
 
   // Catalog as of covered_end: the checkpoint carries the live catalog's
@@ -523,7 +542,10 @@ Result<bool> LogVolume::TryRestoreFromCheckpoint(CheckpointState* ck,
     uint64_t n = geometry_.PowN(level);
     last_home[level] = ((ck->covered_end - 1) / n) * n;
   }
-  auto idx = std::make_unique<ExtentIndex>(std::move(ck->index));
+  // The suffix is indexed apart and appended to the decoded index after
+  // the walk, so the index decode overlaps the replay.
+  ExtentIndex suffix;
+  std::vector<LogFileId> ids;
   auto replay = [&](const WalkedBlock& w) -> Status {
     for (int level = 1; level <= geometry_.max_level(); ++level) {
       uint64_t n = geometry_.PowN(level);
@@ -538,16 +560,24 @@ Result<bool> LogVolume::TryRestoreFromCheckpoint(CheckpointState* ck,
     if (w.parsed.has_value()) {
       CLIO_RETURN_IF_ERROR(ApplyBlockRecords(w.block, *w.parsed, stats));
     }
-    std::vector<LogFileId> ids = BlockMarkIds(*catalog_, w);
+    BlockMarkIds(*catalog_, w, &ids);
     if (!ids.empty()) {
       acc->Mark(w.block, ids);
     }
-    IndexBlock(idx.get(), w, ids);
+    IndexBlock(&suffix, w, ids);
     return Status::Ok();
   };
-  VolumeWalk suffix(ck->covered_end, end);
-  CLIO_RETURN_IF_ERROR(suffix.Run(BulkRead(end, stats), replay));
-  index_ = std::move(idx);
+  VolumeWalk walk(ck->covered_end, end);
+  CLIO_RETURN_IF_ERROR(walk.Run(BulkRead(end, stats), replay));
+  ExtentIndex* index = join([&] { return pending->JoinIndex(); });
+  if (index == nullptr ||
+      !index->ApplyDelta(end, suffix.EncodeSince(ck->covered_end)).ok()) {
+    // The index did not decode: the full scan runs instead, from an
+    // empty accumulator.
+    acc->Clear();
+    return false;
+  }
+  index_ = std::make_unique<ExtentIndex>(std::move(*index));
   index_enabled_ = true;
   index_ready_.store(true, std::memory_order_release);
   return true;
@@ -579,8 +609,10 @@ Status LogVolume::EnsureExtentIndex() {
   auto idx = std::make_unique<ExtentIndex>();
   const uint64_t limit = end_block();
   OpStats stats;
+  std::vector<LogFileId> ids;
   auto index_block = [&](const WalkedBlock& w) {
-    IndexBlock(idx.get(), w, BlockMarkIds(*catalog_, w));
+    BlockMarkIds(*catalog_, w, &ids);
+    IndexBlock(idx.get(), w, ids);
     return Status::Ok();
   };
   // A transient read leaves the index off: the next locate tries again.
@@ -736,8 +768,8 @@ Result<Bytes> LogVolume::AssembleEntryPayload(
   };
   CLIO_RETURN_IF_ERROR(walk.Run(get, follow));
   // Open still: the chain broke, or the range ended before its last
-  // fragment.
-  *truncated = chain->open();
+  // fragment. Sealed: a crash cut the entry short.
+  *truncated = chain->open() || chain->sealed();
   return out;
 }
 

@@ -87,6 +87,16 @@ struct RecoveryReport {
     }
   };
   Passes device_passes;
+
+  // Wall time of the restart's steps, in microseconds (DESIGN.md §17).
+  // LogService::Recover fills `decode`; Open the others.
+  struct StepMicros {
+    uint64_t decode = 0;       // the sidecar decode, on its helper thread
+    uint64_t decode_wait = 0;  // Open blocked joining that helper
+    uint64_t locate = 0;       // the header pass and the end location
+    uint64_t replay = 0;       // checkpoint replay or full scan, no wait
+  };
+  StepMicros step_us;
 };
 
 class LogVolume {
@@ -114,12 +124,14 @@ class LogVolume {
   // catalog (exported forward at roll time), and mutating the shared
   // catalog would race with concurrent shared-lock readers.
   //
-  // `checkpoint` (if given) is the decoded NVRAM checkpoint sidecar; when
-  // it matches this volume and its coverage is not past the recovered
-  // end, recovery restores catalog + accumulator + extent index (moved
-  // out of `checkpoint`) from it and replays only
-  // [checkpoint->covered_end, end) instead of the full §3.4 scan. A stale
-  // or unusable checkpoint silently falls back to the scan.
+  // `checkpoint` (if given) is the NVRAM checkpoint sidecar, which
+  // another thread may still be decoding while Open finds the end; Open
+  // joins its records at step 2 and its extent index after replaying the
+  // suffix. When the sidecar decoded, matches this volume and its
+  // coverage is not past the recovered end, recovery restores catalog +
+  // accumulator + extent index (moved out of the decoded state) from it
+  // and replays only [covered_end, end) instead of the full §3.4 scan. A
+  // stale, damaged or unusable checkpoint silently falls back to the scan.
   //
   // `readahead_blocks` (W) is the volume's read-ahead depth, in force from
   // the start, and recovery reads by plan with it (DESIGN.md §17): the
@@ -132,7 +144,7 @@ class LogVolume {
       Catalog* catalog, TimeSource* clock, NvramTail* nvram, bool writable,
       uint32_t readahead_blocks, RecoveryReport* report,
       bool replay_catalog = true,
-      CheckpointState* checkpoint = nullptr);
+      PendingCheckpoint* checkpoint = nullptr);
 
   const VolumeHeader& header() const { return header_; }
   const EntrymapGeometry& geometry() const { return geometry_; }
@@ -289,15 +301,17 @@ class LogVolume {
   const ExtentIndex* CoveringIndex(bool build);
 
   // Checkpointed fast restart: restores catalog/accumulator/index state
-  // from `ck` (taking its index) and replays only [ck->covered_end, end).
-  // Returns false when the checkpoint does not apply to this volume
-  // (stale coverage, wrong volume, a catalog record that does not decode
-  // or apply) — the caller then runs the full scan. An error (a transient
-  // read) fails the restart.
-  Result<bool> TryRestoreFromCheckpoint(CheckpointState* ck,
+  // from the decoded sidecar (taking its index) and replays only
+  // [covered_end, end). Joins the records before the replay and the index
+  // after it, adding the time blocked to `*wait_us`. Returns false when
+  // the checkpoint does not apply to this volume (a sidecar that did not
+  // decode, stale coverage, wrong volume, a catalog record that does not
+  // decode or apply) — the caller then runs the full scan. An error (a
+  // transient read) fails the restart.
+  Result<bool> TryRestoreFromCheckpoint(PendingCheckpoint* pending,
                                         uint64_t end,
                                         EntrymapAccumulator* acc,
-                                        OpStats* stats);
+                                        OpStats* stats, uint64_t* wait_us);
 
   // Raises recovered_max_timestamp() to the block's entry stamps; false
   // when it has none.

@@ -1,5 +1,6 @@
 #include "src/clio/volume_walk.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/clio/chain.h"
@@ -133,6 +134,7 @@ FragmentChain::Step FragmentChain::Feed(const WalkedBlock& block) {
     if (e.is_fragment() && e.logfile_id == id_) {
       fragment_ = &e;
       open_ = i + 1 == next.entries().size() && next.last_entry_continues();
+      sealed_ = !open_ && e.payload.empty();
       return Step::kFragment;
     }
   }
@@ -158,18 +160,25 @@ Result<std::optional<ParsedBlock>> OpenChainBefore(
   return open;
 }
 
-std::vector<LogFileId> BlockMarkIds(const Catalog& catalog,
-                                    const WalkedBlock& block) {
-  std::vector<LogFileId> ids;
+void BlockMarkIds(const Catalog& catalog, const WalkedBlock& block,
+                  std::vector<LogFileId>* ids) {
+  ids->clear();
   if (!block.parsed.has_value()) {
-    return ids;
+    return;
   }
+  // An id joins with its whole ancestor chain, so a walk that reaches an
+  // id already present has nothing left to add.
   auto add = [&](LogFileId member) {
-    for (LogFileId id : catalog.SelfAndAncestors(member)) {
-      if (EntrymapTracks(id)) {
-        ids.push_back(id);
+    catalog.VisitSelfAndAncestors(member, [&](LogFileId id) {
+      if (!EntrymapTracks(id)) {
+        return true;
       }
-    }
+      if (std::find(ids->begin(), ids->end(), id) != ids->end()) {
+        return false;
+      }
+      ids->push_back(id);
+      return true;
+    });
   };
   for (const ParsedEntry& e : block.parsed->entries()) {
     add(e.logfile_id);
@@ -177,9 +186,7 @@ std::vector<LogFileId> BlockMarkIds(const Catalog& catalog,
       add(extra);
     }
   }
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  return ids;
+  std::sort(ids->begin(), ids->end());
 }
 
 void IndexBlock(ExtentIndex* index, const WalkedBlock& block,

@@ -160,6 +160,10 @@ class FragmentChain {
   uint64_t base_block() const { return base_block_; }
   // True until the entry's last fragment was fed.
   bool open() const { return open_; }
+  // The last fragment was empty. Appends put at least one byte in every
+  // fragment, so only the stranded-chain seal writes one: the entry lost
+  // its tail at a crash and reads back truncated.
+  bool sealed() const { return sealed_; }
   // After kFragment: the continuation, pointing into the block fed.
   const ParsedEntry& fragment() const { return *fragment_; }
 
@@ -173,6 +177,7 @@ class FragmentChain {
   std::optional<uint64_t> last_tag_;
   bool gap_ = false;  // skipped blocks since last_image_
   bool open_ = true;
+  bool sealed_ = false;
   const ParsedEntry* fragment_ = nullptr;
 };
 
@@ -189,9 +194,10 @@ Result<std::optional<ParsedBlock>> OpenChainBefore(
 // A valid block's tracked memberships, each entry's log file and extra
 // ids with their ancestors, exactly as the writer fed them to the
 // accumulator and the extent index at burn time (sorted, deduplicated).
-// Empty for every other kind.
-std::vector<LogFileId> BlockMarkIds(const Catalog& catalog,
-                                    const WalkedBlock& block);
+// Empty for every other kind. Replaces `*ids`, so a walk reuses one
+// vector's storage.
+void BlockMarkIds(const Catalog& catalog, const WalkedBlock& block,
+                  std::vector<LogFileId>* ids);
 
 // The extent-index replica rule (§17): a valid block is marked with
 // `ids`, an invalidated one only advances coverage (the writer skipped it

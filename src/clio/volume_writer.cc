@@ -115,10 +115,11 @@ Status LogVolumeWriter::SealStrandedChain() {
   // and always begins with that fragment). The flag is burned into
   // write-once media and cannot be cleared, so seal the chain instead by
   // staging a zero-length terminator fragment as the next block's first
-  // client entry. Readers already return the burned prefix for a truncated
-  // tail entry, so no payload changes — this only keeps the chain
-  // invariant (a continues flag is followed by a fragment) intact once
-  // later appends burn past the crash point. The walk back is a volume
+  // client entry. Readers return the burned prefix flagged truncated
+  // (FragmentChain::sealed: no append writes an empty fragment), so no
+  // payload changes — this only keeps the chain invariant (a continues
+  // flag is followed by a fragment) intact once later appends burn past
+  // the crash point. The walk back is a volume
   // walk (src/clio/volume_walk.h): a skipped block ends it unsealed, since
   // a valid block lost there would leave the entry silently shorter, and a
   // transient read fails the restart, as every other walk of Open does.
@@ -351,9 +352,10 @@ Status LogVolumeWriter::DrainBadBlockRecords() {
 }
 
 void LogVolumeWriter::MarkPending(LogFileId id) {
-  for (LogFileId a : catalog_->SelfAndAncestors(id)) {
-    pending_mark_ids_.insert(a);
-  }
+  catalog_->VisitSelfAndAncestors(id, [&](LogFileId a) {
+    // An id already pending came with its ancestors.
+    return pending_mark_ids_.insert(a).second;
+  });
 }
 
 void LogVolumeWriter::AccountClientEntry(LogFileId id, HeaderVersion v,

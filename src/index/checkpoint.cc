@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/obs/trace.h"
 #include "src/util/crc32c.h"
 
 namespace clio {
@@ -48,14 +49,24 @@ Node* FindNode(std::span<Node> nodes, uint32_t level, uint64_t home) {
   return nullptr;
 }
 
+// One record's extent-index delta, applied once every record decoded.
+// `bytes_to_follow` is the size of the records after this one
+// (ExtentIndex::ApplyDelta).
+struct IndexDelta {
+  uint64_t to = 0;
+  std::span<const std::byte> bytes;
+  uint64_t bytes_to_follow = 0;
+};
+
 // Decodes one record body and folds it into `state`, replacing `nodes`
-// with the record's pending nodes. Every count is bounded by the bytes
-// left: each node, bitmap and record takes at least one byte, so a
-// crafted count fails instead of reserving memory. `bytes_to_follow` is
-// the size of the records after this one (ExtentIndex::ApplyDelta).
+// with the record's pending nodes and adding its index delta to
+// `deltas`. Every count is bounded by the bytes left: each node, bitmap
+// and record takes at least one byte, so a crafted count fails instead of
+// reserving memory.
 Status ApplyRecord(std::span<const std::byte> body, bool first,
                    uint64_t bytes_to_follow, CheckpointState* state,
-                   std::vector<NodeView>* nodes) {
+                   std::vector<NodeView>* nodes,
+                   std::vector<IndexDelta>* deltas) {
   ByteReader r(body);
   const uint32_t volume_index = r.GetU32();
   const uint64_t from = r.GetU64();
@@ -71,8 +82,7 @@ Status ApplyRecord(std::span<const std::byte> body, bool first,
       (!first && volume_index != state->volume_index)) {
     return Corrupt("checkpoint: gap between records");
   }
-  CLIO_RETURN_IF_ERROR(state->index.ApplyDelta(
-      covered_end, r.GetBytes(index_len), bytes_to_follow));
+  deltas->push_back({covered_end, r.GetBytes(index_len), bytes_to_follow});
 
   const uint32_t node_count = r.GetU32();
   if (r.failed() || node_count > r.remaining()) {
@@ -206,9 +216,13 @@ Bytes CheckpointRecord::Encode(
   return out_bytes;
 }
 
-Result<CheckpointState> CheckpointState::Decode(
-    std::span<const std::byte> sidecar) {
-  CheckpointState state;
+namespace {
+
+// Decodes every record of the sidecar into `state` except the extent
+// index, whose deltas it collects for ApplyIndexDeltas: the index is the
+// bulk of the decode, and a restart needs it last.
+Status DecodeRecords(std::span<const std::byte> sidecar,
+                     CheckpointState* state, std::vector<IndexDelta>* deltas) {
   std::vector<NodeView> nodes;
   ByteReader r(sidecar);
   for (bool first = true; first || r.remaining() != 0; first = false) {
@@ -226,10 +240,10 @@ Result<CheckpointState> CheckpointState::Decode(
       return Corrupt("checkpoint: checksum mismatch");
     }
     CLIO_RETURN_IF_ERROR(
-        ApplyRecord(body, first, r.remaining(), &state, &nodes));
+        ApplyRecord(body, first, r.remaining(), state, &nodes, deltas));
   }
   for (const NodeView& view : nodes) {
-    AccumulatorNodeState& node = state.accumulator_nodes.emplace_back();
+    AccumulatorNodeState& node = state->accumulator_nodes.emplace_back();
     node.level = view.level;
     node.home = view.home;
     node.files.reserve(view.files.size());
@@ -237,7 +251,65 @@ Result<CheckpointState> CheckpointState::Decode(
       node.files.emplace_back(id, Bytes(bitmap.begin(), bitmap.end()));
     }
   }
+  return Status::Ok();
+}
+
+Status ApplyIndexDeltas(std::span<const IndexDelta> deltas,
+                        ExtentIndex* index) {
+  for (const IndexDelta& delta : deltas) {
+    CLIO_RETURN_IF_ERROR(
+        index->ApplyDelta(delta.to, delta.bytes, delta.bytes_to_follow));
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<CheckpointState> CheckpointState::Decode(
+    std::span<const std::byte> sidecar) {
+  CheckpointState state;
+  std::vector<IndexDelta> deltas;
+  CLIO_RETURN_IF_ERROR(DecodeRecords(sidecar, &state, &deltas));
+  CLIO_RETURN_IF_ERROR(ApplyIndexDeltas(deltas, &state.index));
   return state;
+}
+
+void PendingCheckpoint::Decode(std::span<const std::byte> sidecar) {
+  const uint64_t start = TraceNowUs();
+  CheckpointState state;
+  std::vector<IndexDelta> deltas;
+  const bool records = DecodeRecords(sidecar, &state, &deltas).ok();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (records) {
+      state_ = std::move(state);
+    }
+    records_done_ = true;
+  }
+  published_.notify_all();
+  ExtentIndex index;
+  const bool indexed = records && ApplyIndexDeltas(deltas, &index).ok();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (indexed) {
+      index_ = std::move(index);
+    }
+    index_done_ = true;
+    decode_us_ = TraceNowUs() - start;
+  }
+  published_.notify_all();
+}
+
+const CheckpointState* PendingCheckpoint::JoinState() {
+  std::unique_lock<std::mutex> lock(mu_);
+  published_.wait(lock, [&] { return records_done_; });
+  return state_.has_value() ? &*state_ : nullptr;
+}
+
+ExtentIndex* PendingCheckpoint::JoinIndex() {
+  std::unique_lock<std::mutex> lock(mu_);
+  published_.wait(lock, [&] { return index_done_; });
+  return index_.has_value() ? &*index_ : nullptr;
 }
 
 }  // namespace clio

@@ -29,7 +29,9 @@
 #ifndef SRC_INDEX_CHECKPOINT_H_
 #define SRC_INDEX_CHECKPOINT_H_
 
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -87,6 +89,38 @@ struct CheckpointState {
   // Decodes a base followed by deltas, each starting where the previous
   // one ended. Any damaged record fails the whole sidecar.
   static Result<CheckpointState> Decode(std::span<const std::byte> sidecar);
+};
+
+// A sidecar decode handed from the thread that runs it to the volume
+// that consumes it (DESIGN.md §17). LogService::Recover decodes on the
+// calling thread while a helper thread opens the volumes: the writable
+// volume's Open joins the records at step 2 and the extent index, the
+// bulk of the decode, only after replaying the suffix, so the decode
+// overlaps the header pass, the end probes and the replay. The decoded
+// state is allocated by the calling thread, which keeps the service.
+class PendingCheckpoint {
+ public:
+  // Decodes `sidecar`, publishing the records before the index. Called
+  // once.
+  void Decode(std::span<const std::byte> sidecar);
+
+  // Block until the records, or the index too, are decoded. JoinState's
+  // state has an empty `index`; either returns nullptr when its part did
+  // not decode (a failed record fails both).
+  const CheckpointState* JoinState();
+  ExtentIndex* JoinIndex();
+
+  // The time Decode took; valid once it returned.
+  uint64_t decode_us() const { return decode_us_; }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable published_;
+  bool records_done_ = false;
+  bool index_done_ = false;
+  std::optional<CheckpointState> state_;
+  std::optional<ExtentIndex> index_;
+  uint64_t decode_us_ = 0;
 };
 
 }  // namespace clio

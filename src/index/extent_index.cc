@@ -123,21 +123,37 @@ bool StampedBefore(const std::pair<uint64_t, Timestamp>& stamp,
 
 }  // namespace
 
+ExtentIndex::RunList& ExtentIndex::RunsOf(LogFileId id) {
+  if (id >= runs_.size()) {
+    runs_.resize(size_t{id} + 1);
+  }
+  return runs_[id];
+}
+
+const ExtentIndex::RunList* ExtentIndex::FindRuns(LogFileId id) const {
+  return id < runs_.size() && !runs_[id].empty() ? &runs_[id] : nullptr;
+}
+
 void ExtentIndex::MarkBlock(uint64_t block,
                             std::optional<Timestamp> leading_timestamp,
                             std::span<const LogFileId> ids) {
   if (block < covered_end_) {
     return;  // already covered (idempotent re-mark)
   }
+  if (block >= kRunBlockLimit) {
+    AddHole(block);
+    ids = {};
+  }
   for (LogFileId id : ids) {
     if (!Tracked(id)) {
       continue;
     }
-    RunList& runs = runs_[id];
-    if (!runs.empty() && runs.back().second == block) {
-      runs.back().second = block + 1;
+    RunList& runs = RunsOf(id);
+    const auto at = static_cast<uint32_t>(block);
+    if (!runs.empty() && runs.back().second == at) {
+      runs.back().second = at + 1;
     } else {
-      runs.emplace_back(block, block + 1);
+      runs.emplace_back(at, at + 1);
     }
   }
   if (leading_timestamp.has_value()) {
@@ -173,9 +189,8 @@ bool ExtentIndex::HoleIn(uint64_t lo, uint64_t hi) const {
 ExtentIndex::Lookup ExtentIndex::PrevBlockWith(LogFileId id,
                                                uint64_t before) const {
   before = std::min(before, covered_end_);
-  auto it = runs_.find(id);
-  if (it == runs_.end() || it->second.empty() ||
-      it->second.front().first >= before) {
+  const RunList* found = FindRuns(id);
+  if (found == nullptr || found->front().first >= before) {
     // Authoritative "nothing before" unless a hole below `before` could
     // hide an earlier occurrence.
     if (HoleIn(1, before)) {
@@ -183,15 +198,13 @@ ExtentIndex::Lookup ExtentIndex::PrevBlockWith(LogFileId id,
     }
     return Lookup{true, std::nullopt};
   }
-  const RunList& runs = it->second;
+  const RunList& runs = *found;
   // Last run starting strictly below `before`.
   auto r = std::upper_bound(
       runs.begin(), runs.end(), before,
-      [](uint64_t b, const std::pair<uint64_t, uint64_t>& run) {
-        return b <= run.first;
-      });
+      [](uint64_t b, const Run& run) { return b <= run.first; });
   --r;
-  uint64_t answer = std::min(r->second, before) - 1;
+  uint64_t answer = std::min<uint64_t>(r->second, before) - 1;
   if (HoleIn(answer + 1, before)) {
     return Lookup{};  // a hole between answer and `before` could be later
   }
@@ -200,19 +213,16 @@ ExtentIndex::Lookup ExtentIndex::PrevBlockWith(LogFileId id,
 
 ExtentIndex::Lookup ExtentIndex::NextBlockWith(LogFileId id,
                                                uint64_t from) const {
-  auto it = runs_.find(id);
-  const RunList* runs = it == runs_.end() ? nullptr : &it->second;
+  const RunList* runs = FindRuns(id);
   uint64_t answer_limit = covered_end_;  // exclusive bound for hole check
   std::optional<uint64_t> answer;
   if (runs != nullptr) {
     // First run ending strictly above `from`.
     auto r = std::lower_bound(
         runs->begin(), runs->end(), from,
-        [](const std::pair<uint64_t, uint64_t>& run, uint64_t f) {
-          return run.second <= f;
-        });
+        [](const Run& run, uint64_t f) { return run.second <= f; });
     if (r != runs->end()) {
-      answer = std::max(r->first, from);
+      answer = std::max<uint64_t>(r->first, from);
       answer_limit = *answer;
     }
   }
@@ -244,10 +254,9 @@ ExtentIndex::Lookup ExtentIndex::LastBlockAtOrBefore(Timestamp t) const {
 }
 
 size_t ExtentIndex::bytes() const {
-  size_t total = sizeof(*this);
-  for (const auto& [id, runs] : runs_) {
-    total += sizeof(id) + sizeof(RunList) +
-             runs.size() * sizeof(std::pair<uint64_t, uint64_t>);
+  size_t total = sizeof(*this) + runs_.size() * sizeof(RunList);
+  for (const RunList& runs : runs_) {
+    total += runs.size() * sizeof(Run);
   }
   total += (leading_ts_.size() + suffix_min_ts_.size()) * sizeof(Stamp);
   total += holes_.size() * sizeof(uint64_t);
@@ -256,15 +265,25 @@ size_t ExtentIndex::bytes() const {
 
 uint64_t ExtentIndex::run_count() const {
   uint64_t total = 0;
-  for (const auto& [id, runs] : runs_) {
+  for (const RunList& runs : runs_) {
     total += runs.size();
   }
   return total;
 }
 
 bool ExtentIndex::operator==(const ExtentIndex& other) const {
-  // suffix_min_ts_ is derived from leading_ts_, so it needs no comparing.
-  return covered_end_ == other.covered_end_ && runs_ == other.runs_ &&
+  // suffix_min_ts_ is derived from leading_ts_, so it needs no comparing;
+  // the tables may differ in length by ids without runs.
+  const size_t ids = std::max(runs_.size(), other.runs_.size());
+  for (size_t id = 0; id < ids; ++id) {
+    const RunList* mine = FindRuns(static_cast<LogFileId>(id));
+    const RunList* theirs = other.FindRuns(static_cast<LogFileId>(id));
+    if ((mine == nullptr) != (theirs == nullptr) ||
+        (mine != nullptr && *mine != *theirs)) {
+      return false;
+    }
+  }
+  return covered_end_ == other.covered_end_ &&
          leading_ts_ == other.leading_ts_ && holes_ == other.holes_;
 }
 
@@ -272,15 +291,16 @@ bool ExtentIndex::CoversAtLeast(const ExtentIndex& required) const {
   if (covered_end_ < required.covered_end_) {
     return false;
   }
-  for (const auto& [id, req_runs] : required.runs_) {
-    auto it = runs_.find(id);
-    if (it == runs_.end()) {
-      if (!req_runs.empty()) {
-        return false;
-      }
+  for (size_t id = 0; id < required.runs_.size(); ++id) {
+    const RunList& req_runs = required.runs_[id];
+    if (req_runs.empty()) {
       continue;
     }
-    const RunList& have = it->second;
+    const RunList* found = FindRuns(static_cast<LogFileId>(id));
+    if (found == nullptr) {
+      return false;
+    }
+    const RunList& have = *found;
     size_t h = 0;
     for (const auto& [start, end] : req_runs) {
       // Runs are disjoint and sorted on both sides; advance to the run
@@ -366,11 +386,12 @@ Bytes ExtentIndex::EncodeSince(uint64_t from) const {
 void ExtentIndex::EncodeSince(uint64_t from, ByteWriter* writer) const {
   VarintWriter out(writer);
   uint64_t files = 0;
-  for (const auto& [id, runs] : runs_) {
+  for (const RunList& runs : runs_) {
     files += !runs.empty() && runs.back().second > from;
   }
   out.Put(files);
-  for (const auto& [id, runs] : runs_) {
+  for (uint64_t id = 0; id < runs_.size(); ++id) {
+    const RunList& runs = runs_[id];
     // Walk back from the tail: a delta encodes a few runs per file, and
     // bisecting every file's whole list would touch O(files log runs)
     // cold lines instead.
@@ -385,7 +406,7 @@ void ExtentIndex::EncodeSince(uint64_t from, ByteWriter* writer) const {
     out.Put(static_cast<uint64_t>(runs.end() - first));
     uint64_t prev = from;
     for (auto run = first; run != runs.end(); ++run) {
-      const uint64_t start = std::max(run->first, from);
+      const uint64_t start = std::max<uint64_t>(run->first, from);
       out.Put(start - prev);
       out.Put(run->second - start);
       prev = run->second;
@@ -432,7 +453,7 @@ Status ExtentIndex::ApplyDelta(uint64_t to, std::span<const std::byte> delta,
       return Corrupt("extent index delta: bad file record");
     }
     prev_id = static_cast<LogFileId>(id);
-    RunList& runs = runs_[*prev_id];
+    RunList& runs = RunsOf(*prev_id);
     Reserve(&runs, run_count, bytes_to_follow, delta.size());
     uint64_t prev = from;
     for (uint64_t i = 0; i < run_count; ++i) {
@@ -441,16 +462,18 @@ Status ExtentIndex::ApplyDelta(uint64_t to, std::span<const std::byte> delta,
       // Only the first run may touch `from`; later ones are separated
       // by a gap, as MarkBlock leaves them.
       if (!in.Get(&gap) || gap > to - prev || (i > 0 && gap == 0) ||
-          !in.Get(&len) || len == 0 || len > to - prev - gap) {
+          !in.Get(&len) || len == 0 || len > to - prev - gap ||
+          prev + gap + len > kRunBlockLimit) {
         return Corrupt("extent index delta: bad run");
       }
-      const uint64_t start = prev + gap;
+      const auto start = static_cast<uint32_t>(prev + gap);
+      const auto end = static_cast<uint32_t>(start + len);
       if (!runs.empty() && runs.back().second == start) {
-        runs.back().second = start + len;
+        runs.back().second = end;
       } else {
-        runs.emplace_back(start, start + len);
+        runs.emplace_back(start, end);
       }
-      prev = start + len;
+      prev = end;
     }
   }
   uint64_t ts_count = 0;

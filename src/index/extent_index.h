@@ -24,7 +24,6 @@
 #define SRC_INDEX_EXTENT_INDEX_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
 #include <vector>
@@ -57,7 +56,8 @@ class ExtentIndex {
   // defensive parses); every stamped block joins the timestamp vector —
   // fragment-led blocks dip below their neighbors (DESIGN.md §8), which
   // LastBlockAtOrBefore resolves. Blocks must be marked in increasing
-  // order; re-marking an already-covered block is a no-op.
+  // order; re-marking an already-covered block is a no-op. A block at or
+  // past 2^32 - 1 is recorded as a hole, not as runs.
   void MarkBlock(uint64_t block, std::optional<Timestamp> leading_timestamp,
                  std::span<const LogFileId> ids);
 
@@ -126,16 +126,29 @@ class ExtentIndex {
                     uint64_t bytes_to_follow = 0);
 
  private:
-  // Per id: disjoint, sorted half-open [start, end) block runs.
-  using RunList = std::vector<std::pair<uint64_t, uint64_t>>;
+  // Per id: disjoint, sorted half-open [start, end) block runs, in 32
+  // bits: the runs are the bulk of the index's memory and of a restart's
+  // sidecar decode, which spends most of its time faulting in the pages
+  // it writes (DESIGN.md §17). A block at or past kRunBlockLimit is
+  // recorded as a hole instead, so lookups across it fall back to the
+  // entrymap walk.
+  using Run = std::pair<uint32_t, uint32_t>;
+  using RunList = std::vector<Run>;
+  static constexpr uint64_t kRunBlockLimit = UINT32_MAX;
 
   using Stamp = std::pair<uint64_t, Timestamp>;  // (block, leading stamp)
 
   bool HoleIn(uint64_t lo, uint64_t hi) const;  // any hole in [lo, hi)?
+  // The runs of `id`, the table grown to hold it.
+  RunList& RunsOf(LogFileId id);
+  // The runs of `id`, nullptr when it has none.
+  const RunList* FindRuns(LogFileId id) const;
   void EncodeSince(uint64_t from, ByteWriter* writer) const;
   void AddStamp(uint64_t block, Timestamp stamp);
 
-  std::map<LogFileId, RunList> runs_;
+  // Indexed by log file id, as far as the largest id marked; an id with
+  // no runs has an empty list. A mark is then one load per id.
+  std::vector<RunList> runs_;
   // One pair per stamped block, increasing in block. Timestamps are
   // non-monotone where fragment-led blocks dip (their leading stamp is
   // the base entry's) or the clock stepped back.

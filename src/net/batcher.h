@@ -41,7 +41,10 @@ struct GroupCommitOptions {
   size_t max_batch_entries = 64;
   // ...or this many payload bytes...
   size_t max_batch_bytes = 1 << 20;
-  // ...or when the oldest queued entry has waited this long.
+  // ...or this long after the commit thread found the queue non-empty.
+  // The hold starts then, not at the oldest entry's enqueue: an entry
+  // queued while the previous batch committed has already waited that
+  // commit out when its own hold begins.
   uint64_t max_hold_us = 500;
 };
 

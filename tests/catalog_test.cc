@@ -54,7 +54,11 @@ TEST(Catalog, SelfAndAncestorsChains) {
                        catalog.Create("mail", kVolumeSeqLogId, 0644, 1));
   ASSERT_OK_AND_ASSIGN(CatalogRecord smith,
                        catalog.Create("smith", mail.subject, 0644, 2));
-  auto chain = catalog.SelfAndAncestors(smith.subject);
+  std::vector<LogFileId> chain;
+  catalog.VisitSelfAndAncestors(smith.subject, [&](LogFileId id) {
+    chain.push_back(id);
+    return true;
+  });
   ASSERT_EQ(chain.size(), 3u);
   EXPECT_EQ(chain[0], smith.subject);
   EXPECT_EQ(chain[1], mail.subject);

@@ -90,6 +90,31 @@ TEST(ExtentIndex, HolesMakeOverlappingQueriesNonAuthoritative) {
   EXPECT_FALSE(idx.LastBlockAtOrBefore(Timestamp{250}).authoritative);
 }
 
+// Runs hold 32-bit block numbers; a block past them is a hole, so the
+// lookups it could answer fall back to the entrymap walk, and the index
+// still serializes and restores.
+TEST(ExtentIndex, BlocksPastThirtyTwoBitsBecomeHoles) {
+  constexpr uint64_t kFar = uint64_t{1} << 32;
+  const LogFileId a = 7;
+  std::vector<LogFileId> ids = {a};
+  ExtentIndex idx;
+  idx.MarkBlock(1, Timestamp{100}, ids);
+  idx.AdvanceCoveredEnd(kFar - 2);
+  idx.MarkBlock(kFar - 2, Timestamp{200}, ids);  // the last block runs hold
+  idx.MarkBlock(kFar + 5, Timestamp{300}, ids);
+  EXPECT_EQ(idx.covered_end(), kFar + 6);
+  EXPECT_EQ(idx.run_count(), 2u);
+  EXPECT_EQ(idx.hole_count(), 1u);
+  ExtentIndex::Lookup prev = idx.PrevBlockWith(a, kFar - 1);
+  ASSERT_TRUE(prev.authoritative);
+  EXPECT_EQ(prev.block, kFar - 2);
+  EXPECT_FALSE(idx.PrevBlockWith(a, kFar + 6).authoritative);
+  EXPECT_FALSE(idx.NextBlockWith(a, kFar - 1).authoritative);
+  ASSERT_OK_AND_ASSIGN(ExtentIndex back,
+                       ExtentIndex::Deserialize(idx.Serialize()));
+  EXPECT_TRUE(back == idx);
+}
+
 TEST(ExtentIndex, TimestampSearchResolvesFragmentDips) {
   ExtentIndex idx;
   const LogFileId a = 7;

@@ -519,6 +519,129 @@ TEST(Recovery, TruncatedCheckpointFallsBackToFullScan) {
   EXPECT_EQ(ReadAll(rig.service.get(), "/wal"), wrote);
 }
 
+// A sidecar whose records decode but whose extent index does not: the
+// restart joins the index only after replaying the suffix, and must then
+// fall back to the full scan with nothing lost.
+TEST(Recovery, CheckpointIndexThatFailsAfterTheReplayFallsBackToFullScan) {
+  NvramTail nvram(512);
+  auto rig = CrashRig::Make(/*block_size=*/512, /*capacity=*/4096,
+                            /*degree=*/8, &nvram,
+                            /*checkpoint_interval=*/16);
+  ASSERT_OK(rig.service->CreateLogFile("/wal").status());
+  WriteOptions forced;
+  forced.force = true;
+  Rng rng(59);
+  std::vector<std::string> wrote;
+  for (int i = 0; i < 150; ++i) {
+    wrote.push_back("e" + std::to_string(i) +
+                    ToString(RandomPayload(&rng, 80)));
+    ASSERT_OK(
+        rig.service->Append("/wal", AsBytes(wrote.back()), forced).status());
+  }
+  ASSERT_OK_AND_ASSIGN(CheckpointState real,
+                       CheckpointState::Decode(nvram.checkpoint()));
+  // The real record with its index delta cut short: every checksum, the
+  // coverage, the catalog and the pending nodes hold.
+  CheckpointRecord crafted;
+  crafted.volume_index = real.volume_index;
+  crafted.covered_end = real.covered_end;
+  crafted.max_timestamp = real.max_timestamp;
+  crafted.index_delta = real.index.EncodeSince(1);
+  crafted.index_delta.resize(crafted.index_delta.size() / 2);
+  crafted.accumulator_nodes = real.accumulator_nodes;
+  crafted.catalog_records = real.catalog_records;
+  nvram.StoreCheckpoint(crafted.Encode());
+  ASSERT_FALSE(CheckpointState::Decode(nvram.checkpoint()).ok());
+  RecoveryReport report = rig.Crash();
+  EXPECT_FALSE(report.restored_checkpoint);
+  EXPECT_EQ(report.checkpoint_replay_blocks, 0u);
+  EXPECT_EQ(ReadAll(rig.service.get(), "/wal"), wrote);
+  for (int i = 0; i < 40; ++i) {
+    wrote.push_back("post-" + std::to_string(i));
+    ASSERT_OK(
+        rig.service->Append("/wal", AsBytes(wrote.back()), forced).status());
+  }
+  ASSERT_OK_AND_ASSIGN(VerifyReport verify,
+                       VerifyVolume(rig.service->current_volume()));
+  EXPECT_TRUE(verify.clean());
+  EXPECT_EQ(ReadAll(rig.service.get(), "/wal"), wrote);
+}
+
+// A restart whose Open fails before it needs the checkpoint (every read
+// of the head pass fails) returns the error with the sidecar decode and
+// the thread that opened the volumes both finished; the next restart
+// restores the checkpoint.
+TEST(Recovery, OpenFailingBeforeTheCheckpointJoinsTheDecode) {
+  NvramTail nvram(512);
+  auto rig = CrashRig::Make(/*block_size=*/512, /*capacity=*/4096,
+                            /*degree=*/8, &nvram,
+                            /*checkpoint_interval=*/16);
+  ASSERT_OK(rig.service->CreateLogFile("/wal").status());
+  WriteOptions forced;
+  forced.force = true;
+  std::vector<std::string> wrote;
+  for (int i = 0; i < 120; ++i) {
+    wrote.push_back("e" + std::to_string(i) + std::string(90, 'x'));
+    ASSERT_OK(
+        rig.service->Append("/wal", AsBytes(wrote.back()), forced).status());
+  }
+  ASSERT_TRUE(nvram.has_checkpoint());
+  rig.service.reset();
+  FaultPolicy policy;
+  policy.transient_read_failure_per_mille = 1000;
+  std::vector<std::unique_ptr<WormDevice>> devices;
+  devices.push_back(std::make_unique<FaultInjectingWormDevice>(
+      std::make_unique<BorrowedDevice>(rig.devices[0].get()), policy,
+      /*seed=*/1));
+  auto failed = LogService::Recover(std::move(devices), rig.clock.get(),
+                                    rig.options, nullptr);
+  EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
+  RecoveryReport report = rig.Crash();
+  EXPECT_TRUE(report.restored_checkpoint);
+  EXPECT_EQ(ReadAll(rig.service.get(), "/wal"), wrote);
+}
+
+uint64_t HistogramCount(const StatsSnapshot& stats, const std::string& name) {
+  return stats.histogram(name).value_or(HistogramSnapshot{}).count;
+}
+
+// The restart ledger: each restart records its step times once, the
+// decode pair only when a sidecar decode ran.
+TEST(Recovery, RestartRecordsItsStepTimesOnce) {
+  for (bool checkpointed : {true, false}) {
+    SCOPED_TRACE(checkpointed ? "checkpoint restart" : "full scan");
+    NvramTail nvram(512);
+    auto rig = CrashRig::Make(/*block_size=*/512, /*capacity=*/4096,
+                              /*degree=*/8, checkpointed ? &nvram : nullptr,
+                              /*checkpoint_interval=*/16);
+    ASSERT_OK(rig.service->CreateLogFile("/wal").status());
+    WriteOptions forced;
+    forced.force = true;
+    for (int i = 0; i < 120; ++i) {
+      ASSERT_OK(rig.service
+                    ->Append("/wal", AsBytes(std::string(90, 'a' + i % 26)),
+                             forced)
+                    .status());
+    }
+    const StatsSnapshot before = ObsRegistry().Snapshot();
+    RecoveryReport report = rig.Crash();
+    const StatsSnapshot after = ObsRegistry().Snapshot();
+    EXPECT_EQ(report.restored_checkpoint, checkpointed);
+    auto recorded = [&](const std::string& name) {
+      return HistogramCount(after, name) - HistogramCount(before, name);
+    };
+    EXPECT_EQ(recorded("clio.recovery.decode_us"), checkpointed ? 1u : 0u);
+    EXPECT_EQ(recorded("clio.recovery.decode_wait_us"),
+              checkpointed ? 1u : 0u);
+    EXPECT_EQ(recorded("clio.recovery.locate_us"), 1u);
+    EXPECT_EQ(recorded("clio.recovery.replay_us"), 1u);
+    if (!checkpointed) {
+      EXPECT_EQ(report.step_us.decode, 0u);
+      EXPECT_EQ(report.step_us.decode_wait, 0u);
+    }
+  }
+}
+
 // Unsigned LEB128, the integer encoding of an extent index delta.
 void PutVarint(Bytes* out, uint64_t v) {
   for (; v >= 0x80; v >>= 7) {
@@ -1094,6 +1217,101 @@ TEST(RestartPlan, TornTailBlockIsNeverServedFromTheTailPass) {
   ASSERT_OK(service->Append("/c", AsBytes("after"), forced).status());
   rig.wrote.push_back("after");
   EXPECT_EQ(ReadAll(service.get(), "/c"), rig.wrote);
+}
+
+// A volume sequence decodes the sidecar once, and only the writable
+// volume restores from it: the earlier volumes open by the full scan.
+TEST(Recovery, MultiVolumeSequenceDecodesTheCheckpointOnce) {
+  NvramTail nvram(512);
+  auto rig = CrashRig::Make(/*block_size=*/512, /*capacity=*/64,
+                            /*degree=*/4, &nvram,
+                            /*checkpoint_interval=*/8);
+  MemoryWormOptions dev;
+  dev.block_size = 512;
+  dev.capacity_blocks = 64;
+  auto* devices = &rig.devices;
+  rig.service->set_volume_factory(
+      [devices, dev](uint32_t) -> Result<std::unique_ptr<WormDevice>> {
+        devices->push_back(std::make_unique<MemoryWormDevice>(dev));
+        return std::unique_ptr<WormDevice>(
+            new BorrowedDevice(devices->back().get()));
+      });
+  ASSERT_OK(rig.service->CreateLogFile("/big").status());
+  WriteOptions forced;
+  forced.force = true;
+  std::vector<std::string> wrote;
+  while (rig.service->volume_count() < 3 || !nvram.has_checkpoint() ||
+         rig.devices.back()->frontier() < 40) {
+    ASSERT_LT(wrote.size(), 2000u);
+    std::string data = "entry-" + std::to_string(wrote.size());
+    data.resize(300, 'x');
+    wrote.push_back(data);
+    ASSERT_OK(rig.service->Append("/big", AsBytes(data), forced).status());
+  }
+  const uint64_t last_volume_blocks = rig.devices.back()->frontier();
+  const StatsSnapshot before = ObsRegistry().Snapshot();
+  RecoveryReport report = rig.Crash();
+  const StatsSnapshot after = ObsRegistry().Snapshot();
+  EXPECT_EQ(HistogramCount(after, "clio.recovery.decode_us") -
+                HistogramCount(before, "clio.recovery.decode_us"),
+            1u);
+  EXPECT_TRUE(report.restored_checkpoint);
+  EXPECT_LT(report.checkpoint_replay_blocks, last_volume_blocks);
+  // Only the earlier volumes walked their catalog logs.
+  EXPECT_GT(report.catalog_replay_blocks, 0u);
+  EXPECT_EQ(ReadAll(rig.service.get(), "/big"), wrote);
+  ASSERT_OK(rig.service->Append("/big", AsBytes("after"), forced).status());
+  wrote.push_back("after");
+  EXPECT_EQ(ReadAll(rig.service.get(), "/big"), wrote);
+}
+
+// A crash strands an unforced entry whose first blocks burned while its
+// tail died in the staging buffer; restart seals the chain with an empty
+// fragment. The entry reads back as what it is, a truncated prefix, and
+// verify lists it apart from damage.
+TEST(Recovery, CrashStrandedEntryReadsBackTruncated) {
+  auto rig = CrashRig::Make(/*block_size=*/512);
+  ASSERT_OK(rig.service->CreateLogFile("/s").status());
+  WriteOptions forced;
+  forced.force = true;
+  ASSERT_OK(
+      rig.service->Append("/s", Bytes(20, std::byte{0x11}), forced).status());
+  ASSERT_OK(
+      rig.service->Append("/s", Bytes(1500, std::byte{0x22}), WriteOptions{})
+          .status());
+  rig.Crash();
+  ASSERT_OK_AND_ASSIGN(auto reader, rig.service->OpenReader("/s"));
+  reader->SeekToStart();
+  ASSERT_OK_AND_ASSIGN(auto first, reader->Next());
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->payload.size(), 20u);
+  EXPECT_FALSE(first->truncated);
+  ASSERT_OK_AND_ASSIGN(auto second, reader->Next());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_GT(second->payload.size(), 0u);
+  EXPECT_LT(second->payload.size(), 1500u);
+  EXPECT_TRUE(second->truncated);
+  ASSERT_OK_AND_ASSIGN(auto none, reader->Next());
+  EXPECT_FALSE(none.has_value());
+
+  ASSERT_OK_AND_ASSIGN(VerifyReport verify,
+                       VerifyVolume(rig.service->current_volume()));
+  EXPECT_EQ(verify.sealed_chain_blocks.size(), 1u);
+  EXPECT_TRUE(verify.broken_chains.empty());
+  EXPECT_TRUE(verify.clean());
+  // Later appends burn past the seal; the entry stays truncated.
+  ASSERT_OK(rig.service->Append("/s", Bytes(700, std::byte{0x33}), forced)
+                .status());
+  ASSERT_OK_AND_ASSIGN(reader, rig.service->OpenReader("/s"));
+  reader->SeekToStart();
+  ASSERT_OK(reader->Next().status());
+  ASSERT_OK_AND_ASSIGN(second, reader->Next());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_TRUE(second->truncated);
+  ASSERT_OK_AND_ASSIGN(auto third, reader->Next());
+  ASSERT_TRUE(third.has_value());
+  EXPECT_EQ(third->payload.size(), 700u);
+  EXPECT_FALSE(third->truncated);
 }
 
 // Checkpoints written in one volume must not leak into its successor: a
