@@ -95,25 +95,29 @@ Result<uint64_t> LogVolume::LocateEnd(uint64_t head_end, uint64_t* examined,
                                       RecoveryReport::Passes* passes) {
   const uint64_t capacity = device_->capacity_blocks();
   const uint64_t window = uint64_t{readahead_blocks_} + 1;
-  // One pass: the blocks of [first, first + count) read before the first
-  // one that failed.
-  auto run = [&](uint64_t first, uint64_t count, uint64_t cache_below) {
-    auto read = blocks_.ReadRun(first, count, cache_below);
-    return read.ok() ? read.value().size() / device_->block_size() : 0;
+  // One pass: how many blocks of [first, first + count) read before the
+  // first one that failed, or the failure of `first` itself.
+  auto run = [&](uint64_t first, uint64_t count,
+                 uint64_t cache_below) -> Result<uint64_t> {
+    CLIO_ASSIGN_OR_RETURN(std::span<const std::byte> read,
+                          blocks_.ReadRun(first, count, cache_below));
+    return read.size() / device_->block_size();
+  };
+  auto blocks_read = [](const Result<uint64_t>& pass) {
+    return pass.ok() ? pass.value() : 0;
   };
   auto written = [&](uint64_t index) {
     ++*examined;
     ++passes->end_probes;
-    return run(index, 1, /*cache_below=*/0) == 1;
+    return run(index, 1, /*cache_below=*/0).ok();
   };
   uint64_t lo;
   auto query = device_->QueryEnd();
   if (query.ok()) {
     // Trust but verify: a device end query may under-report (the paper
     // only promises the end "can be found"; the search below is the
-    // authoritative fallback). The island-absorbing probe after this
-    // statement walks past a short answer just as it walks past wild
-    // writes beyond the true end.
+    // authoritative fallback). The tail pass below reads past a short
+    // answer, and the island probes then walk on from there.
     lo = query.value();
   } else {
     // Binary search for the first never-written block (§2.3.1: "binary
@@ -131,35 +135,55 @@ Result<uint64_t> LogVolume::LocateEnd(uint64_t head_end, uint64_t* examined,
     }
     if (lo < hi) {
       ++passes->end_probes;
-      const uint64_t got = run(lo, hi - lo, /*cache_below=*/0);
+      const uint64_t got = blocks_read(run(lo, hi - lo, /*cache_below=*/0));
       *examined += std::min(got + 1, hi - lo);
       lo += got;
     }
   }
   // The tail pass: [lo - W, lo] in one read, caching what lies below lo
-  // (the header pass already holds [1, head_end)). It ends exactly at lo
-  // when lo is unwritten, which makes it end probe 0.
+  // (the header pass already holds [1, head_end)).
   uint64_t end = lo;
-  int probe = 0;
+  bool confirmed = false;
   const uint64_t first =
       std::max(lo > readahead_blocks_ ? lo - readahead_blocks_ : 0,
                std::min(head_end, lo));
   const uint64_t count = std::min(lo + 1, capacity) - first;
   if (count > 0) {
     ++passes->tail;
-    const uint64_t reached = first + run(first, count, /*cache_below=*/lo);
-    if (reached >= lo && lo < capacity) {
+    const Result<uint64_t> tail = run(first, count, /*cache_below=*/lo);
+    const uint64_t reached = first + blocks_read(tail);
+    if (reached > lo) {
       ++*examined;
-      probe = 1;  // probe 0 failed at lo
-      if (reached > lo) {
-        end = lo + 1;  // probe 0 found lo written
-        probe = 0;
+      end = lo + 1;  // lo is written: the end query under-reported
+    } else if (reached == lo && lo < capacity) {
+      // The pass read everything below lo and stopped at lo; lo's own
+      // status decides. A pass of lo alone (depth 0) already holds it.
+      Status at_lo = tail.status();
+      if (first < lo) {
+        ++passes->end_probes;
+        at_lo = run(lo, 1, /*cache_below=*/0).status();
+      }
+      ++*examined;
+      if (at_lo.code() == StatusCode::kNotWritten) {
+        confirmed = true;
+      } else {
+        // Written, or unknown (a transient read): it may hold forced
+        // entries, so it joins the region and the torn-tail check
+        // re-reads it.
+        end = lo + 1;
       }
     }
   }
   // Wild writes may have deposited readable garbage just past the frontier;
-  // absorb nearby islands so they end up inside the recovered region.
-  for (; probe < kMaxDisplacementProbes && end + probe < capacity; ++probe) {
+  // absorb nearby islands so they end up inside the recovered region. An
+  // end confirmed unwritten needs no probes: a truthful end query already
+  // counts every block that is not virgin, and an island past a confirmed
+  // gap (hidden by a lying query, or missed by the binary search) is the
+  // writer's (LogVolumeWriter::BurnBuilder invalidates and logs every
+  // block a burn skips).
+  for (int probe = 0; !confirmed && probe < kMaxDisplacementProbes &&
+                      end + probe < capacity;
+       ++probe) {
     if (written(end + probe)) {
       end = end + probe + 1;
       probe = -1;  // restart the window after the island

@@ -16,9 +16,10 @@
 //    written portion (device query, else binary search), replay the catalog
 //    log, reconstruct the un-logged tail of the entrymap accumulators, and
 //    restore any NVRAM-staged tail block. It reads by plan: one pass for
-//    the header window, one for the tail window, the end probes, and
-//    read-ahead passes for the rest, so a restart costs device passes,
-//    not blocks (DESIGN.md §17).
+//    the header window, one for the tail window, one read of the block it
+//    stopped at (island probes only when that read does not confirm the
+//    end), and read-ahead passes for the rest, so a restart costs device
+//    passes, not blocks (DESIGN.md §17).
 //
 // Entrymap information is treated as what the paper says it is — a
 // redundant cache: a missing or displaced entrymap entry degrades searches
@@ -54,7 +55,8 @@ namespace clio {
 // What Open() did, for the Figure-4 initialization experiments.
 struct RecoveryReport {
   // Step 1: blocks examined while finding the written end (the binary
-  // search, when the device cannot report its end, plus the end probes).
+  // search, when the device cannot report its end, plus the reads at and
+  // past the end).
   uint64_t end_location_reads = 0;
   uint64_t tail_scan_blocks = 0;     // step 2: entrymap reconstruction
   uint64_t catalog_replay_blocks = 0;  // step 3 (approximate: via OpStats)
@@ -69,8 +71,9 @@ struct RecoveryReport {
   // the read plan (DESIGN.md §17). A restart costs passes, not blocks.
   struct Passes {
     uint64_t head = 0;        // the header window [0, W]
-    uint64_t end_probes = 0;  // binary search and the end probes past `lo`
-    uint64_t tail = 0;        // the tail window, which is end probe 0
+    // The binary search, the read of `lo` alone and the island probes.
+    uint64_t end_probes = 0;
+    uint64_t tail = 0;        // the tail window [lo - W, lo]
     uint64_t walk = 0;        // tail checks, catalog walk, max timestamp
     // Step 2, the entrymap tail rebuild, or the checkpoint replay (an
     // abandoned one included): up to W + 1 contiguous blocks per pass.

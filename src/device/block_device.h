@@ -115,10 +115,11 @@ class WormDevice {
   // also removes it from the append path.
   virtual Status InvalidateBlock(uint64_t index) = 0;
 
-  // Device query for the end of the written portion (the number of blocks
-  // that are not kUnwritten at the front of the device). Devices may not
-  // support this (kUnimplemented), in which case the server falls back to
-  // binary search (§2.3.1 / §3.4).
+  // Device query for the end of the written portion: one past the highest
+  // block that is not kUnwritten, so a written, scribbled or invalidated
+  // island past a virgin gap counts. Devices may not support this
+  // (kUnimplemented), in which case the server falls back to binary
+  // search (§2.3.1 / §3.4).
   virtual Result<uint64_t> QueryEnd() = 0;
 
   // Introspection for tests and the recovery path's fallback search.

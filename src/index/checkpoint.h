@@ -96,7 +96,7 @@ struct CheckpointState {
 // calling thread while a helper thread opens the volumes: the writable
 // volume's Open joins the records at step 2 and the extent index, the
 // bulk of the decode, only after replaying the suffix, so the decode
-// overlaps the header pass, the end probes and the replay. The decoded
+// overlaps the header and tail passes and the replay. The decoded
 // state is allocated by the calling thread, which keeps the service.
 class PendingCheckpoint {
  public:

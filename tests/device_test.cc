@@ -152,6 +152,39 @@ TEST(FileWorm, PersistsAcrossReopen) {
   std::remove((path + ".state").c_str());
 }
 
+// The end query counts every block that is not virgin, so an island past
+// a virgin gap is inside the answer: one past the island, not the gap.
+TEST(WormEndQuery, CountsAnIslandPastAGap) {
+  std::string path = ::testing::TempDir() + "/clio_island_end_test.dev";
+  std::remove(path.c_str());
+  std::remove((path + ".state").c_str());
+  FileWormOptions file_options;
+  file_options.block_size = 256;
+  file_options.capacity_blocks = 64;
+  ASSERT_OK_AND_ASSIGN(auto file, FileWormDevice::Open(path, file_options));
+  MemoryWormDevice memory(SmallDevice());
+  for (WormDevice* device : {static_cast<WormDevice*>(&memory),
+                             static_cast<WormDevice*>(file.get())}) {
+    for (int i = 0; i < 3; ++i) {
+      ASSERT_OK(device->AppendBlock(Pattern(256, i)).status());
+    }
+    // Blocks 3..6 stay virgin; 7 is an island.
+    ASSERT_OK(device->InvalidateBlock(7));
+    ASSERT_OK_AND_ASSIGN(uint64_t end, device->QueryEnd());
+    EXPECT_EQ(end, 8u);
+    EXPECT_EQ(device->BlockState(5), WormBlockState::kUnwritten);
+    Bytes out(256);
+    EXPECT_EQ(device->ReadBlock(5, out).code(), StatusCode::kNotWritten);
+  }
+  Rng rng(3);
+  memory.Scribble(20, RandomPayload(&rng, 256));
+  ASSERT_OK_AND_ASSIGN(uint64_t scribbled_end, memory.QueryEnd());
+  EXPECT_EQ(scribbled_end, 21u);
+  file.reset();
+  std::remove(path.c_str());
+  std::remove((path + ".state").c_str());
+}
+
 TEST(Rewritable, ReadsZerosUntilWritten) {
   MemoryRewritableDevice device(256, 16);
   Bytes out(256, std::byte{1});

@@ -4,6 +4,7 @@
 // same devices and verify equivalence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <ostream>
 #include <string>
@@ -1008,7 +1009,7 @@ std::ostream& operator<<(std::ostream& os, const ReadCall& c) {
 // `end_shortfall` blocks short, or is unsupported when `query_end` is off.
 class PassLogDevice : public BorrowedDevice {
  public:
-  PassLogDevice(MemoryWormDevice* media, std::vector<ReadCall>* calls,
+  PassLogDevice(WormDevice* media, std::vector<ReadCall>* calls,
                 bool query_end, uint64_t end_shortfall)
       : BorrowedDevice(media),
         calls_(calls),
@@ -1068,24 +1069,98 @@ struct PlanRig {
   }
 
   // Recovers at read-ahead depth `readahead`, logging Open's read calls.
+  // Reads go through `through` when given (a decorator over `media`).
+  Result<std::unique_ptr<LogService>> TryRecover(
+      uint32_t readahead, std::vector<ReadCall>* calls,
+      RecoveryReport* report, bool query_end = true,
+      uint64_t end_shortfall = 0, WormDevice* through = nullptr) {
+    LogServiceOptions o = options;
+    o.readahead_blocks = readahead;
+    std::vector<std::unique_ptr<WormDevice>> devices;
+    devices.push_back(std::make_unique<PassLogDevice>(
+        through != nullptr ? through : media.get(), calls, query_end,
+        end_shortfall));
+    return LogService::Recover(std::move(devices), &clock, o, report);
+  }
   std::unique_ptr<LogService> Recover(uint32_t readahead,
                                       std::vector<ReadCall>* calls,
                                       RecoveryReport* report,
                                       bool query_end = true,
                                       uint64_t end_shortfall = 0) {
-    LogServiceOptions o = options;
-    o.readahead_blocks = readahead;
-    std::vector<std::unique_ptr<WormDevice>> devices;
-    devices.push_back(std::make_unique<PassLogDevice>(
-        media.get(), calls, query_end, end_shortfall));
-    auto recovered = LogService::Recover(std::move(devices), &clock, o,
-                                         report);
+    auto recovered =
+        TryRecover(readahead, calls, report, query_end, end_shortfall);
     EXPECT_OK(recovered.status());
     return recovered.ok() ? std::move(recovered).value() : nullptr;
   }
+
+  // Forced appends to "/c" until the device's next burn lands past
+  // `block`.
+  void AppendPast(LogService* service, uint64_t block) {
+    WriteOptions forced;
+    forced.force = true;
+    while (media->frontier() <= block) {
+      wrote.push_back("p" + std::to_string(wrote.size()));
+      ASSERT_OK(
+          service->Append("/c", AsBytes(wrote.back()), forced).status());
+    }
+  }
 };
 
-TEST(RestartPlan, CommitShapedVolumeRestartsInEighteenPasses) {
+// Blocks named by the bad-block log (§2.3.2).
+std::vector<uint64_t> LoggedBadBlocks(LogService* service) {
+  std::vector<uint64_t> out;
+  auto reader = service->OpenReaderById(kBadBlockLogId);
+  EXPECT_OK(reader.status());
+  if (!reader.ok()) {
+    return out;
+  }
+  reader.value()->SeekToStart();
+  while (true) {
+    auto record = reader.value()->Next();
+    EXPECT_OK(record.status());
+    if (!record.ok() || !record.value().has_value()) {
+      return out;
+    }
+    ByteReader payload(record.value()->payload);
+    out.push_back(payload.GetU64());
+  }
+}
+
+// What a restart leaves of a readable island at `island`, whether it
+// absorbed the island or left it to the writer: once appends burn past
+// it, the island is invalidated and in the bad-block log, a read of it
+// serves no data, the log reads back as written and the volume verifies,
+// then and after a second restart.
+void ExpectIslandNeverServed(PlanRig* rig, std::unique_ptr<LogService> service,
+                             uint64_t island) {
+  // Burn the block after the island, then one more append: it logs the
+  // blocks the burn before it skipped.
+  rig->AppendPast(service.get(), island + 1);
+  rig->AppendPast(service.get(), rig->media->frontier());
+  EXPECT_EQ(rig->media->BlockState(island), WormBlockState::kInvalidated);
+  std::vector<uint64_t> bad = LoggedBadBlocks(service.get());
+  EXPECT_EQ(std::count(bad.begin(), bad.end(), island), 1) << island;
+  OpStats stats;
+  EXPECT_EQ(service->current_volume()->GetBlock(island, &stats)
+                .status()
+                .code(),
+            StatusCode::kInvalidated);
+  EXPECT_EQ(ReadAll(service.get(), "/c"), rig->wrote);
+  ASSERT_OK_AND_ASSIGN(VerifyReport verify,
+                       VerifyVolume(service->current_volume()));
+  EXPECT_TRUE(verify.clean());
+  service.reset();
+  std::vector<ReadCall> calls;
+  RecoveryReport report;
+  service = rig->Recover(32, &calls, &report);
+  ASSERT_NE(service, nullptr);
+  EXPECT_EQ(report.invalidated_blocks, 0u);
+  EXPECT_EQ(ReadAll(service.get(), "/c"), rig->wrote);
+  ASSERT_OK_AND_ASSIGN(verify, VerifyVolume(service->current_volume()));
+  EXPECT_TRUE(verify.clean());
+}
+
+TEST(RestartPlan, CommitShapedVolumeRestartsInFourPasses) {
   PlanRig rig(101);
   const uint32_t depth = LogServiceOptions{}.readahead_blocks;
   ASSERT_EQ(depth, 32u);
@@ -1095,102 +1170,184 @@ TEST(RestartPlan, CommitShapedVolumeRestartsInEighteenPasses) {
   const uint64_t recorded_before = recorded->value();
   auto service = rig.Recover(depth, &calls, &report);
   ASSERT_NE(service, nullptr);
-  EXPECT_EQ(recorded->value() - recorded_before, 18u);
-  // Head [0, 33); tail [69, 101] stopping at 101 (end probe 0); probes
-  // 102..116; one walk pass from entrymap node 48 covers 48, 64 and 80.
-  std::vector<ReadCall> want = {{0, 33}, {69, 33}};
-  for (uint64_t b = 102; b <= 116; ++b) {
-    want.push_back({b, 1});
-  }
-  want.push_back({48, 33});
+  EXPECT_EQ(recorded->value() - recorded_before, 4u);
+  // Head [0, 33); tail [69, 101] stopping at 101; 101 alone, whose
+  // kNotWritten confirms the end (no island probes); one walk pass from
+  // entrymap node 48 covers 48, 64 and 80.
+  const std::vector<ReadCall> want = {{0, 33}, {69, 33}, {101, 1}, {48, 33}};
   EXPECT_EQ(calls, want);
   EXPECT_EQ(report.device_passes.head, 1u);
   EXPECT_EQ(report.device_passes.tail, 1u);
-  EXPECT_EQ(report.device_passes.end_probes, 15u);
+  EXPECT_EQ(report.device_passes.end_probes, 1u);
   EXPECT_EQ(report.device_passes.walk, 1u);
   EXPECT_EQ(report.device_passes.replay, 0u);
-  EXPECT_EQ(report.device_passes.total(), 18u);
-  EXPECT_EQ(report.end_location_reads, 16u);  // blocks past the end
+  EXPECT_EQ(report.device_passes.total(), 4u);
+  EXPECT_EQ(report.end_location_reads, 1u);  // blocks past the end
+  EXPECT_EQ(service->current_volume()->end_block(), 101u);
   EXPECT_EQ(ReadAll(service.get(), "/c"), rig.wrote);
 }
 
-// At depth 0 the plan degenerates to one block per call, in exactly the
-// order recovery read before the plan existed.
+// At depth 0 the plan degenerates to one block per call. The tail pass is
+// the read of 101 itself, so its kNotWritten confirms the end: 101 is
+// read once.
 TEST(RestartPlan, DepthZeroKeepsTheBlockByBlockSequence) {
   PlanRig rig(101);
   std::vector<ReadCall> calls;
   RecoveryReport report;
   auto service = rig.Recover(/*readahead=*/0, &calls, &report);
   ASSERT_NE(service, nullptr);
-  std::vector<ReadCall> want = {{0, 1}};
-  for (uint64_t b = 101; b <= 116; ++b) {
-    want.push_back({b, 1});  // end probes, 101 first
-  }
+  std::vector<ReadCall> want = {{0, 1}, {101, 1}};
   // The torn-tail check at 100; the catalog walk's entrymap nodes 16..96
   // and block 1; the walk's unindexed tail 97..99.
   for (uint64_t b : {100, 16, 1, 32, 48, 64, 80, 96, 97, 98, 99}) {
     want.push_back({b, 1});
   }
   EXPECT_EQ(calls, want);
-  EXPECT_EQ(report.device_passes.total(), 28u);
+  EXPECT_EQ(report.device_passes.end_probes, 0u);
+  EXPECT_EQ(report.device_passes.total(), 13u);
   EXPECT_EQ(report.device_passes.total(), calls.size());
-  EXPECT_EQ(report.end_location_reads, 16u);
+  EXPECT_EQ(report.end_location_reads, 1u);
   EXPECT_EQ(ReadAll(service.get(), "/c"), rig.wrote);
 }
 
-// Wild writes just past the end are still absorbed with the tail pass
-// standing in for end probe 0, at the far edge of the probe window too.
-// The end query reports the frontier, so only the probes find the island.
-// Recovery invalidates the gap, so every case starts from fresh media.
-TEST(RestartPlan, IslandsPastTheEndAreAbsorbed) {
+// An end query short over written blocks sends the tail pass past its
+// answer, and the island probes then absorb wild writes just past the
+// end, at the far edge of the probe window too. Recovery invalidates the
+// island and the gap, so every case starts from fresh media.
+TEST(RestartPlan, IslandsPastAShortEndQueryAreAbsorbed) {
   for (uint64_t offset : {1u, 15u}) {
+    for (uint64_t below : {1u, 8u}) {
+      for (uint32_t depth : {32u, 0u}) {
+        SCOPED_TRACE("island at end + " + std::to_string(offset) +
+                     ", query " + std::to_string(below) +
+                     " below the end, depth " + std::to_string(depth));
+        PlanRig rig(101);
+        Rng rng(offset);
+        const uint64_t island = 101 + offset;
+        rig.media->Scribble(island, RandomPayload(&rng, 1024));
+        std::vector<ReadCall> calls;
+        RecoveryReport report;
+        auto service =
+            rig.Recover(depth, &calls, &report, /*query_end=*/true,
+                        /*end_shortfall=*/island + 1 - (101 - below));
+        ASSERT_NE(service, nullptr);
+        EXPECT_EQ(service->current_volume()->end_block(), island + 1);
+        // The island and the gap before it, up to the torn-tail window.
+        EXPECT_EQ(report.invalidated_blocks,
+                  std::min<uint64_t>(offset + 1, 16));
+        EXPECT_EQ(rig.media->BlockState(island),
+                  WormBlockState::kInvalidated);
+        EXPECT_EQ(report.device_passes.total(), calls.size());
+        EXPECT_EQ(ReadAll(service.get(), "/c"), rig.wrote);
+        ExpectIslandNeverServed(&rig, std::move(service), island);
+      }
+    }
+  }
+}
+
+// An end query that agrees with the tail pass (it hides the island, as a
+// lying device may) ends the restart at the confirmed end: no probe reads
+// past it, and the island is left to the writer, which invalidates and
+// logs it when a burn skips it.
+TEST(RestartPlan, IslandPastAnAgreedEndIsLeftToTheWriter) {
+  for (uint64_t offset : {1u, 5u, 15u}) {
     for (uint32_t depth : {32u, 0u}) {
       SCOPED_TRACE("island at end + " + std::to_string(offset) +
                    ", depth " + std::to_string(depth));
       PlanRig rig(101);
       Rng rng(offset);
-      rig.media->Scribble(101 + offset, RandomPayload(&rng, 1024));
+      const uint64_t island = 101 + offset;
+      rig.media->Scribble(island, RandomPayload(&rng, 1024));
       std::vector<ReadCall> calls;
       RecoveryReport report;
       auto service = rig.Recover(depth, &calls, &report, /*query_end=*/true,
                                  /*end_shortfall=*/offset + 1);
       ASSERT_NE(service, nullptr);
-      EXPECT_EQ(service->current_volume()->end_block(), 101 + offset + 1);
-      // The island and the gap before it, up to the torn-tail window.
-      EXPECT_EQ(report.invalidated_blocks, std::min<uint64_t>(offset + 1, 16));
+      EXPECT_EQ(service->current_volume()->end_block(), 101u);
+      EXPECT_EQ(report.invalidated_blocks, 0u);
+      EXPECT_EQ(report.end_location_reads, 1u);
+      for (const ReadCall& call : calls) {
+        EXPECT_LE(call.first + call.count, 102u) << call;
+      }
       EXPECT_EQ(report.device_passes.total(), calls.size());
+      EXPECT_EQ(rig.media->BlockState(island), WormBlockState::kScribbled);
       EXPECT_EQ(ReadAll(service.get(), "/c"), rig.wrote);
+      ExpectIslandNeverServed(&rig, std::move(service), island);
     }
   }
 }
 
 // A QueryEnd that under-reports by 1..8 blocks, on media whose end is
-// followed by a 3-block gap and an island, recovers the end the binary
-// search recovers. Each recovery starts from fresh media.
+// followed by a 3-block gap and an island at 104, and the binary search
+// without a query, each recover every entry. The restart either absorbs
+// the island (end 105, the gap and island invalidated) or, when the tail
+// pass confirms 101 unwritten, leaves it to the writer (end 101); either
+// way the island is never served. Each recovery starts from fresh media.
 TEST(RestartPlan, ShortEndQueryAcrossAGapMatchesBinarySearch) {
-  auto recover = [](bool query_end, uint64_t shortfall,
-                    RecoveryReport* report) {
+  auto recover = [](bool query_end, uint64_t shortfall) {
     PlanRig rig(101);
     Rng rng(7);
     rig.media->Scribble(104, RandomPayload(&rng, 1024));
     std::vector<ReadCall> calls;
-    auto service = rig.Recover(32, &calls, report, query_end, shortfall);
-    if (service == nullptr) {
-      return uint64_t{0};
-    }
-    EXPECT_EQ(report->device_passes.total(), calls.size());
+    RecoveryReport report;
+    auto service = rig.Recover(32, &calls, &report, query_end, shortfall);
+    ASSERT_NE(service, nullptr);
+    EXPECT_EQ(report.device_passes.total(), calls.size());
     EXPECT_EQ(ReadAll(service.get(), "/c"), rig.wrote);
-    return service->current_volume()->end_block();
+    const uint64_t end = service->current_volume()->end_block();
+    if (end == 105) {
+      EXPECT_EQ(report.invalidated_blocks, 4u);  // 101..103 and the island
+    } else {
+      EXPECT_EQ(end, 101u);
+      EXPECT_EQ(report.invalidated_blocks, 0u);
+    }
+    ExpectIslandNeverServed(&rig, std::move(service), 104);
   };
-  RecoveryReport searched;
-  const uint64_t end = recover(/*query_end=*/false, 0, &searched);
-  EXPECT_EQ(end, 105u);
-  EXPECT_EQ(searched.invalidated_blocks, 4u);  // 101..103 and the island
+  {
+    SCOPED_TRACE("binary search");
+    recover(/*query_end=*/false, 0);
+  }
   for (uint64_t shortfall = 1; shortfall <= 8; ++shortfall) {
     SCOPED_TRACE("end query short by " + std::to_string(shortfall));
-    RecoveryReport report;
-    EXPECT_EQ(recover(/*query_end=*/true, shortfall, &report), end);
-    EXPECT_EQ(report.invalidated_blocks, searched.invalidated_blocks);
+    recover(/*query_end=*/true, shortfall);
+  }
+}
+
+// An end query that lies onto the last burned block, whose reads fail
+// transiently: the tail pass stops at it and its own read cannot confirm
+// the end, so it stays inside the region and the island probes run. No
+// forced entry is lost, and a block that stays unreadable through the
+// torn-tail check fails the restart instead of dropping the entry.
+TEST(RestartPlan, TransientReadAtALyingEndFallsBackToTheProbes) {
+  for (int failures : {1, 2, 3}) {
+    for (uint32_t depth : {32u, 0u}) {
+      SCOPED_TRACE(std::to_string(failures) + " failed reads, depth " +
+                   std::to_string(depth));
+      PlanRig rig(101);
+      testing::FlakyBlockDevice flaky(rig.media.get());
+      flaky.FailReads(100, failures);
+      std::vector<ReadCall> calls;
+      RecoveryReport report;
+      auto recovered = rig.TryRecover(depth, &calls, &report,
+                                      /*query_end=*/true,
+                                      /*end_shortfall=*/1, &flaky);
+      // The tail pass and the read of 100 alone fail (at depth 0 they are
+      // one read); the torn-tail check reads it next.
+      if (failures > (depth == 0 ? 1 : 2)) {
+        EXPECT_EQ(recovered.status().code(), StatusCode::kUnavailable);
+        recovered = rig.TryRecover(depth, &calls, &report);
+      } else {
+        // The read of 100 alone, if any, then probes 101..116.
+        EXPECT_EQ(report.device_passes.end_probes, depth == 0 ? 16u : 17u);
+      }
+      ASSERT_OK(recovered.status());
+      std::unique_ptr<LogService> service = std::move(recovered).value();
+      EXPECT_EQ(service->current_volume()->end_block(), 101u);
+      EXPECT_EQ(ReadAll(service.get(), "/c"), rig.wrote);
+      rig.AppendPast(service.get(), 101);
+      EXPECT_EQ(rig.media->BlockState(100), WormBlockState::kWritten);
+      EXPECT_EQ(ReadAll(service.get(), "/c"), rig.wrote);
+    }
   }
 }
 
