@@ -240,8 +240,12 @@ void MeasureCheckpointRestart(BenchReport* report) {
 // quarter of it, so the average record stays flat; one full record per
 // checkpoint would grow with the volume (3.15x from 8k to 32k blocks).
 // The growth ratio is a byte count, free of timing noise, and CI gates it
-// as a ceiling.
-double CheckpointBytesPerCheckpoint(uint64_t target) {
+// as a ceiling. With `index_bytes_per_block`, the service then crashes
+// and restarts from the sidecar, and the restored extent index's resident
+// bytes per covered block land there: a byte count too, gated the same
+// way, so the index cannot creep back toward a vector per run.
+double CheckpointBytesPerCheckpoint(uint64_t target,
+                                    double* index_bytes_per_block = nullptr) {
   MemoryWormOptions dev;
   dev.block_size = 1024;
   dev.capacity_blocks = target + 1024;
@@ -287,6 +291,23 @@ double CheckpointBytesPerCheckpoint(uint64_t target) {
   if (records == 0) {
     BENCH_CHECK_OK(Internal("no checkpoint written"));
   }
+  if (index_bytes_per_block != nullptr) {
+    service.value().reset();  // crash; the media and the sidecar survive
+    std::vector<std::unique_ptr<WormDevice>> devices;
+    devices.push_back(std::make_unique<BorrowedDevice>(&media));
+    RecoveryReport rep;
+    auto recovered = LogService::Recover(std::move(devices), &clock, options,
+                                         &rep);
+    BENCH_CHECK_OK(recovered.status());
+    const ExtentIndex* index =
+        recovered.value()->current_volume()->extent_index();
+    if (!rep.restored_checkpoint || index == nullptr ||
+        index->covered_end() <= 1) {
+      BENCH_CHECK_OK(Internal("checkpoint did not restore an index"));
+    }
+    *index_bytes_per_block = static_cast<double>(index->bytes()) /
+                             static_cast<double>(index->covered_end() - 1);
+  }
   return static_cast<double>(bytes->value() - bytes_before) /
          static_cast<double>(records);
 }
@@ -294,7 +315,9 @@ double CheckpointBytesPerCheckpoint(uint64_t target) {
 void MeasureCheckpointGrowth(BenchReport* report) {
   const uint64_t small = 8192;
   const uint64_t large = FastMode() ? 32768 : 131072;
-  const double small_bytes = CheckpointBytesPerCheckpoint(small);
+  double index_bytes_per_block = 0;
+  const double small_bytes =
+      CheckpointBytesPerCheckpoint(small, &index_bytes_per_block);
   const double large_bytes = CheckpointBytesPerCheckpoint(large);
   const double growth = large_bytes / small_bytes;
   std::printf("\ncheckpoint bytes per checkpoint, 256 Zipf files, "
@@ -306,11 +329,16 @@ void MeasureCheckpointGrowth(BenchReport* report) {
   std::printf("checkpoint_bytes_growth: %.3f (CI ceiling in fast mode, "
               "32k over 8k blocks: 1.2)\n",
               growth);
+  std::printf("index_bytes_per_block: %.2f (the extent index restored at "
+              "%" PRIu64 " blocks)\n",
+              index_bytes_per_block, small);
   report->AddCounter("checkpoint_growth", "bytes_per_checkpoint_8k",
                      small_bytes);
   report->AddCounter("checkpoint_growth", "bytes_per_checkpoint_large",
                      large_bytes);
   report->AddCounter("summary", "checkpoint_bytes_growth", growth);
+  report->AddCounter("checkpoint_growth", "index_bytes_per_block",
+                     index_bytes_per_block);
 }
 
 }  // namespace

@@ -149,10 +149,11 @@ void PrintStats(const clio::StatsSnapshot& stats) {
     return stats.histogram(name).value_or(clio::HistogramSnapshot{}).Mean();
   };
   std::printf("  recovery: device passes %" PRIu64
-              "  decode %.0f us  decode wait %.0f us  locate %.0f us"
-              "  replay %.0f us\n",
+              "  decode %.0f us  open delay %.0f us  decode wait %.0f us"
+              "  locate %.0f us  replay %.0f us\n",
               stats.counter("clio.recovery.device_passes"),
               step_mean("clio.recovery.decode_us"),
+              step_mean("clio.recovery.open_delay_us"),
               step_mean("clio.recovery.decode_wait_us"),
               step_mean("clio.recovery.locate_us"),
               step_mean("clio.recovery.replay_us"));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "src/clio/volume_writer.h"
 #include "src/obs/metrics.h"
@@ -11,16 +12,52 @@
 namespace clio {
 namespace {
 
-// The calling thread's read-pass buffer, grown on demand and never
-// zero-filled: every pass overwrites what it reads.
+// A read-pass buffer, never zero-filled: every pass overwrites what it
+// reads.
+struct PassBytes {
+  std::unique_ptr<std::byte[]> data;
+  size_t capacity = 0;
+};
+
+// The pass buffers of threads that ended, for the threads to come: a
+// restart's helper thread lives for one restart, and a fresh buffer
+// faults in a page per block its first passes read. Never destroyed, as
+// threads may end after static destructors ran.
+struct SparePassBuffers {
+  static constexpr size_t kMax = 4;
+  std::mutex mu;
+  std::vector<PassBytes> spare;
+};
+SparePassBuffers& Spares() {
+  static auto* spares = new SparePassBuffers;
+  return *spares;
+}
+
+// The calling thread's read-pass buffer, grown on demand: a spare one
+// when its thread first reads, handed back when the thread ends.
 std::span<std::byte> PassBuffer(size_t bytes) {
-  thread_local std::unique_ptr<std::byte[]> buffer;
-  thread_local size_t capacity = 0;
-  if (capacity < bytes) {
-    buffer = std::make_unique_for_overwrite<std::byte[]>(bytes);
-    capacity = bytes;
+  struct Lease {
+    PassBytes bytes;
+    Lease() {
+      std::lock_guard<std::mutex> lock(Spares().mu);
+      if (!Spares().spare.empty()) {
+        bytes = std::move(Spares().spare.back());
+        Spares().spare.pop_back();
+      }
+    }
+    ~Lease() {
+      std::lock_guard<std::mutex> lock(Spares().mu);
+      if (bytes.capacity > 0 && Spares().spare.size() < SparePassBuffers::kMax) {
+        Spares().spare.push_back(std::move(bytes));
+      }
+    }
+  };
+  thread_local Lease buffer;
+  if (buffer.bytes.capacity < bytes) {
+    buffer.bytes.data = std::make_unique_for_overwrite<std::byte[]>(bytes);
+    buffer.bytes.capacity = bytes;
   }
-  return {buffer.get(), bytes};
+  return {buffer.bytes.data.get(), bytes};
 }
 
 }  // namespace
@@ -171,6 +208,38 @@ Result<std::span<const std::byte>> CachedBlockReader::ReadRun(
                   run.subspan((b - first) * block_bytes, block_bytes));
   }
   return std::span<const std::byte>(run.first(got * block_bytes));
+}
+
+uint64_t CachedBlockReader::FetchRun(uint64_t first,
+                                     std::span<BlockImage> images,
+                                     Counter* readahead_counter) {
+  const uint32_t block_bytes = device_->block_size();
+  for (uint64_t i = 0; i < images.size(); ++i) {
+    images[i] = cache_->Lookup({cache_device_id_, first + i});
+  }
+  uint64_t passes = 0;
+  for (uint64_t i = 0; i < images.size();) {
+    if (images[i]) {
+      ++i;
+      continue;
+    }
+    uint64_t j = i + 1;
+    while (j < images.size() && !images[j]) {
+      ++j;
+    }
+    ++passes;
+    Result<std::span<const std::byte>> run =
+        ReadRun(first + i, j - i, /*cache_below=*/0);
+    const uint64_t got = run.ok() ? run->size() / block_bytes : 0;
+    for (uint64_t k = 0; k < got; ++k) {
+      images[i + k] = cache_->Insert({cache_device_id_, first + i + k},
+                                     run->subspan(k * block_bytes,
+                                                  block_bytes));
+    }
+    readahead_counter->Increment(got > 0 ? got - 1 : 0);
+    i = j;
+  }
+  return passes;
 }
 
 Result<uint64_t> CachedBlockReader::Burn(std::span<const std::byte> image) {

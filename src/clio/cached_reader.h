@@ -69,6 +69,17 @@ class CachedBlockReader {
   Result<std::span<const std::byte>> ReadRun(uint64_t first, uint64_t count,
                                              uint64_t cache_below);
 
+  // Fetches [first, first + images.size()) into `images` for a walk that
+  // reads every block in turn (the checkpoint replay, DESIGN.md §17):
+  // cached blocks are pinned from the cache, and each run of uncached
+  // ones is read in one pass (ReadRun), then cached and pinned, so no
+  // block is read twice however few frames the cache has. A pass stops
+  // at its first block that fails; that block and the rest of its run
+  // stay empty. Speculative blocks (all but a pass's first) count into
+  // `readahead_counter`. Returns the passes made.
+  uint64_t FetchRun(uint64_t first, std::span<BlockImage> images,
+                    Counter* readahead_counter);
+
   // Burns `image` into the device's next writable block and returns its
   // index; a burned block is cached (the write path keeps the cache warm,
   // mirroring the paper's observation that recent data is read from cache).

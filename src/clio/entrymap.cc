@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "src/obs/metrics.h"
 
@@ -125,38 +126,44 @@ std::span<std::byte> EntrymapAccumulator::BitmapIn(Node& node,
   return std::span<std::byte>(node.bitmaps).subspan(i * width, width);
 }
 
-size_t EntrymapAccumulator::SlotIn(int level, uint64_t home, Node& node,
-                                   LogFileId id) {
-  const size_t width = geometry_->bitmap_bytes();
-  if (id > kMaxLogFileId) {
-    // Not a catalog id, so no slot: search.
-    DropCursor(level, home);
-    return static_cast<size_t>(BitmapIn(node, id).data() -
-                               node.bitmaps.data()) /
-           width;
-  }
+void EntrymapAccumulator::PlaceCursor(int level, uint64_t home, Node& node,
+                                      size_t from) {
   MarkCursor& cursor = cursors_[level - 1];
-  auto place = [&](size_t from) {
-    for (size_t i = from; i < node.ids.size(); ++i) {
-      if (node.ids[i] <= kMaxLogFileId) {
-        cursor.slot[node.ids[i]] = static_cast<uint16_t>(i + 1);
-      }
-    }
-  };
   if (cursor.home != home) {
     cursor.slot.assign(kMaxLogFileId + 1, 0);
-    place(0);
     cursor.home = home;
+    cursor.node = &node;
+    from = 0;
   }
-  if (cursor.slot[id] != 0) {
-    return cursor.slot[id] - 1u;
+  for (size_t i = from; i < node.ids.size(); ++i) {
+    if (node.ids[i] <= kMaxLogFileId) {
+      cursor.slot[node.ids[i]] = static_cast<uint16_t>(i + 1);
+    }
   }
-  auto it = std::lower_bound(node.ids.begin(), node.ids.end(), id);
-  const size_t at = static_cast<size_t>(it - node.ids.begin());
-  node.ids.insert(it, id);
-  node.bitmaps.insert(node.bitmaps.begin() + at * width, width, std::byte{0});
-  place(at);  // the ids after the new one moved up one place
-  return at;
+}
+
+size_t EntrymapAccumulator::MergeIds(Node& node,
+                                     std::span<const LogFileId> fresh) const {
+  const size_t width = geometry_->bitmap_bytes();
+  size_t old = node.ids.size();
+  size_t out = old + fresh.size();
+  node.ids.resize(out);
+  node.bitmaps.resize(out * width);
+  // From the back, so every id and bitmap moves once.
+  for (size_t j = fresh.size(); j > 0;) {
+    --out;
+    if (old > 0 && node.ids[old - 1] > fresh[j - 1]) {
+      --old;
+      node.ids[out] = node.ids[old];
+      std::memcpy(&node.bitmaps[out * width], &node.bitmaps[old * width],
+                  width);
+    } else {
+      --j;
+      node.ids[out] = fresh[j];
+      std::memset(&node.bitmaps[out * width], 0, width);
+    }
+  }
+  return out;  // the first index that changed
 }
 
 void EntrymapAccumulator::DropCursor(int level, uint64_t home) {
@@ -202,15 +209,46 @@ void EntrymapAccumulator::Mark(uint64_t block,
     // id marks it, so untracked ids leave no empty node behind.
     const uint64_t home = geometry_->HomeFor(block, level);
     Node* node = nullptr;
+    MarkCursor& cursor = cursors_[level - 1];
+    // The ids new to the node join it in one merge, not one shifting
+    // insert each.
+    fresh_.clear();
+    bool beyond = false;  // an id past the cursor's range
     for (LogFileId id : ids) {
       if (!EntrymapTracks(id)) {
         continue;
       }
       if (node == nullptr) {
-        node = &pending_[{level, home}];
+        node = cursor.home == home ? cursor.node : &pending_[{level, home}];
+        PlaceCursor(level, home, *node, node->ids.size());
       }
-      const size_t i = SlotIn(level, home, *node, id);
-      node->bitmaps[i * width + bit / 8] |= mask;
+      if (id > kMaxLogFileId) {
+        beyond = true;
+      } else if (cursor.slot[id] == 0) {
+        fresh_.push_back(id);
+      }
+    }
+    if (node == nullptr) {
+      continue;
+    }
+    if (!fresh_.empty()) {
+      std::sort(fresh_.begin(), fresh_.end());
+      fresh_.erase(std::unique(fresh_.begin(), fresh_.end()), fresh_.end());
+      PlaceCursor(level, home, *node, MergeIds(*node, fresh_));
+    }
+    for (LogFileId id : ids) {
+      if (EntrymapTracks(id) && id <= kMaxLogFileId) {
+        node->bitmaps[(cursor.slot[id] - 1u) * width + bit / 8] |= mask;
+      }
+    }
+    if (beyond) {
+      // Not catalog ids, so no slots: search, after the slotted ones.
+      DropCursor(level, home);
+      for (LogFileId id : ids) {
+        if (id > kMaxLogFileId) {
+          BitmapIn(*node, id)[bit / 8] |= mask;
+        }
+      }
     }
   }
 }
@@ -234,6 +272,11 @@ EntrymapPayload EntrymapAccumulator::Take(int level, uint64_t home) {
     DropCursor(level, home);
   }
   return payload;
+}
+
+void EntrymapAccumulator::Drop(int level, uint64_t home) {
+  pending_.erase({level, home});
+  DropCursor(level, home);
 }
 
 Bytes EntrymapAccumulator::BitmapOf(int level, uint64_t home,

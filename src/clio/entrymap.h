@@ -136,6 +136,10 @@ class EntrymapAccumulator {
   // empty (quiet group).
   EntrymapPayload Take(int level, uint64_t home);
 
+  // Drops the node homed at `home` without harvesting it: the checkpoint
+  // replay crosses homes whose nodes went to media before it.
+  void Drop(int level, uint64_t home);
+
   // Bitmap of `id` in the pending node homed at `home` (empty if none).
   Bytes BitmapOf(int level, uint64_t home, LogFileId id) const;
 
@@ -166,6 +170,7 @@ class EntrymapAccumulator {
   // slots current; every other change to the node drops the cursor.
   struct MarkCursor {
     std::optional<uint64_t> home;  // the node's, while the slots hold
+    Node* node = nullptr;          // valid while `home` is set
     std::vector<uint16_t> slot;
   };
 
@@ -173,15 +178,19 @@ class EntrymapAccumulator {
   std::span<std::byte> BitmapIn(Node& node, LogFileId id) const;
   // The bitmap of the node's i-th id.
   std::span<const std::byte> BitmapAt(const Node& node, size_t i) const;
-  // Mark's lookup: the index of `id` in the level-`level` node homed at
-  // `home`, inserted if absent.
-  size_t SlotIn(int level, uint64_t home, Node& node, LogFileId id);
+  // Points the level's cursor at the node homed at `home`, its slots
+  // current from the node's `from`-th id on (from all when it moves).
+  void PlaceCursor(int level, uint64_t home, Node& node, size_t from);
+  // Merges sorted ids absent from `node` into it with all-zero bitmaps;
+  // returns the first index whose id changed.
+  size_t MergeIds(Node& node, std::span<const LogFileId> fresh) const;
   // Forgets the level's cursor if it is on the node homed at `home`.
   void DropCursor(int level, uint64_t home);
 
   const EntrymapGeometry* geometry_;
   std::map<std::pair<int, uint64_t>, Node> pending_;  // by (level, home)
   std::vector<MarkCursor> cursors_;                   // by level, from 1
+  std::vector<LogFileId> fresh_;  // Mark's ids new to a node, reused
 };
 
 }  // namespace clio

@@ -10,6 +10,8 @@
 #include <thread>
 #include <utility>
 
+#include "src/obs/trace.h"
+
 namespace clio {
 namespace {
 
@@ -226,6 +228,7 @@ Result<std::unique_ptr<LogService>> LogService::Recover(
     std::vector<std::unique_ptr<WormDevice>> devices, TimeSource* clock,
     const LogServiceOptions& options, RecoveryReport* report,
     std::optional<uint32_t> lane) {
+  const uint64_t entered_us = TraceNowUs();
   if (devices.empty()) {
     return InvalidArgument("recover requires at least one volume device");
   }
@@ -238,7 +241,7 @@ Result<std::unique_ptr<LogService>> LogService::Recover(
   std::optional<PendingCheckpoint> checkpoint;
   if (options.nvram != nullptr && options.enable_extent_index &&
       options.nvram->has_checkpoint()) {
-    checkpoint.emplace();
+    checkpoint.emplace(options.checkpoint_interval_blocks);
   }
   uint64_t sequence_id = 0;
   RecoveryReport total;  // summed over the volumes
@@ -303,7 +306,10 @@ Result<std::unique_ptr<LogService>> LogService::Recover(
     // stay in the helper's malloc arena after the service is gone.
     // Nothing writes the sidecar before the decode ends.
     Status opened;
-    std::thread opener([&] { opened = open_volumes(); });
+    std::thread opener([&] {
+      total.step_us.open_delay = TraceNowUs() - entered_us;
+      opened = open_volumes();
+    });
     checkpoint->Decode(options.nvram->checkpoint());
     opener.join();
     CLIO_RETURN_IF_ERROR(opened);
@@ -314,7 +320,7 @@ Result<std::unique_ptr<LogService>> LogService::Recover(
   ObsRegistry()
       .counter(LaneMetricName("clio.recovery.device_passes", lane))
       ->Increment(total.device_passes.total());
-  // The step ledger, once per restart; the decode pair only when a
+  // The step ledger, once per restart; the decode steps only when a
   // sidecar decode ran.
   auto record = [&](std::string_view name, uint64_t us) {
     ObsRegistry().histogram(LaneMetricName(name, lane))->Record(us);
@@ -322,6 +328,7 @@ Result<std::unique_ptr<LogService>> LogService::Recover(
   if (checkpoint.has_value()) {
     record("clio.recovery.decode_us", total.step_us.decode);
     record("clio.recovery.decode_wait_us", total.step_us.decode_wait);
+    record("clio.recovery.open_delay_us", total.step_us.open_delay);
   }
   record("clio.recovery.locate_us", total.step_us.locate);
   record("clio.recovery.replay_us", total.step_us.replay);

@@ -575,7 +575,7 @@ Result<bool> LogVolume::TryRestoreFromCheckpoint(PendingCheckpoint* pending,
       uint64_t n = geometry_.PowN(level);
       uint64_t due = (w.block / n) * n;
       if (due > last_home[level]) {
-        acc->Take(level, due);
+        acc->Drop(level, due);
         last_home[level] = due;
       }
     }
@@ -591,8 +591,41 @@ Result<bool> LogVolume::TryRestoreFromCheckpoint(PendingCheckpoint* pending,
     IndexBlock(&suffix, w, ids);
     return Status::Ok();
   };
+  // The suffix is read ahead of the walk in windows of up to one
+  // checkpoint interval (at least a read-ahead pass; one block with
+  // read-ahead off): a window pins what the header and tail passes
+  // cached and reads the rest in one pass (CachedBlockReader::FetchRun),
+  // so the replay is one device pass however small the cache. A
+  // quarantined block starts no window, and a block the pass did not
+  // reach (it stopped at a failed block) reads as the full scan reads it.
+  const uint64_t pass_blocks =
+      readahead_blocks_ == 0
+          ? 1
+          : std::max(pending->replay_pass_blocks(),
+                     uint64_t{readahead_blocks_} + 1);
+  std::vector<BlockImage> window;
+  uint64_t window_first = ck->covered_end;
+  auto read = [&](uint64_t b) -> Result<ParsedBlock> {
+    const bool quarantined =
+        catalog_->IsQuarantined(header_.volume_index, b);
+    if (b - window_first >= window.size() && !quarantined) {
+      window_first = b;
+      window.assign(std::min(pass_blocks, end - b), BlockImage());
+      stats->device_reads +=
+          blocks_.FetchRun(b, window, RebuildReadaheadCounter());
+    }
+    BlockImage image;
+    if (b - window_first < window.size()) {
+      image = std::move(window[b - window_first]);
+    }
+    if (!image || quarantined) {
+      return ScanBlock(b, end, stats, RebuildReadaheadCounter());
+    }
+    ++stats->blocks_read;
+    return ParsedBlock::Parse(std::move(image));
+  };
   VolumeWalk walk(ck->covered_end, end);
-  CLIO_RETURN_IF_ERROR(walk.Run(BulkRead(end, stats), replay));
+  CLIO_RETURN_IF_ERROR(walk.Run(read, replay));
   ExtentIndex* index = join([&] { return pending->JoinIndex(); });
   if (index == nullptr ||
       !index->ApplyDelta(end, suffix.EncodeSince(ck->covered_end)).ok()) {

@@ -92,10 +92,11 @@ struct RecoveryReport {
   Passes device_passes;
 
   // Wall time of the restart's steps, in microseconds (DESIGN.md §17).
-  // LogService::Recover fills `decode`; Open the others.
+  // LogService::Recover fills `decode` and `open_delay`; Open the others.
   struct StepMicros {
-    uint64_t decode = 0;       // the sidecar decode, on its helper thread
-    uint64_t decode_wait = 0;  // Open blocked joining that helper
+    uint64_t decode = 0;       // the sidecar decode, on Recover's thread
+    uint64_t open_delay = 0;   // Recover entry to the opening helper's start
+    uint64_t decode_wait = 0;  // Open, on the helper, joining the decode
     uint64_t locate = 0;       // the header pass and the end location
     uint64_t replay = 0;       // checkpoint replay or full scan, no wait
   };

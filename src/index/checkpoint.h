@@ -100,6 +100,12 @@ struct CheckpointState {
 // state is allocated by the calling thread, which keeps the service.
 class PendingCheckpoint {
  public:
+  // `replay_pass_blocks` caps one device pass of the suffix replay: the
+  // checkpoint interval the sidecar was written at, which bounds the
+  // suffix a restart normally replays.
+  explicit PendingCheckpoint(uint64_t replay_pass_blocks)
+      : replay_pass_blocks_(replay_pass_blocks) {}
+
   // Decodes `sidecar`, publishing the records before the index. Called
   // once.
   void Decode(std::span<const std::byte> sidecar);
@@ -112,8 +118,10 @@ class PendingCheckpoint {
 
   // The time Decode took; valid once it returned.
   uint64_t decode_us() const { return decode_us_; }
+  uint64_t replay_pass_blocks() const { return replay_pass_blocks_; }
 
  private:
+  const uint64_t replay_pass_blocks_;
   std::mutex mu_;
   std::condition_variable published_;
   bool records_done_ = false;

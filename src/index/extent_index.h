@@ -5,8 +5,9 @@
 // trade for 1987 optical platters, the wrong one for a hot server whose
 // locate working set fits in RAM. The extent index is a redundant,
 // in-memory acceleration structure: for every log file it keeps the
-// sorted list of block runs that contain entries of that file, plus one
-// monotone (block, leading timestamp) vector for timestamp search. Hot
+// sorted block runs that contain entries of that file, plus every
+// block's leading timestamp for timestamp search, both in the
+// checkpoint codec's own varint form with skip tables. Hot
 // locates resolve against it with zero device reads; any question it
 // cannot answer authoritatively (cold volume, scan holes from quarantined
 // or unparseable blocks) falls back to the entrymap walk, which remains
@@ -57,7 +58,8 @@ class ExtentIndex {
   // fragment-led blocks dip below their neighbors (DESIGN.md §8), which
   // LastBlockAtOrBefore resolves. Blocks must be marked in increasing
   // order; re-marking an already-covered block is a no-op. A block at or
-  // past 2^32 - 1 is recorded as a hole, not as runs.
+  // past 2^32 - 1 is recorded as a hole, not as runs or a stamp (the hole
+  // already makes every time search fall back to the walk).
   void MarkBlock(uint64_t block, std::optional<Timestamp> leading_timestamp,
                  std::span<const LogFileId> ids);
 
@@ -119,45 +121,107 @@ class ExtentIndex {
   // Every decoded count is bounded by the bytes left. On error the index
   // is partly applied and must be discarded. `bytes_to_follow` is the
   // encoded size of the deltas the caller will apply after this one: the
-  // vectors reserve room for them in proportion, so a restore from a base
-  // and its deltas grows each vector once instead of copying it midway.
+  // records reserve room for them in proportion, so a restore from a base
+  // and its deltas grows each buffer once instead of copying it midway.
+  // The index holds runs and stamps as these records, so EncodeSince
+  // copies them past the first run and stamp it re-bases, and ApplyDelta
+  // validates them and appends them.
   Bytes EncodeSince(uint64_t from) const;
   Status ApplyDelta(uint64_t to, std::span<const std::byte> delta,
                     uint64_t bytes_to_follow = 0);
 
  private:
-  // Per id: disjoint, sorted half-open [start, end) block runs, in 32
-  // bits: the runs are the bulk of the index's memory and of a restart's
-  // sidecar decode, which spends most of its time faulting in the pages
-  // it writes (DESIGN.md §17). A block at or past kRunBlockLimit is
+  // Blocks are held in 32 bits. A block at or past kRunBlockLimit is
   // recorded as a hole instead, so lookups across it fall back to the
   // entrymap walk.
-  using Run = std::pair<uint32_t, uint32_t>;
-  using RunList = std::vector<Run>;
   static constexpr uint64_t kRunBlockLimit = UINT32_MAX;
+  // Closed runs per skip-table entry: a lookup decodes at most this many.
+  static constexpr uint64_t kSkipStride = 64;
 
-  using Stamp = std::pair<uint64_t, Timestamp>;  // (block, leading stamp)
+  // A closed run every kSkipStride: the offset of its record in
+  // FileRuns::closed, and its start block.
+  struct Skip {
+    uint64_t offset;
+    uint32_t block;
+  };
+
+  // One log file's blocks: disjoint, sorted half-open [start, end) runs,
+  // kept in the delta codec's own form (DESIGN.md §17). Every run but the
+  // last is closed: `closed` holds them as EncodeSince(1) writes them, a
+  // varint gap from the previous run's end (from block 1 for the first)
+  // and a varint length, so a restart's decode appends bytes and a base
+  // encode copies them. The last run stays open as two integers, so a
+  // mark extends it in O(1). open_end == 0 means the file has no runs.
+  struct FileRuns {
+    Bytes closed;
+    std::vector<Skip> skips;  // closed run 0, kSkipStride, 2 kSkipStride..
+    uint64_t closed_runs = 0;
+    uint32_t closed_end = 1;  // end of the last closed run
+    uint32_t open_start = 0;
+    uint32_t open_end = 0;
+
+    bool empty() const { return open_end == 0; }
+    uint64_t run_count() const { return closed_runs + (empty() ? 0 : 1); }
+    // Closes the open run, if any, appending its record to `closed`.
+    void CloseOpen();
+    // Closes the open run and opens [start, end).
+    void Open(uint32_t start, uint32_t end) {
+      CloseOpen();
+      open_start = start;
+      open_end = end;
+    }
+    bool operator==(const FileRuns& other) const {
+      return closed == other.closed && open_start == other.open_start &&
+             open_end == other.open_end;
+    }
+  };
+  class RunIter;
+
+  // Every kSkipStride-th stamp: the offset of its record in stamp_log_,
+  // its block and stamp, and the lowest stamp of its group (it and the
+  // kSkipStride - 1 stamps after it).
+  struct StampGroup {
+    uint64_t offset;
+    Timestamp first;
+    Timestamp min;
+    uint32_t block;
+  };
+  class StampIter;
 
   bool HoleIn(uint64_t lo, uint64_t hi) const;  // any hole in [lo, hi)?
   // The runs of `id`, the table grown to hold it.
-  RunList& RunsOf(LogFileId id);
+  FileRuns& FileOf(LogFileId id);
   // The runs of `id`, nullptr when it has none.
-  const RunList* FindRuns(LogFileId id) const;
+  const FileRuns* FindFile(LogFileId id) const;
   void EncodeSince(uint64_t from, ByteWriter* writer) const;
-  void AddStamp(uint64_t block, Timestamp stamp);
+  // Appends a stamp, its record re-encoded against the last one.
+  void AddStamp(uint32_t block, Timestamp stamp);
+  // Opens a group at the stamp whose record starts at `offset`.
+  void OpenStampGroup(uint64_t offset, uint32_t block, Timestamp stamp);
+  // Re-files the last group among the group minima after its min fell.
+  void NoteLastGroupMin();
 
   // Indexed by log file id, as far as the largest id marked; an id with
-  // no runs has an empty list. A mark is then one load per id.
-  std::vector<RunList> runs_;
-  // One pair per stamped block, increasing in block. Timestamps are
-  // non-monotone where fragment-led blocks dip (their leading stamp is
-  // the base entry's) or the clock stepped back.
-  std::vector<Stamp> leading_ts_;
-  // The suffix minima of leading_ts_: every stamp strictly below all later
-  // ones, in block order, so their stamps increase. The last block with a
-  // stamp <= t is always one of them, which LastBlockAtOrBefore bisects.
-  // Derived from leading_ts_; never serialized or compared.
-  std::vector<Stamp> suffix_min_ts_;
+  // no runs has an empty entry. A mark is then one load per id.
+  std::vector<FileRuns> files_;
+  // One stamp per stamped block, increasing in block, kept like the runs
+  // in the delta codec's form: per stamp a varint block delta and a
+  // zigzag varint stamp delta from the previous stamp (from block 1 and
+  // stamp 0 for the first). Timestamps are non-monotone where
+  // fragment-led blocks dip (their leading stamp is the base entry's) or
+  // the clock stepped back.
+  Bytes stamp_log_;
+  std::vector<StampGroup> stamp_groups_;
+  uint64_t stamp_count_ = 0;
+  uint32_t last_stamp_block_ = 1;  // the last stamp, (1, 0) before any
+  Timestamp last_stamp_ = 0;
+  // The suffix minima of the group minima: every group whose min is
+  // strictly below all later groups' mins, in order, so their mins
+  // increase. The last block with a stamp <= t lies in the last group
+  // whose min is <= t, which is always one of them: LastBlockAtOrBefore
+  // bisects them, then decodes that group. Derived from the stamps;
+  // never serialized or compared.
+  std::vector<uint32_t> group_minima_;
   std::vector<uint64_t> holes_;  // sorted
   uint64_t covered_end_ = 1;
 };

@@ -30,6 +30,36 @@ constexpr std::array<uint32_t, 256> MakeTable() {
 
 constexpr std::array<uint32_t, 256> kTable = MakeTable();
 
+// The hardware path runs three streams of kStreamBytes at once (the
+// instruction takes three cycles, but a new one starts every cycle) and
+// joins them by shifting a stream's register over the bytes after it.
+constexpr size_t kStreamBytes = 256;
+
+// kShift[i][b]: the register (b << 8i) after kStreamBytes zero bytes.
+// The register is linear in its input, so a register shifts as the XOR
+// of its four bytes' entries.
+using ShiftTable = std::array<std::array<uint32_t, 256>, 4>;
+constexpr ShiftTable MakeShiftTable() {
+  ShiftTable table{};
+  for (int i = 0; i < 4; ++i) {
+    for (uint32_t b = 0; b < 256; ++b) {
+      uint32_t crc = b << (8 * i);
+      for (size_t n = 0; n < kStreamBytes; ++n) {
+        crc = kTable[crc & 0xFF] ^ (crc >> 8);
+      }
+      table[i][b] = crc;
+    }
+  }
+  return table;
+}
+
+constexpr ShiftTable kShift = MakeShiftTable();
+
+uint32_t ShiftOverStream(uint32_t crc) {
+  return kShift[0][crc & 0xFF] ^ kShift[1][(crc >> 8) & 0xFF] ^
+         kShift[2][(crc >> 16) & 0xFF] ^ kShift[3][crc >> 24];
+}
+
 bool DetectHardware() {
 #if defined(__x86_64__)
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
@@ -67,10 +97,25 @@ uint32_t ExtendHardware(uint32_t crc, std::span<const std::byte> data) {
   uint64_t c = ~crc;
   // The instruction consumes the bytes of a little-endian word in memory
   // order, which is the reflected CRC's byte order.
-  for (; n >= 8; p += 8, n -= 8) {
+  auto word_at = [](const unsigned char* at) {
     uint64_t word;
-    std::memcpy(&word, p, sizeof(word));
-    c = _mm_crc32_u64(c, word);
+    std::memcpy(&word, at, sizeof(word));
+    return word;
+  };
+  for (; n >= 3 * kStreamBytes;
+       p += 3 * kStreamBytes, n -= 3 * kStreamBytes) {
+    uint64_t c1 = 0;
+    uint64_t c2 = 0;
+    for (size_t i = 0; i < kStreamBytes; i += 8) {
+      c = _mm_crc32_u64(c, word_at(p + i));
+      c1 = _mm_crc32_u64(c1, word_at(p + kStreamBytes + i));
+      c2 = _mm_crc32_u64(c2, word_at(p + 2 * kStreamBytes + i));
+    }
+    c = ShiftOverStream(static_cast<uint32_t>(c)) ^ c1;
+    c = ShiftOverStream(static_cast<uint32_t>(c)) ^ c2;
+  }
+  for (; n >= 8; p += 8, n -= 8) {
+    c = _mm_crc32_u64(c, word_at(p));
   }
   uint32_t c32 = static_cast<uint32_t>(c);
   for (; n > 0; ++p, --n) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/util/rng.h"
@@ -225,6 +226,76 @@ TEST(Accumulator, MarkMatchesThePerIdReference) {
         << "level " << node.level << " home " << node.home;
   }
   EXPECT_TRUE(fast.ExportPending().empty());
+}
+
+// Mark merges a block's new ids into each node in one pass. Random id
+// sets — wide, unsorted, with repeats, untracked ids and ids past the
+// catalog's range — over blocks in burn order, with harvests and SetBit
+// calls between them, must leave the bitmaps one insert per id leaves.
+TEST(Accumulator, MergedMarksMatchOneByOneInserts) {
+  EntrymapGeometry geometry(16, 1 << 14);
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    EntrymapAccumulator merged(&geometry);
+    EntrymapAccumulator reference(&geometry);
+    Rng rng(seed);
+    auto pending = [](const EntrymapAccumulator& acc) {
+      Bytes out;
+      ByteWriter w(&out);
+      for (const auto& node : acc.ExportPending()) {
+        w.PutU8(static_cast<uint8_t>(node.level));
+        w.PutU64(node.home);
+        for (const auto& [id, bitmap] : node.files) {
+          w.PutU16(id);
+          w.PutBytes(bitmap);
+        }
+      }
+      return out;
+    };
+    for (uint64_t block = 1; block < 3000; ++block) {
+      std::vector<LogFileId> ids;
+      const size_t n = rng.Below(25);
+      for (size_t k = 0; k < n; ++k) {
+        LogFileId id = static_cast<LogFileId>(rng.Below(300));
+        if (rng.Chance(1, 40)) {
+          id = static_cast<LogFileId>(kMaxLogFileId + 1 + rng.Below(50));
+        }
+        ids.push_back(id);
+      }
+      if (rng.Chance(1, 2)) {
+        std::sort(ids.begin(), ids.end());
+      }
+      merged.Mark(block, ids);
+      for (int level = 1; level <= geometry.max_level(); ++level) {
+        for (LogFileId id : ids) {
+          if (EntrymapTracks(id)) {
+            reference.SetBit(level, geometry.HomeFor(block, level), id,
+                             geometry.SubgroupOf(block, level));
+          }
+        }
+      }
+      if (rng.Chance(1, 50)) {  // a fold from below, as recovery does
+        const int level = static_cast<int>(rng.Range(1, geometry.max_level()));
+        const LogFileId id = static_cast<LogFileId>(rng.Below(300));
+        const uint64_t home = geometry.HomeFor(block, level);
+        const uint32_t bit = geometry.SubgroupOf(block, level);
+        merged.SetBit(level, home, id, bit);
+        reference.SetBit(level, home, id, bit);
+      }
+      // Harvest each level-1 node as its group closes.
+      const uint64_t degree = geometry.degree();
+      if (block % degree == degree - 1) {
+        const uint64_t home = geometry.HomeFor(block, 1);
+        ASSERT_EQ(merged.Take(1, home).Encode(),
+                  reference.Take(1, home).Encode())
+            << "block " << block;
+      }
+      if (block % 97 == 0) {
+        ASSERT_EQ(pending(merged), pending(reference)) << "block " << block;
+      }
+    }
+    EXPECT_EQ(pending(merged), pending(reference));
+  }
 }
 
 TEST(Tracks, ExclusionsMatchPaperFootnote) {

@@ -313,6 +313,24 @@ TEST(ExtentIndex, DeltasOverABaseEqualTheLiveIndex) {
   }
 }
 
+// The serialized form is the checkpoint sidecar's on-media format: a
+// fixed index must encode to the same bytes whatever the in-memory
+// layout. The CRC was taken from the vector-of-runs index the compact
+// one replaced.
+TEST(ExtentIndex, SerializeMatchesTheGoldenCrc) {
+  Rng rng(29);
+  ExtentIndex idx;
+  GrowRandomly(&idx, &rng, 3'000);
+  const std::vector<LogFileId> ids = {5, 9};
+  idx.AdvanceCoveredEnd(uint64_t{UINT32_MAX} - 3);
+  idx.MarkBlock(uint64_t{UINT32_MAX} - 3, Timestamp{9'000'000}, ids);
+  idx.MarkBlock(uint64_t{UINT32_MAX} - 2, Timestamp{9'000'100}, ids);
+  idx.MarkBlock(uint64_t{UINT32_MAX} - 1, Timestamp{9'000'200}, {});
+  const Bytes blob = idx.Serialize();
+  EXPECT_EQ(blob.size(), 8458u);
+  EXPECT_EQ(Crc32c(blob), 468600495u);
+}
+
 TEST(ExtentIndex, DeltaCostsTheIntervalNotTheVolume) {
   Rng rng(7);
   ExtentIndex live;
@@ -324,6 +342,176 @@ TEST(ExtentIndex, DeltaCostsTheIntervalNotTheVolume) {
   EXPECT_GT(base, 50'000u);
   // About 2 bytes per stamped block plus a few per run and per file.
   EXPECT_LT(delta, 64u * 8);
+}
+
+// The index as plain per-file vectors of runs: what ExtentIndex answers,
+// computed the obvious way.
+struct RunModel {
+  std::map<LogFileId, std::vector<std::pair<uint64_t, uint64_t>>> runs;
+  std::vector<std::pair<uint64_t, Timestamp>> stamps;
+  std::vector<uint64_t> holes;
+  uint64_t covered_end = 1;
+
+  void Mark(uint64_t block, std::optional<Timestamp> ts,
+            const std::vector<LogFileId>& ids) {
+    covered_end = block + 1;
+    if (block >= UINT32_MAX) {
+      holes.push_back(block);
+      return;
+    }
+    for (LogFileId id : ids) {
+      auto& list = runs[id];
+      if (!list.empty() && list.back().second == block) {
+        ++list.back().second;
+      } else {
+        list.emplace_back(block, block + 1);
+      }
+    }
+    if (ts.has_value()) {
+      stamps.emplace_back(block, *ts);
+    }
+  }
+  bool HoleIn(uint64_t lo, uint64_t hi) const {
+    return std::any_of(holes.begin(), holes.end(),
+                       [&](uint64_t h) { return h >= lo && h < hi; });
+  }
+  ExtentIndex::Lookup Next(LogFileId id, uint64_t from) const {
+    std::optional<uint64_t> answer;
+    if (auto it = runs.find(id); it != runs.end()) {
+      auto run = std::find_if(it->second.begin(), it->second.end(),
+                              [&](const auto& r) { return r.second > from; });
+      if (run != it->second.end()) {
+        answer = std::max(run->first, from);
+      }
+    }
+    if (HoleIn(from, answer.value_or(covered_end))) {
+      return {};
+    }
+    return {true, answer};
+  }
+  ExtentIndex::Lookup Prev(LogFileId id, uint64_t before) const {
+    before = std::min(before, covered_end);
+    std::optional<uint64_t> answer;
+    if (auto it = runs.find(id); it != runs.end()) {
+      auto run = std::find_if(it->second.rbegin(), it->second.rend(),
+                              [&](const auto& r) { return r.first < before; });
+      if (run != it->second.rend()) {
+        answer = std::min(run->second, before) - 1;
+      }
+    }
+    if (HoleIn(answer.has_value() ? *answer + 1 : 1, before)) {
+      return {};
+    }
+    return {true, answer};
+  }
+  ExtentIndex::Lookup Last(Timestamp t) const {
+    if (!holes.empty()) {
+      return {};
+    }
+    return {true, LastAtOrBeforeBrute(stamps, t)};
+  }
+};
+
+void ExpectSameLookup(const ExtentIndex::Lookup& got,
+                      const ExtentIndex::Lookup& want, const char* what,
+                      uint64_t at) {
+  EXPECT_EQ(got.authoritative, want.authoritative) << what << " " << at;
+  if (got.authoritative && want.authoritative) {
+    EXPECT_EQ(got.block, want.block) << what << " " << at;
+  }
+}
+
+// Every lookup of the compact index matches the model: a file of 10 000
+// runs (past many 64-run skip entries), a file of one run, a random file,
+// holes (on odd seeds), and blocks up to 2^32 - 1, which becomes a hole.
+// A copy rebuilt from EncodeSince deltas at random cuts answers the same.
+TEST(ExtentIndex, CompactRunsMatchAReferenceModel) {
+  constexpr LogFileId kMany = 11;  // every other block: 10 000 runs
+  constexpr LogFileId kOne = 12;   // one run
+  constexpr LogFileId kSome = 13;  // random
+  constexpr LogFileId kNone = 14;  // never marked
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const bool holes = seed % 2 == 1;
+    ExtentIndex live;
+    ExtentIndex restored;
+    RunModel model;
+    uint64_t cut = 1;
+    auto mark = [&](uint64_t block, std::optional<Timestamp> ts,
+                    const std::vector<LogFileId>& ids) {
+      live.MarkBlock(block, ts, ids);
+      model.Mark(block, ts, ids);
+      if (rng.Chance(1, 500)) {
+        ASSERT_OK(restored.ApplyDelta(live.covered_end(),
+                                      live.EncodeSince(cut)));
+        cut = live.covered_end();
+      }
+    };
+    for (uint64_t b = 1; b <= 20'000; ++b) {
+      // Holes fall between kMany's runs and outside kOne's.
+      if (holes && b % 2 == 1 && (b < 700 || b >= 900) &&
+          rng.Chance(1, 1'000)) {
+        live.AddHole(b);
+        live.AdvanceCoveredEnd(b + 1);
+        model.holes.push_back(b);
+        model.covered_end = b + 1;
+        continue;
+      }
+      std::vector<LogFileId> ids;
+      if (b % 2 == 0) {
+        ids.push_back(kMany);
+      }
+      if (b >= 700 && b < 900) {
+        ids.push_back(kOne);
+      }
+      if (rng.Chance(1, 3)) {
+        ids.push_back(kSome);
+      }
+      const Timestamp ts =
+          Timestamp{1'000'000} + static_cast<Timestamp>(b * 10) -
+          static_cast<Timestamp>(rng.Below(30));
+      mark(b, rng.Chance(1, 10) ? std::nullopt : std::optional(ts), ids);
+    }
+    ASSERT_EQ(model.runs[kMany].size(), 10'000u);
+    ASSERT_EQ(model.runs[kOne].size(), 1u);
+    // The last blocks 32-bit runs can hold, then the first they cannot.
+    live.AdvanceCoveredEnd(uint64_t{UINT32_MAX} - 2);
+    model.covered_end = uint64_t{UINT32_MAX} - 2;
+    for (uint64_t b = uint64_t{UINT32_MAX} - 2; b <= UINT32_MAX; ++b) {
+      mark(b, Timestamp{9'000'000}, {kMany, kSome});
+    }
+    ASSERT_OK(
+        restored.ApplyDelta(live.covered_end(), live.EncodeSince(cut)));
+    EXPECT_TRUE(restored == live);
+    EXPECT_EQ(ToString(restored.Serialize()), ToString(live.Serialize()));
+    uint64_t runs = 0;
+    for (const auto& [id, list] : model.runs) {
+      runs += list.size();
+    }
+    EXPECT_EQ(live.run_count(), runs);
+
+    for (const ExtentIndex* index : {&live, &restored}) {
+      for (int q = 0; q < 3'000; ++q) {
+        // Mostly around the runs, some past them up to the far blocks.
+        const uint64_t at = rng.Chance(9, 10)
+                                ? rng.Below(20'010)
+                                : uint64_t{UINT32_MAX} - 4 + rng.Below(8);
+        for (LogFileId id : {kMany, kOne, kSome, kNone}) {
+          ExpectSameLookup(index->NextBlockWith(id, at), model.Next(id, at),
+                           "next", at);
+          ExpectSameLookup(index->PrevBlockWith(id, at), model.Prev(id, at),
+                           "prev", at);
+        }
+        const auto t = static_cast<Timestamp>(1'000'000 + rng.Below(200'100));
+        ExpectSameLookup(index->LastBlockAtOrBefore(t), model.Last(t), "last",
+                         static_cast<uint64_t>(t));
+      }
+    }
+    if (::testing::Test::HasFailure()) {
+      return;
+    }
+  }
 }
 
 // A sidecar as the service writes it: each delta's pending nodes patch

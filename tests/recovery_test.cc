@@ -634,10 +634,22 @@ TEST(Recovery, RestartRecordsItsStepTimesOnce) {
     EXPECT_EQ(recorded("clio.recovery.decode_us"), checkpointed ? 1u : 0u);
     EXPECT_EQ(recorded("clio.recovery.decode_wait_us"),
               checkpointed ? 1u : 0u);
+    EXPECT_EQ(recorded("clio.recovery.open_delay_us"),
+              checkpointed ? 1u : 0u);
     EXPECT_EQ(recorded("clio.recovery.locate_us"), 1u);
     EXPECT_EQ(recorded("clio.recovery.replay_us"), 1u);
-    if (!checkpointed) {
+    if (checkpointed) {
+      // The helper starts after Recover is entered and records the delay
+      // once: the histogram's sum grew by the report's value.
+      const auto sum = [](const StatsSnapshot& snapshot) {
+        return snapshot.histogram("clio.recovery.open_delay_us")
+            .value_or(HistogramSnapshot{})
+            .sum;
+      };
+      EXPECT_EQ(sum(after) - sum(before), report.step_us.open_delay);
+    } else {
       EXPECT_EQ(report.step_us.decode, 0u);
+      EXPECT_EQ(report.step_us.open_delay, 0u);
       EXPECT_EQ(report.step_us.decode_wait, 0u);
     }
   }
@@ -1374,6 +1386,68 @@ TEST(RestartPlan, TornTailBlockIsNeverServedFromTheTailPass) {
   ASSERT_OK(service->Append("/c", AsBytes("after"), forced).status());
   rig.wrote.push_back("after");
   EXPECT_EQ(ReadAll(service.get(), "/c"), rig.wrote);
+}
+
+// A checkpoint restart reads the suffix the tail pass did not cache in
+// one device pass, and no block of it twice, even through a cache too
+// small to hold that pass; the restart then serves every entry.
+TEST(RestartPlan, CheckpointSuffixIsOnePassThroughATinyCache) {
+  NvramTail nvram(512);
+  auto rig = CrashRig::Make(/*block_size=*/512, /*capacity=*/4096,
+                            /*degree=*/8, &nvram,
+                            /*checkpoint_interval=*/256);
+  ASSERT_OK(rig.service->CreateLogFile("/w").status());
+  Rng rng(0x1CE);
+  WriteOptions forced;
+  forced.force = true;
+  std::vector<std::string> wrote;
+  auto append = [&] {
+    wrote.push_back(ToString(RandomPayload(&rng, rng.Range(40, 300))));
+    ASSERT_OK(rig.service->Append("/w", AsBytes(wrote.back()), forced)
+                  .status());
+  };
+  while (!nvram.has_checkpoint()) {
+    append();
+  }
+  ASSERT_OK_AND_ASSIGN(CheckpointState ck,
+                       CheckpointState::Decode(nvram.checkpoint()));
+  while (rig.devices[0]->frontier() < ck.covered_end + 150) {
+    append();
+  }
+  const uint64_t end = rig.devices[0]->frontier();
+  for (size_t cache_blocks : {size_t{16}, size_t{0}}) {
+    SCOPED_TRACE("cache " + std::to_string(cache_blocks));
+    rig.service.reset();
+    LogServiceOptions options = rig.options;
+    options.cache_blocks = cache_blocks;
+    std::vector<ReadCall> calls;
+    std::vector<std::unique_ptr<WormDevice>> devices;
+    devices.push_back(std::make_unique<PassLogDevice>(
+        rig.devices[0].get(), &calls, /*query_end=*/true,
+        /*end_shortfall=*/0));
+    RecoveryReport report;
+    ASSERT_OK_AND_ASSIGN(rig.service,
+                         LogService::Recover(std::move(devices),
+                                             rig.clock.get(), options,
+                                             &report));
+    ASSERT_TRUE(report.restored_checkpoint);
+    EXPECT_EQ(report.checkpoint_replay_blocks, end - ck.covered_end);
+    EXPECT_EQ(report.device_passes.replay, 1u);
+    // Blocks below the tail pass [end - W, end] are read once, by the
+    // replay's pass.
+    const uint64_t tail_first = end - options.readahead_blocks;
+    std::vector<int> reads(end, 0);
+    for (const ReadCall& call : calls) {
+      for (uint64_t b = call.first; b < call.first + call.count && b < end;
+           ++b) {
+        ++reads[b];
+      }
+    }
+    for (uint64_t b = ck.covered_end; b < tail_first; ++b) {
+      EXPECT_EQ(reads[b], 1) << "block " << b;
+    }
+    EXPECT_EQ(ReadAll(rig.service.get(), "/w"), wrote);
+  }
 }
 
 // A volume sequence decodes the sidecar once, and only the writable
