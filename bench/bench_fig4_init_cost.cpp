@@ -22,6 +22,9 @@ namespace clio {
 namespace bench {
 namespace {
 
+// Pass counts and bytes per block: the comparator flags them when they rise.
+constexpr BenchReport::Better kLower = BenchReport::Better::kLower;
+
 double TheoryCost(double b, int n) {
   if (b < 2) {
     return 0;
@@ -220,17 +223,21 @@ void MeasureCheckpointRestart(BenchReport* report) {
                      static_cast<double>(scan_rep.tail_scan_blocks));
   report->AddCounter("full_scan", "device_reads", scan_reads);
   report->AddCounter("full_scan", "restart_passes",
-                     static_cast<double>(scan_rep.device_passes.total()));
+                     static_cast<double>(scan_rep.device_passes.total()),
+                     kLower);
   report->AddMean("checkpoint_restart", 1, ckpt_us);
   report->AddCounter("checkpoint_restart", "replay_blocks",
                      static_cast<double>(ckpt_rep.checkpoint_replay_blocks));
   report->AddCounter("checkpoint_restart", "device_reads", ckpt_reads);
-  report->AddCounter("checkpoint_restart", "replay_passes", replay_passes);
+  report->AddCounter("checkpoint_restart", "replay_passes", replay_passes,
+                     kLower);
   report->AddCounter("checkpoint_restart", "restart_passes",
-                     static_cast<double>(ckpt_rep.device_passes.total()));
+                     static_cast<double>(ckpt_rep.device_passes.total()),
+                     kLower);
   report->AddCounter("summary", "restart_vs_scan_ratio", time_ratio);
   report->AddCounter("summary", "recovery_read_ratio", read_ratio);
-  report->AddCounter("summary", "replay_passes_per_block", passes_per_block);
+  report->AddCounter("summary", "replay_passes_per_block", passes_per_block,
+                     kLower);
 }
 
 // Checkpoint bytes per checkpoint as the volume grows (DESIGN.md §17):
@@ -336,9 +343,9 @@ void MeasureCheckpointGrowth(BenchReport* report) {
                      small_bytes);
   report->AddCounter("checkpoint_growth", "bytes_per_checkpoint_large",
                      large_bytes);
-  report->AddCounter("summary", "checkpoint_bytes_growth", growth);
+  report->AddCounter("summary", "checkpoint_bytes_growth", growth, kLower);
   report->AddCounter("checkpoint_growth", "index_bytes_per_block",
-                     index_bytes_per_block);
+                     index_bytes_per_block, kLower);
 }
 
 }  // namespace

@@ -297,7 +297,8 @@ int main() {
     std::printf("sparse cold scan (readahead=%u): %.2f blocks read per "
                 "entry\n",
                 window, per_entry);
-    report.AddCounter("summary", "sparse_blocks_read_per_entry", per_entry);
+    report.AddCounter("summary", "sparse_blocks_read_per_entry", per_entry,
+                      BenchReport::Better::kLower);
   }
 
   // -- RPC amortization: per-entry ReadNext vs kReadBatch for a tail scan.

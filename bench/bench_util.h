@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -120,11 +121,14 @@ inline double SamplePercentile(std::vector<double> samples, double p) {
 //    "ops":{"<op>":{"n":2000,"us_per_op":12.4,
 //                   "p50_us":11.0,"p90_us":17.5,"p95_us":19.2,
 //                   "p99_us":30.1,"max_us":88.0,
-//                   "counters":{"appends_per_sec":52000.0, ...}}}}
+//                   "counters":{"appends_per_sec":52000.0,"passes":4.0},
+//                   "lower_is_better":["passes"]}}}
 //
-// Time metrics (us_per_op, p50/p90/p95/p99/max) regress when they go UP;
-// "counters" holds derived throughput-like values that regress when they
-// go DOWN. The comparator knows the difference by key name.
+// Time metrics (us_per_op, p50/p90/p95/p99/max) regress when they go UP.
+// "counters" holds derived values that regress when they go DOWN, except
+// those the op lists in "lower_is_better" (pass counts, bytes per block),
+// which regress when they go UP. An op without such counters has no
+// "lower_is_better" key.
 class BenchReport {
  public:
   explicit BenchReport(std::string bench_name)
@@ -169,11 +173,19 @@ class BenchReport {
     o.max_us = std::max(o.max_us, std::max(p99_us, p999_us));
   }
 
-  // Attach a derived counter (throughput, batch size, ...) to an op.
-  // Higher is better; the comparator flags decreases.
+  // Which way a derived counter improves.
+  enum class Better { kHigher, kLower };
+
+  // Attach a derived counter (throughput, batch size, pass count, ...) to
+  // an op. The comparator flags a higher-is-better counter that falls and
+  // a lower-is-better one that rises.
   void AddCounter(const std::string& op, const std::string& key,
-                  double value) {
-    ops_[op].counters[key] = value;
+                  double value, Better better = Better::kHigher) {
+    Op& o = ops_[op];
+    o.counters[key] = value;
+    if (better == Better::kLower) {
+      o.lower_is_better.insert(key);
+    }
   }
 
   // Writes BENCH_<name>.json into $CLIO_BENCH_JSON_DIR (or the cwd) and
@@ -214,7 +226,17 @@ class BenchReport {
         first_counter = false;
         std::fprintf(f, "\"%s\":%.3f", key.c_str(), value);
       }
-      std::fprintf(f, "}}");
+      std::fprintf(f, "}");
+      if (!op.lower_is_better.empty()) {
+        std::fprintf(f, ",\"lower_is_better\":[");
+        bool first_key = true;
+        for (const std::string& key : op.lower_is_better) {
+          std::fprintf(f, "%s\"%s\"", first_key ? "" : ",", key.c_str());
+          first_key = false;
+        }
+        std::fprintf(f, "]");
+      }
+      std::fprintf(f, "}");
     }
     std::fprintf(f, "}}\n");
     std::fclose(f);
@@ -233,6 +255,7 @@ class BenchReport {
     double p999_us = 0.0;
     double max_us = 0.0;
     std::map<std::string, double> counters;
+    std::set<std::string> lower_is_better;
   };
 
   std::string bench_name_;

@@ -8,15 +8,19 @@
 //    ... was low: only about 70 us for each written log entry, on average."
 //
 // Configuration mirrors the paper: client and server in separate contexts
-// joined by synchronous IPC (latency model set to the paper's 0.5 ms round
-// trip), 1 KB blocks, N = 16, complete 14-byte timestamped headers, device
-// writes asynchronous w.r.t. the client (no force). The breakdown rows
-// isolate each component the paper names.
+// joined by a synchronous request/reply transport, 1 KB blocks, N = 16,
+// complete 14-byte timestamped headers, device writes asynchronous w.r.t.
+// the client (no force). The transport is the service's own: a
+// NetLogClient over loopback TCP to a NetLogServer, whose event loop hands
+// each frame to a worker, the ServiceDispatcher and the append lane. The
+// breakdown rows isolate each component the paper names; the round trip
+// is the client-timed write minus the server-side append.
 #include "bench/bench_util.h"
 
 #include <cinttypes>
 
-#include "src/ipc/log_server.h"
+#include "src/net/net_client.h"
+#include "src/net/net_server.h"
 
 namespace clio {
 namespace bench {
@@ -32,19 +36,31 @@ double Mean(const std::vector<double>& samples) {
   return samples.empty() ? 0.0 : total / static_cast<double>(samples.size());
 }
 
-std::vector<double> TimeAppends(LogClient* client, const char* path,
-                                size_t payload_size, int count) {
+struct ClientSamples {
+  std::vector<double> null_us;
+  std::vector<double> fifty_us;
+};
+
+// Times `count` client appends of each size to /null and /fifty,
+// alternating the two so both series see the same warm-up, drift and
+// scheduler noise (timed one series after the other, the first ran
+// slower in every run).
+ClientSamples TimeClientAppends(LogClientBase* client, int count) {
   Rng rng(1);
-  Bytes payload = FillPayload(&rng, payload_size);
-  std::vector<double> samples;
-  samples.reserve(count);
+  const Bytes fifty = FillPayload(&rng, 50);
+  ClientSamples out;
+  out.null_us.reserve(count);
+  out.fifty_us.reserve(count);
   for (int i = 0; i < count; ++i) {
     auto t0 = std::chrono::steady_clock::now();
+    BENCH_CHECK_OK(client->Append("/null", {}, /*timestamped=*/true).status());
+    out.null_us.push_back(UsSince(t0));
+    t0 = std::chrono::steady_clock::now();
     BENCH_CHECK_OK(
-        client->Append(path, payload, /*timestamped=*/true).status());
-    samples.push_back(UsSince(t0));
+        client->Append("/fifty", fifty, /*timestamped=*/true).status());
+    out.fifty_us.push_back(UsSince(t0));
   }
-  return samples;
+  return out;
 }
 
 std::vector<double> TimeDirectAppends(LogService* service, const char* path,
@@ -75,20 +91,23 @@ void Run() {
   BENCH_CHECK_OK(b.service->CreateLogFile("/fifty").status());
   BENCH_CHECK_OK(b.service->CreateLogFile("/direct").status());
 
-  // IPC rig with the paper's ~0.5 ms round trip (250 us each way).
-  IpcChannel channel(/*simulated_latency_us=*/250);
-  LogServer server(b.service.get(), &channel);
-  server.Start();
-  LogClient client(&channel);
+  // Client writes over the wire; the files above exist before the server
+  // starts, so its view knows them.
+  auto server = NetLogServer::Start(b.service.get());
+  BENCH_CHECK_OK(server.status());
+  auto client = NetLogClient::Connect((*server)->port());
+  BENCH_CHECK_OK(client.status());
 
-  std::vector<double> null_samples = TimeAppends(&client, "/null", 0, kWrites);
-  std::vector<double> fifty_samples =
-      TimeAppends(&client, "/fifty", 50, kWrites);
-  double null_us = Mean(null_samples);
-  double fifty_us = Mean(fifty_samples);
-  server.Stop();
+  // Untimed warm-up: the first requests of a connection pay for waking
+  // the server's threads and faulting in their stacks and buffers.
+  (void)TimeClientAppends(client->get(), kWrites / 4);
+  const ClientSamples wire = TimeClientAppends(client->get(), kWrites);
+  double null_us = Mean(wire.null_us);
+  double fifty_us = Mean(wire.fifty_us);
+  (*client)->Disconnect();
+  (*server)->Stop();
 
-  // Server-side costs without the IPC hop.
+  // Server-side costs without the round trip.
   std::vector<double> direct_null_samples =
       TimeDirectAppends(b.service.get(), "/direct", 0, kWrites);
   std::vector<double> direct_fifty_samples =
@@ -121,11 +140,11 @@ void Run() {
   std::printf("---------------------------------------------+------------"
               "--+----------\n");
   std::printf("%-44s | %9.1f us | 2000 us\n",
-              "null entry write, via synchronous IPC", null_us);
+              "null entry write, via client round trip", null_us);
   std::printf("%-44s | %9.1f us | 2900 us\n",
-              "50-byte entry write, via synchronous IPC", fifty_us);
+              "50-byte entry write, via client round trip", fifty_us);
   std::printf("%-44s | %9.1f us | 500-1000 us\n",
-              "of which: IPC round trip", null_us - direct_null_us);
+              "of which: round trip (paper: IPC)", null_us - direct_null_us);
   std::printf("%-44s | %9.3f us | ~400 us\n",
               "timestamp generation (per call)", ts_us);
   std::printf("%-44s | %9.1f us | n/a\n",
@@ -138,14 +157,14 @@ void Run() {
   std::printf("\nShape check (paper's conclusions):\n");
   std::printf("  - 50-byte write costs more than null write:        %s\n",
               fifty_us > null_us ? "yes" : "NO");
-  std::printf("  - IPC dominates the synchronous write cost:        %s\n",
+  std::printf("  - the round trip dominates the synchronous write:  %s\n",
               (null_us - direct_null_us) > direct_null_us ? "yes" : "NO");
   std::printf("  - entrymap upkeep is small vs total server cost:   %s\n",
               entrymap_us < direct_fifty_us ? "yes" : "NO");
 
   BenchReport report("write_latency");
-  report.AddSamples("ipc_null_append", null_samples);
-  report.AddSamples("ipc_50b_append", fifty_samples);
+  report.AddSamples("wire_null_append", wire.null_us);
+  report.AddSamples("wire_50b_append", wire.fifty_us);
   report.AddSamples("direct_null_append", direct_null_samples);
   report.AddSamples("direct_50b_append", direct_fifty_samples);
   report.AddMean("timestamp", 100000, ts_us);

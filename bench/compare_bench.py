@@ -10,8 +10,9 @@ Usage:
 Each BENCH_<name>.json (written by bench::BenchReport, see
 bench/bench_util.h) holds per-op records with time metrics (us_per_op,
 p50_us, p90_us, p95_us, p99_us, max_us — regressions go UP) and derived
-counters
-(appends_per_sec, mean_batch, ... — regressions go DOWN).
+counters (appends_per_sec, mean_batch, ... — regressions go DOWN). A
+counter the run's op lists under "lower_is_better" (restart_passes,
+index_bytes_per_block, ...) regresses when it goes UP instead.
 
 The baseline file maps bench name -> the same "ops" shape. Only ops
 present in BOTH the baseline and the run are compared; anything else is
@@ -44,7 +45,8 @@ import os
 import sys
 
 # Per-op keys compared against the baseline. Time metrics regress when
-# they increase; counters regress when they decrease.
+# they increase; counters regress when they decrease, unless the run lists
+# them as lower-is-better.
 TIME_KEYS = ("us_per_op", "p50_us", "p90_us", "p99_us", "p999_us")
 # Metrics below this many microseconds are pure noise at CI resolution
 # (e.g. the ~5 ns timestamp cost) and are skipped.
@@ -95,6 +97,7 @@ def compare_op(bench, op, base_op, run_op, threshold, failures, notes):
             notes.append(line)
     base_counters = base_op.get("counters", {})
     run_counters = run_op.get("counters", {})
+    lower_is_better = set(run_op.get("lower_is_better", ()))
     for key in sorted(set(run_counters) - set(base_counters)):
         notes.append(f"{bench}/{op} {key}: not in baseline (skipped)")
     for key in sorted(set(base_counters) & set(run_counters)):
@@ -105,7 +108,11 @@ def compare_op(bench, op, base_op, run_op, threshold, failures, notes):
         ratio = new / base
         line = (f"{bench}/{op} {key}: baseline {base:.1f} "
                 f"-> {new:.1f} ({ratio:.2f}x baseline)")
-        if ratio < 1.0 - threshold:
+        if key in lower_is_better:
+            regressed = ratio > 1.0 + threshold
+        else:
+            regressed = ratio < 1.0 - threshold
+        if regressed:
             failures.append(line)
         else:
             notes.append(line)

@@ -5,9 +5,7 @@
 #include <utility>
 
 namespace clio {
-namespace {
 
-// Shared by kStat's reply encoder and decoder.
 Bytes EncodeLogFileInfo(const LogFileInfo& info) {
   Bytes payload;
   ByteWriter w(&payload);
@@ -20,6 +18,8 @@ Bytes EncodeLogFileInfo(const LogFileInfo& info) {
   w.PutString(info.name);
   return payload;
 }
+
+namespace {
 
 Result<LogFileInfo> DecodeLogFileInfo(std::span<const std::byte> payload) {
   ByteReader r(payload);
@@ -84,14 +84,12 @@ RpcClass OpRpcClass(LogOp op) {
   }
 }
 
-// The accounting of one dispatched request, shared by Dispatch and
-// DispatchScatter so the two entry points are indistinguishable in
-// metrics and traces. The op's request counter is bumped on entry (a
-// kStats request is visible in its own reply). The scope's duration —
-// decode + execute + encode, one clock read at each end — feeds
-// clio.rpc.request_us, the op's class histogram, the kDispatch span and
-// the slow-request ring (telemetry.h), the exemplar bridge from latency
-// SLOs back to kTraceDump.
+// The accounting of one dispatched request. The op's request counter is
+// bumped on entry (a kStats request is visible in its own reply). The
+// scope's duration — decode + execute + encode, one clock read at each
+// end — feeds clio.rpc.request_us, the op's class histogram, the
+// kDispatch span and the slow-request ring (telemetry.h), the exemplar
+// bridge from latency SLOs back to kTraceDump.
 class DispatchScope {
  public:
   explicit DispatchScope(LogOp op)
@@ -200,8 +198,7 @@ namespace {
 // Record-level halves shared by the single-entry and batch codecs.
 // A record arrives in one of two representations (types.h): a flat
 // `payload`, or zero-copy `segments` into block images. Both encode to
-// the same bytes — flattening here is the fallback for the ops that have
-// no scatter path (kReadNext/kReadPrev on a zero-copy reader).
+// the same bytes; kReadNext/kReadPrev replies flatten the segments here.
 void AppendEntryRecordMeta(ByteWriter* w, const LogEntryRecord& record) {
   w->PutU16(record.logfile_id);
   w->PutI64(record.timestamp);
@@ -375,9 +372,19 @@ Result<AppendRequest> DecodeAppendRequest(std::span<const std::byte> body) {
 // ---------------------------------------------------------------------------
 // ServiceDispatcher
 
-Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
+WireMessage ServiceDispatcher::Dispatch(LogOp op,
+                                        std::span<const std::byte> body) {
   DispatchScope scope(op);
+  WireMessage reply;
+  if (op == LogOp::kReadBatch) {
+    ReadBatch(body, &reply);
+  } else {
+    reply.AddOwned(Execute(op, body));
+  }
+  return reply;
+}
 
+Bytes ServiceDispatcher::Execute(LogOp op, std::span<const std::byte> body) {
   // kStats reads only the (internally synchronized) metrics registry, so
   // it never takes the service mutex — a monitoring poller cannot stall
   // behind a slow force, and vice versa. Process gauges refresh first so
@@ -390,16 +397,7 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
   // kHealth also stays off the service mutex: a wedged service is
   // precisely the state it exists to report.
   if (op == LogOp::kHealth) {
-    HealthReport report;
-    if (health_fn_) {
-      report = health_fn_();
-    } else {
-      UpdateProcessGauges();
-      report = EvaluateHealth(ObsRegistry().Snapshot(), nullptr, 0,
-                              SloRules::Defaults());
-      report.exemplars = SlowRequestRing::Instance().Snapshot(16);
-    }
-    return EncodeOkReplyBody(EncodeHealthReport(report));
+    return EncodeOkReplyBody(EncodeHealthReport(health_fn_()));
   }
 
   // kTraceDump likewise touches only the flight recorder (lock-free to
@@ -419,9 +417,9 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
     return EncodeOkReplyBody(EncodeTraceDump(dump));
   }
 
-  // kAppend first: an installed append override (the group-commit batcher
-  // blocks the session until the whole batch is forced) runs outside every
-  // service call, and the batch takes the service lock itself.
+  // kAppend first: the append hook (the group-commit batcher blocks the
+  // session until the whole batch is forced) runs outside every service
+  // call, and the batch takes the service lock itself.
   if (op == LogOp::kAppend) {
     auto request = DecodeAppendRequest(body);
     if (!request.ok()) {
@@ -439,12 +437,7 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
     // The batcher's commit thread has no access to this thread's trace
     // context; the request carries it over the hop.
     request->trace_id = CurrentTraceId();
-    WriteOptions options;
-    options.timestamped = request->timestamped;
-    options.force = request->force;
-    Result<AppendResult> result =
-        append_fn_ ? append_fn_(*request)
-                   : service_->Append(request->path, request->payload, options);
+    Result<AppendResult> result = append_fn_(*request);
     if (!result.ok()) {
       return EncodeErrorReplyBody(result.status());
     }
@@ -497,7 +490,8 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
     case LogOp::kStats:
     case LogOp::kTraceDump:
     case LogOp::kHealth:
-      break;  // handled above
+    case LogOp::kReadBatch:
+      break;  // handled above, or by Dispatch
     case LogOp::kPartitionInfo: {
       std::string path = r.GetString();
       if (r.failed()) {
@@ -522,9 +516,7 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
         return EncodeErrorReplyBody(reader.status());
       }
       uint64_t handle = next_handle_++;
-      if (zero_copy_) {
-        reader.value()->set_zero_copy(true);
-      }
+      reader.value()->set_zero_copy(true);
       readers_[handle] = std::move(reader).value();
       Bytes payload;
       ByteWriter w(&payload);
@@ -550,8 +542,6 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
       }
       return EncodeOkReplyBody(EncodeEntryRecord(record.value()));
     }
-    case LogOp::kReadBatch:
-      return ReadBatch(body, /*scatter=*/nullptr);
     case LogOp::kSeekToTime: {
       uint64_t handle = r.GetU64();
       Timestamp t = r.GetI64();
@@ -611,17 +601,20 @@ Bytes ServiceDispatcher::Dispatch(LogOp op, std::span<const std::byte> body) {
   return EncodeErrorReplyBody(Unimplemented("unknown log server op"));
 }
 
-Bytes ServiceDispatcher::ReadBatch(std::span<const std::byte> body,
-                                   WireMessage* scatter) {
+void ServiceDispatcher::ReadBatch(std::span<const std::byte> body,
+                                  WireMessage* out) {
   ByteReader r(body);
   uint64_t handle = r.GetU64();
   uint32_t max_entries = r.GetU32();
   if (r.failed() || max_entries == 0) {
-    return EncodeErrorReplyBody(InvalidArgument("malformed batch read"));
+    out->AddOwned(
+        EncodeErrorReplyBody(InvalidArgument("malformed batch read")));
+    return;
   }
   auto it = readers_.find(handle);
   if (it == readers_.end()) {
-    return EncodeErrorReplyBody(NotFound("no such reader handle"));
+    out->AddOwned(EncodeErrorReplyBody(NotFound("no such reader handle")));
+    return;
   }
   max_entries = std::min(max_entries, kReadBatchMaxEntries);
   std::vector<LogEntryRecord> records;
@@ -634,7 +627,8 @@ Bytes ServiceDispatcher::ReadBatch(std::span<const std::byte> body,
       // error only if nothing did. The reader is positioned after the
       // prefix, so the client's next call surfaces the error itself.
       if (records.empty()) {
-        return EncodeErrorReplyBody(record.status());
+        out->AddOwned(EncodeErrorReplyBody(record.status()));
+        return;
       }
       break;
     }
@@ -645,26 +639,7 @@ Bytes ServiceDispatcher::ReadBatch(std::span<const std::byte> body,
     bytes += record.value()->payload_size() + 16;
     records.push_back(std::move(*record.value()));
   }
-  if (scatter != nullptr) {
-    EncodeEntryBatchReplyTo(records, at_end, scatter);
-    return {};
-  }
-  return EncodeOkReplyBody(EncodeEntryBatch(records, at_end));
-}
-
-WireMessage ServiceDispatcher::DispatchScatter(LogOp op,
-                                               std::span<const std::byte> body) {
-  WireMessage msg;
-  if (!zero_copy_ || op != LogOp::kReadBatch) {
-    msg.AddOwned(Dispatch(op, body));
-    return msg;
-  }
-  DispatchScope scope(op);
-  Bytes flat = ReadBatch(body, &msg);
-  if (msg.empty()) {
-    msg.AddOwned(std::move(flat));  // the error-reply paths stay flat
-  }
-  return msg;
+  EncodeEntryBatchReplyTo(records, at_end, out);
 }
 
 // ---------------------------------------------------------------------------

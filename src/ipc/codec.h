@@ -1,14 +1,13 @@
-// Wire codec shared by every log-service transport.
+// Wire codec of the log service.
 //
-// The synchronous IPC server (src/ipc/log_server.*) and the TCP network
-// server (src/net/*) speak the same request/reply bodies. This header is
-// the single definition of that encoding, plus the two transport-neutral
-// halves built on it:
+// The TCP server and client (src/net/*) exchange these request/reply
+// bodies inside frames (src/net/frame.h). This header is the single
+// definition of that encoding, plus the two halves built on it:
 //
 //  - ServiceDispatcher: the server side. Decodes one request body,
 //    executes it against a PartitionedLogService (a plain LogService is
-//    served as its one-partition view), encodes the reply body. One
-//    instance per client session (it owns that session's reader table).
+//    served as its one-partition view), encodes the reply. One instance
+//    per client session (it owns that session's reader table).
 //  - LogClientBase: the client side. All typed stub methods, over an
 //    abstract Call(op, body) the transport implements.
 //
@@ -114,9 +113,8 @@ Result<Bytes> DecodeReplyBody(std::span<const std::byte> body);
 // block images, whose frames the slices hold cached until the flush.
 // The event-loop server flushes one with writev(), so borrowed
 // payload bytes go from the block image straight to the socket without an
-// intermediate copy. Flatten() produces the byte-identical contiguous
-// form; every transport-visible encoding decision lives in the encoders
-// below, never in the slicing.
+// intermediate copy. Flatten() produces the contiguous form, byte-identical
+// to what the flat encoders below produce for the same records.
 struct WireSlice {
   Bytes owned;         // used when ref.image is empty
   PayloadSegment ref;  // borrowed view otherwise
@@ -128,7 +126,6 @@ struct WireSlice {
 
 class WireMessage {
  public:
-  bool empty() const { return slices_.empty(); }
   const std::vector<WireSlice>& slices() const { return slices_; }
   size_t total_bytes() const { return total_bytes_; }
   // Bytes that will be written directly from block images (the zero-copy
@@ -139,8 +136,7 @@ class WireMessage {
   void AddBorrowed(PayloadSegment segment);
 
   // Contiguous form, byte-identical to what a flat encoder would have
-  // produced. Fallback for transports without scatter I/O and for A/B
-  // equivalence tests.
+  // produced.
   Bytes Flatten() const;
 
  private:
@@ -164,6 +160,11 @@ struct EntryBatch {
   std::vector<RemoteEntry> entries;
   bool at_end = false;
 };
+// The flat batch encoder. The server replies through
+// EncodeEntryBatchReplyTo below; this form, with EncodeOkReplyBody,
+// EncodeEntryRecord, EncodeErrorReplyBody and EncodeLogFileInfo, is the
+// reference implementation of the reply bytes that the wire-equivalence
+// test (tests/event_loop_test.cc) checks the scatter replies against.
 Bytes EncodeEntryBatch(const std::vector<LogEntryRecord>& records,
                        bool at_end);
 Result<EntryBatch> DecodeEntryBatch(std::span<const std::byte> payload);
@@ -177,14 +178,17 @@ Result<EntryBatch> DecodeEntryBatch(std::span<const std::byte> payload);
 void EncodeEntryBatchReplyTo(const std::vector<LogEntryRecord>& records,
                              bool at_end, WireMessage* out);
 
+// -- Log file metadata (the reply payload of kStat). --
+Bytes EncodeLogFileInfo(const LogFileInfo& info);
+
 // -- Append requests (the request body of kAppend). --
 //
 // `client_id` / `request_seq` are the idempotency stamp for retried
 // appends: a client that retransmits an append after a lost reply reuses
 // the stamp, and a server keeping a dedup window acknowledges the
 // retransmit with the original result instead of logging the entry twice.
-// A zero client_id means "unstamped" (no retry dedup; the IPC transport
-// and old-style callers use this).
+// A zero client_id means "unstamped" (no retry dedup; clients without
+// retransmission use this).
 struct AppendRequest {
   std::string path;
   bool timestamped = false;
@@ -224,52 +228,38 @@ constexpr uint32_t kNoPartitionPlacement = 0xFFFFFFFFu;
 // for mutations, and only for that call. kCloseReader touches only the
 // session-local reader table; kStats reads only the internally
 // synchronized metrics registry; kTraceDump only the flight recorder.
-// kAppend can be redirected through `append_fn` — the net server's dedup +
-// group-commit hook.
 class ServiceDispatcher {
  public:
   using AppendFn =
       std::function<Result<AppendResult>(const AppendRequest& request)>;
   using HealthFn = std::function<HealthReport()>;
 
-  // `service` must outlive the dispatcher.
-  explicit ServiceDispatcher(PartitionedLogService* service,
-                             AppendFn append_fn = {})
-      : service_(service), append_fn_(std::move(append_fn)) {}
+  // `service` must outlive the dispatcher. Every kAppend goes through
+  // `append_fn` (the server's dedup + group-commit hook) and every kHealth
+  // through `health_fn` (the server's windowed SLO evaluator); both must
+  // be callable.
+  ServiceDispatcher(PartitionedLogService* service, AppendFn append_fn,
+                    HealthFn health_fn)
+      : service_(service),
+        append_fn_(std::move(append_fn)),
+        health_fn_(std::move(health_fn)) {}
 
-  // Zero-copy reply mode (the event-loop server's default): readers opened
-  // after this collect PayloadSegments, and DispatchScatter returns
-  // kReadBatch replies as scatter lists over the pinned block images. Set
-  // once at session setup, before any requests.
-  void set_zero_copy(bool on) { zero_copy_ = on; }
-
-  // kHealth handler override. Servers install their windowed evaluator
-  // (sampler snapshots + configured rules); without one the dispatcher
-  // falls back to EvaluateHealth over the process registry with the
-  // default rules, so an IPC-only service still answers health checks.
-  void set_health_fn(HealthFn fn) { health_fn_ = std::move(fn); }
-
-  // Executes one request and returns the encoded reply body.
-  Bytes Dispatch(LogOp op, std::span<const std::byte> body);
-
-  // Scatter-aware Dispatch: identical semantics and (after Flatten())
-  // identical bytes, but in zero-copy mode a kReadBatch reply keeps entry
-  // payloads as borrowed slices. Every other op degenerates to one owned
-  // slice.
-  WireMessage DispatchScatter(LogOp op, std::span<const std::byte> body);
+  // Executes one request and returns its reply body. A kReadBatch reply
+  // holds owned record metadata and borrowed payload slices over the
+  // pinned block images (the readers this dispatcher opens are
+  // zero-copy); every other reply is one owned slice.
+  WireMessage Dispatch(LogOp op, std::span<const std::byte> body);
 
  private:
-  // The kReadBatch handler, shared by both dispatch forms. With `scatter`
-  // non-null the reply goes there (return value empty); otherwise returns
-  // the flat reply body.
-  Bytes ReadBatch(std::span<const std::byte> body, WireMessage* scatter);
+  // Every op but kReadBatch: returns the flat reply body.
+  Bytes Execute(LogOp op, std::span<const std::byte> body);
+  void ReadBatch(std::span<const std::byte> body, WireMessage* out);
 
   PartitionedLogService* service_;
   AppendFn append_fn_;
   HealthFn health_fn_;
   std::map<uint64_t, std::unique_ptr<PartitionedLogReader>> readers_;
   uint64_t next_handle_ = 1;
-  bool zero_copy_ = false;
 };
 
 // Typed client stub; transports supply Call(). The reader-facing methods

@@ -1,9 +1,9 @@
 // Length-prefixed binary framing for the TCP log service.
 //
 // Every request and reply travels as one frame: a fixed header followed by
-// `body_size` bytes of body (the same request/reply bodies the IPC
-// transport uses, see src/ipc/codec.h). The header starts with a 24-byte
-// prefix shared by every version, little-endian:
+// `body_size` bytes of body (the request/reply bodies of src/ipc/codec.h).
+// The header starts with a 24-byte prefix shared by every version,
+// little-endian:
 //
 //   offset  size  field
 //   0       4     magic      0x474F4C43 ("CLOG")

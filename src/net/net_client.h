@@ -1,10 +1,9 @@
-// NetLogClient: the TCP sibling of src/ipc's LogClient, now fault
-// tolerant.
+// NetLogClient: the fault-tolerant TCP client of the log service.
 //
-// Same typed API (both inherit LogClientBase, so code written against one
-// runs against the other); the transport is one frame per request over a
-// loopback TCP connection to a NetLogServer. Synchronous: Call() writes
-// the request frame and blocks for the matching reply.
+// The typed API is LogClientBase's (src/ipc/codec.h); the transport is
+// one frame per request over a loopback TCP connection to a NetLogServer.
+// Synchronous: Call() writes the request frame and blocks for the
+// matching reply.
 //
 // Fault tolerance (DESIGN.md §10):
 //  - Transport failures (server gone, connection reset, I/O deadline)

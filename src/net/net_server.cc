@@ -407,12 +407,10 @@ void NetLogServer::LoopAccept() {
       Metrics().active_sessions->Add(-1);
       continue;  // conn destructor closes the socket
     }
-    conn->dispatcher.emplace(partitioned_,
-                             [this](const AppendRequest& request) {
-                               return RouteAppend(request);
-                             });
-    conn->dispatcher->set_health_fn([this] { return EvaluateServerHealth(); });
-    conn->dispatcher->set_zero_copy(true);
+    conn->dispatcher.emplace(
+        partitioned_,
+        [this](const AppendRequest& request) { return RouteAppend(request); },
+        [this] { return EvaluateServerHealth(); });
     conn->idle_deadline =
         Clock::now() + std::chrono::milliseconds(options_.idle_timeout_ms);
     Conn* raw = conn.get();
@@ -582,8 +580,8 @@ void NetLogServer::WorkerMain() {
       // Every span recorded below — dispatch, batch wait, volume append,
       // force, burn — attaches to this request's trace.
       ScopedTraceContext trace_scope(request.trace_id);
-      reply = conn->dispatcher->DispatchScatter(
-          static_cast<LogOp>(request.op), conn->state.body());
+      reply = conn->dispatcher->Dispatch(static_cast<LogOp>(request.op),
+                                         conn->state.body());
     }
     Metrics().stage_handle_us->Record(TraceNowUs() - start_us);
     frames_dispatched_.fetch_add(1);

@@ -1,7 +1,7 @@
 // NetLogServer: the Clio log service as a multi-client TCP server.
 //
-// Where src/ipc/ models the paper's single-machine kernel-IPC path, this
-// is the multi-client deployment: many concurrent client connections on a
+// The paper's clients reach the log server through kernel IPC (§3.2);
+// here they connect over TCP: many concurrent client connections on a
 // localhost TCP port, each with its own session (per-connection reader
 // table, idle timeout), all dispatching onto one shared
 // PartitionedLogService. One epoll thread multiplexes every socket —

@@ -36,7 +36,7 @@
 // frontends (src/net/) that batch reach through partition(i) and hold a
 // LogService::WriteHandle for the batch.
 //
-// Serving. Every server (src/net/, src/ipc/) serves one of these; a plain
+// Serving. The server (src/net/) serves one of these; a plain
 // LogService is served as a one-partition view (Wrap). The router knows
 // only the paths it has learned, so once a LogService is being served,
 // create log files through the server or this class, never on the

@@ -5,18 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "src/ipc/channel.h"
 #include "src/ipc/codec.h"
-#include "src/ipc/log_server.h"
 #include "src/net/frame.h"
 #include "src/net/net_client.h"
 #include "src/net/net_server.h"
 #include "src/net/socket.h"
 #include "src/obs/metrics.h"
+#include "src/partition/partitioned_service.h"
 #include "src/util/rng.h"
 #include "tests/test_util.h"
 
@@ -337,19 +337,20 @@ TEST_F(EventLoopTest, AcceptAndTeardownChurnInRounds) {
 // ---------------------------------------------------------------------------
 // A/B wire equivalence
 
-// The event loop's zero-copy replies (DispatchScatter) and the IPC
-// LogServer's flat Dispatch — the reference encoder — answer the SAME
-// request script, error replies included, with byte-identical reply
-// bodies. Both serve one shared LogService, so any divergence is the
-// scatter encoding's fault.
+// The event loop's zero-copy replies answer a request script, error
+// replies included, with the bytes the flat reference encoders
+// (EncodeOkReplyBody, EncodeEntryRecord, EncodeEntryBatch,
+// EncodeErrorReplyBody, EncodeLogFileInfo) give for the same steps on an
+// in-process reader left in flat mode. Any divergence is the scatter
+// encoding's fault.
 TEST(EventLoopAbTest, BothModesProduceByteIdenticalReplies) {
   ServiceFixture fx = ServiceFixture::Make();
 
   auto event_server = NetLogServer::Start(fx.service.get());
   ASSERT_TRUE(event_server.ok()) << event_server.status().ToString();
   {
-    // Seed shared state through the event server; entries with payloads
-    // spanning several 1 KiB blocks exercise multi-segment scatter replies.
+    // Seed through the server; entries with payloads spanning several
+    // 1 KiB blocks exercise multi-segment scatter replies.
     auto writer = NetLogClient::Connect((*event_server)->port());
     ASSERT_TRUE(writer.ok()) << writer.status().ToString();
     ASSERT_OK((*writer)->CreateLogFile("/ab").status());
@@ -362,75 +363,97 @@ TEST(EventLoopAbTest, BothModesProduceByteIdenticalReplies) {
     }
     ASSERT_OK((*writer)->Force());
   }
-  // Started after the seeding, so its view has learned "/ab".
-  IpcChannel channel;
-  LogServer ipc_server(fx.service.get(), &channel);
-  ipc_server.Start();
+  // Wrapped after the seeding, so the view has learned "/ab".
+  ASSERT_OK_AND_ASSIGN(auto view,
+                       PartitionedLogService::Wrap(fx.service.get()));
+  ASSERT_OK_AND_ASSIGN(auto reader, view->OpenReader("/ab"));
+
+  auto read_one = [&](bool forward) {
+    auto record = forward ? reader->Next() : reader->Prev();
+    EXPECT_TRUE(record.ok()) << record.status().ToString();
+    return EncodeOkReplyBody(EncodeEntryRecord(record.value()));
+  };
+  // The dispatcher's 4 MiB batch budget is far above this log's ~47 KB,
+  // so a batch ends at `max_entries` or at the end of the log.
+  auto read_batch = [&](uint32_t max_entries) {
+    std::vector<LogEntryRecord> records;
+    bool at_end = false;
+    while (records.size() < max_entries) {
+      auto record = reader->Next();
+      EXPECT_TRUE(record.ok()) << record.status().ToString();
+      if (!record.ok() || !record->has_value()) {
+        at_end = true;
+        break;
+      }
+      records.push_back(std::move(**record));
+    }
+    return EncodeOkReplyBody(EncodeEntryBatch(records, at_end));
+  };
+  auto stat = [&](std::string_view path) {
+    auto info = view->Stat(path);
+    return info.ok() ? EncodeOkReplyBody(EncodeLogFileInfo(*info))
+                     : EncodeErrorReplyBody(info.status());
+  };
+  const Bytes no_handle =
+      EncodeErrorReplyBody(NotFound("no such reader handle"));
+
+  // A fresh session numbers its first reader 1.
+  constexpr uint64_t kHandle = 1;
+  struct Step {
+    LogOp op;
+    Bytes body;
+    std::function<Bytes()> expected;  // run in script order
+  };
+  const std::vector<Step> script = {
+      {LogOp::kOpenReader, PathBody("/ab"),
+       [] { return EncodeOkReplyBody(HandleBody(kHandle)); }},
+      {LogOp::kSeekToStart, HandleBody(kHandle),
+       [&] {
+         reader->SeekToStart();
+         return EncodeOkReplyBody();
+       }},
+      {LogOp::kReadBatch, ReadBatchBody(kHandle, 5),
+       [&] { return read_batch(5); }},
+      {LogOp::kReadNext, HandleBody(kHandle), [&] { return read_one(true); }},
+      {LogOp::kReadBatch, ReadBatchBody(kHandle, 1000),
+       [&] { return read_batch(1000); }},
+      {LogOp::kSeekToEnd, HandleBody(kHandle),
+       [&] {
+         reader->SeekToEnd();
+         return EncodeOkReplyBody();
+       }},
+      {LogOp::kReadPrev, HandleBody(kHandle), [&] { return read_one(false); }},
+      {LogOp::kStat, PathBody("/ab"), [&] { return stat("/ab"); }},
+      {LogOp::kStat, PathBody("/missing"), [&] { return stat("/missing"); }},
+      {LogOp::kReadNext, HandleBody(~0ull), [&] { return no_handle; }},
+      {LogOp::kReadBatch, ReadBatchBody(~0ull, 4), [&] { return no_handle; }},
+  };
 
   ASSERT_OK_AND_ASSIGN(TcpSocket to_event,
                        TcpSocket::ConnectLoopback((*event_server)->port()));
-
-  // (op, body) script; both fresh sessions allocate the same handle.
-  const uint64_t kHandleProbe = 0;  // patched after kOpenReader
-  std::vector<std::pair<LogOp, Bytes>> script;
-  script.emplace_back(LogOp::kOpenReader, PathBody("/ab"));
-  script.emplace_back(LogOp::kSeekToStart, HandleBody(kHandleProbe));
-  script.emplace_back(LogOp::kReadBatch, ReadBatchBody(kHandleProbe, 5));
-  script.emplace_back(LogOp::kReadNext, HandleBody(kHandleProbe));
-  script.emplace_back(LogOp::kReadBatch, ReadBatchBody(kHandleProbe, 1000));
-  script.emplace_back(LogOp::kSeekToEnd, HandleBody(kHandleProbe));
-  script.emplace_back(LogOp::kReadPrev, HandleBody(kHandleProbe));
-  script.emplace_back(LogOp::kStat, PathBody("/ab"));
-  script.emplace_back(LogOp::kStat, PathBody("/missing"));  // error reply
-  script.emplace_back(LogOp::kReadNext, HandleBody(~0ull));  // bad handle
-  script.emplace_back(LogOp::kReadBatch, ReadBatchBody(~0ull, 4));
-
-  uint64_t event_handle = 0;
-  uint64_t ipc_handle = 0;
+  const uint64_t zerocopy_before =
+      ObsRegistry().counter("clio.net.reply.zerocopy_bytes")->value();
   for (size_t i = 0; i < script.size(); ++i) {
-    const auto& [op, body_template] = script[i];
-    auto patched = [&](uint64_t handle) {
-      Bytes body = body_template;
-      if (i > 0 && op != LogOp::kStat && body.size() >= 8 &&
-          LoadU64(body, 0) == kHandleProbe) {
-        StoreU64(body, 0, handle);
-      }
-      return body;
-    };
+    const Step& step = script[i];
     const uint64_t request_id = 100 + i;
     const uint64_t trace_id = 7'000 + i;
-    ASSERT_OK_AND_ASSIGN(Bytes event_reply,
-                         RawRoundTrip(&to_event, op, request_id,
-                                      patched(event_handle), trace_id));
+    ASSERT_OK_AND_ASSIGN(
+        Bytes event_reply,
+        RawRoundTrip(&to_event, step.op, request_id, step.body, trace_id));
     ASSERT_OK_AND_ASSIGN(FrameHeader header, DecodeFrameHeader(event_reply));
-    EXPECT_EQ(header.op, static_cast<uint32_t>(op));
+    EXPECT_EQ(header.op, static_cast<uint32_t>(step.op));
     EXPECT_EQ(header.request_id, request_id);
     EXPECT_EQ(header.trace_id, trace_id);
     const Bytes event_body(event_reply.end() - header.body_size,
                            event_reply.end());
-    ASSERT_OK_AND_ASSIGN(
-        IpcMessage ipc_reply,
-        channel.Call(IpcMessage{static_cast<uint32_t>(op),
-                                patched(ipc_handle)}));
-    EXPECT_EQ(event_body, ipc_reply.body)
-        << "step " << i << " (op " << static_cast<uint32_t>(op)
+    EXPECT_EQ(event_body, step.expected())
+        << "step " << i << " (op " << static_cast<uint32_t>(step.op)
         << "): scatter reply diverges from the flat encoder";
-    if (op == LogOp::kOpenReader) {
-      auto extract = [](const Bytes& body) -> uint64_t {
-        auto payload = DecodeReplyBody(body);
-        if (!payload.ok() || payload->size() < 8) {
-          return 0;
-        }
-        return LoadU64(*payload, 0);
-      };
-      event_handle = extract(event_body);
-      ipc_handle = extract(ipc_reply.body);
-      ASSERT_NE(event_handle, 0u);
-      EXPECT_EQ(event_handle, ipc_handle);
-    }
   }
+  // The batch payloads really left as borrowed slices.
+  EXPECT_GT(ObsRegistry().counter("clio.net.reply.zerocopy_bytes")->value(),
+            zerocopy_before);
 
-  ipc_server.Stop();
   (*event_server)->Stop();
 }
 

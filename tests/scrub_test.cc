@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/clio/chain.h"
@@ -427,6 +429,38 @@ std::set<uint64_t> TruncatedEntryBlocks(LogService* service,
   return blocks;
 }
 
+// Reads `path` forward with Next from the start and backward with Prev
+// from the end, and expects the backward list to be the forward list
+// reversed, with the same payload, timestamp and truncation on every
+// entry.
+void ExpectReadsMirror(LogService* service, const std::string& path) {
+  SCOPED_TRACE(path);
+  using Read = std::tuple<Bytes, Timestamp, bool>;
+  auto reader = service->OpenReader(path);
+  ASSERT_OK(reader.status());
+  auto read_all = [&](bool forward) {
+    std::vector<Read> reads;
+    for (;;) {
+      auto record = forward ? (*reader)->Next() : (*reader)->Prev();
+      EXPECT_TRUE(record.ok()) << record.status().ToString();
+      if (!record.ok() || !record->has_value()) {
+        return reads;
+      }
+      reads.emplace_back((*record)->payload, (*record)->timestamp,
+                         (*record)->truncated);
+    }
+  };
+  (*reader)->SeekToStart();
+  const std::vector<Read> forward = read_all(true);
+  (*reader)->SeekToEnd();
+  std::vector<Read> backward = read_all(false);
+  std::reverse(backward.begin(), backward.end());
+  ASSERT_EQ(backward.size(), forward.size());
+  for (size_t i = 0; i < forward.size(); ++i) {
+    EXPECT_EQ(backward[i], forward[i]) << "entry " << i;
+  }
+}
+
 // VerifyVolume and the scrubber walk a volume with one classification and
 // one chain accumulator, so on damaged media they convict the same
 // corrupt blocks and count the same chain breaks, and an index rebuilt by
@@ -444,51 +478,59 @@ TEST(Scrub, VerifyAndScrubAgreeOnDamagedMedia) {
     const bool straddling = input % 2 == 1;
     SCOPED_TRACE("seed " + std::to_string(seed) +
                  (straddling ? ", multi-block payloads" : ""));
+    // Forced appends of the seed to /a and /b, then damage to distinct
+    // blocks below the last two: only verify compares the walked chain
+    // head with the recovered one, so the tail stays intact. Replays the
+    // same volume and damage on every call.
+    auto build_damaged = [&](FaultFixture* fx, bool enable_extent_index) {
+      *fx = FaultFixture::Make(kBlockSize, /*capacity_blocks=*/8192,
+                               enable_extent_index);
+      ASSERT_OK(fx->service->CreateLogFile("/a").status());
+      ASSERT_OK(fx->service->CreateLogFile("/b").status());
+      Rng rng(seed);
+      WriteOptions forced;
+      forced.force = true;
+      for (int i = 0; i < 80; ++i) {
+        const char* path = rng.Chance(1, 2) ? "/a" : "/b";
+        const Bytes payload = RandomPayload(
+            &rng, straddling ? rng.Range(600, 1500) : rng.Range(20, 300));
+        ASSERT_OK(fx->service->Append(path, payload, forced).status());
+      }
+      LogVolume* volume = fx->service->current_volume();
+      auto* media = dynamic_cast<MemoryWormDevice*>(fx->device->base());
+      ASSERT_NE(media, nullptr);
+      std::vector<uint64_t> victims;
+      for (uint64_t b = 1; b + 2 < volume->end_block(); ++b) {
+        victims.push_back(b);
+      }
+      for (size_t i = victims.size(); i > 1; --i) {
+        std::swap(victims[i - 1], victims[rng.Below(i)]);
+      }
+      size_t used = 0;
+      for (uint64_t n = rng.Range(1, 3); n > 0; --n) {
+        const uint64_t bit = rng.Below(8 * kBlockSize);
+        ASSERT_OK(fx->device->FlipBitOnMedia(victims[used++], bit));
+      }
+      for (uint64_t n = rng.Range(1, 2); n > 0; --n) {
+        ASSERT_OK(fx->device->InvalidateBlock(victims[used++]));
+      }
+      // Re-tag one block: a forged chain tag under a recomputed CRC parses.
+      Bytes image(kBlockSize);
+      ASSERT_OK(media->ReadBlock(victims[used], image));
+      image[kBlockSize - 14] ^= std::byte{0x01};
+      const std::span<const std::byte> covered(image.data(), kBlockSize - 4);
+      StoreU32(image, kBlockSize - 4, Crc32c(covered));
+      media->Scribble(victims[used++], image);
+      for (size_t i = 0; i < used; ++i) {
+        fx->service->cache().Erase({0, victims[i]});
+      }
+    };
     // The index starts off, so EnsureExtentIndex builds it by a walk.
-    auto fx = FaultFixture::Make(kBlockSize, /*capacity_blocks=*/8192,
-                                 /*enable_extent_index=*/false);
-    ASSERT_OK(fx.service->CreateLogFile("/a").status());
-    ASSERT_OK(fx.service->CreateLogFile("/b").status());
-    Rng rng(seed);
-    WriteOptions forced;
-    forced.force = true;
-    for (int i = 0; i < 80; ++i) {
-      const char* path = rng.Chance(1, 2) ? "/a" : "/b";
-      const Bytes payload = RandomPayload(
-          &rng, straddling ? rng.Range(600, 1500) : rng.Range(20, 300));
-      ASSERT_OK(fx.service->Append(path, payload, forced).status());
-    }
+    FaultFixture fx;
+    ASSERT_NO_FATAL_FAILURE(
+        build_damaged(&fx, /*enable_extent_index=*/false));
     LogVolume* volume = fx.service->current_volume();
     auto* media = dynamic_cast<MemoryWormDevice*>(fx.device->base());
-    ASSERT_NE(media, nullptr);
-
-    // Damage distinct blocks below the last two: only verify compares the
-    // walked chain head with the recovered one, so the tail stays intact.
-    std::vector<uint64_t> victims;
-    for (uint64_t b = 1; b + 2 < volume->end_block(); ++b) {
-      victims.push_back(b);
-    }
-    for (size_t i = victims.size(); i > 1; --i) {
-      std::swap(victims[i - 1], victims[rng.Below(i)]);
-    }
-    size_t used = 0;
-    for (uint64_t n = rng.Range(1, 3); n > 0; --n) {
-      const uint64_t bit = rng.Below(8 * kBlockSize);
-      ASSERT_OK(fx.device->FlipBitOnMedia(victims[used++], bit));
-    }
-    for (uint64_t n = rng.Range(1, 2); n > 0; --n) {
-      ASSERT_OK(fx.device->InvalidateBlock(victims[used++]));
-    }
-    // Re-tag one block: a forged chain tag under a recomputed CRC parses.
-    Bytes image(kBlockSize);
-    ASSERT_OK(media->ReadBlock(victims[used], image));
-    image[kBlockSize - 14] ^= std::byte{0x01};
-    const std::span<const std::byte> covered(image.data(), kBlockSize - 4);
-    StoreU32(image, kBlockSize - 4, Crc32c(covered));
-    media->Scribble(victims[used++], image);
-    for (size_t i = 0; i < used; ++i) {
-      fx.service->cache().Erase({0, victims[i]});
-    }
 
     ASSERT_OK_AND_ASSIGN(VerifyReport verify, VerifyVolume(volume));
     const std::set<uint64_t> flagged(verify.broken_chain_blocks.begin(),
@@ -498,6 +540,18 @@ TEST(Scrub, VerifyAndScrubAgreeOnDamagedMedia) {
     EXPECT_EQ(flagged, truncated)
         << ::testing::PrintToString(verify.broken_chains);
     truncated_seen += truncated.size();
+    // Backward reads mirror forward ones on the damaged media, whether the
+    // reader locates by block search (index off) or by the index the
+    // writer kept (on), before the scrubber quarantines anything.
+    FaultFixture indexed;
+    ASSERT_NO_FATAL_FAILURE(
+        build_damaged(&indexed, /*enable_extent_index=*/true));
+    for (LogService* service : {fx.service.get(), indexed.service.get()}) {
+      SCOPED_TRACE(service == fx.service.get() ? "index off" : "index on");
+      for (const std::string path : {"/a", "/b"}) {
+        ExpectReadsMirror(service, path);
+      }
+    }
     Scrubber scrubber(fx.service.get(), ScrubOptions{});
     ASSERT_OK_AND_ASSIGN(Scrubber::PassStats scrub, scrubber.RunOnce());
     // The scrubber's corrupt verdicts are the quarantined blocks that do
