@@ -41,10 +41,10 @@ struct GroupCommitOptions {
   size_t max_batch_entries = 64;
   // ...or this many payload bytes...
   size_t max_batch_bytes = 1 << 20;
-  // ...or this long after the commit thread found the queue non-empty.
-  // The hold starts then, not at the oldest entry's enqueue: an entry
-  // queued while the previous batch committed has already waited that
-  // commit out when its own hold begins.
+  // ...or this long after the later of the oldest queued append's enqueue
+  // and the end of the previous commit. An entry queued while the previous
+  // batch committed gets a full hold after that commit ends, so company
+  // arriving with its replies can still join it.
   uint64_t max_hold_us = 500;
 };
 
@@ -100,8 +100,9 @@ class GroupCommitBatcher {
   // queue holds pointers, and `result` is the handoff slot.
   struct Pending {
     const AppendRequest* request = nullptr;
-    // When the request joined the queue; dwell time (enqueue -> commit) is
-    // the latency group commit adds while waiting for company.
+    // When the request joined the queue. It anchors the hold of the batch
+    // it heads, and dwell time (enqueue -> commit) is the latency group
+    // commit adds while waiting for company.
     std::chrono::steady_clock::time_point enqueued;
     std::optional<Result<AppendResult>> result;
   };

@@ -10,9 +10,9 @@
 // no dispatch, locking, or lane logic lives here.
 //
 // Threading: the loop thread drives ReadStep/FlushStep; BeginReply is
-// called by a worker while the connection is parked (no epoll interest,
+// called by a worker while the connection is parked (disarmed in epoll,
 // never touched by the loop), with the handoff ordered by the server's
-// queue mutexes.
+// owner state and queue mutexes.
 #ifndef SRC_NET_CONN_STATE_H_
 #define SRC_NET_CONN_STATE_H_
 

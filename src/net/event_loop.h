@@ -33,9 +33,11 @@ class EventLoop {
   // draining it, so callers just treat "null tag" as "someone woke us".
   Status Init();
 
-  // Interest management. `events` is an EPOLLIN/EPOLLOUT mask; all
-  // registrations are level-triggered (the server reads exact frame
-  // remainders, so edge-triggered re-arm subtleties buy nothing).
+  // Interest management. `events` is an EPOLLIN/EPOLLOUT mask, optionally
+  // with EPOLLONESHOT (the server's connections: each event disarms the
+  // fd until the next Modify). Registrations are level-triggered (the
+  // server reads exact frame remainders, so edge-triggered re-arm
+  // subtleties buy nothing).
   Status Add(int fd, uint32_t events, void* tag);
   Status Modify(int fd, uint32_t events, void* tag);
   Status Remove(int fd);

@@ -20,6 +20,13 @@ using Clock = std::chrono::steady_clock;
 // idle deadlines.
 constexpr int kPollSliceMs = 50;
 
+// Connections are registered one-shot: an event disarms the connection
+// until its owner re-arms it, so a connection handed to a worker needs no
+// epoll_ctl to park, and none of its events (HUP included) can repeat
+// while the loop does not own it.
+constexpr uint32_t kArmRead = EPOLLIN | EPOLLONESHOT;
+constexpr uint32_t kArmWrite = EPOLLOUT | EPOLLONESHOT;
+
 struct ServerMetrics {
   Counter* sessions = ObsRegistry().counter("clio.net.server.sessions");
   Counter* idle_closed =
@@ -55,13 +62,27 @@ ServerMetrics& Metrics() {
 
 // One event-loop connection. The transport machine (ConnState) and the
 // session's dispatcher travel together between the loop thread and a
-// worker. While `busy` is true the worker owns everything here and the
-// loop thread touches nothing but `busy` itself; the worker's release
-// store of busy=false (after its inline flush) publishes its writes to
-// the loop's acquire loads. The remaining booleans stay loop-confined.
+// worker. While `owner` is not kLoop the worker owns everything here and
+// the loop thread touches nothing but `owner` itself; the worker's release
+// (after its inline flush) publishes its writes to the loop's acquire
+// loads. The remaining booleans stay loop-confined.
 struct NetLogServer::Conn {
+  enum class Owner : uint8_t {
+    kLoop,    // between requests: the loop reads, flushes and closes
+    kWorker,  // a request is in flight; its worker owns the connection
+    // Still the worker's, but its re-arm let an event through to the loop
+    // before the release. One-shot registration disarmed the connection
+    // with that event, so the worker hands it back for the loop to read.
+    kWorkerMissedEvent,
+  };
+
   Conn(TcpSocket socket, uint32_t max_frame_body)
       : state(std::move(socket), max_frame_body) {}
+
+  // Whether the loop thread may touch the connection.
+  bool loop_owns() const {
+    return owner.load(std::memory_order_acquire) == Owner::kLoop;
+  }
 
   ConnState state;
   std::optional<ServiceDispatcher> dispatcher;
@@ -69,7 +90,7 @@ struct NetLogServer::Conn {
   Clock::time_point idle_deadline;
   Clock::time_point io_deadline;  // mid-frame stall / stuck-flush limit
   bool io_deadline_armed = false;
-  std::atomic<bool> busy{false};  // parked; a worker owns the connection
+  std::atomic<Owner> owner{Owner::kLoop};
   bool flushing = false;  // EPOLLOUT armed, reply partially written
   bool dead = false;      // closed; reaped after the current event batch
   uint64_t enqueued_us = 0;
@@ -308,11 +329,12 @@ Result<AppendResult> NetLogServer::RouteAppend(const AppendRequest& request) {
 // ---------------------------------------------------------------------------
 // The event loop (DESIGN.md §16). One loop thread owns every socket:
 // accepts, per-connection framed reads, and reply flushes. A complete
-// request parks its connection (epoll interest dropped — one request in
-// flight per connection, preserving the per-session serial contract) and
-// hands it to the worker pool; the worker executes the dispatch — including
-// blocking in the group-commit batcher — assembles the reply scatter list,
-// and hands the connection back via the completion queue + eventfd wake.
+// request parks its connection (left disarmed by its one-shot event — one
+// request in flight per connection, preserving the per-session serial
+// contract) and hands it to the worker pool; the worker executes the
+// dispatch — including blocking in the group-commit batcher — flushes the
+// reply inline and re-arms the connection, or hands it back via the
+// completion queue + eventfd wake.
 
 void NetLogServer::LoopMain() {
   std::array<epoll_event, 128> events;
@@ -324,13 +346,12 @@ void NetLogServer::LoopMain() {
       (void)loop_.Remove(listener_.fd());
     }
     if (draining) {
-      // Idle connections close now; busy and flushing ones drain first.
-      // Swept every iteration, not once: a worker's inline flush re-arms
-      // its connection (busy -> false) after the stop flag was raised,
-      // and that connection must still be collected.
+      // Idle connections close now; worker-owned and flushing ones drain
+      // first. Swept every iteration, not once: a worker's inline flush
+      // releases its connection after the stop flag was raised, and that
+      // connection must still be collected.
       for (auto& conn : conns_) {
-        if (!conn->busy.load(std::memory_order_acquire) && !conn->flushing &&
-            !conn->dead) {
+        if (conn->loop_owns() && !conn->flushing && !conn->dead) {
           CloseConn(conn.get());
         }
       }
@@ -350,7 +371,6 @@ void NetLogServer::LoopMain() {
     Metrics().loop_wakeups->Increment();
     for (int i = 0; i < *n; ++i) {
       void* tag = events[static_cast<size_t>(i)].data.ptr;
-      const uint32_t ev = events[static_cast<size_t>(i)].events;
       if (tag == nullptr) {
         continue;  // wakeup, drained by Poll; completions handled below
       }
@@ -361,15 +381,25 @@ void NetLogServer::LoopMain() {
         continue;
       }
       Conn* conn = static_cast<Conn*>(tag);
-      if (conn->dead || conn->busy.load(std::memory_order_acquire)) {
-        // Busy: a worker owns it. Level-triggered epoll re-delivers any
-        // readiness we skip here once the worker re-arms interest.
+      if (conn->dead) {
         continue;
       }
-      if (conn->flushing && (ev & (EPOLLOUT | EPOLLERR | EPOLLHUP)) != 0) {
+      Conn::Owner owner = conn->owner.load(std::memory_order_acquire);
+      if (owner == Conn::Owner::kWorker &&
+          conn->owner.compare_exchange_strong(
+              owner, Conn::Owner::kWorkerMissedEvent,
+              std::memory_order_acq_rel, std::memory_order_acquire)) {
+        // Caught between the worker's re-arm and its release. This event
+        // disarmed the connection; the worker's release sees the mark and
+        // hands the connection back to be read (DrainCompletions).
+        continue;
+      }
+      // The loop owns it (a failed mark means the worker released it
+      // meanwhile). Each arming reports only what it asked for, plus
+      // errors and hang-ups, which both handlers resolve by closing.
+      if (conn->flushing) {
         HandleWritable(conn);
-      } else if (!conn->flushing &&
-                 (ev & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) {
+      } else {
         HandleReadable(conn);
       }
     }
@@ -414,7 +444,7 @@ void NetLogServer::LoopAccept() {
     conn->idle_deadline =
         Clock::now() + std::chrono::milliseconds(options_.idle_timeout_ms);
     Conn* raw = conn.get();
-    if (!loop_.Add(raw->state.socket().fd(), EPOLLIN, raw).ok()) {
+    if (!loop_.Add(raw->state.socket().fd(), kArmRead, raw).ok()) {
       Metrics().active_sessions->Add(-1);
       continue;
     }
@@ -434,6 +464,9 @@ void NetLogServer::HandleReadable(Conn* conn) {
             std::chrono::milliseconds(options_.session_io_timeout_ms);
         conn->io_deadline_armed = true;
       }
+      if (!loop_.Modify(conn->state.socket().fd(), kArmRead, conn).ok()) {
+        CloseConn(conn);
+      }
       return;
     case ConnState::ReadOutcome::kFrame: {
       conn->io_deadline_armed = false;
@@ -441,9 +474,9 @@ void NetLogServer::HandleReadable(Conn* conn) {
       RecordStage(nullptr, TraceStage::kSessionRead,
                   conn->state.header().trace_id, conn->state.frame_start_us(),
                   TraceNowUs() - conn->state.frame_start_us());
-      // Park: no epoll interest while the worker owns the connection.
-      (void)loop_.Modify(conn->state.socket().fd(), 0, conn);
-      conn->busy.store(true, std::memory_order_release);
+      // Park: the event that brought the frame disarmed the connection,
+      // and it stays disarmed until its worker re-arms it.
+      conn->owner.store(Conn::Owner::kWorker, std::memory_order_relaxed);
       conn->enqueued_us = TraceNowUs();
       {
         std::lock_guard<std::mutex> lock(work_mu_);
@@ -484,18 +517,16 @@ void NetLogServer::FlushReply(Conn* conn) {
       conn->flushing = false;
       conn->idle_deadline =
           Clock::now() + std::chrono::milliseconds(options_.idle_timeout_ms);
-      if (!loop_.Modify(conn->state.socket().fd(), EPOLLIN, conn).ok()) {
+      if (!loop_.Modify(conn->state.socket().fd(), kArmRead, conn).ok()) {
         CloseConn(conn);
       }
       return;
     }
     case ConnState::FlushOutcome::kAgain:
-      if (!conn->flushing) {
-        conn->flushing = true;
-        if (!loop_.Modify(conn->state.socket().fd(), EPOLLOUT, conn).ok()) {
-          CloseConn(conn);
-          return;
-        }
+      conn->flushing = true;
+      if (!loop_.Modify(conn->state.socket().fd(), kArmWrite, conn).ok()) {
+        CloseConn(conn);
+        return;
       }
       // Stall limit since the last would-block; progress re-arms it, so
       // only a peer draining nothing at all hits it (matching the old
@@ -520,17 +551,26 @@ void NetLogServer::DrainCompletions() {
     done.swap(done_queue_);
   }
   for (Conn* conn : done) {
-    // The worker stamped flush_start_us before its inline attempt, so a
-    // partially-flushed reply keeps its true start time here.
-    conn->busy.store(false, std::memory_order_release);
-    FlushReply(conn);
+    // done_mu_ orders the worker's writes before these.
+    conn->owner.store(Conn::Owner::kLoop, std::memory_order_relaxed);
+    if (conn->state.has_pending_reply()) {
+      // The worker stamped flush_start_us before its inline attempt, so a
+      // partially-flushed reply keeps its true start time here.
+      FlushReply(conn);
+    } else if (!stopping_.load()) {
+      // Flushed inline, then handed back: the loop took the re-armed
+      // event before the worker's release, or the re-arm itself failed.
+      // Read now; a read that would block re-arms (or closes) it. While
+      // stopping, the drain sweep closes it instead.
+      HandleReadable(conn);
+    }
   }
 }
 
 void NetLogServer::SweepDeadlines() {
   const auto now = Clock::now();
   for (auto& conn : conns_) {
-    if (conn->dead || conn->busy.load(std::memory_order_acquire)) {
+    if (conn->dead || !conn->loop_owns()) {
       continue;
     }
     if (conn->io_deadline_armed && now >= conn->io_deadline) {
@@ -610,29 +650,30 @@ void NetLogServer::WorkerMain() {
     // case, and on few-core hosts a large share of a small request's cost.
     // Would-block, errors, and shutdown fall back to the loop thread, which
     // owns EPOLLOUT arming and connection close.
-    if (!stopping_.load()) {
-      if (conn->state.FlushStep() == ConnState::FlushOutcome::kDone &&
-          loop_.Modify(conn->state.socket().fd(), EPOLLIN, conn).ok()) {
-        // Re-armed read interest BEFORE releasing `busy`: while busy the
-        // loop ignores this connection, and level-triggered epoll
-        // re-delivers anything skipped. The reverse order would let the
-        // loop's idle/drain sweep close the fd out from under the Modify
-        // and race a reused descriptor.
-        Metrics().bytes_out->Increment(conn->state.reply_wire_bytes());
-        RecordStage(Metrics().stage_flush_us, TraceStage::kReplyWrite,
-                    conn->trace_id, conn->flush_start_us,
-                    TraceNowUs() - conn->flush_start_us);
-        conn->io_deadline_armed = false;
-        conn->idle_deadline =
-            Clock::now() +
-            std::chrono::milliseconds(options_.idle_timeout_ms);
-        conn->busy.store(false, std::memory_order_release);
+    if (!stopping_.load() &&
+        conn->state.FlushStep() == ConnState::FlushOutcome::kDone) {
+      Metrics().bytes_out->Increment(conn->state.reply_wire_bytes());
+      RecordStage(Metrics().stage_flush_us, TraceStage::kReplyWrite,
+                  conn->trace_id, conn->flush_start_us,
+                  TraceNowUs() - conn->flush_start_us);
+      conn->io_deadline_armed = false;
+      conn->idle_deadline =
+          Clock::now() + std::chrono::milliseconds(options_.idle_timeout_ms);
+      // Re-arm BEFORE the release: the reverse order would let the loop's
+      // idle/drain sweep close the fd out from under the Modify and race a
+      // reused descriptor. An event the re-arm lets through before the
+      // release finds the connection still ours; the loop marks it, and
+      // the release below hands it back instead.
+      Conn::Owner owner = Conn::Owner::kWorker;
+      if (loop_.Modify(conn->state.socket().fd(), kArmRead, conn).ok() &&
+          conn->owner.compare_exchange_strong(owner, Conn::Owner::kLoop,
+                                              std::memory_order_release,
+                                              std::memory_order_relaxed)) {
         continue;
       }
-      // kError falls through too: the loop's retry hits the same error
-      // and closes the connection on its own thread. A failed Modify
-      // re-runs FlushStep over the already-drained cursor (immediate
-      // kDone) and lets the loop's re-arm-or-close logic decide.
+      // A failed Modify is handed back too; the loop's read re-arms or
+      // closes. kError falls through as well: the loop's retry hits the
+      // same error and closes the connection on its own thread.
     }
     {
       std::lock_guard<std::mutex> lock(done_mu_);

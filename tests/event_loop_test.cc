@@ -47,19 +47,19 @@ bool Eventually(Predicate done) {
   return done();
 }
 
-// Sends one request frame and reads back the COMPLETE raw reply — prefix,
-// version extension, and body, exactly as they crossed the wire.
-Result<Bytes> RawRoundTrip(TcpSocket* socket, LogOp op, uint64_t request_id,
-                           std::span<const std::byte> body,
-                           uint64_t trace_id = 0) {
+Bytes RequestFrame(LogOp op, uint64_t request_id,
+                   std::span<const std::byte> body, uint64_t trace_id = 0) {
   FrameHeader request;
   request.op = static_cast<uint32_t>(op);
   request.request_id = request_id;
   request.body_size = static_cast<uint32_t>(body.size());
   request.trace_id = trace_id;
-  Bytes wire = EncodeFrame(request, body);
-  CLIO_RETURN_IF_ERROR(socket->WriteAll(wire));
+  return EncodeFrame(request, body);
+}
 
+// Reads the next COMPLETE raw reply — prefix, version extension, and body,
+// exactly as they crossed the wire.
+Result<Bytes> ReadRawReply(TcpSocket* socket) {
   Bytes reply(kFrameHeaderSize);
   CLIO_ASSIGN_OR_RETURN(size_t n, socket->ReadFull(reply));
   if (n != kFrameHeaderSize) {
@@ -76,6 +76,15 @@ Result<Bytes> RawRoundTrip(TcpSocket* socket, LogOp op, uint64_t request_id,
     }
   }
   return reply;
+}
+
+// Sends one request frame and reads back its raw reply.
+Result<Bytes> RawRoundTrip(TcpSocket* socket, LogOp op, uint64_t request_id,
+                           std::span<const std::byte> body,
+                           uint64_t trace_id = 0) {
+  CLIO_RETURN_IF_ERROR(
+      socket->WriteAll(RequestFrame(op, request_id, body, trace_id)));
+  return ReadRawReply(socket);
 }
 
 Bytes PathBody(std::string_view path) {
@@ -297,6 +306,42 @@ TEST_F(EventLoopTest, HugeBatchedReplyDrainsThroughTinySendBuffer) {
   for (size_t i = 0; i < payloads.size(); ++i) {
     ASSERT_EQ(batch.entries[i].payload, payloads[i]) << "entry " << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Pipelining
+
+// Frames written back to back on one connection are served one at a time
+// and answered in order. While a worker owns the connection the next frame
+// already waits on the socket; the loop must not spin on that readiness
+// (a few wakeups per frame: the frame's own read, at most one event caught
+// before a worker's release, the idle poll slice).
+TEST_F(EventLoopTest, PipelinedFramesAnswerInOrderWithoutSpinning) {
+  StartServer();
+  auto client = Client();
+  ASSERT_OK(client->CreateLogFile("/pipe").status());
+  ASSERT_OK_AND_ASSIGN(TcpSocket raw,
+                       TcpSocket::ConnectLoopback(server_->port()));
+  constexpr uint64_t kFrames = 64;
+  Bytes wire;
+  for (uint64_t id = 1; id <= kFrames; ++id) {
+    const Bytes frame = RequestFrame(LogOp::kStat, id, PathBody("/pipe"));
+    wire.insert(wire.end(), frame.begin(), frame.end());
+  }
+
+  Counter* wakeups = ObsRegistry().counter("clio.net.loop.wakeups");
+  const uint64_t wakeups_before = wakeups->value();
+  ASSERT_OK(raw.WriteAll(wire));
+  for (uint64_t id = 1; id <= kFrames; ++id) {
+    ASSERT_OK_AND_ASSIGN(Bytes reply, ReadRawReply(&raw));
+    ASSERT_OK_AND_ASSIGN(FrameHeader header, DecodeFrameHeader(reply));
+    EXPECT_EQ(header.op, static_cast<uint32_t>(LogOp::kStat));
+    ASSERT_EQ(header.request_id, id);
+    auto body = std::span<const std::byte>(reply).subspan(
+        reply.size() - header.body_size);
+    EXPECT_TRUE(DecodeReplyBody(body).ok()) << "frame " << id;
+  }
+  EXPECT_LE(wakeups->value() - wakeups_before, 4 * kFrames);
 }
 
 // ---------------------------------------------------------------------------
