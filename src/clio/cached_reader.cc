@@ -1,7 +1,10 @@
 #include "src/clio/cached_reader.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <memory>
+#include <new>
 #include <optional>
 #include <vector>
 
@@ -12,12 +15,17 @@
 namespace clio {
 namespace {
 
-// A read-pass buffer, never zero-filled: every pass overwrites what it
-// reads.
-struct PassBytes {
-  std::unique_ptr<std::byte[]> data;
-  size_t capacity = 0;
+// Unmaps a read-pass buffer of `bytes`.
+struct Unmap {
+  size_t bytes = 0;
+  void operator()(std::byte* data) const { munmap(data, bytes); }
 };
+// A read-pass buffer, never zero-filled: every pass overwrites what it
+// reads. It is mapped from the kernel, not taken from malloc: freeing a
+// large malloc block raises glibc's mmap threshold, and the heap then
+// keeps later allocations below it, which cost several times the buffers'
+// own pages in RSS (EXPERIMENTS.md §3.3).
+using PassBytes = std::unique_ptr<std::byte[], Unmap>;
 
 // The pass buffers of threads that ended, for the threads to come: a
 // restart's helper thread lives for one restart, and a fresh buffer
@@ -47,17 +55,21 @@ std::span<std::byte> PassBuffer(size_t bytes) {
     }
     ~Lease() {
       std::lock_guard<std::mutex> lock(Spares().mu);
-      if (bytes.capacity > 0 && Spares().spare.size() < SparePassBuffers::kMax) {
+      if (bytes != nullptr && Spares().spare.size() < SparePassBuffers::kMax) {
         Spares().spare.push_back(std::move(bytes));
       }
     }
   };
   thread_local Lease buffer;
-  if (buffer.bytes.capacity < bytes) {
-    buffer.bytes.data = std::make_unique_for_overwrite<std::byte[]>(bytes);
-    buffer.bytes.capacity = bytes;
+  if (buffer.bytes.get_deleter().bytes < bytes) {
+    void* mapped = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (mapped == MAP_FAILED) {
+      throw std::bad_alloc();
+    }
+    buffer.bytes = PassBytes(static_cast<std::byte*>(mapped), Unmap{bytes});
   }
-  return {buffer.bytes.data.get(), bytes};
+  return {buffer.bytes.get(), bytes};
 }
 
 }  // namespace
@@ -149,24 +161,20 @@ void CachedBlockReader::Drain() {
   }
 }
 
-Result<BlockImage> CachedBlockReader::FetchSequential(
-    uint64_t block, uint64_t limit, uint32_t readahead, OpStats* stats,
-    Counter* readahead_counter) {
+BlockImage CachedBlockReader::Lookup(uint64_t block, OpStats* stats) {
+  BlockImage hit = cache_->Lookup({cache_device_id_, block});
   if (stats != nullptr) {
     ++stats->blocks_read;
+    ++(hit ? stats->cache_hits : stats->device_reads);
   }
+  return hit;
+}
+
+Result<BlockImage> CachedBlockReader::ReadPass(uint64_t block, uint64_t end,
+                                               Counter* readahead_counter) {
   const BlockCache::Key key{cache_device_id_, block};
-  if (BlockImage hit = cache_->Lookup(key)) {
-    if (stats != nullptr) {
-      ++stats->cache_hits;
-    }
-    return hit;
-  }
-  if (stats != nullptr) {
-    ++stats->device_reads;
-  }
   const uint32_t block_bytes = device_->block_size();
-  if (readahead == 0 || limit <= block + 1) {
+  if (end <= block + 1) {
     return cache_->Fill(key, block_bytes, [&](std::span<std::byte> frame) {
       return Submit([&] { return device_->ReadBlock(block, frame); });
     });
@@ -174,8 +182,7 @@ Result<BlockImage> CachedBlockReader::FetchSequential(
   // The demanded block itself must read; the pass may stop short after it.
   CLIO_ASSIGN_OR_RETURN(
       std::span<const std::byte> run,
-      ReadRun(block, std::min<uint64_t>(uint64_t{readahead} + 1, limit - block),
-              /*cache_below=*/0));
+      ReadRun(block, end - block, /*cache_below=*/0));
   static Counter* readahead_blocks =
       ObsRegistry().counter("clio.cache.readahead_blocks");
   if (readahead_counter == nullptr) {

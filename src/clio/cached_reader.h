@@ -41,23 +41,29 @@ class CachedBlockReader {
   // straight into a frame. Never caches failed reads.
   // kNotWritten/kOutOfRange propagate from the device.
   Result<BlockImage> Fetch(uint64_t block, OpStats* stats) {
-    return FetchSequential(block, block + 1, 0, stats);
+    return FetchSequential(block, [block] { return block + 1; }, stats);
   }
 
-  // Fetch for a forward scan: a cache miss pulls `block` AND up to
-  // `readahead` following blocks (bounded by `limit`, exclusive) from the
-  // device in one pass (WormDevice::ReadBlocks), caching them all. Only
-  // the demanded block is charged to `stats`; the speculative blocks show
-  // up later as cache hits. Speculative blocks count into
-  // `readahead_counter` when given, else into the default
-  // clio.cache.readahead_blocks — bulk internal scans (extent index
-  // rebuild, checkpoint replay) pass their own counter so demand-path
-  // readahead stats stay clean. The pass lands in a per-thread buffer;
-  // only blocks not already cached are copied into frames. With readahead
-  // off, a miss reads straight into a frame.
-  Result<BlockImage> FetchSequential(uint64_t block, uint64_t limit,
-                                     uint32_t readahead, OpStats* stats,
-                                     Counter* readahead_counter = nullptr);
+  // Fetch for a planned read: a cache miss asks `plan_end` for the end of
+  // its pass (a hit never plans) and pulls [block, plan_end()) from the
+  // device in one call (WormDevice::ReadBlocks), caching every block it
+  // returns (LogVolume::GetBlock plans the pass, DESIGN.md §12). Only the
+  // demanded block is charged to `stats`; the speculative blocks show up
+  // later as cache hits. Speculative blocks count into `readahead_counter`
+  // when given, else into the default clio.cache.readahead_blocks — bulk
+  // internal scans (extent index rebuild, checkpoint replay) pass their
+  // own counter so demand-path readahead stats stay clean. The pass lands
+  // in a per-thread buffer; only blocks not already cached are copied into
+  // frames. A one-block pass reads straight into a frame.
+  template <typename PlanEnd>
+  Result<BlockImage> FetchSequential(uint64_t block, const PlanEnd& plan_end,
+                                     OpStats* stats,
+                                     Counter* readahead_counter = nullptr) {
+    if (BlockImage hit = Lookup(block, stats)) {
+      return hit;
+    }
+    return ReadPass(block, plan_end(), readahead_counter);
+  }
 
   // One planned device pass for recovery's read plan (DESIGN.md §17):
   // reads [first, first + count) (ReadBlock when count is 1), stopping at
@@ -108,6 +114,14 @@ class CachedBlockReader {
 
  private:
   struct Waiter;
+
+  // The cached image of `block`, empty on a miss; either way one fetch
+  // charged to `stats`.
+  BlockImage Lookup(uint64_t block, OpStats* stats);
+  // A miss's device pass [block, end), the demanded block cached and
+  // returned, the rest admitted (FetchSequential).
+  Result<BlockImage> ReadPass(uint64_t block, uint64_t end,
+                              Counter* readahead_counter);
 
   // Runs `io` as the device's next call and returns its result.
   template <typename Io>

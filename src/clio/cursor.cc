@@ -42,11 +42,6 @@ Status VolumeCursor::TolerateBlockFailure(uint64_t block,
   return Status::Ok();
 }
 
-bool VolumeCursor::IsOwnFragment(const ParsedEntry& e) const {
-  return e.is_fragment() &&
-         volume_->catalog()->IsWithin(e.logfile_id, id_);
-}
-
 Result<LogEntryRecord> VolumeCursor::MakeRecord(uint64_t block,
                                                 const ParsedBlock& parsed,
                                                 size_t index, OpStats* stats) {
@@ -82,7 +77,8 @@ void VolumeCursor::MaterializeEnd() {
   state_ = State::kPositioned;
 }
 
-Result<std::optional<LogEntryRecord>> VolumeCursor::Next(OpStats* stats) {
+Result<std::optional<LogEntryRecord>> VolumeCursor::Next(OpStats* stats,
+                                                          uint64_t wanted) {
   if (state_ == State::kAtEnd) {
     MaterializeEnd();
   }
@@ -98,7 +94,7 @@ Result<std::optional<LogEntryRecord>> VolumeCursor::Next(OpStats* stats) {
   }
 
   while (true) {
-    auto parsed = volume_->GetBlock(block_, stats, id_);
+    auto parsed = volume_->GetBlock(block_, stats, id_, wanted);
     if (parsed.ok()) {
       const auto& entries = parsed.value().entries();
       size_t from = index_ == kScanAll ? entries.size() : index_;
@@ -128,34 +124,6 @@ Result<std::optional<LogEntryRecord>> VolumeCursor::Next(OpStats* stats) {
   }
 }
 
-Result<std::optional<EntryPosition>> VolumeCursor::FindFragmentBase(
-    uint64_t block, OpStats* stats) {
-  uint64_t b = block;
-  while (true) {
-    CLIO_ASSIGN_OR_RETURN(std::optional<uint64_t> prev,
-                          volume_->PrevBlockWith(id_, b, stats));
-    if (!prev.has_value()) {
-      return std::optional<EntryPosition>(std::nullopt);
-    }
-    auto parsed = volume_->GetBlock(*prev, stats);
-    if (parsed.ok()) {
-      const auto& entries = parsed.value().entries();
-      for (size_t i = entries.size(); i > 0; --i) {
-        const ParsedEntry& e = entries[i - 1];
-        if (IsOwnFragment(e)) {
-          break;  // still inside the chain; continue to an earlier block
-        }
-        if (Matches(e)) {
-          return std::optional<EntryPosition>(
-              EntryPosition{volume_->header().volume_index, *prev,
-                            static_cast<uint32_t>(i - 1)});
-        }
-      }
-    }
-    b = *prev;
-  }
-}
-
 Result<std::optional<LogEntryRecord>> VolumeCursor::Prev(OpStats* stats) {
   if (state_ == State::kAtStart) {
     return std::optional<LogEntryRecord>(std::nullopt);
@@ -166,41 +134,22 @@ Result<std::optional<LogEntryRecord>> VolumeCursor::Prev(OpStats* stats) {
 
   while (true) {
     if (index_ > 0) {
+      // A continuation fragment is skipped: the walk back reaches its
+      // chain's base, whose block must read like any other.
       auto parsed = volume_->GetBlock(block_, stats);
-      if (!parsed.ok()) {
-        CLIO_RETURN_IF_ERROR(TolerateBlockFailure(block_, parsed.status()));
-      }
       if (parsed.ok()) {
         const auto& entries = parsed.value().entries();
-        size_t from = std::min(index_, entries.size());
-        for (size_t i = from; i > 0; --i) {
-          const ParsedEntry& e = entries[i - 1];
-          if (Matches(e)) {
+        for (size_t i = std::min(index_, entries.size()); i > 0; --i) {
+          if (Matches(entries[i - 1])) {
             CLIO_ASSIGN_OR_RETURN(
                 LogEntryRecord record,
                 MakeRecord(block_, parsed.value(), i - 1, stats));
             index_ = i - 1;
             return std::optional<LogEntryRecord>(std::move(record));
           }
-          if (IsOwnFragment(e)) {
-            CLIO_ASSIGN_OR_RETURN(std::optional<EntryPosition> base,
-                                  FindFragmentBase(block_, stats));
-            if (!base.has_value()) {
-              continue;  // chain's base lost to corruption; skip past it
-            }
-            auto base_block = volume_->GetBlock(base->block, stats);
-            if (!base_block.ok()) {
-              continue;
-            }
-            CLIO_ASSIGN_OR_RETURN(
-                LogEntryRecord record,
-                MakeRecord(base->block, base_block.value(),
-                           base->index_in_block, stats));
-            block_ = base->block;
-            index_ = base->index_in_block;
-            return std::optional<LogEntryRecord>(std::move(record));
-          }
         }
+      } else {
+        CLIO_RETURN_IF_ERROR(TolerateBlockFailure(block_, parsed.status()));
       }
     }
     CLIO_ASSIGN_OR_RETURN(std::optional<uint64_t> prev,

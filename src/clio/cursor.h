@@ -49,7 +49,12 @@ class VolumeCursor {
   Result<bool> SeekToTime(Timestamp t, OpStats* stats);
 
   // Next / previous entry of the log file; nullopt at the respective end.
-  Result<std::optional<LogEntryRecord>> Next(OpStats* stats);
+  // `wanted` is how many entries the caller still wants from this Next on
+  // (a batch read's remaining count): a cache miss reads ahead no further
+  // than the file block that could hold the last of them
+  // (LogVolume::GetBlock).
+  Result<std::optional<LogEntryRecord>> Next(OpStats* stats,
+                                             uint64_t wanted = kUnboundedWant);
   Result<std::optional<LogEntryRecord>> Prev(OpStats* stats);
 
  private:
@@ -62,14 +67,9 @@ class VolumeCursor {
                                     size_t index, OpStats* stats);
 
   bool Matches(const ParsedEntry& e) const;
-  bool IsOwnFragment(const ParsedEntry& e) const;
   // Ok to skip an unreadable block (anonymous garbage), or the failure
   // itself when the block is quarantined (degraded mode, DESIGN.md §15).
   Status TolerateBlockFailure(uint64_t block, const Status& failure) const;
-
-  // Base entry whose fragment chain covers fragments seen in `block`.
-  Result<std::optional<EntryPosition>> FindFragmentBase(uint64_t block,
-                                                        OpStats* stats);
 
   // Turns kAtEnd into a concrete gap at the current end of the volume.
   void MaterializeEnd();

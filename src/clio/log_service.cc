@@ -828,12 +828,14 @@ Status LogReader::RebindCursor() {
   return Status::Ok();
 }
 
-Result<std::optional<LogEntryRecord>> LogReader::Next(OpStats* stats) {
+Result<std::optional<LogEntryRecord>> LogReader::Next(OpStats* stats,
+                                                       uint64_t wanted) {
   std::shared_lock lock(service_->mu_);
-  return NextLocked(stats);
+  return NextLocked(stats, wanted);
 }
 
-Result<std::optional<LogEntryRecord>> LogReader::NextLocked(OpStats* stats) {
+Result<std::optional<LogEntryRecord>> LogReader::NextLocked(OpStats* stats,
+                                                             uint64_t wanted) {
   if (pending_edge_ == Edge::kStart) {
     CLIO_RETURN_IF_ERROR(EnsureCursor(0));
     cursor_->SeekToStart();
@@ -847,7 +849,7 @@ Result<std::optional<LogEntryRecord>> LogReader::NextLocked(OpStats* stats) {
   }
   while (true) {
     CLIO_ASSIGN_OR_RETURN(std::optional<LogEntryRecord> record,
-                          cursor_->Next(stats));
+                          cursor_->Next(stats, wanted));
     if (record.has_value()) {
       return record;
     }
@@ -914,7 +916,7 @@ Result<std::optional<LogEntryRecord>> LogReader::FindByTimestampLocked(
   CLIO_RETURN_IF_ERROR(SeekToTimeLocked(t - 1, stats));
   while (true) {
     CLIO_ASSIGN_OR_RETURN(std::optional<LogEntryRecord> record,
-                          NextLocked(stats));
+                          NextLocked(stats, kUnboundedWant));
     if (!record.has_value() || record->timestamp > t) {
       return std::optional<LogEntryRecord>(std::nullopt);
     }
@@ -932,7 +934,7 @@ Result<std::optional<LogEntryRecord>> LogReader::FindByClientId(
   const Timestamp upper = client_time + max_skew;
   while (true) {
     CLIO_ASSIGN_OR_RETURN(std::optional<LogEntryRecord> record,
-                          NextLocked(stats));
+                          NextLocked(stats, kUnboundedWant));
     if (!record.has_value() || record->timestamp > upper) {
       return std::optional<LogEntryRecord>(std::nullopt);
     }

@@ -40,10 +40,13 @@ struct LogServiceOptions {
   std::string label;
   uint64_t sequence_id = 0;  // 0: derive one from the clock
   NvramTail* nvram = nullptr;  // optional rewritable tail staging (§2.3.1)
-  // Most blocks fetched past a cache miss during a forward scan, in the
-  // same device pass; the extent index trims the pass to end at the
-  // scanned file's last block in the window (DESIGN.md §12). 0 disables
-  // readahead.
+  // Forward-scan readahead depth W. A forward scan's cache miss reads, in
+  // the same device pass, the scanned file's following blocks as the
+  // extent index plans them: gaps of up to 7W/8 blocks bridged, at most
+  // 3W blocks (and half the cache), no further than the last entry a
+  // batch read wants. Where the index cannot plan, and during recovery,
+  // a miss reads the blind window of W + 1 blocks (DESIGN.md §12). 0
+  // disables readahead.
   uint32_t readahead_blocks = 32;
   // RAM extent index (DESIGN.md §17): hot locates resolve in memory with
   // zero device reads, falling back to the entrymap walk on index miss.
@@ -370,7 +373,10 @@ class LogReader {
   // Position so Prev() yields the last entry with timestamp <= t.
   Status SeekToTime(Timestamp t, OpStats* stats = nullptr);
 
-  Result<std::optional<LogEntryRecord>> Next(OpStats* stats = nullptr);
+  // `wanted`: the entries the caller still wants from this Next on
+  // (VolumeCursor::Next).
+  Result<std::optional<LogEntryRecord>> Next(OpStats* stats = nullptr,
+                                             uint64_t wanted = kUnboundedWant);
   Result<std::optional<LogEntryRecord>> Prev(OpStats* stats = nullptr);
 
   // Locates an entry written asynchronously and identified by the client's
@@ -396,7 +402,8 @@ class LogReader {
 
   // Unlocked bodies; the caller holds the service lock.
   Status SeekToTimeLocked(Timestamp t, OpStats* stats);
-  Result<std::optional<LogEntryRecord>> NextLocked(OpStats* stats);
+  Result<std::optional<LogEntryRecord>> NextLocked(OpStats* stats,
+                                                   uint64_t wanted);
   Result<std::optional<LogEntryRecord>> FindByTimestampLocked(Timestamp t,
                                                               OpStats* stats);
   Status EnsureCursor(size_t volume_index);

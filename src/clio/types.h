@@ -162,6 +162,11 @@ struct OpStats {
   }
 };
 
+// The entries a forward read still wants when its caller names no count
+// (a plain Next): only the read pass's span cap bounds what a miss reads
+// (DESIGN.md §12). A batch read passes the entries it still lacks.
+inline constexpr uint64_t kUnboundedWant = UINT64_MAX;
+
 // Attributes of one log file, reconstructed from the catalog log (§2.2).
 struct LogFileInfo {
   LogFileId id = kNoLogFileId;

@@ -45,7 +45,11 @@ LogVolume::LogVolume(WormDevice* device, BlockCache* cache,
       header_(header),
       geometry_(header.entrymap_degree, device->capacity_blocks()),
       accumulator_(&geometry_),
-      readahead_blocks_(readahead_blocks) {}
+      readahead_blocks_(readahead_blocks),
+      read_span_(std::max<uint64_t>(
+          uint64_t{readahead_blocks} + 1,
+          std::min<uint64_t>(uint64_t{readahead_blocks} * 3,
+                             cache->capacity() / 2))) {}
 
 Result<std::unique_ptr<LogVolume>> LogVolume::Format(
     WormDevice* device, BlockCache* cache, uint64_t cache_device_id,
@@ -503,7 +507,9 @@ Status LogVolume::RebuildAccumulator(EntrymapAccumulator* acc,
   return Status::Ok();
 }
 
-Result<ParsedBlock> LogVolume::ScanBlock(uint64_t block, uint64_t limit,
+template <typename PlanEnd>
+Result<ParsedBlock> LogVolume::ScanBlock(uint64_t block,
+                                         const PlanEnd& plan_end,
                                          OpStats* stats, Counter* readahead) {
   // Degraded mode: a block the scrubber quarantined is known-corrupt; fail
   // fast with its address instead of re-reading and re-parsing garbage.
@@ -512,8 +518,7 @@ Result<ParsedBlock> LogVolume::ScanBlock(uint64_t block, uint64_t limit,
                    " (volume " + std::to_string(header_.volume_index) +
                    ", chain position " + std::to_string(block) + ")");
   }
-  auto image = blocks_.FetchSequential(block, limit, readahead_blocks_, stats,
-                                       readahead);
+  auto image = blocks_.FetchSequential(block, plan_end, stats, readahead);
   if (!image.ok()) {
     return image.status();
   }
@@ -522,7 +527,9 @@ Result<ParsedBlock> LogVolume::ScanBlock(uint64_t block, uint64_t limit,
 
 VolumeWalk::ReadFn LogVolume::BulkRead(uint64_t limit, OpStats* stats) {
   return [this, limit, stats](uint64_t b) {
-    return ScanBlock(b, limit, stats, RebuildReadaheadCounter());
+    return ScanBlock(
+        b, [&] { return WindowEnd(b, limit); }, stats,
+        RebuildReadaheadCounter());
   };
 }
 
@@ -619,7 +626,9 @@ Result<bool> LogVolume::TryRestoreFromCheckpoint(PendingCheckpoint* pending,
       image = std::move(window[b - window_first]);
     }
     if (!image || quarantined) {
-      return ScanBlock(b, end, stats, RebuildReadaheadCounter());
+      return ScanBlock(
+          b, [&] { return WindowEnd(b, end); }, stats,
+          RebuildReadaheadCounter());
     }
     ++stats->blocks_read;
     return ParsedBlock::Parse(std::move(image));
@@ -742,8 +751,33 @@ const ExtentIndex* LogVolume::PlanningIndex(LogFileId id, uint64_t lo,
   return idx;
 }
 
+uint64_t LogVolume::PlanPass(LogFileId id, uint64_t block, uint64_t wanted) {
+  const uint64_t window_end = WindowEnd(block, end_block());
+  const uint64_t span_end = std::min(block + ReadSpan(), end_block());
+  const ExtentIndex* idx = PlanningIndex(id, block, span_end);
+  if (idx == nullptr) {
+    return window_end;
+  }
+  // The index knows which blocks hold the file, not how many of its
+  // entries each holds: every file block counts as one wanted entry.
+  uint64_t last = block;
+  for (uint64_t taken = 1; taken < wanted; ++taken) {
+    const ExtentIndex::Lookup next = idx->NextBlockWith(id, last + 1);
+    if (!next.authoritative) {
+      return window_end;
+    }
+    if (!next.block.has_value() || *next.block >= span_end ||
+        *next.block - last > ReadBridge()) {
+      break;
+    }
+    last = *next.block;
+  }
+  return last + 1;
+}
+
 Result<ParsedBlock> LogVolume::GetBlock(uint64_t block, OpStats* stats,
-                                        std::optional<LogFileId> scanned) {
+                                        std::optional<LogFileId> scanned,
+                                        uint64_t wanted) {
   if (block == 0) {
     return InvalidArgument("block 0 is the volume header");
   }
@@ -759,25 +793,20 @@ Result<ParsedBlock> LogVolume::GetBlock(uint64_t block, OpStats* stats,
     return NotWritten("block " + std::to_string(block) +
                       " is past the written end");
   }
-  // Readahead never crosses end_block(): the staging block is served from
-  // memory above and unburned blocks would fail the device read. The
-  // index ends the pass at the scanned file's last block in the window,
-  // so blocks holding only other files are not read (DESIGN.md §12).
-  // During recovery every miss reads the whole window: the walk's
-  // entrymap nodes and catalog blocks lie ahead of it (DESIGN.md §17).
-  uint64_t limit = block + 1;
-  if ((scanned.has_value() || recovering_) && readahead_blocks_ > 0) {
-    limit = std::min<uint64_t>(block + readahead_blocks_ + 1, end_block());
-    const ExtentIndex* idx =
-        scanned.has_value() ? PlanningIndex(*scanned, block, limit) : nullptr;
-    if (idx != nullptr) {
-      ExtentIndex::Lookup last = idx->PrevBlockWith(*scanned, limit);
-      if (last.authoritative) {
-        limit = std::max(last.block.value_or(block), block) + 1;
-      }
+  // A pass never crosses end_block(): the staging block is served from
+  // memory above and unburned blocks would fail the device read. A
+  // forward scan reads the pass the index plans over the file's own
+  // blocks (DESIGN.md §12). During recovery every miss reads the blind
+  // window: the walk's entrymap nodes and catalog blocks lie ahead of it
+  // (DESIGN.md §17).
+  auto plan_end = [&] {
+    if (recovering_) {
+      return WindowEnd(block, end_block());
     }
-  }
-  return ScanBlock(block, limit, stats,
+    return scanned.has_value() ? PlanPass(*scanned, block, wanted)
+                               : block + 1;
+  };
+  return ScanBlock(block, plan_end, stats,
                    recovering_ ? RebuildReadaheadCounter() : nullptr);
 }
 

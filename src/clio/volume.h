@@ -28,6 +28,7 @@
 #ifndef SRC_CLIO_VOLUME_H_
 #define SRC_CLIO_VOLUME_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -187,21 +188,35 @@ class LogVolume {
 
   // Fetches and decodes one block (cache- and staged-tail-aware).
   // kNotWritten / kInvalidated / kCorrupt surface to the caller.
-  // `scanned` names the log file a forward scan is reading: a cache miss
-  // then reads, in the same device pass, the following burned blocks up to
-  // the last one within readahead_blocks() that holds that file, as the
-  // extent index plans it; where the index cannot rule (PlanningIndex),
-  // the whole window (DESIGN.md §12). Point lookups and backward scans
-  // leave it unset.
+  // `scanned` names the log file a forward scan is reading, and `wanted`
+  // the entries of it the scan still wants, this block's included. A cache
+  // miss then reads, in the same device pass, the file's following blocks
+  // as the extent index knows them: each at most ReadBridge() blocks past
+  // the previous one, the pass within ReadSpan() blocks, and no further
+  // than the wanted-th file block, counting the missed block as the first.
+  // Where the index cannot rule (PlanningIndex, or a lookup that is not
+  // authoritative) and during recovery, the miss reads the blind window of
+  // readahead_blocks() + 1 blocks (DESIGN.md §12). Point lookups and
+  // backward scans leave `scanned` unset and read one block.
   Result<ParsedBlock> GetBlock(uint64_t block, OpStats* stats,
                                std::optional<LogFileId> scanned =
-                                   std::nullopt);
+                                   std::nullopt,
+                               uint64_t wanted = kUnboundedWant);
 
-  // Forward-scan readahead depth: how many blocks past a forward-scan
-  // cache miss may be fetched in the same device pass. 0 disables.
-  // Fixed by Format / Open; the owning LogService passes
-  // LogServiceOptions::readahead_blocks.
+  // Forward-scan readahead depth W: the blind window a miss reads where
+  // the index cannot plan is W + 1 blocks, and the planned pass's bounds
+  // derive from it. 0 disables readahead. Fixed by Format / Open; the
+  // owning LogService passes LogServiceOptions::readahead_blocks.
   uint32_t readahead_blocks() const { return readahead_blocks_; }
+  // The planned pass's bounds (DESIGN.md §12): the longest gap it bridges
+  // between two of the file's blocks, 7W/8 (at least 1), and the most
+  // blocks it reads, 3W, but no more than half the buffer pool's frames
+  // unless the blind window is longer (a pass the cache cannot hold evicts
+  // its own blocks before the scan reaches them).
+  uint64_t ReadBridge() const {
+    return std::max<uint64_t>(1, uint64_t{readahead_blocks_} * 7 / 8);
+  }
+  uint64_t ReadSpan() const { return read_span_; }
 
   // The extent index when it may plan reads of `id` over the burned
   // blocks [lo, hi) without touching the device: it is ready and covers
@@ -326,14 +341,22 @@ class LogVolume {
   Status ApplyBlockRecords(uint64_t block, const ParsedBlock& parsed,
                            OpStats* stats);
 
-  // Quarantine-aware fetch+parse of a burned block: a miss reads up to
-  // readahead_blocks() + 1 blocks below `limit` in one device pass,
-  // charged to `readahead` (null: the demand path's
-  // clio.cache.readahead_blocks). GetBlock reads through it.
-  Result<ParsedBlock> ScanBlock(uint64_t block, uint64_t limit,
+  // Quarantine-aware fetch+parse of a burned block: a miss reads the pass
+  // [block, plan_end()) in one device call, its speculative blocks charged
+  // to `readahead` (null: the demand path's clio.cache.readahead_blocks).
+  // GetBlock reads through it.
+  template <typename PlanEnd>
+  Result<ParsedBlock> ScanBlock(uint64_t block, const PlanEnd& plan_end,
                                 OpStats* stats, Counter* readahead);
+  // The end of the blind window from `block`: readahead_blocks() + 1
+  // blocks, never reaching `limit`.
+  uint64_t WindowEnd(uint64_t block, uint64_t limit) const {
+    return std::min(block + readahead_blocks_ + 1, limit);
+  }
+  // The end of a forward scan's pass from a miss at `block` (see GetBlock).
+  uint64_t PlanPass(LogFileId id, uint64_t block, uint64_t wanted);
   // The bulk walks' read (index rebuild, checkpoint replay, level-1 tail
-  // scan): ScanBlock below `limit`, charged to
+  // scan): ScanBlock over the blind window below `limit`, charged to
   // clio.index.rebuild_readahead_blocks.
   VolumeWalk::ReadFn BulkRead(uint64_t limit, OpStats* stats);
 
@@ -377,6 +400,7 @@ class LogVolume {
   bool accumulator_ready_ = false;
   uint64_t end_block_ = 1;  // burned end for read-only volumes
   const uint32_t readahead_blocks_;
+  const uint64_t read_span_;  // ReadSpan()
   // Set while Open() runs: a cache miss then reads ahead like a scan.
   bool recovering_ = false;
   bool sealed_ = false;

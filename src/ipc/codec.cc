@@ -621,7 +621,7 @@ void ServiceDispatcher::ReadBatch(std::span<const std::byte> body,
   size_t bytes = 0;
   bool at_end = false;
   while (records.size() < max_entries && bytes < kReadBatchByteBudget) {
-    auto record = it->second->Next();
+    auto record = it->second->Next(nullptr, max_entries - records.size());
     if (!record.ok()) {
       // Mid-batch failure: return the prefix that DID read; a clean
       // error only if nothing did. The reader is positioned after the

@@ -293,13 +293,13 @@ bool MergesBefore(const LogEntryRecord& a, size_t ai, const LogEntryRecord& b,
 }  // namespace
 
 Result<std::optional<LogEntryRecord>> PartitionedLogReader::Next(
-    OpStats* stats) {
+    OpStats* stats, uint64_t wanted) {
   // Advance-and-undo: step every source forward, keep the minimum, back
   // the others up. The cursor gap model (Next then Prev returns the same
   // entry) makes the undo exact.
   std::vector<std::optional<LogEntryRecord>> advanced(sources_.size());
   for (size_t i = 0; i < sources_.size(); ++i) {
-    auto next = sources_[i]->Next(stats);
+    auto next = sources_[i]->Next(stats, wanted);
     if (!next.ok()) {
       // Roll back the sources already stepped so the merge position is
       // unchanged; a rollback failure is unreported (the blocks were just

@@ -220,7 +220,10 @@ class PartitionedLogReader {
   void SeekToEnd();
   Status SeekToTime(Timestamp t, OpStats* stats = nullptr);
 
-  Result<std::optional<LogEntryRecord>> Next(OpStats* stats = nullptr);
+  // `wanted`: the entries the caller still wants from this Next on,
+  // passed to every source (VolumeCursor::Next).
+  Result<std::optional<LogEntryRecord>> Next(OpStats* stats = nullptr,
+                                             uint64_t wanted = kUnboundedWant);
   Result<std::optional<LogEntryRecord>> Prev(OpStats* stats = nullptr);
 
   // Point lookups probe sources in order and return the first hit; the

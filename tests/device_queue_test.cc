@@ -172,7 +172,8 @@ TEST(DeviceQueue, ConcurrentReadersNeverOverlapAndReadTheirOwnBytes) {
             break;
           }
           case 1: {
-            auto image = reader.FetchSequential(block, block + 8, 7, nullptr);
+            auto image = reader.FetchSequential(
+                block, [block] { return block + 8; }, nullptr);
             exact = image.ok() && HoldsPattern(block, image.value().bytes());
             break;
           }

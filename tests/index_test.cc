@@ -9,15 +9,17 @@
 //      a recovery rebuilds by scan, and the one restored from a checkpoint
 //      serialize byte-identically;
 //  I3  planned reads: scans and seeks return exactly what they return with
-//      the index off, while forward-scan readahead never reads past the
-//      scanned file's last block in the window and a seek onto a block
+//      the index off, while a forward scan's miss reads the pass the index
+//      plans over the scanned file's own blocks and a seek onto a block
 //      without the file reads nothing (DESIGN.md §12).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "src/clio/log_service.h"
@@ -25,6 +27,8 @@
 #include "src/device/memory_worm_device.h"
 #include "src/index/checkpoint.h"
 #include "src/index/extent_index.h"
+#include "src/ipc/codec.h"
+#include "src/partition/partitioned_service.h"
 #include "src/util/crc32c.h"
 #include "tests/test_util.h"
 
@@ -977,8 +981,11 @@ class PassRecorder : public BorrowedDevice {
   std::vector<std::pair<uint64_t, uint64_t>> passes;
 };
 
-// Smaller than every PlannedReadRig volume, so scans miss.
+// Smaller than every PlannedReadRig volume, so scans miss. At 48 frames
+// the span cap is the blind window (half the cache is less); at 192 it is
+// 3W.
 constexpr size_t kPlannedCacheBlocks = 48;
+constexpr size_t kPlannedSpanCacheBlocks = 192;
 
 // A 4 KiB-block volume of 12 Zipf-skewed files: /f0 is the hottest and
 // has two sublogs, 1 in 8 entries is also a member of a second file, and
@@ -1070,14 +1077,15 @@ struct PlannedPair {
   std::unique_ptr<LogService> indexed;
   std::unique_ptr<LogService> walked;
 
-  static PlannedPair Make(DualRig* rig) {
+  static PlannedPair Make(DualRig* rig,
+                          size_t cache_blocks = kPlannedCacheBlocks) {
     PlannedPair pair;
     auto on = std::make_unique<PassRecorder>(rig->media.get());
     auto off = std::make_unique<PassRecorder>(rig->media.get());
     pair.on = on.get();
     pair.off = off.get();
-    pair.indexed = rig->Remount(true, std::move(on), kPlannedCacheBlocks);
-    pair.walked = rig->Remount(false, std::move(off), kPlannedCacheBlocks);
+    pair.indexed = rig->Remount(true, std::move(on), cache_blocks);
+    pair.walked = rig->Remount(false, std::move(off), cache_blocks);
     EXPECT_TRUE(pair.vi()->EnsureExtentIndex().ok());
     EXPECT_NE(pair.vi()->extent_index(), nullptr);
     for (uint64_t b = 1; b < pair.vw()->end_block(); ++b) {
@@ -1091,20 +1099,50 @@ struct PlannedPair {
   LogVolume* vw() { return walked->current_volume(); }
 };
 
+// The end of the pass a forward miss at `first` reads when the scan wants
+// every entry, by the walk's ground truth: the file's blocks from `first`
+// on, each at most the bridge past the previous one, all within the span
+// cap. Where the index cannot rule on the span (a quarantined block in it)
+// or on a step (a hole), the blind window, and sets *blind.
+uint64_t ExpectedPassEnd(LogVolume* planned, LogVolume* walked, LogFileId id,
+                         uint64_t first, bool* blind) {
+  const uint64_t span_end =
+      std::min(first + planned->ReadSpan(), planned->end_block());
+  const uint64_t window_end = std::min<uint64_t>(
+      first + planned->readahead_blocks() + 1, planned->end_block());
+  const ExtentIndex* idx = planned->PlanningIndex(id, first, span_end);
+  *blind = true;
+  if (idx == nullptr) {
+    return window_end;
+  }
+  uint64_t last = first;
+  while (true) {
+    if (!idx->NextBlockWith(id, last + 1).authoritative) {
+      return window_end;
+    }
+    *blind = false;
+    auto next = walked->NextBlockWith(id, last + 1, nullptr);
+    EXPECT_TRUE(next.ok());
+    if (!next.ok() || !next->has_value() || **next >= span_end ||
+        **next - last > planned->ReadBridge()) {
+      return last + 1;
+    }
+    last = **next;
+  }
+}
+
 // Random (file, t) queries: SeekToTime then 32 Next, and SeekToTime then
-// 32 Prev, return the same with the index on and off. With it on, every
-// multi-block pass (only forward scans read ahead) ends at a block holding
-// the scanned file, unless the index could not rule on the window — then
-// the pass is the untrimmed window — and the indexed side reads no more
-// blocks in total. Returns the number of untrimmed passes.
+// 32 Prev, return the same with the index on and off. With it on, only
+// forward scans read ahead, and every pass is the one ExpectedPassEnd
+// derives from the walk. Returns the number of blind-window passes.
 int CheckPlannedScans(DualRig* rig, Rng* rng, int queries) {
-  PlannedPair pair = PlannedPair::Make(rig);
+  PlannedPair pair = PlannedPair::Make(rig, kPlannedSpanCacheBlocks);
   LogVolume* vi = pair.vi();
-  const uint64_t end = vi->end_block();
   const uint32_t window = vi->readahead_blocks();
   EXPECT_EQ(window, LogServiceOptions{}.readahead_blocks);
-  std::vector<std::pair<LogFileId, uint64_t>> pass_ends;
-  int untrimmed = 0;
+  EXPECT_EQ(vi->ReadSpan(), 3u * window);
+  EXPECT_EQ(vi->ReadBridge(), 7u * window / 8);
+  std::vector<std::tuple<LogFileId, uint64_t, uint64_t>> passes;
   for (int q = 0; q < queries; ++q) {
     const std::string& path = rig->paths[rng->Below(rig->paths.size())];
     Timestamp t = rig->stamps[rng->Below(rig->stamps.size())].second +
@@ -1118,32 +1156,23 @@ int CheckPlannedScans(DualRig* rig, Rng* rng, int queries) {
           << path << " t=" << t << (forward ? " Next" : " Prev");
       for (size_t i = first_pass; i < pair.on->passes.size(); ++i) {
         const auto [first, count] = pair.on->passes[i];
-        if (count == 1) {
-          continue;
-        }
-        EXPECT_TRUE(forward) << "readahead outside a forward scan";
-        EXPECT_LE(count, window + 1u);
-        const uint64_t limit = std::min<uint64_t>(first + window + 1, end);
-        const ExtentIndex* idx = vi->PlanningIndex(*id, first, limit);
-        if (idx == nullptr || !idx->PrevBlockWith(*id, limit).authoritative) {
-          EXPECT_EQ(count, limit - first) << "fallback must read blindly";
-          ++untrimmed;
-        } else {
-          pass_ends.emplace_back(*id, first + count - 1);
+        if (count > 1) {
+          EXPECT_TRUE(forward) << "readahead outside a forward scan";
+          EXPECT_LE(count, vi->ReadSpan());
+          passes.emplace_back(*id, first, count);
         }
       }
     }
   }
-  EXPECT_LE(pair.on->blocks(), pair.off->blocks());
-  EXPECT_FALSE(pass_ends.empty());
-  // Ground truth from the walk: each planned pass ends at a file block.
-  for (const auto& [id, last] : pass_ends) {
-    auto holder = pair.vw()->NextBlockWith(id, last, nullptr);
-    EXPECT_TRUE(holder.ok());
-    EXPECT_EQ(holder.value(), std::optional<uint64_t>(last))
-        << "pass read past file " << id << "'s last block in the window";
+  EXPECT_FALSE(passes.empty());
+  int blind_passes = 0;
+  for (const auto& [id, first, count] : passes) {
+    bool blind = false;
+    EXPECT_EQ(first + count, ExpectedPassEnd(vi, pair.vw(), id, first, &blind))
+        << "file " << id << "'s pass from block " << first;
+    blind_passes += blind;
   }
-  return untrimmed;
+  return blind_passes;
 }
 
 TEST(IndexPlannedReads, ScansMatchTheWalkAndEndPassesAtTheFile) {
@@ -1153,8 +1182,7 @@ TEST(IndexPlannedReads, ScansMatchTheWalkAndEndPassesAtTheFile) {
 }
 
 // A quarantined block is one the index cannot rule on: scans return what
-// the walk returns, and a pass whose window spans it reads the untrimmed
-// window.
+// the walk returns, and a pass whose span holds it reads the blind window.
 TEST(IndexPlannedReads, QuarantinedBlockFallsBackToTheFullWindow) {
   DualRig rig = PlannedReadRig(0x0BAD);
   LogVolume* live = rig.service->current_volume();
@@ -1171,18 +1199,155 @@ TEST(IndexPlannedReads, QuarantinedBlockFallsBackToTheFullWindow) {
   CheckPlannedScans(&rig, &rng, 40);
 
   // Remounted, the rebuild also records q as a hole. A forward-scan miss
-  // whose window spans q reads the whole window.
-  PlannedPair pair = PlannedPair::Make(&rig);
+  // whose span holds q reads the blind window.
+  PlannedPair pair = PlannedPair::Make(&rig, kPlannedSpanCacheBlocks);
   LogVolume* vi = pair.vi();
   EXPECT_EQ(vi->extent_index()->hole_count(), 1u);
-  const uint64_t b = q - 1;
-  const uint64_t limit =
-      std::min<uint64_t>(b + vi->readahead_blocks() + 1, vi->end_block());
-  EXPECT_EQ(vi->PlanningIndex(hot, b, limit), nullptr);
+  const uint64_t b = q - vi->ReadSpan() + 1;
+  EXPECT_EQ(vi->PlanningIndex(hot, b, b + vi->ReadSpan()), nullptr);
   ASSERT_OK(vi->GetBlock(b, nullptr, hot).status());
   ASSERT_EQ(pair.on->passes.size(), 1u);
-  EXPECT_EQ(pair.on->passes[0],
-            (std::pair<uint64_t, uint64_t>(b, limit - b)));
+  EXPECT_EQ(pair.on->passes[0], (std::pair<uint64_t, uint64_t>(
+                                    b, vi->readahead_blocks() + 1)));
+}
+
+// A volume where /f0 holds one entry per block, `spacing` blocks apart
+// (forced entries of /f1 fill the gaps), remounted with the index built
+// and the cache cold, its /f0 read in batches through a dispatcher, as
+// the server reads it. The device records every read call.
+struct SpacedFile {
+  DualRig rig = DualRig::Make(/*block_size=*/512, /*degree=*/16, /*files=*/2);
+  PassRecorder* recorder = nullptr;
+  std::unique_ptr<LogService> service;
+  std::unique_ptr<PartitionedLogService> view;
+  std::unique_ptr<ServiceDispatcher> dispatcher;
+  std::vector<uint64_t> blocks;  // /f0's, one per entry
+  uint64_t handle = 0;
+
+  // `damage` runs on the writing service before the remount.
+  static SpacedFile Make(int entries, uint64_t spacing,
+                         const std::function<void(SpacedFile*)>& damage =
+                             nullptr) {
+    SpacedFile f;
+    WriteOptions forced;
+    forced.force = true;
+    for (int i = 0; i < entries; ++i) {
+      auto appended = f.rig.service->Append("/f0", AsBytes("e"), forced);
+      EXPECT_TRUE(appended.ok());
+      f.blocks.push_back(appended.ok() ? appended->position.block : 0);
+      for (uint64_t gap = 1; gap < spacing; ++gap) {
+        EXPECT_TRUE(f.rig.service->Append("/f1", AsBytes("gap"), forced).ok());
+      }
+    }
+    if (damage) {
+      damage(&f);
+    }
+    EXPECT_TRUE(f.rig.service->Force().ok());
+    auto recorder = std::make_unique<PassRecorder>(f.rig.media.get());
+    f.recorder = recorder.get();
+    f.service = f.rig.Remount(true, std::move(recorder));
+    EXPECT_TRUE(f.volume()->EnsureExtentIndex().ok());
+    auto view = PartitionedLogService::Wrap(f.service.get());
+    EXPECT_TRUE(view.ok());
+    f.view = std::move(view).value();
+    f.dispatcher = std::make_unique<ServiceDispatcher>(
+        f.view.get(),
+        [](const AppendRequest&) -> Result<AppendResult> {
+          return Unimplemented("read only");
+        },
+        [] { return HealthReport{}; });
+    Bytes open;
+    ByteWriter(&open).PutString("/f0");
+    auto opened = DecodeReplyBody(
+        f.dispatcher->Dispatch(LogOp::kOpenReader, open).Flatten());
+    EXPECT_TRUE(opened.ok());
+    f.handle = ByteReader(opened.value()).GetU64();
+    f.service->cache().Clear();
+    f.recorder->passes.clear();
+    return f;
+  }
+
+  LogVolume* volume() { return service->current_volume(); }
+
+  // One kReadBatch of up to `n` entries; returns how many came back.
+  size_t ReadBatch(uint32_t n) {
+    Bytes body;
+    ByteWriter w(&body);
+    w.PutU64(handle);
+    w.PutU32(n);
+    auto reply = DecodeReplyBody(
+        dispatcher->Dispatch(LogOp::kReadBatch, body).Flatten());
+    EXPECT_TRUE(reply.ok()) << reply.status().ToString();
+    auto batch = DecodeEntryBatch(reply.value());
+    EXPECT_TRUE(batch.ok());
+    return batch.ok() ? batch->entries.size() : 0;
+  }
+
+  // Each pass as (first block, count).
+  using Passes = std::vector<std::pair<uint64_t, uint64_t>>;
+  Passes passes() const { return recorder->passes; }
+};
+
+// File blocks the bridge apart: a batch of as many entries as the span
+// holds of them reads in one pass, from its first block to its last.
+TEST(IndexPlannedReads, FileBlocksTheBridgeApartReadInOnePassPerBatch) {
+  const uint64_t bridge = LogServiceOptions{}.readahead_blocks * 7 / 8;
+  SpacedFile f = SpacedFile::Make(8, bridge);
+  ASSERT_EQ(f.volume()->ReadBridge(), bridge);
+  for (size_t i = 1; i < f.blocks.size(); ++i) {
+    ASSERT_EQ(f.blocks[i] - f.blocks[i - 1], bridge) << i;
+  }
+  const uint32_t per_pass = (f.volume()->ReadSpan() - 1) / bridge + 1;
+  ASSERT_EQ(per_pass, 4u);
+  EXPECT_EQ(f.ReadBatch(per_pass), per_pass);
+  EXPECT_EQ(f.ReadBatch(per_pass), per_pass);
+  const uint64_t length = (per_pass - 1) * bridge + 1;
+  EXPECT_EQ(f.passes(), (SpacedFile::Passes{{f.blocks[0], length},
+                                            {f.blocks[4], length}}));
+}
+
+// One block more apart, nothing is bridged: one pass per block.
+TEST(IndexPlannedReads, FileBlocksPastTheBridgeReadOnePassPerBlock) {
+  const uint64_t bridge = LogServiceOptions{}.readahead_blocks * 7 / 8;
+  SpacedFile f = SpacedFile::Make(4, bridge + 1);
+  ASSERT_EQ(f.volume()->ReadBridge(), bridge);
+  EXPECT_EQ(f.ReadBatch(4), 4u);
+  SpacedFile::Passes expected;
+  for (uint64_t block : f.blocks) {
+    expected.emplace_back(block, 1);
+  }
+  EXPECT_EQ(f.passes(), expected);
+}
+
+// A batch of n reads no further than the block holding its n-th entry,
+// and the last batch no further than the file's last block.
+TEST(IndexPlannedReads, BatchReadsNoFurtherThanItsLastEntry) {
+  SpacedFile f = SpacedFile::Make(12, 2);
+  EXPECT_EQ(f.ReadBatch(5), 5u);
+  EXPECT_EQ(f.ReadBatch(5), 5u);
+  EXPECT_EQ(f.ReadBatch(5), 2u);
+  EXPECT_EQ(f.passes(), (SpacedFile::Passes{{f.blocks[0], 9},
+                                            {f.blocks[5], 9},
+                                            {f.blocks[10], 3}}));
+}
+
+// A quarantined block in the planned range, even one holding only another
+// file, leaves the index unable to plan: the miss reads the blind window
+// of W + 1 blocks. Past it the plan resumes.
+TEST(IndexPlannedReads, QuarantinedBlockInThePlannedRangeReadsTheWindow) {
+  const uint64_t window = LogServiceOptions{}.readahead_blocks + 1;
+  uint64_t q = 0;
+  SpacedFile f = SpacedFile::Make(12, 8, [&](SpacedFile* file) {
+    q = file->blocks[5] + 1;
+    ASSERT_OK(file->rig.service->QuarantineBlock(0, q));
+  });
+  ASSERT_EQ(f.blocks[5], f.blocks[0] + 40);
+  EXPECT_EQ(f.ReadBatch(12), 12u);
+  // From blocks[0] and blocks[5] the span holds q; from blocks[10] it
+  // does not, and the pass ends at the file's last block.
+  EXPECT_EQ(f.passes(), (SpacedFile::Passes{{f.blocks[0], window},
+                                            {f.blocks[5], window},
+                                            {f.blocks[10], 9}}));
 }
 
 // The volume-sequence and entrymap logs are not in the index: the index

@@ -1,13 +1,17 @@
 // LogVolume internals: entrymap fetch displacement, the synthesize-from-
 // lower-levels fallback, entrymap node chunking, time search over damaged
 // regions, fragment-chain truncation, the linear scan paths, and the
-// search fallbacks' handling of a transient read.
+// search fallbacks' handling of a transient read, and Prev's read of a
+// multi-block entry's base block.
 #include "src/clio/volume.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "src/clio/cursor.h"
 #include "src/clio/log_service.h"
+#include "src/device/fault_injection.h"
 #include "tests/test_util.h"
 
 namespace clio {
@@ -324,6 +328,76 @@ TEST(VolumeInternals, OpStatsAccumulateAcrossCalls) {
   stats += more;
   EXPECT_EQ(stats.blocks_read, 2u);
   EXPECT_GE(stats.cache_hits, 1u);  // second fetch must hit
+}
+
+// /a gets a 60-byte entry, then a 1 400-byte one whose chain starts in a
+// later block and continues over two more (512-byte blocks). Returns the
+// block of the chain's base.
+uint64_t WriteShortThenChained(LogService* service) {
+  WriteOptions forced;
+  forced.force = true;
+  EXPECT_TRUE(service->CreateLogFile("/a").ok());
+  Rng rng(14);
+  EXPECT_TRUE(service->Append("/a", RandomPayload(&rng, 60), forced).ok());
+  auto chained = service->Append("/a", RandomPayload(&rng, 1400), forced);
+  EXPECT_TRUE(chained.ok());
+  return chained.ok() ? chained.value().position.block : 0;
+}
+
+// The first entry by Next, then Next and Prev from the end, each with
+// the chain's base dropped from the cache after `damage` ran: Next reads
+// the 60-byte entry and fails on the base, and Prev fails the same way
+// instead of skipping the chained entry for the one before it.
+void ExpectBothWaysFailOnTheBase(LogService* service, uint64_t base,
+                                 const std::function<void()>& damage,
+                                 StatusCode code) {
+  ASSERT_OK_AND_ASSIGN(auto reader, service->OpenReader("/a"));
+  ASSERT_OK_AND_ASSIGN(auto first, reader->Next());
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->payload.size(), 60u);
+  service->cache().Erase({0, base});
+  damage();
+  EXPECT_EQ(reader->Next().status().code(), code);
+  service->cache().Erase({0, base});
+  damage();
+  reader->SeekToEnd();
+  EXPECT_EQ(reader->Prev().status().code(), code);
+}
+
+TEST(CursorChains, PrevFailsOnATransientReadOfTheChainBase) {
+  auto rig = VolumeRig::Make(512, 8);
+  const uint64_t base = WriteShortThenChained(rig.service.get());
+  ASSERT_GT(base, 1u);
+  ExpectBothWaysFailOnTheBase(
+      rig.service.get(), base, [&] { rig.flaky->FailReads(base, 1); },
+      StatusCode::kUnavailable);
+  // The failure was transient: a retry reads the chained entry.
+  ASSERT_OK_AND_ASSIGN(auto reader, rig.service->OpenReader("/a"));
+  reader->SeekToEnd();
+  ASSERT_OK_AND_ASSIGN(auto last, reader->Prev());
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->payload.size(), 1400u);
+  EXPECT_FALSE(last->truncated);
+}
+
+TEST(CursorChains, PrevFailsOnAQuarantinedChainBase) {
+  SimulatedClock clock(1'000'000, 7);
+  MemoryWormOptions dev;
+  dev.block_size = 512;
+  dev.capacity_blocks = 1 << 14;
+  auto device = std::make_unique<FaultInjectingWormDevice>(
+      std::make_unique<MemoryWormDevice>(dev), FaultPolicy{}, /*seed=*/1);
+  FaultInjectingWormDevice* media = device.get();
+  LogServiceOptions options;
+  options.entrymap_degree = 8;
+  ASSERT_OK_AND_ASSIGN(auto service,
+                       LogService::Create(std::move(device), &clock, options));
+  const uint64_t base = WriteShortThenChained(service.get());
+  ASSERT_GT(base, 1u);
+  ASSERT_OK(media->FlipBitOnMedia(base, /*bit_index=*/1234));
+  ASSERT_OK(service->QuarantineBlock(0, base));
+  ExpectBothWaysFailOnTheBase(service.get(), base, [] {},
+                              StatusCode::kCorrupt);
 }
 
 }  // namespace
